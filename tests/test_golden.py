@@ -1,0 +1,37 @@
+"""Golden transcript corpus: every run of the grid must reproduce its bytes.
+
+The hashes in golden/transcripts.json were made by scripts/regen_golden.py.
+A refactor or speedup must leave every one of them unchanged.
+"""
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import regen_golden  # noqa: E402
+from run_matrix import DEFENSE_GRID  # noqa: E402
+
+from aqsim.adversary import SCENARIO_TOKENS  # noqa: E402
+
+GOLDEN = json.loads(regen_golden.GOLDEN_PATH.read_text())
+
+
+def test_corpus_covers_the_grid():
+    expected = {
+        regen_golden.cell_key(s, d, n, seed, trial)
+        for s in SCENARIO_TOKENS for d in DEFENSE_GRID
+        for n in regen_golden.NS for seed in regen_golden.SEEDS for trial in regen_golden.TRIALS
+    }
+    assert set(GOLDEN) == expected
+    assert len(GOLDEN) == 7 * 4 * 4 * 2 * 2
+
+
+@pytest.mark.parametrize("defenses", DEFENSE_GRID, ids=lambda d: ",".join(d.tokens()) or "none")
+@pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
+def test_transcripts_match_golden(scenario, defenses):
+    got = regen_golden.cell_hashes(scenario, defenses)
+    mismatched = sorted(key for key, digest in got.items() if GOLDEN[key] != digest)
+    assert not mismatched
