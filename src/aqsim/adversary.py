@@ -120,12 +120,9 @@ class DecoySet:
 
 
 def make_decoy_set(n: int, registry: QuantumRegistry) -> DecoySet:
-    pairs = []
-    for i in range(1, n + 1):
-        probe, keeper = f"d1_{i}", f"d2_{i}"
-        registry.add(sv.make_bell_pair(probe, keeper))
-        pairs.append((probe, keeper))
-    return DecoySet(tuple(pairs))
+    pairs = tuple((f"d1_{i}", f"d2_{i}") for i in range(1, n + 1))
+    registry.add_rows(pairs, np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    return DecoySet(pairs)
 
 
 def bob_dos_negate(state: RunState) -> Claim:
@@ -252,11 +249,9 @@ def ipe_extract(
     certainty.
     """
     have = set(captured)
-    bits: list[int] = []
-    for probe, keeper in decoys.pairs:
+    for probe, _ in decoys.pairs:
         if probe not in have:
             raise MissingDecoy(f"probe {probe!r} never came back (filtered upstream?)")
-        outcome = registry.bell_measure(probe, keeper, rng)
-        bits.append(outcome.x)
-        bits.append(outcome.z)
-    return tuple(bits)
+    outcomes = registry.bell_measure_many(
+        [probe for probe, _ in decoys.pairs], [keeper for _, keeper in decoys.pairs], rng)
+    return tuple(bit for outcome in outcomes for bit in (outcome.x, outcome.z))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -24,9 +25,63 @@ def _float_token(x: float) -> str:
 
 
 def _emit(obj, out: list[str]) -> None:
-    if obj is None:
+    """Append the canonical tokens of ``obj`` to ``out``.
+
+    The exact built-in types the documents are made of dispatch on
+    ``type(obj)``; anything else (numpy scalars, bool/int/str subclasses,
+    tuples) takes ``_emit_other``. Both give the same bytes for a value.
+    """
+    kind = type(obj)
+    if kind is str:
+        out.append(_encode_str(obj))
+    elif kind is float:
+        out.append(_float_token(obj))
+    elif kind is dict:
+        out.append("{")
+        sep = ""
+        for key, value in obj.items():
+            if type(key) is not str and not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r} in canonical document")
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(":")
+            kind = type(value)
+            if kind is float:
+                out.append(_float_token(value))
+            elif kind is str:
+                out.append(_encode_str(value))
+            else:
+                _emit(value, out)
+            sep = ","
+        out.append("}")
+    elif kind is list:
+        out.append("[")
+        sep = ""
+        for item in obj:
+            out.append(sep)
+            kind = type(item)
+            if kind is float:
+                out.append(_float_token(item))
+            elif kind is str:
+                out.append(_encode_str(item))
+            else:
+                _emit(item, out)
+            sep = ","
+        out.append("]")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    else:
+        _emit_other(obj, out)
+
+
+def _emit_other(obj, out: list[str]) -> None:
+    if isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -42,16 +97,7 @@ def _emit(obj, out: list[str]) -> None:
             _emit(item, out)
         out.append("]")
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key {key!r} in canonical document")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
+        _emit(dict(obj), out)
     else:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,16 +90,19 @@ class MessageSpec:
     def n(self) -> int:
         return len(self.coefficients)
 
+    @cached_property
+    def amps(self) -> np.ndarray:
+        """(n, 2) read-only stack of the prepared qubits, ``make_qubit``'s rows."""
+        amps = sv.qubit_rows(self.coefficients)
+        amps.flags.writeable = False
+        return amps
+
     def qubits(self, prefix: str) -> tuple[PureState, ...]:
         """One fresh copy of the message, labeled ``prefix1 .. prefixN``."""
-        return tuple(
-            sv.make_qubit(a, b, f"{prefix}{i + 1}")
-            for i, (a, b) in enumerate(self.coefficients)
-        )
+        return sv.states_from_rows([(f"{prefix}{i + 1}",) for i in range(self.n)], self.amps)
 
     def qubit(self, i: int, label) -> PureState:
-        a, b = self.coefficients[i]
-        return sv.make_qubit(a, b, label)
+        return sv.states_from_rows([(label,)], self.amps[i:i + 1])[0]
 
 
 def random_message_spec(
@@ -151,71 +155,249 @@ class Carrier:
         return {"id": self.id, "band": self.band, "slot": self.time_slot}
 
 
-class QuantumRegistry:
-    """Tracks which PureState group currently holds each labeled qubit.
+class _Family:
+    """m groups of k qubits each, stored as one (m, 2**k) amplitude array.
 
-    Operations rebind whole groups (states are immutable); a Bell
-    measurement merges the two groups involved, then drops the measured
-    labels.
+    Row r is the group over ``labels[r]``; axis j of that group is qubit
+    ``labels[r][j]``. Rows are only ever written through the batched
+    kernels, which check every row they produce.
+    """
+
+    __slots__ = ("amps", "labels", "views")
+
+    def __init__(self, amps: np.ndarray, labels: list):
+        self.amps = amps
+        self.labels = labels
+        self.views: dict = {}  # row -> PureState, dropped when the row is written
+
+    def view(self, row: int) -> PureState:
+        state = self.views.get(row)
+        if state is None:
+            state = sv.states_from_rows([self.labels[row]], self.amps[row:row + 1])[0]
+            self.views[row] = state
+        return state
+
+    def write(self, rows: np.ndarray, amps: np.ndarray) -> None:
+        self.amps[rows] = amps
+        if self.views:
+            for row in rows.tolist():
+                self.views.pop(row, None)
+
+
+class QuantumRegistry:
+    """Which qubit group holds each labeled qubit, stored as slot families.
+
+    The protocol factors by time slot: slot i holds p_i and sa_i, the
+    teleport group t_i (x) (a_i, b_i) and, under the Trojan attacks, a decoy
+    pair. So groups of one shape live together in a family (one stacked
+    amplitude array, see ``_Family``), and a label maps to (family, row,
+    axis). Every operation takes a list of labels and runs one kernel of
+    ``statevector`` per family it touches; the single-label methods are the
+    one-row case of the same calls. A Bell measurement merges the two groups
+    involved, then drops the measured labels.
     """
 
     def __init__(self):
-        self._groups: dict = {}
+        self._where: dict = {}  # label -> (family, row, axis)
 
-    def add(self, state: PureState) -> None:
-        for label in state.labels:
-            if label in self._groups:
-                raise LabelCollision(f"label {label!r} already registered")
-        for label in state.labels:
-            self._groups[label] = state
-
-    def state_of(self, label) -> PureState:
+    def _locate(self, label) -> tuple:
         try:
-            return self._groups[label]
+            return self._where[label]
         except KeyError:
             raise UnknownLabel(f"label {label!r} not in registry") from None
 
-    def has(self, label) -> bool:
-        return label in self._groups
+    def _buckets(self, labels) -> list:
+        """Positions of ``labels`` grouped by the (family, axis) holding them:
+        a list of (family, axis, positions, rows array)."""
+        buckets: dict = {}
+        for pos, label in enumerate(labels):
+            family, row, axis = self._locate(label)
+            bucket = buckets.get((id(family), axis))
+            if bucket is None:
+                bucket = buckets[(id(family), axis)] = (family, axis, [], [])
+            bucket[2].append(pos)
+            bucket[3].append(row)
+        return [(f, a, pos, np.array(rows)) for f, a, pos, rows in buckets.values()]
 
-    def _rebind(self, old_labels, new_state: PureState) -> None:
-        for label in old_labels:
-            del self._groups[label]
-        for label in new_state.labels:
-            self._groups[label] = new_state
+    def add_rows(self, labels, amps: np.ndarray) -> None:
+        """Register one new family: ``labels[r]`` names the qubits of ``amps[r]``."""
+        labels = [tuple(row) for row in labels]
+        amps = np.array(amps, dtype=np.complex128).reshape(len(labels), -1)
+        for row in labels:
+            if len(row) > sv.MAX_QUBITS:
+                raise sv.TooManyQubits(f"{len(row)} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
+            if len(set(row)) != len(row):
+                raise sv.DuplicateLabel(f"duplicate qubit labels in {row}")
+            if 2 ** len(row) != amps.shape[1]:
+                raise sv.StateError(
+                    f"amplitude count {amps.shape[1]} does not match {len(row)} qubit(s)"
+                )
+        family = _Family(sv.check_rows(amps), labels)
+        new: dict = {}
+        for r, row in enumerate(labels):
+            for j, label in enumerate(row):
+                if label in self._where or label in new:
+                    raise LabelCollision(f"label {label!r} already registered")
+                new[label] = (family, r, j)
+        self._where.update(new)
+
+    def add(self, state: PureState) -> None:
+        self.add_rows([state.labels], state.amps[None, :])
+
+    def state_of(self, label) -> PureState:
+        family, row, _ = self._locate(label)
+        return family.view(row)
+
+    def sequence(self, labels: Sequence) -> tuple[PureState, ...]:
+        return tuple(self.state_of(label) for label in labels)
+
+    def amps_of(self, labels: Sequence) -> np.ndarray:
+        """The amplitudes of each label's group, stacked in label order."""
+        buckets = self._buckets(labels)
+        widths = {family.amps.shape[1] for family, _, _, _ in buckets}
+        if len(widths) > 1:
+            raise sv.LabelMismatch(f"labels {list(labels)} sit in groups of different sizes")
+        out = np.empty((len(labels), widths.pop() if widths else 2), dtype=np.complex128)
+        for family, _, positions, rows in buckets:
+            out[positions] = family.amps[rows]
+        return out
+
+    def jsonable_states(self, labels: Sequence) -> list[dict]:
+        """``state_of(label).to_jsonable()`` for each label, read off the families."""
+        out: list = [None] * len(labels)
+        for family, _, positions, rows in self._buckets(labels):
+            pairs = family.amps[rows].view(np.float64).reshape(len(rows), -1, 2).tolist()
+            for pos, row, amps in zip(positions, rows.tolist(), pairs):
+                out[pos] = {"labels": list(family.labels[row]), "amps": amps}
+        return out
+
+    def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
+        """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
+        ``inverse`` undoes that exactly (sigma_x first, then sigma_z)."""
+        if len(set(labels)) != len(labels):  # repeats act in turn
+            for label, xi, zi in zip(labels, x, z):
+                self.apply_paulis([label], [xi], [zi], inverse)
+            return
+        x = np.asarray(x)
+        z = np.asarray(z)
+        for family, axis, positions, rows in self._buckets(labels):
+            family.write(rows, sv.pauli_rows(family.amps[rows], axis, x[positions],
+                                             z[positions], inverse))
 
     def apply_pauli(self, label, p: PauliBits) -> None:
-        group = self.state_of(label)
-        self._rebind(group.labels, sv.apply_pauli(group, label, p))
+        self.apply_paulis([label], [p.x], [p.z])
 
     def apply_pauli_inverse(self, label, p: PauliBits) -> None:
         """Undo ``apply_pauli`` exactly: sigma_x first, then sigma_z."""
-        group = self.state_of(label)
-        new = sv.apply_pauli(group, label, PauliBits(p.x, 0))
-        new = sv.apply_pauli(new, label, PauliBits(0, p.z))
-        self._rebind(group.labels, new)
+        self.apply_paulis([label], [p.x], [p.z], inverse=True)
 
-    def _merged(self, label1, label2) -> PureState:
-        g1 = self.state_of(label1)
-        g2 = self.state_of(label2)
-        return g1 if g1 is g2 else sv.tensor(g1, g2)
+    def _merged(self, labels1: Sequence, labels2: Sequence) -> list:
+        """The merged groups of each pair (labels1[i], labels2[i]), stacked per
+        kind of pair: a list of (positions, amps, axis1, axis2, row labels,
+        sources), or None when two pairs touch one group."""
+        kinds: dict = {}
+        sources: set = set()
+        for pos, (l1, l2) in enumerate(zip(labels1, labels2)):
+            if l1 == l2:
+                raise sv.DuplicateLabel("bell measurement needs two distinct labels")
+            f1, r1, x1 = self._locate(l1)
+            f2, r2, x2 = self._locate(l2)
+            same = f1 is f2 and r1 == r2
+            touched = {(id(f1), r1), (id(f2), r2)}
+            if not sources.isdisjoint(touched):
+                return None
+            sources |= touched
+            kind = kinds.get((id(f1), x1, id(f2), x2, same))
+            if kind is None:
+                kind = kinds[(id(f1), x1, id(f2), x2, same)] = (f1, x1, f2, x2, same, [], [], [])
+            kind[5].append(pos)
+            kind[6].append(r1)
+            kind[7].append(r2)
+        merged = []
+        for f1, x1, f2, x2, same, positions, r1, r2 in kinds.values():
+            r1, r2 = np.array(r1), np.array(r2)
+            if same:
+                amps, axis2 = f1.amps[r1], x2
+                row_labels = [f1.labels[r] for r in r1.tolist()]
+            else:
+                amps, axis2 = sv.tensor_rows(f1.amps[r1], f2.amps[r2]), len(f1.labels[0]) + x2
+                row_labels = [f1.labels[a] + f2.labels[b] for a, b in zip(r1.tolist(), r2.tolist())]
+            merged.append((positions, amps, x1, axis2, row_labels))
+        return merged
+
+    def bell_probabilities_many(self, labels1: Sequence, labels2: Sequence) -> np.ndarray:
+        """(m, 4) Bell-branch probabilities of each pair, BELL_ORDER columns."""
+        merged = self._merged(labels1, labels2)
+        if merged is None:
+            return np.array([self.bell_probabilities_many([a], [b])[0]
+                             for a, b in zip(labels1, labels2)])
+        probs = np.empty((len(labels1), 4))
+        for positions, amps, axis1, axis2, _ in merged:
+            probs[positions] = sv.bell_probabilities_rows(
+                sv.bell_components_rows(amps, axis1, axis2))
+        return probs
 
     def bell_probabilities(self, label1, label2) -> tuple[float, float, float, float]:
-        return sv.bell_probabilities(self._merged(label1, label2), label1, label2)
+        return tuple(self.bell_probabilities_many([label1], [label2])[0].tolist())
+
+    def bell_measure_many(
+        self,
+        labels1: Sequence,
+        labels2: Sequence,
+        rng: np.random.Generator,
+        forced: Sequence[BellOutcome | None] | None = None,
+    ) -> list[BellOutcome]:
+        """Bell-measure each pair (labels1[i], labels2[i]).
+
+        Unforced pairs draw one uniform each, in pair order, from a single
+        ``rng.random(k)`` call: the same doubles as k ``bell_measure`` calls.
+        """
+        forced = list(forced) if forced is not None else [None] * len(labels1)
+        merged = self._merged(labels1, labels2)
+        if merged is None:
+            return [self.bell_measure_many([a], [b], rng, [f])[0]
+                    for a, b, f in zip(labels1, labels2, forced)]
+        parts = []
+        probs = np.empty((len(labels1), 4))
+        for positions, amps, axis1, axis2, row_labels in merged:
+            comp = sv.bell_components_rows(amps, axis1, axis2)
+            probs[positions] = sv.bell_probabilities_rows(comp)
+            parts.append((positions, comp, row_labels, (axis1, axis2)))
+        if not np.all(np.any(probs > sv.PROB_FLOOR, axis=1)):
+            raise sv.DegenerateState("all four Bell branches vanished")
+        free = [i for i, f in enumerate(forced) if f is None]
+        u = np.zeros(len(forced))
+        if free:
+            u[free] = rng.random(len(free))
+        rows = sv.bell_sample_rows(probs, u)
+        for i, f in enumerate(forced):
+            if f is not None:
+                rows[i] = sv.BELL_ORDER.index(f)
+                if probs[i, rows[i]] <= sv.PROB_FLOOR:
+                    raise sv.ImpossibleOutcome(
+                        f"forced outcome {f.token} has probability {probs[i, rows[i]]!r}")
+        for positions, comp, row_labels, measured in parts:
+            residual = sv.bell_residual_rows(comp, probs[positions], rows[positions])
+            for row in row_labels:
+                for label in row:
+                    del self._where[label]
+            kept = [tuple(l for j, l in enumerate(row) if j not in measured) for row in row_labels]
+            if kept[0]:
+                self.add_rows(kept, residual)
+        return [sv.BELL_ORDER[r] for r in rows.tolist()]
 
     def bell_measure(
         self, label1, label2, rng: np.random.Generator, forced: BellOutcome | None = None
     ) -> BellOutcome:
-        merged = self._merged(label1, label2)
-        outcome, residual = sv.bell_measure(merged, label1, label2, rng, forced=forced)
-        for label in merged.labels:
-            del self._groups[label]
-        for label in residual.labels:
-            self._groups[label] = residual
-        return outcome
+        return self.bell_measure_many([label1], [label2], rng, [forced])[0]
 
-    def sequence(self, labels: Sequence) -> tuple[PureState, ...]:
-        return tuple(self.state_of(label) for label in labels)
+    def equal_up_to_phase_many(self, labels1: Sequence, labels2: Sequence) -> list[bool]:
+        """Phase-insensitive equality of single-qubit states held under
+        different labels (the comparison is over content, not identity)."""
+        a, b = self.amps_of(labels1), self.amps_of(labels2)
+        if a.shape[1] != 2 or b.shape[1] != 2:
+            raise sv.StateError("content comparison needs single-qubit groups")
+        return sv.equal_up_to_phase_rows(a, b, EQUALITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -255,14 +437,11 @@ class CipherPayload:
 
     def digest(self, registry: QuantumRegistry) -> str:
         """Receive-time digest: carrier metadata plus the exact states held."""
+        carriers = self.all_carriers()
+        states = registry.jsonable_states([c.payload for c in carriers])
         doc = [
-            {
-                "id": c.id,
-                "band": c.band,
-                "slot": c.time_slot,
-                "state": registry.state_of(c.payload).to_jsonable(),
-            }
-            for c in self.all_carriers()
+            {"id": c.id, "band": c.band, "slot": c.time_slot, "state": state}
+            for c, state in zip(carriers, states)
         ]
         return sha256_hex(doc)
 
@@ -405,14 +584,10 @@ def distribute_bell_pairs(n: int, registry: QuantumRegistry) -> tuple[tuple, tup
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    alice_labels = []
-    bob_labels = []
-    for i in range(1, n + 1):
-        a, b = f"a{i}", f"b{i}"
-        registry.add(sv.make_bell_pair(a, b))
-        alice_labels.append(a)
-        bob_labels.append(b)
-    return tuple(alice_labels), tuple(bob_labels)
+    alice_labels = tuple(f"a{i}" for i in range(1, n + 1))
+    bob_labels = tuple(f"b{i}" for i in range(1, n + 1))
+    registry.add_rows(zip(alice_labels, bob_labels), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    return alice_labels, bob_labels
 
 
 def alice_sign(
@@ -441,26 +616,24 @@ def alice_sign(
             raise ProtocolError("forced pad has the wrong length")
         pad = forced_pad
 
-    masked_states = qotp.encrypt(spec.qubits("p"), pad)
-    signature_states = qotp.encrypt(qotp.encrypt(spec.qubits("sa"), pad), signer_key)
-    teleport_states = qotp.encrypt(spec.qubits("t"), pad)
-    for state in masked_states + signature_states + teleport_states:
-        registry.add(state)
+    masked = qotp.mask_rows(spec.amps, pad)
+    signature = qotp.mask_rows(masked, signer_key)
+    teleport_labels = [f"t{i + 1}" for i in range(n)]
+    registry.add_rows([(f"p{i + 1}",) for i in range(n)], masked)
+    registry.add_rows([(f"sa{i + 1}",) for i in range(n)], signature)
+    registry.add_rows([(label,) for label in teleport_labels], masked)
 
-    outcomes = []
-    all_probs = []
-    max_dev = 0.0
-    for i in range(n):
-        probs = registry.bell_probabilities(f"t{i + 1}", alice_labels[i])
-        dev = max(abs(p - 0.25) for p in probs)
-        max_dev = max(max_dev, dev)
-        if dev > UNIFORM_LAW_TOL:
-            raise ProtocolError(
-                f"Bell branch probabilities {probs} deviate from 1/4 beyond {UNIFORM_LAW_TOL}"
-            )
-        forced = forced_outcomes[i] if forced_outcomes is not None else None
-        outcomes.append(registry.bell_measure(f"t{i + 1}", alice_labels[i], rng, forced=forced))
-        all_probs.append(probs)
+    probs = registry.bell_probabilities_many(teleport_labels, alice_labels)
+    devs = np.max(np.abs(probs - 0.25), axis=1)
+    bad = np.flatnonzero(devs > UNIFORM_LAW_TOL)
+    if bad.size:
+        raise ProtocolError(
+            f"Bell branch probabilities {tuple(probs[bad[0]].tolist())} deviate from 1/4 "
+            f"beyond {UNIFORM_LAW_TOL}"
+        )
+    max_dev = max(0.0, float(devs.max()))
+    all_probs = [tuple(p) for p in probs.tolist()]
+    outcomes = registry.bell_measure_many(teleport_labels, alice_labels, rng, forced_outcomes)
 
     # One channel message, one slot sequence: masked slots 0..n-1, then
     # signature slots n..2n-1. Key bits are consumed positionally by slot.
@@ -483,19 +656,6 @@ def alice_sign(
     return package, pad, private
 
 
-def _same_qubit_state(a: PureState, b: PureState) -> bool:
-    """Phase-insensitive equality of two single-qubit states held under
-    different labels (the comparison is over content, not identity)."""
-    return sv.equal_up_to_phase(a, PureState(a.labels, b.amps), EQUALITY_TOL)
-
-
-def _slots(carriers: Sequence[Carrier]) -> dict[int, list[Carrier]]:
-    grouped: dict[int, list[Carrier]] = {}
-    for c in carriers:
-        grouped.setdefault(c.time_slot, []).append(c)
-    return grouped
-
-
 def _mask_stream(
     registry: QuantumRegistry,
     carriers: Sequence[Carrier],
@@ -507,14 +667,8 @@ def _mask_stream(
     Honest apparatus keys by time slot, which is exactly why an adversarial
     carrier sharing a slot picks up the same keyed operation.
     """
-    grouped = _slots(carriers)
-    for slot in sorted(grouped):
-        p = qotp.pauli_at(key, slot)
-        for carrier in grouped[slot]:
-            if inverse:
-                registry.apply_pauli_inverse(carrier.payload, p)
-            else:
-                registry.apply_pauli(carrier.payload, p)
+    x, z = qotp.key_paulis(key, [c.time_slot for c in carriers])
+    registry.apply_paulis([c.payload for c in carriers], x, z, inverse=inverse)
 
 
 def bob_forward(
@@ -551,22 +705,18 @@ def trent_verify(
 
     _mask_stream(registry, payload.masked + payload.signature, verifier_key, inverse=True)
 
-    masked_snapshot = tuple(registry.state_of(c.payload).to_jsonable() for c in payload.masked)
-    signature_snapshot = tuple(
-        registry.state_of(c.payload).to_jsonable() for c in payload.signature
-    )
+    masked_labels = [c.payload for c in payload.masked]
+    masked_snapshot = tuple(registry.jsonable_states(masked_labels))
+    signature_snapshot = tuple(registry.jsonable_states([c.payload for c in payload.signature]))
 
     # Bind the received masked copy under the signer key and compare per qubit.
-    for i, carrier in enumerate(payload.masked):
-        registry.apply_pauli(carrier.payload, qotp.pauli_at(signer_key, i))
-    all_match = all(
-        _same_qubit_state(registry.state_of(pm.payload), registry.state_of(ps.payload))
-        for pm, ps in zip(payload.masked, payload.signature)
-    )
+    x, z = qotp.key_paulis(signer_key, np.arange(n))
+    registry.apply_paulis(masked_labels, x, z)
+    all_match = all(registry.equal_up_to_phase_many(
+        masked_labels, [c.payload for c in payload.signature]))
     verified = 1 if all_match else 0
     # Recover the masked copy from the bound one.
-    for i, carrier in enumerate(payload.masked):
-        registry.apply_pauli_inverse(carrier.payload, qotp.pauli_at(signer_key, i))
+    registry.apply_paulis(masked_labels, x, z, inverse=True)
 
     verdict_label = "v"
     registry.add(sv.make_qubit(1, 0, verdict_label) if verified == 0
@@ -618,17 +768,12 @@ def bob_verify_and_compare(
     if verify_bit == 0:
         return CompareReport(CompareResult.REJECT, 0, ())
 
-    per_qubit = []
-    for i in range(n):
-        registry.apply_pauli(bob_labels[i], sv.teleport_correction(bell_results[i]))
-        per_qubit.append(
-            _same_qubit_state(
-                registry.state_of(bob_labels[i]),
-                registry.state_of(payload.masked[i].payload),
-            )
-        )
+    corrections = [sv.teleport_correction(outcome) for outcome in bell_results]
+    registry.apply_paulis(bob_labels, [p.x for p in corrections], [p.z for p in corrections])
+    per_qubit = tuple(registry.equal_up_to_phase_many(
+        bob_labels, [c.payload for c in payload.masked]))
     result = CompareResult.MATCH_OK if all(per_qubit) else CompareResult.MISMATCH
-    return CompareReport(result, 1, tuple(per_qubit))
+    return CompareReport(result, 1, per_qubit)
 
 
 def publish_pad(board: PublicBoard, pad: KeyBits) -> None:
@@ -656,14 +801,11 @@ def verify_signature_pair(
     """
     if len(signature_states) != spec.n:
         raise ProtocolError("signature length does not match the message spec")
-    fresh = tuple(
-        spec.qubit(i, state.labels[0]) for i, state in enumerate(signature_states)
-    )
-    expected = qotp.encrypt(qotp.encrypt(fresh, pad), signer_key)
-    return all(
-        sv.equal_up_to_phase(e, s, EQUALITY_TOL)
-        for e, s in zip(expected, signature_states)
-    )
+    if any(state.num_qubits != 1 for state in signature_states):
+        raise sv.LabelMismatch("signature states must be single qubits")
+    expected = qotp.mask_rows(qotp.mask_rows(spec.amps, pad), signer_key)
+    held = np.array([state.amps for state in signature_states])
+    return all(sv.equal_up_to_phase_rows(expected, held, EQUALITY_TOL))
 
 
 def arbitrate(record: TrentRecord, alice_claim: Claim, bob_claim: Claim) -> Verdict:

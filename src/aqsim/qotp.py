@@ -96,6 +96,34 @@ def pauli_at(key: KeyBits, index: int) -> PauliBits:
     return PauliBits(key.bits[2 * index], key.bits[2 * index + 1])
 
 
+def key_paulis(key: KeyBits, indices) -> tuple[np.ndarray, np.ndarray]:
+    """``pauli_at`` for many positions at once: the (x, z) bit arrays."""
+    indices = np.asarray(indices, dtype=np.intp)
+    bits = np.array(key.bits, dtype=np.uint8)
+    if indices.size and 2 * int(indices.max()) + 1 >= len(bits):
+        raise KeyTooShort(
+            f"key of {len(bits)} bits cannot cover qubit index {int(indices.max())}"
+        )
+    return bits[2 * indices], bits[2 * indices + 1]
+
+
+def mask_rows(amps: np.ndarray, key: KeyBits, inverse: bool = False) -> np.ndarray:
+    """``encrypt`` (or, with ``inverse``, ``decrypt``) over an (n, 2) stack of qubits."""
+    n = amps.shape[0]
+    if len(key.bits) < 2 * n:
+        raise KeyTooShort(f"{n} qubits need {2 * n} key bits, have {len(key.bits)}")
+    x, z = key_paulis(key, np.arange(n))
+    return sv.pauli_rows(amps, 0, x, z, inverse=inverse)
+
+
+def _masked(seq: Sequence[PureState], key: KeyBits, inverse: bool) -> tuple[PureState, ...]:
+    _check_product_sequence(seq)
+    if not seq:
+        return ()
+    amps = mask_rows(np.array([state.amps for state in seq]), key, inverse=inverse)
+    return sv.states_from_rows([state.labels for state in seq], amps)
+
+
 def _check_product_sequence(seq: Sequence[PureState]) -> None:
     for i, state in enumerate(seq):
         if state.num_qubits != 1:
@@ -105,28 +133,12 @@ def _check_product_sequence(seq: Sequence[PureState]) -> None:
 
 def encrypt(seq: Sequence[PureState], key: KeyBits) -> tuple[PureState, ...]:
     """Mask each qubit with its positional Pauli; consumes 2 bits per qubit."""
-    _check_product_sequence(seq)
-    if len(key.bits) < 2 * len(seq):
-        raise KeyTooShort(f"{len(seq)} qubits need {2 * len(seq)} key bits, have {len(key.bits)}")
-    return tuple(
-        sv.apply_pauli(state, state.labels[0], pauli_at(key, i))
-        for i, state in enumerate(seq)
-    )
+    return _masked(seq, key, inverse=False)
 
 
 def decrypt(seq: Sequence[PureState], key: KeyBits) -> tuple[PureState, ...]:
     """Exact inverse of ``encrypt``: applies sigma_x then sigma_z per qubit."""
-    _check_product_sequence(seq)
-    if len(key.bits) < 2 * len(seq):
-        raise KeyTooShort(f"{len(seq)} qubits need {2 * len(seq)} key bits, have {len(key.bits)}")
-    out = []
-    for i, state in enumerate(seq):
-        p = pauli_at(key, i)
-        label = state.labels[0]
-        state = sv.apply_pauli(state, label, PauliBits(p.x, 0))
-        state = sv.apply_pauli(state, label, PauliBits(0, p.z))
-        out.append(state)
-    return tuple(out)
+    return _masked(seq, key, inverse=True)
 
 
 def pair_transform(seq: Sequence[PureState], key: KeyBits) -> tuple[PureState, ...]:

@@ -1,10 +1,17 @@
 """Exact statevector algebra over small groups of labeled qubits.
 
-States are immutable; every operation returns a new ``PureState``. Groups
-are capped at 4 qubits (the protocol layer never entangles more), so all
-linear algebra runs on vectors of length <= 16 and stays exact to float
-precision: Pauli action is pure sign flips and index swaps, with no
-rounding at all.
+The scalar functions work on one immutable ``PureState`` and return a new
+one; they are the checked reference. Groups are capped at 4 qubits (the
+protocol layer never entangles more), so all linear algebra runs on
+vectors of length <= 16 and stays exact to float precision: Pauli action
+is pure sign flips and index swaps, with no rounding at all.
+
+The ``*_rows`` kernels do the same algebra on a stack of equally shaped
+groups, one group per row of an (m, 2**k) array: the slot families that
+``protocol.QuantumRegistry`` stores. Row r of a kernel's output is bit for
+bit what the scalar function returns for row r alone, and every kernel
+runs the norm and finiteness invariant once over its whole output
+(``check_rows``) in place of one ``PureState`` check per group.
 
 Global phase is never significant. All state equality goes through
 ``equal_up_to_phase``; nothing downstream may depend on a phase
@@ -157,6 +164,17 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _checked(cls, labels: tuple, amps: np.ndarray) -> "PureState":
+        """A state over a row that ``check_rows`` has already checked.
+
+        ``amps`` must be a read-only complex128 vector nobody else writes.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "labels", labels)
+        object.__setattr__(state, "amps", amps)
+        return state
+
     @property
     def num_qubits(self) -> int:
         return len(self.labels)
@@ -189,6 +207,10 @@ def make_qubit(alpha, beta, label) -> PureState:
     so preparation is bitwise idempotent: feeding a prepared state's
     amplitudes back in reproduces them exactly.
     """
+    return PureState((label,), np.array(_qubit_amps(alpha, beta)))
+
+
+def _qubit_amps(alpha, beta) -> tuple[complex, complex]:
     alpha = complex(alpha)
     beta = complex(beta)
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
@@ -198,14 +220,29 @@ def make_qubit(alpha, beta, label) -> PureState:
         scale = 1.0 / math.sqrt(norm_sq)
         alpha *= scale
         beta *= scale
-    return PureState((label,), np.array([alpha, beta]))
+    return alpha, beta
+
+
+def qubit_rows(coefficients) -> np.ndarray:
+    """(n, 2) stack of ``make_qubit`` amplitudes, one (alpha, beta) per row.
+
+    The rescaling stays the scalar formula, row by row, so each row is
+    bitwise what ``make_qubit`` prepares.
+    """
+    return check_rows(np.array([_qubit_amps(a, b) for a, b in coefficients],
+                               dtype=np.complex128).reshape(-1, 2))
+
+
+# (|00> + |11>)/sqrt(2)
+BELL_PAIR_AMPS = np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=np.complex128)
+BELL_PAIR_AMPS.flags.writeable = False
 
 
 def make_bell_pair(label_a, label_b) -> PureState:
     """The pair (|00> + |11>)/sqrt(2) over (label_a, label_b)."""
     if label_a == label_b:
         raise DuplicateLabel(f"bell pair needs distinct labels, got {label_a!r} twice")
-    return PureState((label_a, label_b), np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF]))
+    return PureState((label_a, label_b), BELL_PAIR_AMPS)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -268,7 +305,7 @@ def bell_measure(
     """
     comp = _bell_components(state, label1, label2)
     probs = np.sum(np.abs(comp) ** 2, axis=1)
-    if np.all(probs < PROB_FLOOR):
+    if not np.any(probs > PROB_FLOOR):
         raise DegenerateState("all four Bell branches vanished")
     if forced is not None:
         row = BELL_ORDER.index(forced)
@@ -277,7 +314,9 @@ def bell_measure(
     else:
         u = rng.random()
         acc = 0.0
-        row = len(BELL_ORDER) - 1
+        # The probabilities may sum to a hair under 1; a draw above that sum
+        # falls through to the last branch that can happen.
+        row = max(r for r, p in enumerate(probs) if p > PROB_FLOOR)
         for r, p in enumerate(probs):
             acc += p
             if u < acc:
@@ -325,3 +364,109 @@ def fidelity(a: PureState, b: PureState) -> float:
     bb = _reordered_amps(b, a.labels)
     value = float(abs(np.vdot(a.amps, bb)) ** 2)
     return min(1.0, max(0.0, value))
+
+
+# --- batched kernels: one group per row --------------------------------------
+
+
+def check_rows(amps: np.ndarray) -> np.ndarray:
+    """The norm and finiteness invariant over every row of a stack of states.
+
+    Returns ``amps`` so kernels can end with ``return check_rows(out)``.
+    """
+    if not np.isfinite(amps).all():
+        raise StateError("non-finite amplitude")
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=1)
+    bad = np.flatnonzero(np.abs(norm_sq - 1.0) > NORM_TOL)
+    if bad.size:
+        row = int(bad[0])
+        raise NotNormalized(f"row {row}: |amplitudes|^2 sums to {float(norm_sq[row])!r}, not 1")
+    return amps
+
+
+def _num_qubits(amps: np.ndarray) -> int:
+    return amps.shape[1].bit_length() - 1
+
+
+def pauli_rows(amps: np.ndarray, axis: int, x, z, inverse: bool = False) -> np.ndarray:
+    """Row r gets sigma_x^x[r] sigma_z^z[r] on qubit ``axis`` (sigma_z first).
+
+    ``inverse`` applies the exact inverse instead: sigma_x first, then
+    sigma_z, as ``QuantumRegistry.apply_pauli_inverse`` does.
+    """
+    m, dim = amps.shape
+    t = amps.reshape(m, 1 << axis, 2, dim >> (axis + 1)).copy()
+    x = np.asarray(x, dtype=bool)
+    z = np.asarray(z, dtype=bool)
+    if inverse:
+        t[x] = t[x, :, ::-1]
+    t[z, :, 1] = -t[z, :, 1]
+    if not inverse:
+        t[x] = t[x, :, ::-1]
+    return check_rows(t.reshape(m, dim))
+
+
+def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-aligned product states: row r is kron(a[r], b[r]), a's qubits first."""
+    if _num_qubits(a) + _num_qubits(b) > MAX_QUBITS:
+        raise TooManyQubits(
+            f"tensor of {_num_qubits(a)}+{_num_qubits(b)} qubits exceeds the cap"
+        )
+    return check_rows((a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1))
+
+
+def bell_components_rows(amps: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
+    """(m, 4, 2**(k-2)) Bell components of qubits (axis1, axis2), BELL_ORDER rows."""
+    if axis1 == axis2:
+        raise DuplicateLabel("bell measurement needs two distinct labels")
+    m = amps.shape[0]
+    t = amps.reshape((m,) + (2,) * _num_qubits(amps))
+    stacked = np.moveaxis(t, (1 + axis1, 1 + axis2), (1, 2)).reshape(m, 4, -1)
+    return _BELL_MATRIX.conj() @ stacked
+
+
+def bell_probabilities_rows(comp: np.ndarray) -> np.ndarray:
+    """(m, 4) analytic branch probabilities of stacked Bell components."""
+    return np.sum(np.abs(comp) ** 2, axis=2)
+
+
+def bell_sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF branch per row over BELL_ORDER, one uniform draw per row.
+
+    A draw above a row's cumulative sum falls through to its last branch
+    with probability above PROB_FLOOR.
+    """
+    if not np.all(np.any(probs > PROB_FLOOR, axis=1)):
+        raise DegenerateState("all four Bell branches vanished")
+    hit = np.asarray(u)[:, None] < np.cumsum(probs, axis=1)
+    last = probs.shape[1] - 1 - np.argmax((probs > PROB_FLOOR)[:, ::-1], axis=1)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), last)
+
+
+def bell_residual_rows(comp: np.ndarray, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Renormalized post-measurement states, branch ``rows[r]`` of row r."""
+    idx = np.arange(comp.shape[0])
+    return check_rows(comp[idx, rows] / np.sqrt(probs[idx, rows])[:, None])
+
+
+def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> list[bool]:
+    """``equal_up_to_phase`` row by row over two stacks in the same label order.
+
+    The phase is read off stacked; the distance keeps the scalar
+    ``np.linalg.norm`` per row, so every answer is the reference's.
+    """
+    idx = np.arange(a.shape[0])
+    j = np.argmax(np.abs(b), axis=1)
+    aj = a[idx, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = aj / b[idx, j]
+        c = np.where(np.abs(aj) < PROB_FLOOR, 1.0, ratio / np.abs(ratio))
+    diff = a - c[:, None] * b
+    return [float(np.linalg.norm(d)) <= tol for d in diff]
+
+
+def states_from_rows(labels, amps: np.ndarray) -> tuple[PureState, ...]:
+    """One ``PureState`` per row of a checked stack; ``labels[r]`` names row r."""
+    frozen = amps.copy()
+    frozen.flags.writeable = False
+    return tuple(PureState._checked(tuple(l), row) for l, row in zip(labels, frozen))
