@@ -32,9 +32,9 @@ def cell_key(scenario: str, defenses, n: int, seed: int, trial: int) -> str:
     return f"{scenario}/{','.join(defenses.tokens()) or '-'}/n{n}/seed{seed}/trial{trial}"
 
 
-def cell_runs(scenario: str, defenses):
+def cell_runs(scenario: str, defenses, ns=NS):
     """(key, RunResult) for every run of one scenario x defense cell."""
-    for n in NS:
+    for n in ns:
         for seed in SEEDS:
             for trial in TRIALS:
                 result = run_scenario(Scenario.from_token(scenario), n, seed, trial,

@@ -4,25 +4,30 @@ Each scenario/defense combination has a codified expected outcome (an
 attack that the enabled screening must catch is *supposed* to raise an
 alarm), so the exit code asserts success for attack scenarios too:
 0 = every trial matched the expected outcome, 1 = usage or I/O error,
-2 = some invariant check failed.
+2 = some invariant check failed, or an internal error (a state, protocol or
+attack failure) stopped the batch; either way a one-line message says why.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adversary import SCENARIO_TOKENS, Scenario, ScenarioVariant
+from .adversary import SCENARIO_TOKENS, AttackError, Scenario, ScenarioVariant
 from .defense import DefenseConfig
 from .jsonutil import canonical_json
+from .protocol import ProtocolError
 from .scenarios import STATUS_ATTACK_DETECTED, RunResult, run_scenario
+from .statevector import StateError
 
 HONEST_FIDELITY_FLOOR = 1.0 - 1e-9
 DEGRADED_FIDELITY_CEILING = 1.0 - 1e-6
 
 SEED_ENV_VAR = "AQS_SEED"
+SEED_MAX = 2 ** 64 - 1
 
 
 class UsageError(Exception):
@@ -53,7 +58,9 @@ class BatchSummary:
     all_ok: bool
 
 
-def parse_config(argv, env) -> RunConfig:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused."""
     parser = _Parser(prog="aqsim", description="arbitrated quantum signature testbed")
     sub = parser.add_subparsers(dest="command")
     run_parser = sub.add_parser("run", help="execute a seeded batch of protocol runs")
@@ -65,8 +72,11 @@ def parse_config(argv, env) -> RunConfig:
     run_parser.add_argument("--defenses", default="")
     run_parser.add_argument("--out", default=None)
     run_parser.add_argument("--format", choices=("json", "text"), default="text")
+    return parser
 
-    args = parser.parse_args(list(argv))
+
+def parse_config(argv, env) -> RunConfig:
+    args = _parser().parse_args(list(argv))
     if args.command != "run":
         raise UsageError("expected the 'run' command")
 
@@ -89,7 +99,7 @@ def parse_config(argv, env) -> RunConfig:
             seed = int(raw)
         except ValueError:
             raise UsageError(f"--seed: {SEED_ENV_VAR}={raw!r} is not an integer") from None
-    if seed < 0:
+    if not 0 <= seed <= SEED_MAX:
         raise UsageError("--seed: must be a non-negative 64-bit integer")
 
     tokens = [t for t in args.defenses.split(",") if t]
@@ -262,6 +272,9 @@ def main(argv=None, env=None) -> int:
     except OSError as exc:
         print(f"aqsim: io error: {exc}", file=sys.stderr)
         return 1
+    except (StateError, ProtocolError, AttackError) as exc:
+        print(f"aqsim: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print(render_summary(summary, config.format))
     return 0 if summary.all_ok else 2
 

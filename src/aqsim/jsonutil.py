@@ -45,10 +45,10 @@ def _emit(obj, out: list[str]) -> None:
             out.append(sep)
             out.append(_encode_str(key))
             out.append(":")
-            kind = type(value)
-            if kind is float:
+            leaf = type(value)  # floats and strings, most leaves, skip a call
+            if leaf is float:
                 out.append(_float_token(value))
-            elif kind is str:
+            elif leaf is str:
                 out.append(_encode_str(value))
             else:
                 _emit(value, out)
@@ -59,10 +59,10 @@ def _emit(obj, out: list[str]) -> None:
         sep = ""
         for item in obj:
             out.append(sep)
-            kind = type(item)
-            if kind is float:
+            leaf = type(item)
+            if leaf is float:
                 out.append(_float_token(item))
-            elif kind is str:
+            elif leaf is str:
                 out.append(_encode_str(item))
             else:
                 _emit(item, out)
@@ -81,9 +81,7 @@ def _emit(obj, out: list[str]) -> None:
 
 
 def _emit_other(obj, out: list[str]) -> None:
-    if isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    if isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_float_token(float(obj)))

@@ -8,9 +8,12 @@ the verifier then compares his teleported copy against the delivered one.
 On success the signer publishes the pad on an append-only public board and
 the verifier unmasks the message.
 
-Everything quantum lives in a ``QuantumRegistry`` keyed by qubit label;
-``Carrier`` values are the channel-level handles (band + time slot) that
-the adversary and defense layers manipulate. The arbiter's entire view of
+Everything quantum lives in a ``QuantumRegistry`` keyed by qubit label.
+It stores the qubits as slot families, one stacked amplitude array per
+kind of group (the p, sa and b streams, the teleport groups, the decoy
+pairs), so each step acts on a whole stream with one batched
+``statevector`` kernel. ``Carrier`` values are the channel-level handles
+(band + time slot) that the adversary and defense layers manipulate. The arbiter's entire view of
 a run is the ``TrentRecord``; dispute arbitration is a pure function of
 that record plus the parties' claims.
 """
@@ -291,46 +294,47 @@ class QuantumRegistry:
         """Undo ``apply_pauli`` exactly: sigma_x first, then sigma_z."""
         self.apply_paulis([label], [p.x], [p.z], inverse=True)
 
-    def _merged(self, labels1: Sequence, labels2: Sequence) -> list:
-        """The merged groups of each pair (labels1[i], labels2[i]), stacked per
-        kind of pair: a list of (positions, amps, axis1, axis2, row labels,
-        sources), or None when two pairs touch one group."""
+    def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple[list, bool]:
+        """The merged group of each pair (labels1[i], labels2[i]).
+
+        Pairs of one kind (same families, same axes, one group or two) stack
+        together: a list of (positions, amps, axis1, axis2, row labels). The
+        flag tells whether two pairs touch one group.
+        """
         kinds: dict = {}
-        sources: set = set()
+        touched: set = set()
+        shared = False
         for pos, (l1, l2) in enumerate(zip(labels1, labels2)):
             if l1 == l2:
                 raise sv.DuplicateLabel("bell measurement needs two distinct labels")
             f1, r1, x1 = self._locate(l1)
             f2, r2, x2 = self._locate(l2)
-            same = f1 is f2 and r1 == r2
-            touched = {(id(f1), r1), (id(f2), r2)}
-            if not sources.isdisjoint(touched):
-                return None
-            sources |= touched
-            kind = kinds.get((id(f1), x1, id(f2), x2, same))
-            if kind is None:
-                kind = kinds[(id(f1), x1, id(f2), x2, same)] = (f1, x1, f2, x2, same, [], [], [])
-            kind[5].append(pos)
-            kind[6].append(r1)
-            kind[7].append(r2)
+            groups = {(id(f1), r1), (id(f2), r2)}
+            shared = shared or not touched.isdisjoint(groups)
+            touched |= groups
+            key = (id(f1), x1, id(f2), x2, len(groups) == 1)
+            if key not in kinds:
+                kinds[key] = (f1, x1, f2, x2, len(groups) == 1, [], [], [])
+            kinds[key][5].append(pos)
+            kinds[key][6].append(r1)
+            kinds[key][7].append(r2)
         merged = []
-        for f1, x1, f2, x2, same, positions, r1, r2 in kinds.values():
-            r1, r2 = np.array(r1), np.array(r2)
-            if same:
-                amps, axis2 = f1.amps[r1], x2
-                row_labels = [f1.labels[r] for r in r1.tolist()]
+        for f1, x1, f2, x2, one_group, positions, rows1, rows2 in kinds.values():
+            if one_group:
+                amps, axis2 = f1.amps[rows1], x2
+                row_labels = [f1.labels[r] for r in rows1]
             else:
-                amps, axis2 = sv.tensor_rows(f1.amps[r1], f2.amps[r2]), len(f1.labels[0]) + x2
-                row_labels = [f1.labels[a] + f2.labels[b] for a, b in zip(r1.tolist(), r2.tolist())]
+                amps = sv.tensor_rows(f1.amps[rows1], f2.amps[rows2])
+                axis2 = len(f1.labels[rows1[0]]) + x2
+                row_labels = [f1.labels[a] + f2.labels[b] for a, b in zip(rows1, rows2)]
             merged.append((positions, amps, x1, axis2, row_labels))
-        return merged
+        return merged, shared
 
     def bell_probabilities_many(self, labels1: Sequence, labels2: Sequence) -> np.ndarray:
         """(m, 4) Bell-branch probabilities of each pair, BELL_ORDER columns."""
-        merged = self._merged(labels1, labels2)
-        if merged is None:
-            return np.array([self.bell_probabilities_many([a], [b])[0]
-                             for a, b in zip(labels1, labels2)])
+        if len(labels1) != len(labels2):
+            raise ValueError("pairs must align")
+        merged, _ = self._merged(labels1, labels2)
         probs = np.empty((len(labels1), 4))
         for positions, amps, axis1, axis2, _ in merged:
             probs[positions] = sv.bell_probabilities_rows(
@@ -353,8 +357,10 @@ class QuantumRegistry:
         ``rng.random(k)`` call: the same doubles as k ``bell_measure`` calls.
         """
         forced = list(forced) if forced is not None else [None] * len(labels1)
-        merged = self._merged(labels1, labels2)
-        if merged is None:
+        if not len(labels1) == len(labels2) == len(forced):
+            raise ValueError("pairs and forced outcomes must align")
+        merged, shared = self._merged(labels1, labels2)
+        if shared:  # a later pair must see an earlier pair's residual
             return [self.bell_measure_many([a], [b], rng, [f])[0]
                     for a, b, f in zip(labels1, labels2, forced)]
         parts = []
@@ -363,8 +369,6 @@ class QuantumRegistry:
             comp = sv.bell_components_rows(amps, axis1, axis2)
             probs[positions] = sv.bell_probabilities_rows(comp)
             parts.append((positions, comp, row_labels, (axis1, axis2)))
-        if not np.all(np.any(probs > sv.PROB_FLOOR, axis=1)):
-            raise sv.DegenerateState("all four Bell branches vanished")
         free = [i for i, f in enumerate(forced) if f is None]
         u = np.zeros(len(forced))
         if free:

@@ -30,7 +30,7 @@ from .protocol import (
     TrentRecord,
     checks_jsonable,
 )
-from .qotp import KeyBits
+from .qotp import ROLE_EXTRACTED, KeyBits
 
 GENERIC_MARGIN = 0.05  # keeps sampled qubits away from Pauli eigenstates
 STATUS_ATTACK_DETECTED = "attack-detected"
@@ -270,7 +270,7 @@ def run_scenario(
             {
                 "action": "intercept-and-extract",
                 "captured": list(captured),
-                "extracted": KeyBits(extraction_bits, "extracted").to_jsonable(),
+                "extracted": KeyBits(extraction_bits, ROLE_EXTRACTED).to_jsonable(),
                 "matches_verifier_bits": extraction_matches,
             },
         )

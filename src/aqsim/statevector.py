@@ -453,7 +453,7 @@ def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> l
     """``equal_up_to_phase`` row by row over two stacks in the same label order.
 
     The phase is read off stacked; the distance keeps the scalar
-    ``np.linalg.norm`` per row, so every answer is the reference's.
+    ``np.linalg.norm`` per row, whose rounding a stacked sum would not match.
     """
     idx = np.arange(a.shape[0])
     j = np.argmax(np.abs(b), axis=1)

@@ -173,3 +173,45 @@ def test_main_uses_env_seed(capsys):
                     env={"AQS_SEED": "5"})
     assert code == 0
     assert "seed=5" in capsys.readouterr().out
+
+
+def test_parse_reuses_one_parser():
+    parse(BASE)
+    first = cli._parser()
+    parse(BASE + ["--format", "json"])
+    assert cli._parser() is first
+    # a reused parser keeps no state from the previous call
+    assert parse(BASE).format == "text"
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64 - 1), "0"])
+def test_seed_accepts_the_64_bit_range(seed):
+    assert parse(BASE[:-1] + [seed]).seed == int(seed)
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "46000000000000000000000", "-1"])
+def test_seed_outside_64_bits_is_a_usage_error(seed, capsys):
+    with pytest.raises(UsageError, match="64-bit"):
+        parse(BASE[:-1] + [seed])
+    with pytest.raises(UsageError, match="64-bit"):
+        parse(BASE[:-2], env={"AQS_SEED": seed})
+    assert cli.main(BASE[:-1] + [seed], env={}) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [
+    "aqsim.statevector.NotNormalized", "aqsim.protocol.ProtocolError",
+    "aqsim.adversary.MissingDecoy",
+])
+def test_main_exit_two_on_internal_error(monkeypatch, capsys, error):
+    module, name = error.rsplit(".", 1)
+    exc_type = getattr(__import__(module, fromlist=[name]), name)
+
+    def broken(*args, **kwargs):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    assert cli.main(BASE, env={}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"aqsim: internal error: {name}: boom\n"
