@@ -294,52 +294,47 @@ class QuantumRegistry:
         """Undo ``apply_pauli`` exactly: sigma_x first, then sigma_z."""
         self.apply_paulis([label], [p.x], [p.z], inverse=True)
 
-    def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple[list, bool]:
-        """The merged group of each pair (labels1[i], labels2[i]).
+    def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple | None:
+        """The merged group of each pair (labels1[i], labels2[i]), stacked:
+        (amps, axis1, axis2, row labels).
 
-        Pairs of one kind (same families, same axes, one group or two) stack
-        together: a list of (positions, amps, axis1, axis2, row labels). The
-        flag tells whether two pairs touch one group.
+        None unless every pair has one shape (the same families and axes) and
+        no two pairs touch one group; callers then take one pair at a time.
         """
-        kinds: dict = {}
-        touched: set = set()
-        shared = False
-        for pos, (l1, l2) in enumerate(zip(labels1, labels2)):
-            if l1 == l2:
-                raise sv.DuplicateLabel("bell measurement needs two distinct labels")
-            f1, r1, x1 = self._locate(l1)
-            f2, r2, x2 = self._locate(l2)
-            groups = {(id(f1), r1), (id(f2), r2)}
-            shared = shared or not touched.isdisjoint(groups)
-            touched |= groups
-            key = (id(f1), x1, id(f2), x2, len(groups) == 1)
-            if key not in kinds:
-                kinds[key] = (f1, x1, f2, x2, len(groups) == 1, [], [], [])
-            kinds[key][5].append(pos)
-            kinds[key][6].append(r1)
-            kinds[key][7].append(r2)
-        merged = []
-        for f1, x1, f2, x2, one_group, positions, rows1, rows2 in kinds.values():
-            if one_group:
-                amps, axis2 = f1.amps[rows1], x2
-                row_labels = [f1.labels[r] for r in rows1]
-            else:
-                amps = sv.tensor_rows(f1.amps[rows1], f2.amps[rows2])
-                axis2 = len(f1.labels[rows1[0]]) + x2
-                row_labels = [f1.labels[a] + f2.labels[b] for a, b in zip(rows1, rows2)]
-            merged.append((positions, amps, x1, axis2, row_labels))
-        return merged, shared
+        if len(labels1) != len(labels2):
+            raise ValueError("pairs must align")
+        if any(l1 == l2 for l1, l2 in zip(labels1, labels2)):
+            raise sv.DuplicateLabel("bell measurement needs two distinct labels")
+        if not labels1:
+            return None
+        first = [self._locate(label) for label in labels1]
+        second = [self._locate(label) for label in labels2]
+        (f1, _, x1), (f2, _, x2) = first[0], second[0]
+        if any(f is not f1 or x != x1 for f, _, x in first) or \
+                any(f is not f2 or x != x2 for f, _, x in second):
+            return None
+        rows1 = [r for _, r, _ in first]
+        rows2 = [r for _, r, _ in second]
+        one_group = f1 is f2 and rows1 == rows2
+        touched = [(id(f1), r) for r in rows1]
+        if not one_group:
+            touched += [(id(f2), r) for r in rows2]
+        if len(set(touched)) != len(touched):
+            return None
+        if one_group:
+            return f1.amps[rows1], x1, x2, [f1.labels[r] for r in rows1]
+        return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1,
+                len(f1.labels[rows1[0]]) + x2,
+                [f1.labels[a] + f2.labels[b] for a, b in zip(rows1, rows2)])
 
     def bell_probabilities_many(self, labels1: Sequence, labels2: Sequence) -> np.ndarray:
         """(m, 4) Bell-branch probabilities of each pair, BELL_ORDER columns."""
-        if len(labels1) != len(labels2):
-            raise ValueError("pairs must align")
-        merged, _ = self._merged(labels1, labels2)
-        probs = np.empty((len(labels1), 4))
-        for positions, amps, axis1, axis2, _ in merged:
-            probs[positions] = sv.bell_probabilities_rows(
-                sv.bell_components_rows(amps, axis1, axis2))
-        return probs
+        merged = self._merged(labels1, labels2)
+        if merged is None:
+            return np.array([self.bell_probabilities_many([a], [b])[0]
+                             for a, b in zip(labels1, labels2)]).reshape(-1, 4)
+        amps, axis1, axis2, _ = merged
+        return sv.bell_probabilities_rows(sv.bell_components_rows(amps, axis1, axis2))
 
     def bell_probabilities(self, label1, label2) -> tuple[float, float, float, float]:
         return tuple(self.bell_probabilities_many([label1], [label2])[0].tolist())
@@ -357,18 +352,15 @@ class QuantumRegistry:
         ``rng.random(k)`` call: the same doubles as k ``bell_measure`` calls.
         """
         forced = list(forced) if forced is not None else [None] * len(labels1)
-        if not len(labels1) == len(labels2) == len(forced):
-            raise ValueError("pairs and forced outcomes must align")
-        merged, shared = self._merged(labels1, labels2)
-        if shared:  # a later pair must see an earlier pair's residual
+        if len(forced) != len(labels1):
+            raise ValueError("forced outcomes must align with the pairs")
+        merged = self._merged(labels1, labels2)
+        if merged is None:
             return [self.bell_measure_many([a], [b], rng, [f])[0]
                     for a, b, f in zip(labels1, labels2, forced)]
-        parts = []
-        probs = np.empty((len(labels1), 4))
-        for positions, amps, axis1, axis2, row_labels in merged:
-            comp = sv.bell_components_rows(amps, axis1, axis2)
-            probs[positions] = sv.bell_probabilities_rows(comp)
-            parts.append((positions, comp, row_labels, (axis1, axis2)))
+        amps, axis1, axis2, row_labels = merged
+        comp = sv.bell_components_rows(amps, axis1, axis2)
+        probs = sv.bell_probabilities_rows(comp)
         free = [i for i, f in enumerate(forced) if f is None]
         u = np.zeros(len(forced))
         if free:
@@ -380,14 +372,14 @@ class QuantumRegistry:
                 if probs[i, rows[i]] <= sv.PROB_FLOOR:
                     raise sv.ImpossibleOutcome(
                         f"forced outcome {f.token} has probability {probs[i, rows[i]]!r}")
-        for positions, comp, row_labels, measured in parts:
-            residual = sv.bell_residual_rows(comp, probs[positions], rows[positions])
-            for row in row_labels:
-                for label in row:
-                    del self._where[label]
-            kept = [tuple(l for j, l in enumerate(row) if j not in measured) for row in row_labels]
-            if kept[0]:
-                self.add_rows(kept, residual)
+        residual = sv.bell_residual_rows(comp, probs, rows)
+        for row in row_labels:
+            for label in row:
+                del self._where[label]
+        kept = [tuple(l for j, l in enumerate(row) if j not in (axis1, axis2))
+                for row in row_labels]
+        if kept[0]:
+            self.add_rows(kept, residual)
         return [sv.BELL_ORDER[r] for r in rows.tolist()]
 
     def bell_measure(

@@ -275,16 +275,33 @@ def test_registry_many_equals_one_at_a_time(paulis, seed):
 
 
 def test_registry_measures_pairs_sharing_a_group_in_turn():
-    # (x, y) and (z, w) both touch the group of y and z: the second
-    # measurement must see the first one's residual
+    # (y, z) and (x, w) both touch the groups of x, y and z, w: the second
+    # measurement must see the first one's residual (entanglement swapping)
     registry = QuantumRegistry()
     registry.add(sv.make_bell_pair("x", "y"))
     registry.add(sv.make_bell_pair("z", "w"))
-    registry.bell_measure_many(["y"], ["z"], np.random.default_rng(0),
-                               [BellOutcome.PHI_PLUS])
-    assert registry.state_of("x") is registry.state_of("w")
-    outcomes = registry.bell_measure_many(["x"], ["w"], np.random.default_rng(0))
-    assert outcomes == [BellOutcome.PHI_PLUS]
+    outcomes = registry.bell_measure_many(["y", "x"], ["z", "w"], np.random.default_rng(0),
+                                          [BellOutcome.PHI_PLUS, None])
+    assert outcomes == [BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS]
+    with pytest.raises(sv.UnknownLabel):
+        registry.state_of("x")
+
+
+def test_registry_measures_mixed_pairs_one_at_a_time():
+    # pairs from different families and axes give what single calls give
+    def fresh():
+        registry = QuantumRegistry()
+        registry.add_rows([("a1", "b1"), ("a2", "b2")], np.tile(sv.BELL_PAIR_AMPS, (2, 1)))
+        registry.add(sv.make_qubit(0.6, 0.8j, "m"))
+        registry.apply_pauli("a2", PauliBits(1, 1))
+        return registry
+
+    mixed, single = fresh(), fresh()
+    got = mixed.bell_measure_many(["m", "b2"], ["a1", "a2"], np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    assert got == [single.bell_measure("m", "a1", rng), single.bell_measure("b2", "a2", rng)]
+    assert got[1] is BellOutcome.PSI_MINUS
+    assert same_bits(mixed.state_of("b1").amps, single.state_of("b1").amps)
 
 
 def test_registry_views_follow_writes():
