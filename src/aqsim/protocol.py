@@ -764,8 +764,8 @@ def bob_verify_and_compare(
     if verify_bit == 0:
         return CompareReport(CompareResult.REJECT, 0, ())
 
-    corrections = [sv.teleport_correction(outcome) for outcome in bell_results]
-    registry.apply_paulis(bob_labels, [p.x for p in corrections], [p.z for p in corrections])
+    # The correction for outcome (x, z) is sigma_x^x sigma_z^z (sv.teleport_correction).
+    registry.apply_paulis(bob_labels, [o.x for o in bell_results], [o.z for o in bell_results])
     per_qubit = tuple(registry.equal_up_to_phase_many(
         bob_labels, [c.payload for c in payload.masked]))
     result = CompareResult.MATCH_OK if all(per_qubit) else CompareResult.MISMATCH
