@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Regenerate the golden transcript corpus, tests/golden/transcripts.json.
+"""Regenerate the golden corpus: tests/golden/transcripts.json and summaries.json.
 
 Usage: PYTHONPATH=src python scripts/regen_golden.py
 
-The corpus maps one key per run of the grid below to the sha256 of that
-run's transcript bytes. ``tests/test_golden.py`` recomputes every hash, so
-any change to a transcript byte shows up there. A change that moves a hash
-is a behaviour change and must say why in CHANGES.md.
+transcripts.json maps one key per run of the grid below to the sha256 of
+that run's transcript bytes. summaries.json maps one key per CLI batch of
+the summary grid to the sha256 of what ``aqsim run`` prints, which pins the
+names, order and counts of the expected-outcome checks. ``tests/test_golden.py``
+recomputes every hash, so any change to a transcript or summary byte shows
+up there. A change that moves a hash is a behaviour change and must say why
+in CHANGES.md.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,13 +24,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from run_matrix import DEFENSE_GRID  # noqa: E402
 
+from aqsim import cli  # noqa: E402
 from aqsim.adversary import SCENARIO_TOKENS, Scenario  # noqa: E402
 from aqsim.scenarios import run_scenario  # noqa: E402
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tests" / "golden" / "transcripts.json"
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "transcripts.json"
+SUMMARIES_PATH = GOLDEN_DIR / "summaries.json"
 NS = (1, 3, 8, 64)
 SEEDS = (0, 42)
 TRIALS = (0, 1)
+SUMMARY_NS = (1, 8)
+SUMMARY_FORMATS = ("json", "text")
+SUMMARY_SEED = 42
+SUMMARY_TRIALS = 3
 
 
 def cell_key(scenario: str, defenses, n: int, seed: int, trial: int) -> str:
@@ -47,14 +59,38 @@ def cell_hashes(scenario: str, defenses) -> dict[str, str]:
             for key, result in cell_runs(scenario, defenses)}
 
 
+def summary_hashes(scenario: str, defenses) -> dict[str, str]:
+    """sha256 of ``cli.main``'s stdout for each batch of one scenario x defense cell."""
+    tokens = ",".join(defenses.tokens())
+    hashes = {}
+    for n in SUMMARY_NS:
+        for fmt in SUMMARY_FORMATS:
+            argv = ["run", "--scenario", scenario, "--n", str(n), "--trials",
+                    str(SUMMARY_TRIALS), "--seed", str(SUMMARY_SEED), "--defenses", tokens,
+                    "--format", fmt]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.main(argv, {})
+            key = f"{scenario}/{tokens or '-'}/n{n}/{fmt}"
+            hashes[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return hashes
+
+
+def _write(path: Path, corpus: dict[str, str]) -> None:
+    path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(corpus)} hashes to {path}")
+
+
 def main() -> int:
-    corpus: dict[str, str] = {}
+    transcripts: dict[str, str] = {}
+    summaries: dict[str, str] = {}
     for scenario in SCENARIO_TOKENS:
         for defenses in DEFENSE_GRID:
-            corpus.update(cell_hashes(scenario, defenses))
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(corpus)} hashes to {GOLDEN_PATH}")
+            transcripts.update(cell_hashes(scenario, defenses))
+            summaries.update(summary_hashes(scenario, defenses))
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    _write(GOLDEN_PATH, transcripts)
+    _write(SUMMARIES_PATH, summaries)
     return 0
 
 

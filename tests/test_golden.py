@@ -1,7 +1,8 @@
-"""Golden transcript corpus: every run of the grid must reproduce its bytes.
+"""Golden corpus: every run and every CLI batch of the grid must reproduce its bytes.
 
-The hashes in golden/transcripts.json were made by scripts/regen_golden.py.
-A refactor or speedup must leave every one of them unchanged.
+The hashes in golden/transcripts.json and golden/summaries.json were made by
+scripts/regen_golden.py. A refactor or speedup must leave every one of them
+unchanged.
 """
 import json
 import sys
@@ -34,4 +35,19 @@ def test_corpus_covers_the_grid():
 def test_transcripts_match_golden(scenario, defenses):
     got = regen_golden.cell_hashes(scenario, defenses)
     mismatched = sorted(key for key, digest in got.items() if GOLDEN[key] != digest)
+    assert not mismatched
+
+
+SUMMARIES = json.loads(regen_golden.SUMMARIES_PATH.read_text())
+
+
+def test_summaries_cover_the_grid():
+    assert len(SUMMARIES) == 7 * 4 * len(regen_golden.SUMMARY_NS) * len(regen_golden.SUMMARY_FORMATS)
+
+
+@pytest.mark.parametrize("defenses", DEFENSE_GRID, ids=lambda d: ",".join(d.tokens()) or "none")
+@pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
+def test_cli_summaries_match_golden(scenario, defenses):
+    got = regen_golden.summary_hashes(scenario, defenses)
+    mismatched = sorted(key for key, digest in got.items() if SUMMARIES.get(key) != digest)
     assert not mismatched
