@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -36,8 +37,6 @@ SEEDS = (0, 42)
 TRIALS = (0, 1)
 SUMMARY_NS = (1, 8)
 SUMMARY_FORMATS = ("json", "text")
-SUMMARY_SEED = 42
-SUMMARY_TRIALS = 3
 
 
 def cell_key(scenario: str, defenses, n: int, seed: int, trial: int) -> str:
@@ -60,37 +59,29 @@ def cell_hashes(scenario: str, defenses) -> dict[str, str]:
 
 
 def summary_hashes(scenario: str, defenses) -> dict[str, str]:
-    """sha256 of ``cli.main``'s stdout for each batch of one scenario x defense cell."""
+    """sha256 of what ``aqsim run`` prints for each batch of one scenario x defense
+    cell: seed 42, 3 trials, every size in SUMMARY_NS and format in SUMMARY_FORMATS."""
     tokens = ",".join(defenses.tokens())
     hashes = {}
-    for n in SUMMARY_NS:
-        for fmt in SUMMARY_FORMATS:
-            argv = ["run", "--scenario", scenario, "--n", str(n), "--trials",
-                    str(SUMMARY_TRIALS), "--seed", str(SUMMARY_SEED), "--defenses", tokens,
-                    "--format", fmt]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                cli.main(argv, {})
-            key = f"{scenario}/{tokens or '-'}/n{n}/{fmt}"
-            hashes[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    for n, fmt in itertools.product(SUMMARY_NS, SUMMARY_FORMATS):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["run", "--scenario", scenario, "--n", str(n), "--trials", "3", "--seed",
+                      "42", "--defenses", tokens, "--format", fmt], {})
+        key = f"{scenario}/{tokens or '-'}/n{n}/{fmt}"
+        hashes[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return hashes
 
 
-def _write(path: Path, corpus: dict[str, str]) -> None:
-    path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(corpus)} hashes to {path}")
-
-
 def main() -> int:
-    transcripts: dict[str, str] = {}
-    summaries: dict[str, str] = {}
-    for scenario in SCENARIO_TOKENS:
-        for defenses in DEFENSE_GRID:
-            transcripts.update(cell_hashes(scenario, defenses))
-            summaries.update(summary_hashes(scenario, defenses))
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    _write(GOLDEN_PATH, transcripts)
-    _write(SUMMARIES_PATH, summaries)
+    for path, hashes in ((GOLDEN_PATH, cell_hashes), (SUMMARIES_PATH, summary_hashes)):
+        corpus: dict[str, str] = {}
+        for scenario in SCENARIO_TOKENS:
+            for defenses in DEFENSE_GRID:
+                corpus.update(hashes(scenario, defenses))
+        path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(corpus)} hashes to {path}")
     return 0
 
 

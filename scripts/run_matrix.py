@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
 """Sweep every scenario/defense combination and print one outcome line each.
 
-Usage: python scripts/run_matrix.py [--n N] [--trials T] [--seed S]
+Usage: PYTHONPATH=src python scripts/run_matrix.py [--n N] [--trials T] [--seed S]
+
+Each line is one ``aqsim run`` batch of the cell, run through ``cli.run_batch``.
 """
 import argparse
+from collections import Counter
 
 from aqsim.adversary import SCENARIO_TOKENS, Scenario
-from aqsim.cli import evaluate_expectations
-from aqsim.defense import DefenseConfig
-from aqsim.scenarios import run_scenario
-
-DEFENSE_GRID = (
-    DefenseConfig(),
-    DefenseConfig(wavelength_filter=True),
-    DefenseConfig(pns=True),
-    DefenseConfig(wavelength_filter=True, pns=True),
-)
+from aqsim.cli import RunConfig, run_batch
+from aqsim.defense import DEFENSE_GRID
 
 
 def main() -> int:
@@ -28,16 +23,13 @@ def main() -> int:
     print(f"{'scenario':<16} {'defenses':<24} {'verdicts':<28} expected")
     all_ok = True
     for token in SCENARIO_TOKENS:
-        scenario = Scenario.from_token(token)
         for defenses in DEFENSE_GRID:
-            verdicts: dict[str, int] = {}
-            ok = 0
-            for trial in range(args.trials):
-                result = run_scenario(scenario, args.n, args.seed, trial, defenses=defenses)
-                verdicts[str(result.verdict)] = verdicts.get(str(result.verdict), 0) + 1
-                checks = evaluate_expectations(result, scenario.variant, defenses)
-                ok += all(checks.values())
+            config = RunConfig(Scenario.from_token(token), args.n, args.trials, args.seed,
+                               defenses, out=None, format="text")
+            rows = run_batch(config).trial_rows
+            ok = sum(row["ok"] for row in rows)
             all_ok = all_ok and ok == args.trials
+            verdicts = Counter(str(row["verdict"]) for row in rows)
             verdict_text = ",".join(f"{c}x {v}" for v, c in sorted(verdicts.items()))
             defense_text = ",".join(defenses.tokens()) or "-"
             print(f"{token:<16} {defense_text:<24} {verdict_text:<28} {ok}/{args.trials}")

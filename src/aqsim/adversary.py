@@ -78,26 +78,31 @@ class ScenarioVariant(Enum):
 
 SCENARIO_TOKENS = tuple(v.value for v in ScenarioVariant)
 
-_TAMPERING = (ScenarioVariant.ALICE_TAMPERS, ScenarioVariant.EVE_DISTURBS)
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """A scenario selection plus its parameters."""
+    """A scenario selection plus its parameters.
+
+    Which scenarios take tamper indices, and their default, is part of the
+    scenario's entry in ``scenarios.SCENARIOS``.
+    """
 
     variant: ScenarioVariant
     tamper_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
+        from .scenarios import SCENARIOS  # that table's steps call this module
+
         object.__setattr__(self, "tamper_indices", tuple(self.tamper_indices))
-        if self.variant not in _TAMPERING and self.tamper_indices:
+        if self.tamper_indices and not SCENARIOS[self.variant].tamper_indices:
             raise ValueError(f"scenario {self.variant.token} takes no tamper indices")
 
     @classmethod
     def from_token(cls, token: str) -> "Scenario":
+        from .scenarios import SCENARIOS
+
         variant = ScenarioVariant.from_token(token)
-        indices = (1,) if variant in _TAMPERING else ()
-        return cls(variant, indices)
+        return cls(variant, SCENARIOS[variant].tamper_indices)
 
     @property
     def token(self) -> str:
@@ -148,18 +153,22 @@ def _check_indices(indices, n: int) -> tuple[int, ...]:
     return idx
 
 
+def _replace_results(package: SignaturePackage, indices, shift) -> SignaturePackage:
+    """Move each listed Bell result (1-based) ``shift()`` rows on in BELL_ORDER."""
+    results = list(package.bell_results)
+    for i in _check_indices(indices, package.n):
+        row = BELL_ORDER.index(results[i - 1])
+        results[i - 1] = BELL_ORDER[(row + shift()) % 4]
+    return SignaturePackage(package.masked, package.signature, tuple(results))
+
+
 def alice_tamper_outcomes(package: SignaturePackage, indices) -> SignaturePackage:
     """Signer replaces listed Bell results (1-based) with a different variant.
 
     Masked and signature carriers stay untouched, so the arbiter's check
     still passes; only the verifier's teleport comparison breaks.
     """
-    idx = _check_indices(indices, package.n)
-    results = list(package.bell_results)
-    for i in idx:
-        row = BELL_ORDER.index(results[i - 1])
-        results[i - 1] = BELL_ORDER[(row + 1) % 4]
-    return SignaturePackage(package.masked, package.signature, tuple(results))
+    return _replace_results(package, indices, lambda: 1)
 
 
 def eve_disturb_outcomes(
@@ -171,12 +180,7 @@ def eve_disturb_outcomes(
     actor differs. Disturbing anything else would flip the arbiter's bit
     and break the three-way indistinguishability.
     """
-    idx = _check_indices(indices, package.n)
-    results = list(package.bell_results)
-    for i in idx:
-        row = BELL_ORDER.index(results[i - 1])
-        results[i - 1] = BELL_ORDER[(row + 1 + int(rng.integers(0, 3))) % 4]
-    return SignaturePackage(package.masked, package.signature, tuple(results))
+    return _replace_results(package, indices, lambda: 1 + int(rng.integers(0, 3)))
 
 
 def alice_publish_false_pad(

@@ -20,11 +20,8 @@ from .adversary import SCENARIO_TOKENS, AttackError, Scenario, ScenarioVariant
 from .defense import DefenseConfig
 from .jsonutil import canonical_json
 from .protocol import ProtocolError
-from .scenarios import STATUS_ATTACK_DETECTED, RunResult, run_scenario
+from .scenarios import SCENARIOS, RunResult, run_scenario
 from .statevector import StateError
-
-HONEST_FIDELITY_FLOOR = 1.0 - 1e-9
-DEGRADED_FIDELITY_CEILING = 1.0 - 1e-6
 
 SEED_ENV_VAR = "AQS_SEED"
 SEED_MAX = 2 ** 64 - 1
@@ -119,70 +116,11 @@ def parse_config(argv, env) -> RunConfig:
     )
 
 
-def _expect_detected(result: RunResult, devices: tuple[str, ...]) -> dict[str, bool]:
-    return {
-        "alarm-raised": any(d in result.alarms for d in devices),
-        "run-aborted": result.verdict == STATUS_ATTACK_DETECTED and result.checks["V"] is None,
-    }
-
-
-def _expect_honest_side(result: RunResult) -> dict[str, bool]:
-    fid = result.checks["recover_fidelity_min"]
-    return {
-        "arbiter-verified": result.checks["V"] == 1,
-        "teleport-compare-match": result.checks["v5"] == "match-ok",
-        "recover-fidelity": fid is not None and fid >= HONEST_FIDELITY_FLOOR,
-        "signature-valid": result.checks["signature_valid"] is True,
-        "verdict-no-dispute": result.verdict == "no-dispute",
-        "no-alarms": not result.alarms,
-    }
-
-
 def evaluate_expectations(
     result: RunResult, variant: ScenarioVariant, defenses: DefenseConfig
 ) -> dict[str, bool]:
-    """The expected-outcome table: named boolean checks per scenario."""
-    if variant is ScenarioVariant.HONEST:
-        return _expect_honest_side(result)
-    if variant is ScenarioVariant.BOB_LIES:
-        return {
-            "arbiter-verified": result.checks["V"] == 1,
-            "genuine-compare-match": result.genuine_compare == "match-ok",
-            "verdict-inconclusive": result.verdict == "inconclusive",
-            "board-empty": len(result.board.entries) == 0,
-            "no-alarms": not result.alarms,
-        }
-    if variant in (ScenarioVariant.ALICE_TAMPERS, ScenarioVariant.EVE_DISTURBS):
-        return {
-            "arbiter-verified": result.checks["V"] == 1,
-            "teleport-compare-mismatch": result.checks["v5"] == "mismatch",
-            "verdict-inconclusive": result.verdict == "inconclusive",
-            "board-empty": len(result.board.entries) == 0,
-            "no-alarms": not result.alarms,
-        }
-    if variant is ScenarioVariant.ALICE_FALSE_PAD:
-        fid = result.checks["recover_fidelity_min"]
-        return {
-            "arbiter-verified": result.checks["V"] == 1,
-            "teleport-compare-match": result.checks["v5"] == "match-ok",
-            "signature-invalid-under-published-pad": result.checks["signature_valid"] is False,
-            "recover-fidelity-degraded": fid is not None and fid < DEGRADED_FIDELITY_CEILING,
-            "verdict-no-dispute": result.verdict == "no-dispute",
-            "no-alarms": not result.alarms,
-        }
-    if variant is ScenarioVariant.IPE:
-        if defenses.any_enabled:  # either device catches the off-band probe
-            return _expect_detected(result, ("wavelength-filter", "pns"))
-        checks = {"extraction-exact": result.extraction_matches is True}
-        checks.update(_expect_honest_side(result))
-        return checks
-    if variant is ScenarioVariant.DELAY_PHOTON:
-        if defenses.pns:
-            return _expect_detected(result, ("pns",))
-        checks = {"extraction-exact": result.extraction_matches is True}
-        checks.update(_expect_honest_side(result))
-        return checks
-    raise ValueError(f"no expectation table for {variant}")
+    """The named boolean checks of the scenario's expected outcome."""
+    return SCENARIOS[variant].expectations(result, defenses)
 
 
 def _transcript_filename(config: RunConfig, trial: int) -> str:
@@ -198,9 +136,8 @@ def run_batch(config: RunConfig) -> BatchSummary:
     counts: dict[str, list[int]] = {}
     all_ok = True
     for trial in range(config.trials):
-        result = run_scenario(
-            config.scenario, config.n, config.seed, trial, defenses=config.defenses
-        )
+        result = run_scenario(config.scenario, config.n, config.seed, trial,
+                              defenses=config.defenses)
         expectations = evaluate_expectations(result, config.scenario.variant, config.defenses)
         ok = all(expectations.values())
         all_ok = all_ok and ok
@@ -208,21 +145,26 @@ def run_batch(config: RunConfig) -> BatchSummary:
             bucket = counts.setdefault(name, [0, 0])
             bucket[0] += int(passed)
             bucket[1] += 1
-        rows.append(
-            {
-                "trial": trial,
-                "checks": result.checks,
-                "verdict": result.verdict,
-                "alarms": list(result.alarms),
-                "extraction_match": result.extraction_matches,
-                "ok": ok,
-            }
-        )
+        rows.append({"trial": trial, "checks": result.checks, "verdict": result.verdict,
+                     "alarms": list(result.alarms),
+                     "extraction_match": result.extraction_matches, "ok": ok})
         if config.out is not None:
-            path = config.out / _transcript_filename(config, trial)
-            path.write_bytes(result.transcript_bytes() + b"\n")
+            _write_atomic(config.out / _transcript_filename(config, trial),
+                          result.transcript_bytes() + b"\n")
 
     return BatchSummary(config=config, trial_rows=rows, check_counts=counts, all_ok=all_ok)
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write to a temporary file beside ``path``, then rename it into place,
+    so a failed or interrupted write never leaves a truncated transcript."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def render_summary(summary: BatchSummary, fmt: str) -> str:

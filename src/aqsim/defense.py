@@ -43,6 +43,11 @@ class DefenseConfig:
         return cls(wavelength_filter=DEVICE_FILTER in tokens, pns=DEVICE_PNS in tokens)
 
 
+# Every on/off combination of the two devices: none, filter, pns, both.
+DEFENSE_GRID = tuple(DefenseConfig(wavelength_filter=f, pns=p)
+                     for p in (False, True) for f in (False, True))
+
+
 def wavelength_filter(carriers: Sequence[Carrier]) -> tuple[tuple[Carrier, ...], tuple[Carrier, ...]]:
     """Partition by band: signal carriers pass, everything else is flagged."""
     passed = tuple(c for c in carriers if c.band == BAND_SIGNAL)

@@ -290,10 +290,6 @@ class QuantumRegistry:
     def apply_pauli(self, label, p: PauliBits) -> None:
         self.apply_paulis([label], [p.x], [p.z])
 
-    def apply_pauli_inverse(self, label, p: PauliBits) -> None:
-        """Undo ``apply_pauli`` exactly: sigma_x first, then sigma_z."""
-        self.apply_paulis([label], [p.x], [p.z], inverse=True)
-
     def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple | None:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
         (amps, axis1, axis2, row labels).

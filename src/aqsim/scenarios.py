@@ -6,10 +6,17 @@ shift the honest draws. That alignment is what makes matched-seed
 comparisons meaningful: the arbiter's record of a tampered run is
 byte-identical to the honest run's, because nothing he sees depends on
 what the attacker touched.
+
+``SCENARIOS`` is the one place that says what each scenario does. Its entry
+holds the scenario's attack steps at the flow's fixed points (after-sign,
+in-flight, after-forward, claim, publish) and its expected-outcome checks.
+``run_scenario`` walks the honest flow once and calls the chosen entry's
+steps at those points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,23 +24,18 @@ from . import adversary as adv
 from . import protocol as proto
 from . import statevector as sv
 from .adversary import Scenario, ScenarioVariant
-from .defense import DefenseConfig, screen
+from .defense import DEVICE_FILTER, DEVICE_PNS, DefenseConfig, screen
 from .protocol import (
-    CLAIM_FOLLOWED,
-    Claim,
-    CompareReport,
-    CompareResult,
-    MessageSpec,
-    PublicBoard,
-    QuantumRegistry,
-    Transcript,
-    TrentRecord,
-    checks_jsonable,
+    CLAIM_FOLLOWED, CLAIM_TELEPORT_MISMATCH, CipherPayload, Claim, CompareReport, CompareResult,
+    MessageSpec, PublicBoard, QuantumRegistry, SignaturePackage, Transcript, TrentRecord,
+    Verdict, checks_jsonable,
 )
 from .qotp import ROLE_EXTRACTED, KeyBits
 
 GENERIC_MARGIN = 0.05  # keeps sampled qubits away from Pauli eigenstates
 STATUS_ATTACK_DETECTED = "attack-detected"
+HONEST_FIDELITY_FLOOR = 1.0 - 1e-9
+DEGRADED_FIDELITY_CEILING = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,44 +78,282 @@ class RunResult:
         return self.transcript.to_bytes()
 
 
+@dataclass
+class Trial:
+    """The live state of one trial: what the flow has made so far.
+
+    Attack steps read it and replace what they touch, the way an attacker
+    takes a transmission off the channel and passes something else on.
+    """
+
+    scenario: Scenario
+    streams: RngStreams
+    transcript: Transcript
+    registry: QuantumRegistry
+    keys: proto.ProtocolKeys
+    message: MessageSpec
+    bob_labels: tuple
+    pad: KeyBits
+    package: SignaturePackage
+    board: PublicBoard
+    payload: CipherPayload | None = None
+    record: TrentRecord | None = None
+    report: CompareReport | None = None
+    decoys: adv.DecoySet | None = None
+    extraction_bits: tuple[int, ...] | None = None
+    extraction_matches: bool | None = None
+    claims: tuple[Claim, ...] = ()
+    published: KeyBits | None = None
+    fidelities: tuple[float, ...] | None = None
+    signature_valid: bool | None = None
+    verdict: str | None = None
+
+
+# --- attack steps -----------------------------------------------------------
+
+
+def _no_step(trial: Trial) -> None:
+    """Nothing happens at this point of the scenario."""
+
+
+def _tamper(trial: Trial) -> None:
+    indices = trial.scenario.tamper_indices
+    trial.package = adv.alice_tamper_outcomes(trial.package, indices)
+    trial.transcript.log("alice", "attack",
+                         {"action": "tamper-bell-results", "indices": list(indices)})
+
+
+def _disturb(trial: Trial) -> None:
+    indices = trial.scenario.tamper_indices
+    trial.package = adv.eve_disturb_outcomes(trial.package, indices, trial.streams.attack)
+    trial.transcript.log("eve", "attack",
+                         {"action": "disturb-bell-results", "indices": list(indices)})
+
+
+def _inject_decoys(inject, band: str) -> Callable[[Trial], None]:
+    def step(trial: Trial) -> None:
+        trial.decoys = adv.make_decoy_set(trial.message.n, trial.registry)
+        trial.package = inject(trial.package, trial.decoys)
+        trial.transcript.log("alice", "attack",
+                             {"action": "inject-decoys", "band": band, "count": trial.message.n})
+    return step
+
+
+def _intercept_and_extract(trial: Trial) -> None:
+    trial.payload, captured = adv.intercept_decoys(trial.payload, trial.decoys)
+    bits = adv.ipe_extract(captured, trial.decoys, trial.registry, trial.streams.attack)
+    trial.extraction_bits = bits
+    trial.extraction_matches = bits == trial.keys.verifier.bits[: 2 * trial.message.n]
+    trial.transcript.log("alice", "attack", {
+        "action": "intercept-and-extract", "captured": list(captured),
+        "extracted": KeyBits(bits, ROLE_EXTRACTED).to_jsonable(),
+        "matches_verifier_bits": trial.extraction_matches,
+    })
+
+
+def _claim_mismatch(trial: Trial) -> Claim | None:
+    """The honest verifier disputes exactly when his comparison did not match."""
+    if trial.report.result is CompareResult.MATCH_OK:
+        return None
+    return Claim("bob", CLAIM_TELEPORT_MISMATCH)
+
+
+def _negate_match(trial: Trial) -> Claim:
+    return adv.bob_dos_negate(adv.RunState(phase="compared", genuine_compare=trial.report.result))
+
+
+def _publish_pad(trial: Trial) -> KeyBits:
+    proto.publish_pad(trial.board, trial.pad)
+    return trial.pad
+
+
+def _publish_false_pad(trial: Trial) -> KeyBits:
+    return adv.alice_publish_false_pad(trial.board, trial.pad, trial.streams.attack)
+
+
+# --- expected outcomes ------------------------------------------------------
+
+
+def _fidelity(result: RunResult) -> float | None:
+    return result.checks["recover_fidelity_min"]
+
+
+# Every named expected-outcome check, as a predicate on a RunResult.
+CHECKS: dict[str, Callable[[RunResult], bool]] = {
+    "extraction-exact": lambda r: r.extraction_matches is True,
+    "arbiter-verified": lambda r: r.checks["V"] == 1,
+    "teleport-compare-match": lambda r: r.checks["v5"] == CompareResult.MATCH_OK.value,
+    "teleport-compare-mismatch": lambda r: r.checks["v5"] == CompareResult.MISMATCH.value,
+    "genuine-compare-match": lambda r: r.genuine_compare == CompareResult.MATCH_OK.value,
+    "recover-fidelity":
+        lambda r: _fidelity(r) is not None and _fidelity(r) >= HONEST_FIDELITY_FLOOR,
+    "recover-fidelity-degraded":
+        lambda r: _fidelity(r) is not None and _fidelity(r) < DEGRADED_FIDELITY_CEILING,
+    "signature-valid": lambda r: r.checks["signature_valid"] is True,
+    "signature-invalid-under-published-pad": lambda r: r.checks["signature_valid"] is False,
+    "verdict-no-dispute": lambda r: r.verdict == Verdict.NO_DISPUTE.value,
+    "verdict-inconclusive": lambda r: r.verdict == Verdict.INCONCLUSIVE.value,
+    "board-empty": lambda r: len(r.board.entries) == 0,
+    "no-alarms": lambda r: not r.alarms,
+}
+
+_HONEST = ("arbiter-verified", "teleport-compare-match", "recover-fidelity", "signature-valid",
+           "verdict-no-dispute", "no-alarms")
+_MISMATCH_DISPUTE = ("arbiter-verified", "teleport-compare-mismatch", "verdict-inconclusive",
+                     "board-empty", "no-alarms")
+
+
+@dataclass(frozen=True)
+class ScenarioEntry:
+    """One scenario: its steps at the flow's fixed points and its expected outcome.
+
+    Each step defaults to the honest flow. ``expect`` names the ``CHECKS``
+    a run must pass. ``caught_by`` names the screening devices that must
+    catch the scenario's probes: with one of them enabled, the run must
+    abort instead. ``tamper_indices`` is the default set of 1-based Bell
+    results the scenario corrupts; () means it takes none.
+    """
+
+    expect: tuple[str, ...]
+    after_sign: Callable[[Trial], None] = _no_step
+    in_flight: Callable[[Trial], None] = _no_step
+    after_forward: Callable[[Trial], None] = _no_step
+    claim: Callable[[Trial], Claim | None] = _claim_mismatch
+    publish: Callable[[Trial], KeyBits] = _publish_pad
+    caught_by: tuple[str, ...] = ()
+    tamper_indices: tuple[int, ...] = ()
+
+    def expectations(self, result: RunResult, defenses: DefenseConfig) -> dict[str, bool]:
+        if any(device in defenses.tokens() for device in self.caught_by):
+            return {
+                "alarm-raised": any(d in result.alarms for d in self.caught_by),
+                "run-aborted": result.verdict == STATUS_ATTACK_DETECTED
+                and result.checks["V"] is None,
+            }
+        return {name: CHECKS[name](result) for name in self.expect}
+
+
+SCENARIOS: dict[ScenarioVariant, ScenarioEntry] = {
+    ScenarioVariant.HONEST: ScenarioEntry(expect=_HONEST),
+    ScenarioVariant.BOB_LIES: ScenarioEntry(
+        claim=_negate_match,
+        expect=("arbiter-verified", "genuine-compare-match", "verdict-inconclusive",
+                "board-empty", "no-alarms")),
+    ScenarioVariant.ALICE_TAMPERS: ScenarioEntry(
+        after_sign=_tamper, tamper_indices=(1,), expect=_MISMATCH_DISPUTE),
+    ScenarioVariant.EVE_DISTURBS: ScenarioEntry(
+        in_flight=_disturb, tamper_indices=(1,), expect=_MISMATCH_DISPUTE),
+    ScenarioVariant.ALICE_FALSE_PAD: ScenarioEntry(
+        publish=_publish_false_pad,
+        expect=("arbiter-verified", "teleport-compare-match",
+                "signature-invalid-under-published-pad", "recover-fidelity-degraded",
+                "verdict-no-dispute", "no-alarms")),
+    ScenarioVariant.IPE: ScenarioEntry(  # the probe is off band and shares its slot
+        after_sign=_inject_decoys(adv.ipe_inject, proto.BAND_OFF),
+        after_forward=_intercept_and_extract,
+        caught_by=(DEVICE_FILTER, DEVICE_PNS), expect=("extraction-exact",) + _HONEST),
+    ScenarioVariant.DELAY_PHOTON: ScenarioEntry(
+        after_sign=_inject_decoys(adv.delay_photon_inject, proto.BAND_SIGNAL),
+        after_forward=_intercept_and_extract,
+        caught_by=(DEVICE_PNS,), expect=("extraction-exact",) + _HONEST),
+}
+
+
+# --- the flow ---------------------------------------------------------------
+
+
 def _carrier_meta(carriers) -> list[dict]:
     return [c.meta() for c in carriers]
 
 
 def _screen_point(
-    transcript: Transcript,
-    actor: str,
-    point: str,
-    carriers,
-    config: DefenseConfig,
+    transcript: Transcript, actor: str, point: str, carriers, config: DefenseConfig
 ) -> tuple[str, ...]:
     """Run enabled devices at a receive point. Returns fired device tokens."""
     if not config.any_enabled:
         return ()
     report = screen(carriers, config)
-    transcript.log(
-        actor,
-        "defense-screen",
-        {"point": point, "devices": config.tokens(), "flagged": len(report.flagged)},
-    )
+    transcript.log(actor, "defense-screen",
+                   {"point": point, "devices": config.tokens(), "flagged": len(report.flagged)})
     if not report.flagged:
         return ()
-    transcript.log(
-        actor,
-        "defense-alarm",
-        {
-            "point": point,
-            "flagged": [
-                {"device": device, "id": c.id, "band": c.band, "slot": c.time_slot}
-                for device, c in report.flagged
-            ],
-        },
-    )
-    fired = []
-    for device, _ in report.flagged:
-        if device not in fired:
-            fired.append(device)
-    return tuple(fired)
+    transcript.log(actor, "defense-alarm", {
+        "point": point,
+        "flagged": [{"device": device, "id": c.id, "band": c.band, "slot": c.time_slot}
+                    for device, c in report.flagged],
+    })
+    return tuple(dict.fromkeys(device for device, _ in report.flagged))
+
+
+def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tuple[str, ...]:
+    """The flow from the signer's send to the verdict, with the entry's steps.
+
+    Returns the alarms that aborted the run, or () when it ran to the end.
+    """
+    transcript, registry, keys = trial.transcript, trial.registry, trial.keys
+    entry.after_sign(trial)
+    transcript.log("alice", "send", {
+        "channel": "alice->bob", "what": "signature-package",
+        "masked": _carrier_meta(trial.package.masked),
+        "signature": _carrier_meta(trial.package.signature),
+        "bell_results": [o.token for o in trial.package.bell_results],
+    })
+    entry.in_flight(trial)
+    fired = _screen_point(transcript, "bob", "bob-receive",
+                          trial.package.masked + trial.package.signature, defenses)
+    if fired:
+        return fired
+
+    trial.payload = proto.bob_forward(trial.package, keys.verifier, registry)
+    transcript.log("bob", "send", {
+        "channel": "bob->trent", "what": "ciphertext",
+        "masked": _carrier_meta(trial.payload.masked),
+        "signature": _carrier_meta(trial.payload.signature),
+    })
+    entry.after_forward(trial)
+    fired = _screen_point(transcript, "trent", "trent-receive",
+                          trial.payload.masked + trial.payload.signature, defenses)
+    if fired:
+        return fired
+
+    returned, trial.record = proto.trent_verify(trial.payload, keys.signer, keys.verifier,
+                                                registry)
+    transcript.log("trent", "arbiter-record", trial.record.to_jsonable())
+    transcript.log("trent", "send", {
+        "channel": "trent->bob", "what": "ciphertext",
+        "masked": _carrier_meta(returned.masked), "signature": _carrier_meta(returned.signature),
+        "verdict_carrier": returned.verdict_carrier.meta(),
+    })
+    report = trial.report = proto.bob_verify_and_compare(
+        returned, trial.package.bell_results, trial.bob_labels, keys.verifier, registry)
+    transcript.log("bob", "decision", {
+        "action": "verify-and-compare", "verify_bit": report.verify_bit,
+        "compare": report.result.value, "per_qubit": list(report.per_qubit),
+    })
+
+    bob_claim = entry.claim(trial)
+    if bob_claim is not None:
+        alice_claim = Claim("alice", CLAIM_FOLLOWED)
+        transcript.log("bob", "claim", {"statement": bob_claim.statement})
+        transcript.log("alice", "claim", {"statement": alice_claim.statement})
+        trial.claims = (alice_claim, bob_claim)
+        trial.verdict = proto.arbitrate(trial.record, alice_claim, bob_claim).value
+        transcript.log("trent", "verdict", {"verdict": trial.verdict})
+        return ()
+
+    transcript.log("bob", "decision", {"action": "request-pad"})
+    published = trial.published = entry.publish(trial)
+    transcript.log("alice", "board-post", {"value": published.to_jsonable()})
+    recovered = proto.bob_recover(
+        registry.sequence([c.payload for c in trial.payload.masked]), published)
+    transcript.log("bob", "decision", {"action": "recover-message"})
+    trial.fidelities = tuple(sv.fidelity(state, trial.message.qubit(i, state.labels[0]))
+                             for i, state in enumerate(recovered))
+    trial.signature_valid = proto.verify_signature_pair(
+        registry.sequence([c.payload for c in trial.payload.signature]), published,
+        trial.message, keys.signer)
+    trial.verdict = Verdict.NO_DISPUTE.value
+    return ()
 
 
 def run_scenario(
@@ -129,259 +369,48 @@ def run_scenario(
     streams = rng_streams(seed, trial)
     transcript = Transcript(scenario.token, n, seed, defenses.tokens())
     registry = QuantumRegistry()
-    board = PublicBoard()
-    variant = scenario.variant
 
     spec = message if message is not None else proto.random_message_spec(
-        n, streams.message, generic_margin=GENERIC_MARGIN
-    )
+        n, streams.message, generic_margin=GENERIC_MARGIN)
     keys = proto.setup_keys(n, streams.keys)
-    transcript.log(
-        "trent",
-        "setup",
-        {
-            "n": n,
-            "signer_key_bits": len(keys.signer),
-            "verifier_key_bits": len(keys.verifier),
-            "peer_key_bits": len(keys.peer),
-        },
-    )
-
+    transcript.log("trent", "setup", {
+        "n": n, "signer_key_bits": len(keys.signer),
+        "verifier_key_bits": len(keys.verifier), "peer_key_bits": len(keys.peer),
+    })
     alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
-    transcript.log(
-        "alice",
-        "send",
-        {
-            "channel": "alice->bob",
-            "what": "entangled-halves",
-            "carriers": [
-                {"id": label, "band": proto.BAND_SIGNAL, "slot": i}
-                for i, label in enumerate(bob_labels)
-            ],
-        },
-    )
-
+    transcript.log("alice", "send", {
+        "channel": "alice->bob", "what": "entangled-halves",
+        "carriers": [{"id": label, "band": proto.BAND_SIGNAL, "slot": i}
+                     for i, label in enumerate(bob_labels)],
+    })
     package, pad, signer_private = proto.alice_sign(
-        spec, keys.signer, streams.sign, registry, alice_labels, forced_pad=forced_pad
-    )
-    transcript.log(
-        "alice",
-        "measurement",
-        {
-            "what": "bell-projection",
-            "probabilities": [list(p) for p in signer_private.outcome_probabilities],
-            "outcomes": [o.token for o in package.bell_results],
-        },
-    )
+        spec, keys.signer, streams.sign, registry, alice_labels, forced_pad=forced_pad)
+    transcript.log("alice", "measurement", {
+        "what": "bell-projection",
+        "probabilities": [list(p) for p in signer_private.outcome_probabilities],
+        "outcomes": [o.token for o in package.bell_results],
+    })
 
-    decoys = None
-    if variant is ScenarioVariant.ALICE_TAMPERS:
-        package = adv.alice_tamper_outcomes(package, scenario.tamper_indices)
-        transcript.log(
-            "alice",
-            "attack",
-            {"action": "tamper-bell-results", "indices": list(scenario.tamper_indices)},
-        )
-    elif variant is ScenarioVariant.IPE:
-        decoys = adv.make_decoy_set(n, registry)
-        package = adv.ipe_inject(package, decoys)
-        transcript.log(
-            "alice", "attack", {"action": "inject-decoys", "band": proto.BAND_OFF, "count": n}
-        )
-    elif variant is ScenarioVariant.DELAY_PHOTON:
-        decoys = adv.make_decoy_set(n, registry)
-        package = adv.delay_photon_inject(package, decoys)
-        transcript.log(
-            "alice", "attack", {"action": "inject-decoys", "band": proto.BAND_SIGNAL, "count": n}
-        )
-
-    transcript.log(
-        "alice",
-        "send",
-        {
-            "channel": "alice->bob",
-            "what": "signature-package",
-            "masked": _carrier_meta(package.masked),
-            "signature": _carrier_meta(package.signature),
-            "bell_results": [o.token for o in package.bell_results],
-        },
-    )
-
-    if variant is ScenarioVariant.EVE_DISTURBS:
-        package = adv.eve_disturb_outcomes(package, scenario.tamper_indices, streams.attack)
-        transcript.log(
-            "eve",
-            "attack",
-            {"action": "disturb-bell-results", "indices": list(scenario.tamper_indices)},
-        )
-
-    def aborted(alarms: tuple[str, ...]) -> RunResult:
-        checks = checks_jsonable(None, None, None, None)
-        transcript.finish(board, STATUS_ATTACK_DETECTED, checks)
-        return RunResult(
-            transcript=transcript,
-            checks=checks,
-            verdict=STATUS_ATTACK_DETECTED,
-            alarms=alarms,
-            record=None,
-            board=board,
-            genuine_compare=None,
-            compare_report=None,
-            extraction_bits=None,
-            extraction_matches=None,
-            bell_prob_max_dev=signer_private.max_probability_deviation,
-            claims=(),
-            published_pad=None,
-            recovered_fidelities=None,
-            message=spec,
-            keys=keys,
-            true_pad=pad,
-        )
-
-    fired = _screen_point(
-        transcript, "bob", "bob-receive",
-        package.masked + package.signature, defenses,
-    )
-    if fired:
-        return aborted(fired)
-
-    payload = proto.bob_forward(package, keys.verifier, registry)
-    transcript.log(
-        "bob",
-        "send",
-        {
-            "channel": "bob->trent",
-            "what": "ciphertext",
-            "masked": _carrier_meta(payload.masked),
-            "signature": _carrier_meta(payload.signature),
-        },
-    )
-
-    extraction_bits = None
-    extraction_matches = None
-    if decoys is not None:
-        payload, captured = adv.intercept_decoys(payload, decoys)
-        extraction_bits = adv.ipe_extract(captured, decoys, registry, streams.attack)
-        consumed = keys.verifier.bits[: 2 * n]
-        extraction_matches = extraction_bits == consumed
-        transcript.log(
-            "alice",
-            "attack",
-            {
-                "action": "intercept-and-extract",
-                "captured": list(captured),
-                "extracted": KeyBits(extraction_bits, ROLE_EXTRACTED).to_jsonable(),
-                "matches_verifier_bits": extraction_matches,
-            },
-        )
-
-    fired = _screen_point(
-        transcript, "trent", "trent-receive",
-        payload.masked + payload.signature, defenses,
-    )
-    if fired:
-        return aborted(fired)
-
-    returned, record = proto.trent_verify(payload, keys.signer, keys.verifier, registry)
-    transcript.log("trent", "arbiter-record", record.to_jsonable())
-    transcript.log(
-        "trent",
-        "send",
-        {
-            "channel": "trent->bob",
-            "what": "ciphertext",
-            "masked": _carrier_meta(returned.masked),
-            "signature": _carrier_meta(returned.signature),
-            "verdict_carrier": returned.verdict_carrier.meta(),
-        },
-    )
-
-    report = proto.bob_verify_and_compare(
-        returned, package.bell_results, bob_labels, keys.verifier, registry
-    )
-    transcript.log(
-        "bob",
-        "decision",
-        {
-            "action": "verify-and-compare",
-            "verify_bit": report.verify_bit,
-            "compare": report.result.value,
-            "per_qubit": list(report.per_qubit),
-        },
-    )
-
-    claims: tuple[Claim, ...] = ()
-    verdict: str | None = None
-    published: KeyBits | None = None
-    fidelities = None
-    signature_valid = None
-
-    def arbitration(bob_claim: Claim) -> tuple[tuple[Claim, ...], str]:
-        alice_claim = Claim("alice", CLAIM_FOLLOWED)
-        transcript.log("bob", "claim", {"statement": bob_claim.statement})
-        transcript.log("alice", "claim", {"statement": alice_claim.statement})
-        outcome = proto.arbitrate(record, alice_claim, bob_claim)
-        transcript.log("trent", "verdict", {"verdict": outcome.value})
-        return (alice_claim, bob_claim), outcome.value
-
-    if variant is ScenarioVariant.BOB_LIES:
-        bob_claim = adv.bob_dos_negate(
-            adv.RunState(phase="compared", genuine_compare=report.result)
-        )
-        claims, verdict = arbitration(bob_claim)
-    elif report.result is CompareResult.MISMATCH:
-        claims, verdict = arbitration(Claim("bob", proto.CLAIM_TELEPORT_MISMATCH))
-    elif report.result is CompareResult.REJECT:
-        bob_claim = Claim("bob", proto.CLAIM_TELEPORT_MISMATCH)
-        alice_claim = Claim("alice", CLAIM_FOLLOWED)
-        claims = (alice_claim, bob_claim)
-        verdict = proto.arbitrate(record, alice_claim, bob_claim).value
-        transcript.log("trent", "verdict", {"verdict": verdict})
-    else:
-        transcript.log("bob", "decision", {"action": "request-pad"})
-        if variant is ScenarioVariant.ALICE_FALSE_PAD:
-            published = adv.alice_publish_false_pad(board, pad, streams.attack)
-        else:
-            published = pad
-            proto.publish_pad(board, pad)
-        transcript.log("alice", "board-post", {"value": published.to_jsonable()})
-
-        masked_states = registry.sequence([c.payload for c in payload.masked])
-        recovered = proto.bob_recover(masked_states, published)
-        transcript.log("bob", "decision", {"action": "recover-message"})
-        fidelities = tuple(
-            sv.fidelity(state, spec.qubit(i, state.labels[0]))
-            for i, state in enumerate(recovered)
-        )
-        signature_states = registry.sequence([c.payload for c in payload.signature])
-        signature_valid = proto.verify_signature_pair(
-            signature_states, published, spec, keys.signer
-        )
-        verdict = proto.Verdict.NO_DISPUTE.value
-
+    run = Trial(scenario, streams, transcript, registry, keys, spec, bob_labels, pad,
+                package, PublicBoard())
+    alarms = _deliver(run, SCENARIOS[scenario.variant], defenses)
+    if alarms:
+        run.verdict = STATUS_ATTACK_DETECTED
+    record, report = run.record, run.report
     checks = checks_jsonable(
-        record.verified,
-        report.result.value,
-        min(fidelities) if fidelities is not None else None,
-        signature_valid,
+        record.verified if record is not None else None,
+        report.result.value if report is not None else None,
+        min(run.fidelities) if run.fidelities is not None else None,
+        run.signature_valid,
     )
-    transcript.finish(board, verdict, checks)
+    transcript.finish(run.board, run.verdict, checks)
     return RunResult(
-        transcript=transcript,
-        checks=checks,
-        verdict=verdict,
-        alarms=(),
-        record=record,
-        board=board,
-        genuine_compare=report.result.value,
-        compare_report=report,
-        extraction_bits=extraction_bits,
-        extraction_matches=extraction_matches,
-        bell_prob_max_dev=signer_private.max_probability_deviation,
-        claims=claims,
-        published_pad=published,
-        recovered_fidelities=fidelities,
-        message=spec,
-        keys=keys,
-        true_pad=pad,
+        transcript=transcript, checks=checks, verdict=run.verdict, alarms=alarms,
+        record=record, board=run.board,
+        genuine_compare=checks["v5"],
+        compare_report=report, extraction_bits=run.extraction_bits,
+        extraction_matches=run.extraction_matches,
+        bell_prob_max_dev=signer_private.max_probability_deviation, claims=run.claims,
+        published_pad=run.published, recovered_fidelities=run.fidelities, message=spec,
+        keys=keys, true_pad=pad,
     )

@@ -392,7 +392,7 @@ def pauli_rows(amps: np.ndarray, axis: int, x, z, inverse: bool = False) -> np.n
     """Row r gets sigma_x^x[r] sigma_z^z[r] on qubit ``axis`` (sigma_z first).
 
     ``inverse`` applies the exact inverse instead: sigma_x first, then
-    sigma_z, as ``QuantumRegistry.apply_pauli_inverse`` does.
+    sigma_z, as ``qotp.decrypt`` does.
     """
     m, dim = amps.shape
     t = amps.reshape(m, 1 << axis, 2, dim >> (axis + 1)).copy()

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -215,3 +216,32 @@ def test_main_exit_two_on_internal_error(monkeypatch, capsys, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"aqsim: internal error: {name}: boom\n"
+
+
+# --- transcript files ---------------------------------------------------------
+
+
+def test_failed_write_leaves_no_partial_transcript(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "out"
+    write_bytes = pathlib.Path.write_bytes
+
+    def disk_full_on_second_file(path, data):
+        if len(list(out.iterdir())) == 1:  # trial 0 is in place
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", disk_full_on_second_file)
+    assert cli.main(BASE + ["--out", str(out)], env={}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aqsim: io error:") and err.count("\n") == 1
+    files = list(out.iterdir())
+    assert [p.name for p in files] == ["honest-n4-seed9-trial0000.json"]
+    json.loads(files[0].read_bytes())
+
+
+def test_successful_batch_leaves_only_transcripts(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(BASE + ["--out", str(out)], env={}) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"honest-n4-seed9-trial{t:04d}.json" for t in range(3)]
