@@ -143,20 +143,16 @@ def bob_dos_negate(state: RunState) -> Claim:
     return Claim("bob", CLAIM_TELEPORT_MISMATCH)
 
 
-def _check_indices(indices, n: int) -> tuple[int, ...]:
-    idx = tuple(indices)
-    if not idx:
-        raise IndexOutOfRange("need at least one index to tamper")
-    for i in idx:
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"index {i} outside 1..{n}")
-    return idx
-
-
 def _replace_results(package: SignaturePackage, indices, shift) -> SignaturePackage:
     """Move each listed Bell result (1-based) ``shift()`` rows on in BELL_ORDER."""
+    indices = tuple(indices)
+    if not indices:
+        raise IndexOutOfRange("need at least one index to tamper")
+    for i in indices:
+        if not 1 <= i <= package.n:
+            raise IndexOutOfRange(f"index {i} outside 1..{package.n}")
     results = list(package.bell_results)
-    for i in _check_indices(indices, package.n):
+    for i in indices:
         row = BELL_ORDER.index(results[i - 1])
         results[i - 1] = BELL_ORDER[(row + shift()) % 4]
     return SignaturePackage(package.masked, package.signature, tuple(results))

@@ -136,8 +136,9 @@ def run_batch(config: RunConfig) -> BatchSummary:
     counts: dict[str, list[int]] = {}
     all_ok = True
     for trial in range(config.trials):
-        result = run_scenario(config.scenario, config.n, config.seed, trial,
-                              defenses=config.defenses)
+        result = run_scenario(
+            config.scenario, config.n, config.seed, trial, defenses=config.defenses
+        )
         expectations = evaluate_expectations(result, config.scenario.variant, config.defenses)
         ok = all(expectations.values())
         all_ok = all_ok and ok
@@ -145,9 +146,16 @@ def run_batch(config: RunConfig) -> BatchSummary:
             bucket = counts.setdefault(name, [0, 0])
             bucket[0] += int(passed)
             bucket[1] += 1
-        rows.append({"trial": trial, "checks": result.checks, "verdict": result.verdict,
-                     "alarms": list(result.alarms),
-                     "extraction_match": result.extraction_matches, "ok": ok})
+        rows.append(
+            {
+                "trial": trial,
+                "checks": result.checks,
+                "verdict": result.verdict,
+                "alarms": list(result.alarms),
+                "extraction_match": result.extraction_matches,
+                "ok": ok,
+            }
+        )
         if config.out is not None:
             _write_atomic(config.out / _transcript_filename(config, trial),
                           result.transcript_bytes() + b"\n")
