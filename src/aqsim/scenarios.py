@@ -152,7 +152,7 @@ def _intercept_and_extract(trial: Trial) -> None:
 
 
 def _claim_mismatch(trial: Trial) -> Claim | None:
-    """The honest verifier disputes exactly when his comparison did not match."""
+    """The honest verifier disputes exactly when the comparison did not match."""
     if trial.report.result is CompareResult.MATCH_OK:
         return None
     return Claim("bob", CLAIM_TELEPORT_MISMATCH)
