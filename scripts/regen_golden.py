@@ -43,9 +43,9 @@ def cell_key(scenario: str, defenses, n: int, seed: int, trial: int) -> str:
     return f"{scenario}/{','.join(defenses.tokens()) or '-'}/n{n}/seed{seed}/trial{trial}"
 
 
-def cell_runs(scenario: str, defenses, ns=NS):
+def cell_runs(scenario: str, defenses):
     """(key, RunResult) for every run of one scenario x defense cell."""
-    for n in ns:
+    for n in NS:
         for seed in SEEDS:
             for trial in TRIALS:
                 result = run_scenario(Scenario.from_token(scenario), n, seed, trial,
@@ -53,9 +53,13 @@ def cell_runs(scenario: str, defenses, ns=NS):
                 yield cell_key(scenario, defenses, n, seed, trial), result
 
 
+def run_hashes(runs) -> dict[str, str]:
+    """sha256 of the transcript bytes of each (key, RunResult)."""
+    return {key: hashlib.sha256(result.transcript_bytes()).hexdigest() for key, result in runs}
+
+
 def cell_hashes(scenario: str, defenses) -> dict[str, str]:
-    return {key: hashlib.sha256(result.transcript_bytes()).hexdigest()
-            for key, result in cell_runs(scenario, defenses)}
+    return run_hashes(cell_runs(scenario, defenses))
 
 
 def summary_hashes(scenario: str, defenses) -> dict[str, str]:

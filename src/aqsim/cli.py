@@ -4,8 +4,9 @@ Each scenario/defense combination has a codified expected outcome (an
 attack that the enabled screening must catch is *supposed* to raise an
 alarm), so the exit code asserts success for attack scenarios too:
 0 = every trial matched the expected outcome, 1 = usage or I/O error,
-2 = some invariant check failed, or an internal error (a state, protocol or
-attack failure) stopped the batch; either way a one-line message says why.
+2 = some invariant check failed, or an internal error (a state, protocol,
+key-length or attack failure) stopped the batch; either way a one-line
+message says why.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .adversary import SCENARIO_TOKENS, AttackError, Scenario, ScenarioVariant
 from .defense import DefenseConfig
 from .jsonutil import canonical_json
 from .protocol import ProtocolError
+from .qotp import KeyTooShort
 from .scenarios import SCENARIOS, RunResult, run_scenario
 from .statevector import StateError
 
@@ -222,7 +224,7 @@ def main(argv=None, env=None) -> int:
     except OSError as exc:
         print(f"aqsim: io error: {exc}", file=sys.stderr)
         return 1
-    except (StateError, ProtocolError, AttackError) as exc:
+    except (StateError, ProtocolError, KeyTooShort, AttackError) as exc:
         print(f"aqsim: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(render_summary(summary, config.format))

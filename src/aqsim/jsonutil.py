@@ -5,20 +5,46 @@ arbiter-record comparisons are byte-level. The stdlib encoder uses the
 shortest round-trip float repr, which is fine for parsing but leaves the
 width unpinned, so floats are emitted here with 17 significant digits
 (lossless for IEEE doubles). Dict insertion order is preserved.
+
+The documents are mostly long runs of same-shaped rows (state snapshots,
+carrier metadata, probability rows). The row renderers below format a
+whole run of rows at once, from one array, where the rows are made, and
+return a pre-rendered container (``RenderedDict``/``RenderedList``) that
+carries its canonical text; ``_emit`` appends that text verbatim. The
+generic ``_emit`` walk stays the reference they are tested against.
 """
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
+_NON_FINITE = "non-finite float in canonical document"
+
+
+class RenderedDict(dict):
+    """A dict that carries its own canonical text in ``text``.
+
+    It compares equal to, and ``json.dumps`` reads it as, the plain dict.
+    The text is fixed when the row is rendered, so the dict must never be
+    mutated afterwards.
+    """
+
+    __slots__ = ("text",)
+
+
+class RenderedList(list):
+    """The list counterpart of ``RenderedDict``."""
+
+    __slots__ = ("text",)
+
 
 def _float_token(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError("non-finite float in canonical document")
+        raise ValueError(_NON_FINITE)
     if x == 0.0:
         x = 0.0  # collapse -0.0 so sign-flipped zero amplitudes don't leak into bytes
     return format(x, ".17g")
@@ -68,6 +94,8 @@ def _emit(obj, out: list[str]) -> None:
                 _emit(item, out)
             sep = ","
         out.append("]")
+    elif kind is RenderedDict or kind is RenderedList:
+        out.append(obj.text)
     elif kind is int:
         out.append(int.__repr__(obj))
     elif obj is None:
@@ -100,6 +128,94 @@ def _emit_other(obj, out: list[str]) -> None:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
+# --- row renderers ----------------------------------------------------------
+
+
+def _rendered(container, text: str):
+    container.text = text
+    return container
+
+
+def _float_stack(values) -> np.ndarray:
+    """A float64 copy of ``values`` with -0.0 collapsed to 0.0, checked
+    finite once for the whole stack."""
+    stack = np.asarray(values, dtype=np.float64) + 0.0
+    if not np.isfinite(stack).all():
+        raise ValueError(_NON_FINITE)
+    return stack
+
+
+@functools.cache
+def _floats_template(width: int) -> str:
+    return "[" + ",".join(["%.17g"] * width) + "]"
+
+
+@functools.cache
+def _state_template(width: int) -> str:
+    return '{"labels":%s,"amps":[' + ",".join(["[%.17g,%.17g]"] * width) + "]}"
+
+
+def _labels_text(labels) -> str:
+    try:
+        return "[" + ",".join(map(_encode_str, labels)) + "]"
+    except TypeError:  # a label that is not a string
+        return canonical_json(list(labels))
+
+
+def _state_stack(amps) -> np.ndarray:
+    """The (m, 2w) float view of an (m, w) complex stack: (re, im) per amplitude."""
+    return np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+
+
+def state_texts(labels, amps) -> list[str]:
+    """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
+    each row of an (m, 2**k) complex stack; ``labels[r]`` names row r's qubits."""
+    stack = _float_stack(_state_stack(amps))
+    template = _state_template(stack.shape[1] // 2)
+    return [template % (_labels_text(row), *values)
+            for row, values in zip(labels, stack.tolist(), strict=True)]
+
+
+def render_states(labels, amps) -> list[RenderedDict]:
+    """``state_texts`` as pre-rendered state docs, one per row."""
+    texts = state_texts(labels, amps)
+    pairs = _state_stack(amps).reshape(len(texts), -1, 2).tolist()
+    return [_rendered(RenderedDict(labels=list(row), amps=row_amps), text)
+            for row, row_amps, text in zip(labels, pairs, texts)]
+
+
+def render_float_rows(rows) -> RenderedList:
+    """Pre-rendered ``[[x, ...], ...]`` of equal-length rows of floats."""
+    if not len(rows):
+        return _rendered(RenderedList(), "[]")
+    stack = _float_stack(rows)
+    template = _floats_template(stack.shape[1])
+    text = "[" + ",".join([template % tuple(row) for row in stack.tolist()]) + "]"
+    return _rendered(RenderedList([list(row) for row in rows]), text)
+
+
+def carrier_rows_text(rows, states=None) -> str:
+    """Canonical text of the list of ``{"id", "band", "slot"}`` objects made
+    from ``rows`` of (id, band, slot): string ids and bands, integer slots.
+    With ``states`` (canonical texts, one per row), each object also ends in
+    a ``"state"`` member holding that text."""
+    if states is None:
+        items = ['{"id":%s,"band":%s,"slot":%d}' % (_encode_str(i), _encode_str(b), slot)
+                 for i, b, slot in rows]
+    else:
+        items = ['{"id":%s,"band":%s,"slot":%d,"state":%s}'
+                 % (_encode_str(i), _encode_str(b), slot, state)
+                 for (i, b, slot), state in zip(rows, states, strict=True)]
+    return "[" + ",".join(items) + "]"
+
+
+def render_carriers(rows) -> RenderedList:
+    """Pre-rendered ``[{"id", "band", "slot"}, ...]`` from rows of (id, band, slot)."""
+    rows = list(rows)
+    return _rendered(RenderedList([{"id": i, "band": b, "slot": slot} for i, b, slot in rows]),
+                     carrier_rows_text(rows))
+
+
 def canonical_json(obj) -> str:
     """Serialize to a compact, byte-stable JSON string."""
     out: list[str] = []
@@ -109,8 +225,3 @@ def canonical_json(obj) -> str:
 
 def canonical_bytes(obj) -> bytes:
     return canonical_json(obj).encode("ascii")
-
-
-def sha256_hex(obj) -> str:
-    """Digest of the canonical serialization."""
-    return hashlib.sha256(canonical_bytes(obj)).hexdigest()

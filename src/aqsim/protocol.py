@@ -19,6 +19,7 @@ that record plus the parties' claims.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -26,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import qotp
+from . import jsonutil, qotp
 from . import statevector as sv
-from .jsonutil import canonical_bytes, sha256_hex
+from .jsonutil import canonical_bytes
 from .qotp import KeyBits
 from .statevector import BellOutcome, LabelCollision, PauliBits, PureState, UnknownLabel
 
@@ -265,14 +266,23 @@ class QuantumRegistry:
             out[positions] = family.amps[rows]
         return out
 
-    def jsonable_states(self, labels: Sequence) -> list[dict]:
-        """``state_of(label).to_jsonable()`` for each label, read off the families."""
+    def _render_states(self, labels: Sequence, render) -> list:
+        """``render(row labels, amps)`` over each family bucket, in label order."""
         out: list = [None] * len(labels)
         for family, _, positions, rows in self._buckets(labels):
-            pairs = family.amps[rows].view(np.float64).reshape(len(rows), -1, 2).tolist()
-            for pos, row, amps in zip(positions, rows.tolist(), pairs):
-                out[pos] = {"labels": list(family.labels[row]), "amps": amps}
+            rendered = render([family.labels[row] for row in rows.tolist()], family.amps[rows])
+            for pos, doc in zip(positions, rendered):
+                out[pos] = doc
         return out
+
+    def jsonable_states(self, labels: Sequence) -> list[dict]:
+        """``state_of(label).to_jsonable()`` for each label, read off the
+        families as pre-rendered state docs."""
+        return self._render_states(labels, jsonutil.render_states)
+
+    def state_texts(self, labels: Sequence) -> list[str]:
+        """The canonical text of ``state_of(label).to_jsonable()`` for each label."""
+        return self._render_states(labels, jsonutil.state_texts)
 
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
         """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
@@ -428,14 +438,12 @@ class CipherPayload:
         return self.masked + self.signature + extra
 
     def digest(self, registry: QuantumRegistry) -> str:
-        """Receive-time digest: carrier metadata plus the exact states held."""
+        """Receive-time digest: carrier metadata plus the exact states held,
+        the sha256 of the canonical list of {"id", "band", "slot", "state"}."""
         carriers = self.all_carriers()
-        states = registry.jsonable_states([c.payload for c in carriers])
-        doc = [
-            {"id": c.id, "band": c.band, "slot": c.time_slot, "state": state}
-            for c, state in zip(carriers, states)
-        ]
-        return sha256_hex(doc)
+        states = registry.state_texts([c.payload for c in carriers])
+        text = jsonutil.carrier_rows_text([(c.id, c.band, c.time_slot) for c in carriers], states)
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 class PublicBoard:

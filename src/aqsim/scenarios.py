@@ -25,6 +25,7 @@ from . import protocol as proto
 from . import statevector as sv
 from .adversary import Scenario, ScenarioVariant
 from .defense import DEVICE_FILTER, DEVICE_PNS, DefenseConfig, screen
+from .jsonutil import render_carriers, render_float_rows
 from .protocol import (
     CLAIM_FOLLOWED, CLAIM_TELEPORT_MISMATCH, CipherPayload, Claim, CompareReport, CompareResult,
     MessageSpec, PublicBoard, QuantumRegistry, SignaturePackage, Transcript, TrentRecord,
@@ -263,7 +264,7 @@ SCENARIOS: dict[ScenarioVariant, ScenarioEntry] = {
 
 
 def _carrier_meta(carriers) -> list[dict]:
-    return [c.meta() for c in carriers]
+    return render_carriers([(c.id, c.band, c.time_slot) for c in carriers])
 
 
 def _screen_point(
@@ -380,14 +381,14 @@ def run_scenario(
     alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
     transcript.log("alice", "send", {
         "channel": "alice->bob", "what": "entangled-halves",
-        "carriers": [{"id": label, "band": proto.BAND_SIGNAL, "slot": i}
-                     for i, label in enumerate(bob_labels)],
+        "carriers": render_carriers([(label, proto.BAND_SIGNAL, i)
+                                     for i, label in enumerate(bob_labels)]),
     })
     package, pad, signer_private = proto.alice_sign(
         spec, keys.signer, streams.sign, registry, alice_labels, forced_pad=forced_pad)
     transcript.log("alice", "measurement", {
         "what": "bell-projection",
-        "probabilities": [list(p) for p in signer_private.outcome_probabilities],
+        "probabilities": render_float_rows(signer_private.outcome_probabilities),
         "outcomes": [o.token for o in package.bell_results],
     })
 

@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import pytest
+import run_matrix
 
 from aqsim import cli
 from aqsim.adversary import ScenarioVariant
@@ -202,7 +203,7 @@ def test_seed_outside_64_bits_is_a_usage_error(seed, capsys):
 
 @pytest.mark.parametrize("error", [
     "aqsim.statevector.NotNormalized", "aqsim.protocol.ProtocolError",
-    "aqsim.adversary.MissingDecoy",
+    "aqsim.adversary.MissingDecoy", "aqsim.qotp.KeyTooShort",
 ])
 def test_main_exit_two_on_internal_error(monkeypatch, capsys, error):
     module, name = error.rsplit(".", 1)
@@ -245,3 +246,27 @@ def test_successful_batch_leaves_only_transcripts(tmp_path, capsys):
     assert cli.main(BASE + ["--out", str(out)], env={}) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         f"honest-n4-seed9-trial{t:04d}.json" for t in range(3)]
+
+
+# --- scripts/run_matrix.py ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "0", "--trials", "1"], "--n: must be >= 1"),
+    (["--trials", "0"], "--trials: must be >= 1"),
+    (["--seed", "-1"], "--seed: must be a non-negative 64-bit integer"),
+    (["--seed", str(2 ** 64)], "--seed: must be a non-negative 64-bit integer"),
+    (["--n", "x"], "argument --n: invalid int value: 'x'"),
+])
+def test_run_matrix_bad_argument_exits_one_in_one_line(argv, message, capsys):
+    assert run_matrix.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"aqsim: error: {message}\n"
+
+
+def test_run_matrix_prints_one_line_per_cell(capsys):
+    assert run_matrix.main(["--n", "1", "--trials", "1", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 7 * 4
+    assert lines[-1] == "overall: PASS"

@@ -32,8 +32,8 @@ def test_corpus_covers_the_grid():
 
 @pytest.mark.parametrize("defenses", DEFENSE_GRID, ids=lambda d: ",".join(d.tokens()) or "none")
 @pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
-def test_transcripts_match_golden(scenario, defenses):
-    got = regen_golden.cell_hashes(scenario, defenses)
+def test_transcripts_match_golden(scenario, defenses, golden_grid):
+    got = regen_golden.run_hashes(golden_grid.runs(scenario, defenses))
     mismatched = sorted(key for key, digest in got.items() if GOLDEN[key] != digest)
     assert not mismatched
 

@@ -1,11 +1,15 @@
-"""The canonical emitter's fast path against the old recursive emitter."""
+"""The canonical emitter's fast path and row renderers against the old recursive emitter."""
 import enum
+import hashlib
+import json
 import sys
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import canonical_oracle
 
@@ -15,7 +19,9 @@ import regen_golden  # noqa: E402
 from run_matrix import DEFENSE_GRID  # noqa: E402
 
 from aqsim import jsonutil  # noqa: E402
-from aqsim.adversary import SCENARIO_TOKENS  # noqa: E402
+from aqsim import protocol as proto  # noqa: E402
+from aqsim.adversary import SCENARIO_TOKENS, Scenario  # noqa: E402
+from aqsim.scenarios import run_scenario  # noqa: E402
 
 
 class Color(str, enum.Enum):
@@ -58,10 +64,126 @@ def test_rejections_match_the_oracle(doc, error):
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
-def test_golden_grid_transcripts_match_the_oracle(scenario):
+def test_golden_grid_transcripts_match_the_oracle(scenario, golden_grid):
     # the n=64 runs add time but no new document shapes
     small = tuple(n for n in regen_golden.NS if n < 64)
     for defenses in DEFENSE_GRID:
-        for key, result in regen_golden.cell_runs(scenario, defenses, small):
+        for key, result in golden_grid.runs(scenario, defenses):
+            if result.message.n not in small:
+                continue
             doc = result.transcript.to_jsonable()
             assert jsonutil.canonical_json(doc) == canonical_oracle.canonical_json(doc), key
+
+
+# --- row renderers ------------------------------------------------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(SPECIAL_FLOATS))
+
+
+def plain_state(labels, row) -> dict:
+    return {"labels": list(labels), "amps": [[float(a.real), float(a.imag)] for a in row]}
+
+
+@given(k=st.sampled_from([1, 2, 3]), m=st.integers(1, 4), data=st.data())
+def test_state_renderers_match_the_oracle(k, m, data):
+    # widths 2, 4 and 8: every group shape the registry holds
+    values = data.draw(st.lists(FLOATS, min_size=m * 2 ** (k + 1), max_size=m * 2 ** (k + 1)))
+    amps = np.array(values).view(np.complex128).reshape(m, 2 ** k)
+    labels = [tuple(f"q{r}_{j}" for j in range(k)) for r in range(m)]
+    plain = [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)]
+    expected = [canonical_oracle.canonical_json(doc) for doc in plain]
+    assert jsonutil.state_texts(labels, amps) == expected
+    docs = jsonutil.render_states(labels, amps)
+    assert docs == plain
+    assert [doc.text for doc in docs] == expected
+    assert jsonutil.canonical_json(docs) == canonical_oracle.canonical_json(plain)
+    assert json.loads(json.dumps(docs)) == json.loads(json.dumps(plain))
+
+
+def test_state_renderers_take_any_label():
+    amps = np.array([[0.6, 0.8j], [1.0, 0.0]])
+    labels = [(0,), ("café \"☃\"",)]
+    plain = [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)]
+    assert jsonutil.state_texts(labels, amps) == [canonical_oracle.canonical_json(doc)
+                                                  for doc in plain]
+
+
+@given(m=st.integers(0, 4), w=st.integers(0, 6), data=st.data())
+def test_float_rows_match_the_oracle(m, w, data):
+    rows = tuple(tuple(data.draw(st.lists(FLOATS, min_size=w, max_size=w))) for _ in range(m))
+    plain = [list(row) for row in rows]
+    rendered = jsonutil.render_float_rows(rows)
+    assert rendered == plain
+    assert rendered.text == canonical_oracle.canonical_json(plain)
+    assert jsonutil.canonical_json({"p": rendered}) == canonical_oracle.canonical_json({"p": plain})
+    assert json.loads(json.dumps(rendered)) == json.loads(json.dumps(plain))
+
+
+@given(st.lists(st.tuples(st.text(), st.text(), st.integers(-2 ** 40, 2 ** 40)), max_size=5))
+def test_carrier_rows_match_the_oracle(rows):
+    plain = [{"id": i, "band": b, "slot": slot} for i, b, slot in rows]
+    rendered = jsonutil.render_carriers(rows)
+    assert rendered == plain
+    assert rendered.text == canonical_oracle.canonical_json(plain)
+    state = {"labels": ["q"], "amps": [[0.6, -0.0], [0.0, 0.8]]}
+    with_states = [dict(doc, state=state) for doc in plain]
+    texts = [canonical_oracle.canonical_json(state)] * len(rows)
+    assert jsonutil.carrier_rows_text(rows, texts) == canonical_oracle.canonical_json(with_states)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("column", [0, 1])
+def test_renderers_reject_non_finite_floats_like_the_oracle(bad, column):
+    row = [0.5, 0.5, 0.5, 0.5]
+    row[column] = bad
+    amps = np.array(row).view(np.complex128).reshape(1, 2)
+    with pytest.raises(ValueError):
+        canonical_oracle.canonical_json(plain_state(("q",), amps[0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        jsonutil.state_texts([("q",)], amps)
+    with pytest.raises(ValueError, match="non-finite"):
+        jsonutil.render_states([("q",)], amps)
+    with pytest.raises(ValueError):
+        canonical_oracle.canonical_json([row])
+    with pytest.raises(ValueError, match="non-finite"):
+        jsonutil.render_float_rows([tuple(row)])
+
+
+def _oracle_digest(payload, registry) -> str:
+    """The payload digest as it was first defined: sha256 of the plain-dict doc."""
+    doc = [{"id": c.id, "band": c.band, "slot": c.time_slot,
+            "state": registry.state_of(c.payload).to_jsonable()}
+           for c in payload.all_carriers()]
+    return hashlib.sha256(canonical_oracle.canonical_json(doc).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
+def test_payload_digests_match_the_oracle(scenario, monkeypatch):
+    digest, forward = proto.CipherPayload.digest, proto.bob_forward
+    mismatched, widths = [], set()
+
+    def checked_digest(payload, registry):
+        got = digest(payload, registry)
+        if got != _oracle_digest(payload, registry):
+            mismatched.append(payload)
+        widths.update(len(registry.state_of(c.payload).labels) for c in payload.all_carriers())
+        return got
+
+    def forward_and_digest(package, key, registry):
+        # bob's outgoing payload still carries the Trojan probes, which sit
+        # in two-qubit decoy pairs; the attacker pulls them before trent
+        payload = forward(package, key, registry)
+        payload.digest(registry)
+        return payload
+
+    monkeypatch.setattr(proto.CipherPayload, "digest", checked_digest)
+    monkeypatch.setattr(proto, "bob_forward", forward_and_digest)
+    # undefended: screening would stop the probes before bob forwards them
+    for n in (n for n in regen_golden.NS if n < 64):
+        for seed in regen_golden.SEEDS:
+            for trial in regen_golden.TRIALS:
+                run_scenario(Scenario.from_token(scenario), n, seed, trial)
+    assert not mismatched
+    assert widths == ({1, 2} if scenario in ("ipe", "delay-photon") else {1})

@@ -29,9 +29,9 @@ KEY_FIELDS = {"role", "len", "hex"}
 LEAK_SCAN_N = 64  # at small n, 2n-bit keys match other hex by chance
 
 
-def _grid(scenario):
+def _grid(golden_grid, scenario):
     for defenses in DEFENSE_GRID:
-        yield from regen_golden.cell_runs(scenario, defenses)
+        yield from golden_grid.runs(scenario, defenses)
 
 
 def _key_objects(node, path=()):
@@ -113,9 +113,9 @@ def _check_leakage(key, result, doc, data):
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
-def test_golden_grid_transcripts_follow_the_schema_and_leak_no_keys(scenario):
+def test_golden_grid_transcripts_follow_the_schema_and_leak_no_keys(scenario, golden_grid):
     scanned = 0
-    for key, result in _grid(scenario):
+    for key, result in _grid(golden_grid, scenario):
         data = result.transcript_bytes()
         doc = json.loads(data)
         _check_schema(key, doc, data)
@@ -124,9 +124,9 @@ def test_golden_grid_transcripts_follow_the_schema_and_leak_no_keys(scenario):
     assert scanned == len(DEFENSE_GRID) * len(regen_golden.SEEDS) * len(regen_golden.TRIALS)
 
 
-def test_extracted_bits_are_the_verifiers_first_2n_key_bits():
+def test_extracted_bits_are_the_verifiers_first_2n_key_bits(golden_grid):
     # the one documented exception to "no key bits in transcripts"
-    key, result = next((k, r) for k, r in _grid("ipe") if r.extraction_bits is not None
+    key, result = next((k, r) for k, r in _grid(golden_grid, "ipe") if r.extraction_bits is not None
                        and r.message.n == LEAK_SCAN_N)
     doc = json.loads(result.transcript_bytes())
     (path, obj), = [(p, o) for p, o in _key_objects(doc) if o["role"] == "extracted"]
