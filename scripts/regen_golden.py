@@ -18,16 +18,12 @@ import hashlib
 import io
 import itertools
 import json
-import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from run_matrix import DEFENSE_GRID  # noqa: E402
-
-from aqsim import cli  # noqa: E402
-from aqsim.adversary import SCENARIO_TOKENS, Scenario  # noqa: E402
-from aqsim.scenarios import run_scenario  # noqa: E402
+from aqsim import cli
+from aqsim.adversary import SCENARIO_TOKENS, Scenario
+from aqsim.defense import DEFENSE_GRID
+from aqsim.scenarios import run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "transcripts.json"

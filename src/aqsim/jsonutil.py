@@ -54,8 +54,9 @@ def _emit(obj, out: list[str]) -> None:
     """Append the canonical tokens of ``obj`` to ``out``.
 
     The exact built-in types the documents are made of dispatch on
-    ``type(obj)``; anything else (numpy scalars, bool/int/str subclasses,
-    tuples) takes ``_emit_other``. Both give the same bytes for a value.
+    ``type(obj)`` first; anything else (numpy scalars, bool/int/str
+    subclasses, tuples, list and dict subclasses) falls through to the
+    ``isinstance`` checks at the end, which give the same bytes for a value.
     """
     kind = type(obj)
     if kind is str:
@@ -104,24 +105,14 @@ def _emit(obj, out: list[str]) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    else:
-        _emit_other(obj, out)
-
-
-def _emit_other(obj, out: list[str]) -> None:
-    if isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_float_token(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+        _emit(list(obj), out)
     elif isinstance(obj, dict):
         _emit(dict(obj), out)
     else:

@@ -159,33 +159,17 @@ class Carrier:
         return {"id": self.id, "band": self.band, "slot": self.time_slot}
 
 
+@dataclass(eq=False, slots=True)
 class _Family:
     """m groups of k qubits each, stored as one (m, 2**k) amplitude array.
 
     Row r is the group over ``labels[r]``; axis j of that group is qubit
     ``labels[r][j]``. Rows are only ever written through the batched
-    kernels, which check every row they produce.
+    kernels, which check every row they produce. Families hash by identity.
     """
 
-    __slots__ = ("amps", "labels", "views")
-
-    def __init__(self, amps: np.ndarray, labels: list):
-        self.amps = amps
-        self.labels = labels
-        self.views: dict = {}  # row -> PureState, dropped when the row is written
-
-    def view(self, row: int) -> PureState:
-        state = self.views.get(row)
-        if state is None:
-            state = sv.states_from_rows([self.labels[row]], self.amps[row:row + 1])[0]
-            self.views[row] = state
-        return state
-
-    def write(self, rows: np.ndarray, amps: np.ndarray) -> None:
-        self.amps[rows] = amps
-        if self.views:
-            for row in rows.tolist():
-                self.views.pop(row, None)
+    amps: np.ndarray
+    labels: list
 
 
 class QuantumRegistry:
@@ -194,34 +178,32 @@ class QuantumRegistry:
     The protocol factors by time slot: slot i holds p_i and sa_i, the
     teleport group t_i (x) (a_i, b_i) and, under the Trojan attacks, a decoy
     pair. So groups of one shape live together in a family (one stacked
-    amplitude array, see ``_Family``), and a label maps to (family, row,
-    axis). Every operation takes a list of labels and runs one kernel of
-    ``statevector`` per family it touches; the single-label methods are the
-    one-row case of the same calls. A Bell measurement merges the two groups
+    amplitude array, see ``_Family``); that and a map from label to (family,
+    row, axis) is all it keeps. Every operation walks its labels once into
+    (family, axis) buckets and runs one ``statevector`` kernel per bucket;
+    reads make their values afresh from the rows. The single-label methods
+    are the one-row case. A Bell measurement merges the two groups
     involved, then drops the measured labels.
     """
 
     def __init__(self):
         self._where: dict = {}  # label -> (family, row, axis)
 
-    def _locate(self, label) -> tuple:
-        try:
-            return self._where[label]
-        except KeyError:
-            raise UnknownLabel(f"label {label!r} not in registry") from None
-
     def _buckets(self, labels) -> list:
         """Positions of ``labels`` grouped by the (family, axis) holding them:
-        a list of (family, axis, positions, rows array)."""
+        a list of (family, axis, positions, rows), in first-seen order."""
         buckets: dict = {}
         for pos, label in enumerate(labels):
-            family, row, axis = self._locate(label)
-            bucket = buckets.get((id(family), axis))
+            try:
+                family, row, axis = self._where[label]
+            except KeyError:
+                raise UnknownLabel(f"label {label!r} not in registry") from None
+            bucket = buckets.get((family, axis))
             if bucket is None:
-                bucket = buckets[(id(family), axis)] = (family, axis, [], [])
+                bucket = buckets[family, axis] = (family, axis, [], [])
             bucket[2].append(pos)
             bucket[3].append(row)
-        return [(f, a, pos, np.array(rows)) for f, a, pos, rows in buckets.values()]
+        return list(buckets.values())
 
     def add_rows(self, labels, amps: np.ndarray) -> None:
         """Register one new family: ``labels[r]`` names the qubits of ``amps[r]``."""
@@ -234,8 +216,7 @@ class QuantumRegistry:
                 raise sv.DuplicateLabel(f"duplicate qubit labels in {row}")
             if 2 ** len(row) != amps.shape[1]:
                 raise sv.StateError(
-                    f"amplitude count {amps.shape[1]} does not match {len(row)} qubit(s)"
-                )
+                    f"amplitude count {amps.shape[1]} does not match {len(row)} qubit(s)")
         family = _Family(sv.check_rows(amps), labels)
         new: dict = {}
         for r, row in enumerate(labels):
@@ -248,41 +229,41 @@ class QuantumRegistry:
     def add(self, state: PureState) -> None:
         self.add_rows([state.labels], state.amps[None, :])
 
+    def _gather(self, labels: Sequence, read):
+        """``read(row labels, amps)`` over each bucket of ``labels``; item i of
+        the result is read off the group of ``labels[i]``. A bucket that holds
+        every label (the usual case) returns ``read``'s result as it is."""
+        out: list = [None] * len(labels)
+        for family, _, positions, rows in self._buckets(labels):
+            items = read([family.labels[row] for row in rows], family.amps[rows])
+            if len(positions) == len(labels):
+                return items
+            for pos, item in zip(positions, items):
+                out[pos] = item
+        return out
+
     def state_of(self, label) -> PureState:
-        family, row, _ = self._locate(label)
-        return family.view(row)
+        return self.sequence([label])[0]
 
     def sequence(self, labels: Sequence) -> tuple[PureState, ...]:
-        return tuple(self.state_of(label) for label in labels)
+        """The state of each label's group, in label order."""
+        return tuple(self._gather(labels, sv.states_from_rows))
 
     def amps_of(self, labels: Sequence) -> np.ndarray:
         """The amplitudes of each label's group, stacked in label order."""
-        buckets = self._buckets(labels)
-        widths = {family.amps.shape[1] for family, _, _, _ in buckets}
-        if len(widths) > 1:
-            raise sv.LabelMismatch(f"labels {list(labels)} sit in groups of different sizes")
-        out = np.empty((len(labels), widths.pop() if widths else 2), dtype=np.complex128)
-        for family, _, positions, rows in buckets:
-            out[positions] = family.amps[rows]
-        return out
-
-    def _render_states(self, labels: Sequence, render) -> list:
-        """``render(row labels, amps)`` over each family bucket, in label order."""
-        out: list = [None] * len(labels)
-        for family, _, positions, rows in self._buckets(labels):
-            rendered = render([family.labels[row] for row in rows.tolist()], family.amps[rows])
-            for pos, doc in zip(positions, rendered):
-                out[pos] = doc
-        return out
+        try:
+            amps = np.asarray(self._gather(labels, lambda _, amps: amps), dtype=np.complex128)
+        except ValueError:  # rows of different widths do not stack
+            raise sv.LabelMismatch(f"labels {list(labels)} sit in groups of different sizes") from None
+        return amps if len(labels) else np.empty((0, 2), dtype=np.complex128)
 
     def jsonable_states(self, labels: Sequence) -> list[dict]:
-        """``state_of(label).to_jsonable()`` for each label, read off the
-        families as pre-rendered state docs."""
-        return self._render_states(labels, jsonutil.render_states)
+        """``state_of(label).to_jsonable()`` for each label, as pre-rendered state docs."""
+        return self._gather(labels, jsonutil.render_states)
 
     def state_texts(self, labels: Sequence) -> list[str]:
         """The canonical text of ``state_of(label).to_jsonable()`` for each label."""
-        return self._render_states(labels, jsonutil.state_texts)
+        return self._gather(labels, jsonutil.state_texts)
 
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
         """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
@@ -291,40 +272,31 @@ class QuantumRegistry:
             for label, xi, zi in zip(labels, x, z):
                 self.apply_paulis([label], [xi], [zi], inverse)
             return
-        x = np.asarray(x)
-        z = np.asarray(z)
+        x, z = np.asarray(x), np.asarray(z)
         for family, axis, positions, rows in self._buckets(labels):
-            family.write(rows, sv.pauli_rows(family.amps[rows], axis, x[positions],
-                                             z[positions], inverse))
+            family.amps[rows] = sv.pauli_rows(family.amps[rows], axis, x[positions],
+                                              z[positions], inverse)
 
     def apply_pauli(self, label, p: PauliBits) -> None:
         self.apply_paulis([label], [p.x], [p.z])
 
     def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple | None:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
-        (amps, axis1, axis2, row labels).
-
-        None unless every pair has one shape (the same families and axes) and
-        no two pairs touch one group; callers then take one pair at a time.
-        """
+        (amps, axis1, axis2, row labels). None unless every pair has one shape
+        (the same families and axes) and no two pairs touch one group; callers
+        then take one pair at a time."""
         if len(labels1) != len(labels2):
             raise ValueError("pairs must align")
         if any(l1 == l2 for l1, l2 in zip(labels1, labels2)):
             raise sv.DuplicateLabel("bell measurement needs two distinct labels")
         if not labels1:
             return None
-        first = [self._locate(label) for label in labels1]
-        second = [self._locate(label) for label in labels2]
-        (f1, _, x1), (f2, _, x2) = first[0], second[0]
-        if any(f is not f1 or x != x1 for f, _, x in first) or \
-                any(f is not f2 or x != x2 for f, _, x in second):
+        first, second = self._buckets(labels1), self._buckets(labels2)
+        if len(first) != 1 or len(second) != 1:
             return None
-        rows1 = [r for _, r, _ in first]
-        rows2 = [r for _, r, _ in second]
+        (f1, x1, _, rows1), (f2, x2, _, rows2) = first[0], second[0]
         one_group = f1 is f2 and rows1 == rows2
-        touched = [(id(f1), r) for r in rows1]
-        if not one_group:
-            touched += [(id(f2), r) for r in rows2]
+        touched = [(f1, r) for r in rows1] + ([] if one_group else [(f2, r) for r in rows2])
         if len(set(touched)) != len(touched):
             return None
         if one_group:

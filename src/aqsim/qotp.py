@@ -109,10 +109,7 @@ def key_paulis(key: KeyBits, indices) -> tuple[np.ndarray, np.ndarray]:
 
 def mask_rows(amps: np.ndarray, key: KeyBits, inverse: bool = False) -> np.ndarray:
     """``encrypt`` (or, with ``inverse``, ``decrypt``) over an (n, 2) stack of qubits."""
-    n = amps.shape[0]
-    if len(key.bits) < 2 * n:
-        raise KeyTooShort(f"{n} qubits need {2 * n} key bits, have {len(key.bits)}")
-    x, z = key_paulis(key, np.arange(n))
+    x, z = key_paulis(key, np.arange(amps.shape[0]))  # raises KeyTooShort
     return sv.pauli_rows(amps, 0, x, z, inverse=inverse)
 
 

@@ -1,18 +1,12 @@
-"""Shared test setup: ``scripts/`` is put on ``sys.path`` for the tests that
-import ``regen_golden`` or ``run_matrix``.
+"""Shared test setup.
 
 ``golden_grid`` runs each scenario x defense cell of the golden grid at most
 once per test session; ``test_golden``, ``test_jsonutil`` and
 ``test_transcripts`` all read the same runs.
 """
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-import regen_golden  # noqa: E402
+import regen_golden
 
 
 class GoldenGrid:

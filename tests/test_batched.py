@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from aqsim import statevector as sv
+from aqsim.jsonutil import canonical_json
 from aqsim.protocol import QuantumRegistry
 from aqsim.statevector import BELL_ORDER, BellOutcome, PauliBits, PureState
 
@@ -308,12 +309,58 @@ def test_registry_views_follow_writes():
     registry = QuantumRegistry()
     registry.add(sv.make_bell_pair("a", "b"))
     before = registry.state_of("a")
-    assert before is registry.state_of("b")
+    assert before.labels == registry.state_of("b").labels == ("a", "b")
     registry.apply_pauli("b", PauliBits(1, 0))
     after = registry.state_of("a")
     assert after is not before
     np.testing.assert_array_equal(before.amps, sv.BELL_PAIR_AMPS)
     np.testing.assert_allclose(after.amps, oracles.BELL_VECS["psi-plus"], atol=1e-15)
+
+
+@given(st.data())
+def test_registry_reads_of_interleaved_labels_equal_per_label_reads(data):
+    # like the delay-photon payload, which interleaves p_i with the probe
+    # halves d1_i: labels from two or three families and axes, in any order
+    n = data.draw(st.integers(1, 4))
+    families = {
+        "p": ([(f"p{i}",) for i in range(n)], data.draw(stacks(1, 1, rows=n))),
+        "d": ([(f"d1_{i}", f"d2_{i}") for i in range(n)], data.draw(stacks(2, 2, rows=n))),
+        "q": ([(f"q{i}",) for i in range(n)], data.draw(stacks(1, 1, rows=n))),
+    }
+    kept = data.draw(st.sampled_from([("p", "d"), ("p", "q"), ("p", "d", "q")]))
+    registry = QuantumRegistry()
+    group_of = {}  # label -> (group labels, amps), straight from the inputs
+    for name in kept:
+        rows, amps = families[name]
+        registry.add_rows(rows, amps)
+        group_of.update({label: (row, amps[r]) for r, row in enumerate(rows) for label in row})
+    labels = data.draw(st.lists(st.sampled_from(sorted(group_of)), min_size=1, max_size=12))
+
+    singles = [registry.state_of(label) for label in labels]
+    for state, label in zip(singles, labels):
+        assert state.labels == group_of[label][0]
+        assert same_bits(state.amps, group_of[label][1])
+    states = registry.sequence(labels)
+    assert [s.labels for s in states] == [s.labels for s in singles]
+    assert all(same_bits(s.amps, one.amps) for s, one in zip(states, singles))
+    if len({len(s.amps) for s in singles}) == 1:
+        assert same_bits(registry.amps_of(labels), np.array([s.amps for s in singles]))
+    else:
+        with pytest.raises(sv.LabelMismatch):
+            registry.amps_of(labels)
+    texts = registry.state_texts(labels)
+    assert texts == [registry.state_texts([label])[0] for label in labels]
+    assert texts == [canonical_json(s.to_jsonable()) for s in singles]
+    docs = registry.jsonable_states(labels)
+    assert docs == [s.to_jsonable() for s in singles]
+    assert [doc.text for doc in docs] == texts
+
+    bad = list(labels)
+    bad.insert(data.draw(st.integers(0, len(labels))), "nowhere")
+    for read in (registry.sequence, registry.amps_of, registry.state_texts,
+                 registry.jsonable_states):
+        with pytest.raises(sv.UnknownLabel):
+            read(bad)
 
 
 def test_registry_rejects_label_collisions():

@@ -5,17 +5,12 @@ scripts/regen_golden.py. A refactor or speedup must leave every one of them
 unchanged.
 """
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-import regen_golden  # noqa: E402
-from run_matrix import DEFENSE_GRID  # noqa: E402
-
-from aqsim.adversary import SCENARIO_TOKENS  # noqa: E402
+import regen_golden
+from aqsim.adversary import SCENARIO_TOKENS
+from aqsim.defense import DEFENSE_GRID
 
 GOLDEN = json.loads(regen_golden.GOLDEN_PATH.read_text())
 

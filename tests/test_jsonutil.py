@@ -2,9 +2,7 @@
 import enum
 import hashlib
 import json
-import sys
 from collections import OrderedDict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import canonical_oracle
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-import regen_golden  # noqa: E402
-from run_matrix import DEFENSE_GRID  # noqa: E402
-
-from aqsim import jsonutil  # noqa: E402
-from aqsim import protocol as proto  # noqa: E402
-from aqsim.adversary import SCENARIO_TOKENS, Scenario  # noqa: E402
-from aqsim.scenarios import run_scenario  # noqa: E402
+import regen_golden
+from aqsim import jsonutil
+from aqsim import protocol as proto
+from aqsim.adversary import SCENARIO_TOKENS, Scenario
+from aqsim.defense import DEFENSE_GRID
+from aqsim.scenarios import run_scenario
 
 
 class Color(str, enum.Enum):

@@ -139,7 +139,7 @@ def test_distribute_bell_pairs_single():
     alice_labels, bob_labels = proto.distribute_bell_pairs(1, registry)
     assert alice_labels == ("a1",) and bob_labels == ("b1",)
     group = registry.state_of("a1")
-    assert group is registry.state_of("b1")
+    assert group.labels == registry.state_of("b1").labels == ("a1", "b1")
     np.testing.assert_allclose(group.amps, oracles.BELL_VECS["phi-plus"])
 
 

@@ -5,17 +5,12 @@ material in them is what the README allows (the published pad and the
 ``extracted`` bits of a Trojan-horse extraction).
 """
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-import regen_golden  # noqa: E402
-from run_matrix import DEFENSE_GRID  # noqa: E402
-
-from aqsim.adversary import SCENARIO_TOKENS  # noqa: E402
+import regen_golden
+from aqsim.adversary import SCENARIO_TOKENS
+from aqsim.defense import DEFENSE_GRID
 
 TOP_FIELDS = ["config", "events", "board", "verdict", "checks"]
 CONFIG_FIELDS = ["scenario", "n", "seed", "defenses"]
