@@ -216,7 +216,8 @@ class QuantumRegistry:
                 raise sv.DuplicateLabel(f"duplicate qubit labels in {row}")
             if 2 ** len(row) != amps.shape[1]:
                 raise sv.StateError(
-                    f"amplitude count {amps.shape[1]} does not match {len(row)} qubit(s)")
+                    f"amplitude count {amps.shape[1]} does not match {len(row)} qubit(s)"
+                )
         family = _Family(sv.check_rows(amps), labels)
         new: dict = {}
         for r, row in enumerate(labels):
@@ -230,9 +231,8 @@ class QuantumRegistry:
         self.add_rows([state.labels], state.amps[None, :])
 
     def _gather(self, labels: Sequence, read):
-        """``read(row labels, amps)`` over each bucket of ``labels``; item i of
-        the result is read off the group of ``labels[i]``. A bucket that holds
-        every label (the usual case) returns ``read``'s result as it is."""
+        """Item i read off the group of ``labels[i]``, by one ``read(row labels, amps)``
+        per bucket; a bucket that holds every label returns ``read``'s result as is."""
         out: list = [None] * len(labels)
         for family, _, positions, rows in self._buckets(labels):
             items = read([family.labels[row] for row in rows], family.amps[rows])
@@ -251,8 +251,9 @@ class QuantumRegistry:
 
     def amps_of(self, labels: Sequence) -> np.ndarray:
         """The amplitudes of each label's group, stacked in label order."""
+        rows = self._gather(labels, lambda _, amps: amps)
         try:
-            amps = np.asarray(self._gather(labels, lambda _, amps: amps), dtype=np.complex128)
+            amps = np.asarray(rows, dtype=np.complex128)
         except ValueError:  # rows of different widths do not stack
             raise sv.LabelMismatch(f"labels {list(labels)} sit in groups of different sizes") from None
         return amps if len(labels) else np.empty((0, 2), dtype=np.complex128)
@@ -272,7 +273,8 @@ class QuantumRegistry:
             for label, xi, zi in zip(labels, x, z):
                 self.apply_paulis([label], [xi], [zi], inverse)
             return
-        x, z = np.asarray(x), np.asarray(z)
+        x = np.asarray(x)
+        z = np.asarray(z)
         for family, axis, positions, rows in self._buckets(labels):
             family.amps[rows] = sv.pauli_rows(family.amps[rows], axis, x[positions],
                                               z[positions], inverse)
