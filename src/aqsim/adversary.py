@@ -252,6 +252,6 @@ def ipe_extract(
     for probe, _ in decoys.pairs:
         if probe not in have:
             raise MissingDecoy(f"probe {probe!r} never came back (filtered upstream?)")
-    outcomes = registry.bell_measure_many(
+    outcomes, _ = registry.bell_measure_many(
         [probe for probe, _ in decoys.pairs], [keeper for _, keeper in decoys.pairs], rng)
     return tuple(bit for outcome in outcomes for bit in (outcome.x, outcome.z))

@@ -8,10 +8,10 @@ width unpinned, so floats are emitted here with 17 significant digits
 
 The documents are mostly long runs of same-shaped rows (state snapshots,
 carrier metadata, probability rows). The row renderers below format a
-whole run of rows at once, from one array, where the rows are made, and
-return a pre-rendered container (``RenderedDict``/``RenderedList``) that
-carries its canonical text; ``_emit`` appends that text verbatim. The
-generic ``_emit`` walk stays the reference they are tested against.
+whole run of rows at once, from one array, where the rows are made. What
+they return is text only: a ``Rendered`` holds the canonical text and no
+copy of the value, and ``_emit`` appends that text verbatim. The generic
+``_emit`` walk stays the reference they are tested against.
 """
 from __future__ import annotations
 
@@ -25,21 +25,17 @@ import numpy as np
 _NON_FINITE = "non-finite float in canonical document"
 
 
-class RenderedDict(dict):
-    """A dict that carries its own canonical text in ``text``.
+class Rendered:
+    """A document, or a run of rows, held only as its canonical text.
 
-    It compares equal to, and ``json.dumps`` reads it as, the plain dict.
-    The text is fixed when the row is rendered, so the dict must never be
-    mutated afterwards.
+    ``canonical_json`` embeds ``text`` verbatim. It is not a ``str``, so
+    ``json.dumps`` rejects it instead of quoting the text as a string.
     """
 
     __slots__ = ("text",)
 
-
-class RenderedList(list):
-    """The list counterpart of ``RenderedDict``."""
-
-    __slots__ = ("text",)
+    def __init__(self, text: str):
+        self.text = text
 
 
 def _float_token(x: float) -> str:
@@ -95,7 +91,7 @@ def _emit(obj, out: list[str]) -> None:
                 _emit(item, out)
             sep = ","
         out.append("]")
-    elif kind is RenderedDict or kind is RenderedList:
+    elif kind is Rendered:
         out.append(obj.text)
     elif kind is int:
         out.append(int.__repr__(obj))
@@ -120,11 +116,6 @@ def _emit(obj, out: list[str]) -> None:
 
 
 # --- row renderers ----------------------------------------------------------
-
-
-def _rendered(container, text: str):
-    container.text = text
-    return container
 
 
 def _float_stack(values) -> np.ndarray:
@@ -153,36 +144,24 @@ def _labels_text(labels) -> str:
         return canonical_json(list(labels))
 
 
-def _state_stack(amps) -> np.ndarray:
-    """The (m, 2w) float view of an (m, w) complex stack: (re, im) per amplitude."""
-    return np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
-
-
 def state_texts(labels, amps) -> list[str]:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
     each row of an (m, 2**k) complex stack; ``labels[r]`` names row r's qubits."""
-    stack = _float_stack(_state_stack(amps))
+    # the (m, 2w) float view of the (m, w) stack: (re, im) per amplitude
+    stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
     template = _state_template(stack.shape[1] // 2)
     return [template % (_labels_text(row), *values)
             for row, values in zip(labels, stack.tolist(), strict=True)]
 
 
-def render_states(labels, amps) -> list[RenderedDict]:
-    """``state_texts`` as pre-rendered state docs, one per row."""
-    texts = state_texts(labels, amps)
-    pairs = _state_stack(amps).reshape(len(texts), -1, 2).tolist()
-    return [_rendered(RenderedDict(labels=list(row), amps=row_amps), text)
-            for row, row_amps, text in zip(labels, pairs, texts)]
-
-
-def render_float_rows(rows) -> RenderedList:
-    """Pre-rendered ``[[x, ...], ...]`` of equal-length rows of floats."""
+def render_float_rows(rows) -> Rendered:
+    """Rendered ``[[x, ...], ...]`` of equal-length rows of floats."""
     if not len(rows):
-        return _rendered(RenderedList(), "[]")
+        return Rendered("[]")
     stack = _float_stack(rows)
     template = _floats_template(stack.shape[1])
     text = "[" + ",".join([template % tuple(row) for row in stack.tolist()]) + "]"
-    return _rendered(RenderedList([list(row) for row in rows]), text)
+    return Rendered(text)
 
 
 def carrier_rows_text(rows, states=None) -> str:
@@ -200,11 +179,9 @@ def carrier_rows_text(rows, states=None) -> str:
     return "[" + ",".join(items) + "]"
 
 
-def render_carriers(rows) -> RenderedList:
-    """Pre-rendered ``[{"id", "band", "slot"}, ...]`` from rows of (id, band, slot)."""
-    rows = list(rows)
-    return _rendered(RenderedList([{"id": i, "band": b, "slot": slot} for i, b, slot in rows]),
-                     carrier_rows_text(rows))
+def render_carriers(rows) -> Rendered:
+    """Rendered ``[{"id", "band", "slot"}, ...]`` from rows of (id, band, slot)."""
+    return Rendered(carrier_rows_text(rows))
 
 
 def canonical_json(obj) -> str:

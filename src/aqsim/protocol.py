@@ -101,10 +101,6 @@ class MessageSpec:
         amps.flags.writeable = False
         return amps
 
-    def qubits(self, prefix: str) -> tuple[PureState, ...]:
-        """One fresh copy of the message, labeled ``prefix1 .. prefixN``."""
-        return sv.states_from_rows([(f"{prefix}{i + 1}",) for i in range(self.n)], self.amps)
-
     def qubit(self, i: int, label) -> PureState:
         return sv.states_from_rows([(label,)], self.amps[i:i + 1])[0]
 
@@ -181,9 +177,12 @@ class QuantumRegistry:
     amplitude array, see ``_Family``); that and a map from label to (family,
     row, axis) is all it keeps. Every operation walks its labels once into
     (family, axis) buckets and runs one ``statevector`` kernel per bucket;
-    reads make their values afresh from the rows. The single-label methods
-    are the one-row case. A Bell measurement merges the two groups
-    involved, then drops the measured labels.
+    reads make their values afresh from the rows. A Bell measurement merges
+    the two groups involved, then drops the measured labels.
+
+    The batched writes take uniform streams, one carrier per time slot. Any
+    other input raises before anything changes; mixed inputs go through the
+    single-label calls (the one-row case), one at a time.
     """
 
     def __init__(self):
@@ -258,10 +257,6 @@ class QuantumRegistry:
             raise sv.LabelMismatch(f"labels {list(labels)} sit in groups of different sizes") from None
         return amps if len(labels) else np.empty((0, 2), dtype=np.complex128)
 
-    def jsonable_states(self, labels: Sequence) -> list[dict]:
-        """``state_of(label).to_jsonable()`` for each label, as pre-rendered state docs."""
-        return self._gather(labels, jsonutil.render_states)
-
     def state_texts(self, labels: Sequence) -> list[str]:
         """The canonical text of ``state_of(label).to_jsonable()`` for each label."""
         return self._gather(labels, jsonutil.state_texts)
@@ -269,10 +264,8 @@ class QuantumRegistry:
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
         """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
         ``inverse`` undoes that exactly (sigma_x first, then sigma_z)."""
-        if len(set(labels)) != len(labels):  # repeats act in turn
-            for label, xi, zi in zip(labels, x, z):
-                self.apply_paulis([label], [xi], [zi], inverse)
-            return
+        if len(set(labels)) != len(labels):
+            raise sv.DuplicateLabel("apply_paulis takes each label once")
         x = np.asarray(x)
         z = np.asarray(z)
         for family, axis, positions, rows in self._buckets(labels):
@@ -282,42 +275,25 @@ class QuantumRegistry:
     def apply_pauli(self, label, p: PauliBits) -> None:
         self.apply_paulis([label], [p.x], [p.z])
 
-    def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple | None:
+    def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
-        (amps, axis1, axis2, row labels). None unless every pair has one shape
-        (the same families and axes) and no two pairs touch one group; callers
-        then take one pair at a time."""
-        if len(labels1) != len(labels2):
-            raise ValueError("pairs must align")
+        (amps, axis1, axis2, row labels). Raises ``LabelMismatch`` unless each
+        side sits at one (family, axis) and no two pairs touch one group."""
         if any(l1 == l2 for l1, l2 in zip(labels1, labels2)):
             raise sv.DuplicateLabel("bell measurement needs two distinct labels")
-        if not labels1:
-            return None
         first, second = self._buckets(labels1), self._buckets(labels2)
         if len(first) != 1 or len(second) != 1:
-            return None
+            raise sv.LabelMismatch("a side of a batched Bell call spans two families or axes")
         (f1, x1, _, rows1), (f2, x2, _, rows2) = first[0], second[0]
         one_group = f1 is f2 and rows1 == rows2
         touched = [(f1, r) for r in rows1] + ([] if one_group else [(f2, r) for r in rows2])
         if len(set(touched)) != len(touched):
-            return None
+            raise sv.LabelMismatch("two pairs of a batched Bell call touch one group")
         if one_group:
             return f1.amps[rows1], x1, x2, [f1.labels[r] for r in rows1]
         return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1,
                 len(f1.labels[rows1[0]]) + x2,
                 [f1.labels[a] + f2.labels[b] for a, b in zip(rows1, rows2)])
-
-    def bell_probabilities_many(self, labels1: Sequence, labels2: Sequence) -> np.ndarray:
-        """(m, 4) Bell-branch probabilities of each pair, BELL_ORDER columns."""
-        merged = self._merged(labels1, labels2)
-        if merged is None:
-            return np.array([self.bell_probabilities_many([a], [b])[0]
-                             for a, b in zip(labels1, labels2)]).reshape(-1, 4)
-        amps, axis1, axis2, _ = merged
-        return sv.bell_probabilities_rows(sv.bell_components_rows(amps, axis1, axis2))
-
-    def bell_probabilities(self, label1, label2) -> tuple[float, float, float, float]:
-        return tuple(self.bell_probabilities_many([label1], [label2])[0].tolist())
 
     def bell_measure_many(
         self,
@@ -325,20 +301,19 @@ class QuantumRegistry:
         labels2: Sequence,
         rng: np.random.Generator,
         forced: Sequence[BellOutcome | None] | None = None,
-    ) -> list[BellOutcome]:
-        """Bell-measure each pair (labels1[i], labels2[i]).
+    ) -> tuple[list[BellOutcome], np.ndarray]:
+        """Bell-measure each pair (labels1[i], labels2[i]): the outcomes, and
+        the (m, 4) branch probabilities (BELL_ORDER columns) they were drawn from.
 
         Unforced pairs draw one uniform each, in pair order, from a single
         ``rng.random(k)`` call: the same doubles as k ``bell_measure`` calls.
         """
         forced = list(forced) if forced is not None else [None] * len(labels1)
-        if len(forced) != len(labels1):
-            raise ValueError("forced outcomes must align with the pairs")
-        merged = self._merged(labels1, labels2)
-        if merged is None:
-            return [self.bell_measure_many([a], [b], rng, [f])[0]
-                    for a, b, f in zip(labels1, labels2, forced)]
-        amps, axis1, axis2, row_labels = merged
+        if not len(labels1) == len(labels2) == len(forced):
+            raise ValueError("pairs and forced outcomes must align")
+        if not labels1:
+            return [], np.empty((0, 4))
+        amps, axis1, axis2, row_labels = self._merged(labels1, labels2)
         comp = sv.bell_components_rows(amps, axis1, axis2)
         probs = sv.bell_probabilities_rows(comp)
         free = [i for i, f in enumerate(forced) if f is None]
@@ -360,12 +335,12 @@ class QuantumRegistry:
                 for row in row_labels]
         if kept[0]:
             self.add_rows(kept, residual)
-        return [sv.BELL_ORDER[r] for r in rows.tolist()]
+        return [sv.BELL_ORDER[r] for r in rows.tolist()], probs
 
     def bell_measure(
         self, label1, label2, rng: np.random.Generator, forced: BellOutcome | None = None
     ) -> BellOutcome:
-        return self.bell_measure_many([label1], [label2], rng, [forced])[0]
+        return self.bell_measure_many([label1], [label2], rng, [forced])[0][0]
 
     def equal_up_to_phase_many(self, labels1: Sequence, labels2: Sequence) -> list[bool]:
         """Phase-insensitive equality of single-qubit states held under
@@ -578,8 +553,9 @@ def alice_sign(
     Three copies of the message are prepared from the classical spec: one is
     pad-masked and shipped, one is pad-masked then bound under the signer
     key, and one is pad-masked and consumed by Bell measurements against the
-    signer's halves of the shared pairs. Each measurement's four analytic
-    branch probabilities are checked to be exactly 1/4 before sampling.
+    signer's halves of the shared pairs. The four analytic branch
+    probabilities each measurement drew from must be 1/4 within
+    ``UNIFORM_LAW_TOL``; otherwise no package is made.
     """
     n = spec.n
     if len(alice_labels) != n:
@@ -597,7 +573,8 @@ def alice_sign(
     registry.add_rows([(f"sa{i + 1}",) for i in range(n)], signature)
     registry.add_rows([(label,) for label in teleport_labels], masked)
 
-    probs = registry.bell_probabilities_many(teleport_labels, alice_labels)
+    outcomes, probs = registry.bell_measure_many(teleport_labels, alice_labels, rng,
+                                                 forced_outcomes)
     devs = np.max(np.abs(probs - 0.25), axis=1)
     bad = np.flatnonzero(devs > UNIFORM_LAW_TOL)
     if bad.size:
@@ -607,7 +584,6 @@ def alice_sign(
         )
     max_dev = max(0.0, float(devs.max()))
     all_probs = [tuple(p) for p in probs.tolist()]
-    outcomes = registry.bell_measure_many(teleport_labels, alice_labels, rng, forced_outcomes)
 
     # One channel message, one slot sequence: masked slots 0..n-1, then
     # signature slots n..2n-1. Key bits are consumed positionally by slot.
@@ -680,8 +656,9 @@ def trent_verify(
     _mask_stream(registry, payload.masked + payload.signature, verifier_key, inverse=True)
 
     masked_labels = [c.payload for c in payload.masked]
-    masked_snapshot = tuple(registry.jsonable_states(masked_labels))
-    signature_snapshot = tuple(registry.jsonable_states([c.payload for c in payload.signature]))
+    masked_snapshot = tuple(map(jsonutil.Rendered, registry.state_texts(masked_labels)))
+    signature_snapshot = tuple(map(jsonutil.Rendered, registry.state_texts(
+        [c.payload for c in payload.signature])))
 
     # Bind the received masked copy under the signer key and compare per qubit.
     x, z = qotp.key_paulis(signer_key, np.arange(n))

@@ -87,17 +87,9 @@ def random_pad(n: int, rng: np.random.Generator) -> KeyBits:
     return random_bits(2 * n, ROLE_PAD, rng)
 
 
-def pauli_at(key: KeyBits, index: int) -> PauliBits:
-    """Pauli bits the pad assigns to qubit ``index`` (0-based): x=k[2i], z=k[2i+1]."""
-    if 2 * index + 1 >= len(key.bits):
-        raise KeyTooShort(
-            f"key of {len(key.bits)} bits cannot cover qubit index {index}"
-        )
-    return PauliBits(key.bits[2 * index], key.bits[2 * index + 1])
-
-
 def key_paulis(key: KeyBits, indices) -> tuple[np.ndarray, np.ndarray]:
-    """``pauli_at`` for many positions at once: the (x, z) bit arrays."""
+    """The Pauli bits the key assigns to each qubit index i (0-based), as
+    (x, z) bit arrays: x = k[2i], z = k[2i+1]."""
     indices = np.asarray(indices, dtype=np.intp)
     bits = np.array(key.bits, dtype=np.uint8)
     if indices.size and 2 * int(indices.max()) + 1 >= len(bits):

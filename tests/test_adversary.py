@@ -170,7 +170,8 @@ def test_false_pad_run_indistinguishable_from_honest_twin():
     for trial in range(5):
         fr = run_scenario(scenario("alice-false-pad"), 3, 41, trial)
         published = fr.published_pad
-        masked = qotp.encrypt(fr.message.qubits("m"), fr.true_pad)
+        message = [fr.message.qubit(i, f"m{i + 1}") for i in range(fr.message.n)]
+        masked = qotp.encrypt(message, fr.true_pad)
         twin_states = qotp.decrypt(masked, published)
         twin_spec = MessageSpec(tuple((s.amps[0], s.amps[1]) for s in twin_states))
         twin = run_scenario(

@@ -264,11 +264,12 @@ def test_registry_many_equals_one_at_a_time(paulis, seed):
         single.apply_pauli(label, PauliBits(x, z))
     assert same_bits(batched.amps_of(ms), single.amps_of(ms))
 
-    probs = batched.bell_probabilities_many(ms, as_)
-    outcomes = batched.bell_measure_many(ms, as_, np.random.default_rng(seed))
+    expected = [sv.bell_probabilities(sv.tensor(single.state_of(m), single.state_of(a)), m, a)
+                for m, a in zip(ms, as_)]
+    outcomes, probs = batched.bell_measure_many(ms, as_, np.random.default_rng(seed))
     one_rng = np.random.default_rng(seed)
     for i in range(n):
-        assert tuple(probs[i].tolist()) == single.bell_probabilities(ms[i], as_[i])
+        assert tuple(probs[i].tolist()) == expected[i]
         assert single.bell_measure(ms[i], as_[i], one_rng) is outcomes[i]
         b = f"b{i}"
         assert batched.state_of(b).labels == (b,)
@@ -276,20 +277,26 @@ def test_registry_many_equals_one_at_a_time(paulis, seed):
 
 
 def test_registry_measures_pairs_sharing_a_group_in_turn():
-    # (y, z) and (x, w) both touch the groups of x, y and z, w: the second
-    # measurement must see the first one's residual (entanglement swapping)
+    # (y, z) and (x, w) both touch the groups of x, y and z, w: the batched
+    # call refuses them, and measured in turn the second measurement must see
+    # the first one's residual (entanglement swapping)
     registry = QuantumRegistry()
     registry.add(sv.make_bell_pair("x", "y"))
     registry.add(sv.make_bell_pair("z", "w"))
-    outcomes = registry.bell_measure_many(["y", "x"], ["z", "w"], np.random.default_rng(0),
-                                          [BellOutcome.PHI_PLUS, None])
+    with pytest.raises(sv.LabelMismatch):
+        registry.bell_measure_many(["y", "x"], ["z", "w"], np.random.default_rng(0),
+                                   [BellOutcome.PHI_PLUS, None])
+    rng = np.random.default_rng(0)
+    outcomes = [registry.bell_measure("y", "z", rng, BellOutcome.PHI_PLUS),
+                registry.bell_measure("x", "w", rng)]
     assert outcomes == [BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS]
     with pytest.raises(sv.UnknownLabel):
         registry.state_of("x")
 
 
 def test_registry_measures_mixed_pairs_one_at_a_time():
-    # pairs from different families and axes give what single calls give
+    # the batched call refuses pairs from different families and axes and
+    # leaves the registry as it was; single calls then measure them
     def fresh():
         registry = QuantumRegistry()
         registry.add_rows([("a1", "b1"), ("a2", "b2")], np.tile(sv.BELL_PAIR_AMPS, (2, 1)))
@@ -298,8 +305,10 @@ def test_registry_measures_mixed_pairs_one_at_a_time():
         return registry
 
     mixed, single = fresh(), fresh()
-    got = mixed.bell_measure_many(["m", "b2"], ["a1", "a2"], np.random.default_rng(5))
-    rng = np.random.default_rng(5)
+    with pytest.raises(sv.LabelMismatch):
+        mixed.bell_measure_many(["m", "b2"], ["a1", "a2"], np.random.default_rng(5))
+    mixed_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = [mixed.bell_measure("m", "a1", mixed_rng), mixed.bell_measure("b2", "a2", mixed_rng)]
     assert got == [single.bell_measure("m", "a1", rng), single.bell_measure("b2", "a2", rng)]
     assert got[1] is BellOutcome.PSI_MINUS
     assert same_bits(mixed.state_of("b1").amps, single.state_of("b1").amps)
@@ -351,16 +360,53 @@ def test_registry_reads_of_interleaved_labels_equal_per_label_reads(data):
     texts = registry.state_texts(labels)
     assert texts == [registry.state_texts([label])[0] for label in labels]
     assert texts == [canonical_json(s.to_jsonable()) for s in singles]
-    docs = registry.jsonable_states(labels)
-    assert docs == [s.to_jsonable() for s in singles]
-    assert [doc.text for doc in docs] == texts
 
     bad = list(labels)
     bad.insert(data.draw(st.integers(0, len(labels))), "nowhere")
-    for read in (registry.sequence, registry.amps_of, registry.state_texts,
-                 registry.jsonable_states):
+    for read in (registry.sequence, registry.amps_of, registry.state_texts):
         with pytest.raises(sv.UnknownLabel):
             read(bad)
+
+
+def uniform_streams():
+    """Two Bell pairs (a_i, b_i) and two single qubits m, n, one family each."""
+    registry = QuantumRegistry()
+    registry.add_rows([("a1", "b1"), ("a2", "b2")], np.tile(sv.BELL_PAIR_AMPS, (2, 1)))
+    registry.add_rows([("m",), ("n",)], sv.qubit_rows([(0.6, 0.8j), (0.8, -0.6)]))
+    return registry
+
+
+def test_registry_apply_paulis_rejects_a_repeated_label():
+    registry = uniform_streams()
+    before = registry.amps_of(["m", "n"])
+    with pytest.raises(sv.DuplicateLabel):
+        registry.apply_paulis(["m", "n", "m"], [1, 1, 1], [0, 1, 1])
+    assert same_bits(registry.amps_of(["m", "n"]), before)
+
+
+@pytest.mark.parametrize("labels1,labels2", [
+    (["m", "b2"], ["a1", "a2"]),  # one side spans two families
+    (["a1", "b2"], ["m", "n"]),  # one side spans two axes of one family
+    (["a1", "a2"], ["b2", "b1"]),  # each pair group is touched by two pairs
+])
+def test_registry_batched_bell_rejects_mixed_streams(labels1, labels2):
+    registry = uniform_streams()
+    labels = ["a1", "b1", "a2", "b2", "m", "n"]
+    before = [registry.state_of(label) for label in labels]
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(sv.LabelMismatch):
+        registry.bell_measure_many(labels1, labels2, rng)
+    assert rng.bit_generator.state == state
+    for label, old in zip(labels, before):
+        new = registry.state_of(label)
+        assert new.labels == old.labels and same_bits(new.amps, old.amps)
+
+
+def test_registry_empty_bell_call():
+    outcomes, probs = uniform_streams().bell_measure_many([], [], np.random.default_rng(0))
+    assert outcomes == []
+    assert probs.shape == (0, 4)
 
 
 def test_registry_rejects_label_collisions():

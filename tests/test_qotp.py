@@ -237,9 +237,9 @@ def test_key_rejects_non_bits():
         KeyBits((0, 2), qotp.ROLE_PAD)
 
 
-def test_pauli_at_positions():
+def test_key_paulis_positions():
     k = key([1, 0, 0, 1])
-    assert qotp.pauli_at(k, 0) == PauliBits(1, 0)
-    assert qotp.pauli_at(k, 1) == PauliBits(0, 1)
+    x, z = qotp.key_paulis(k, [0, 1])
+    assert (x.tolist(), z.tolist()) == ([1, 0], [0, 1])
     with pytest.raises(KeyTooShort):
-        qotp.pauli_at(k, 2)
+        qotp.key_paulis(k, [2])
