@@ -81,32 +81,25 @@ SCENARIO_TOKENS = tuple(v.value for v in ScenarioVariant)
 
 @dataclass(frozen=True)
 class Scenario:
-    """A scenario selection plus its parameters.
-
-    Which scenarios take tamper indices, and their default, is part of the
-    scenario's entry in ``scenarios.SCENARIOS``.
-    """
+    """A scenario selection. Its parameters come from its entry in
+    ``scenarios.SCENARIOS`` and nowhere else."""
 
     variant: ScenarioVariant
-    tamper_indices: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        from .scenarios import SCENARIOS  # that table's steps call this module
-
-        object.__setattr__(self, "tamper_indices", tuple(self.tamper_indices))
-        if self.tamper_indices and not SCENARIOS[self.variant].tamper_indices:
-            raise ValueError(f"scenario {self.variant.token} takes no tamper indices")
 
     @classmethod
     def from_token(cls, token: str) -> "Scenario":
-        from .scenarios import SCENARIOS
-
-        variant = ScenarioVariant.from_token(token)
-        return cls(variant, SCENARIOS[variant].tamper_indices)
+        return cls(ScenarioVariant.from_token(token))
 
     @property
     def token(self) -> str:
         return self.variant.token
+
+    @property
+    def tamper_indices(self) -> tuple[int, ...]:
+        """The 1-based Bell results the scenario corrupts; () if it takes none."""
+        from .scenarios import SCENARIOS  # that table's steps call this module
+
+        return SCENARIOS[self.variant].tamper_indices
 
 
 @dataclass(frozen=True)

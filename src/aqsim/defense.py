@@ -71,7 +71,6 @@ def photon_number_splitter(carriers: Sequence[Carrier]) -> tuple[tuple[Carrier, 
 
 @dataclass(frozen=True)
 class ScreenReport:
-    passed: tuple[Carrier, ...]
     flagged: tuple[tuple[str, Carrier], ...]  # (device token, carrier)
 
 
@@ -85,4 +84,4 @@ def screen(carriers: Sequence[Carrier], config: DefenseConfig) -> ScreenReport:
     if config.pns:
         passed, hits = photon_number_splitter(passed)
         flagged.extend((DEVICE_PNS, c) for c in hits)
-    return ScreenReport(passed=passed, flagged=tuple(flagged))
+    return ScreenReport(flagged=tuple(flagged))

@@ -178,7 +178,8 @@ class QuantumRegistry:
     row, axis) is all it keeps. Every operation walks its labels once into
     (family, axis) buckets and runs one ``statevector`` kernel per bucket;
     reads make their values afresh from the rows. A Bell measurement merges
-    the two groups involved, then drops the measured labels.
+    the two groups involved, then drops the measured labels. It compares no
+    states: the protocol's checks compare rows read with ``amps_of``.
 
     The batched writes take uniform streams, one carrier per time slot. Any
     other input raises before anything changes; mixed inputs go through the
@@ -342,14 +343,6 @@ class QuantumRegistry:
     ) -> BellOutcome:
         return self.bell_measure_many([label1], [label2], rng, [forced])[0][0]
 
-    def equal_up_to_phase_many(self, labels1: Sequence, labels2: Sequence) -> list[bool]:
-        """Phase-insensitive equality of single-qubit states held under
-        different labels (the comparison is over content, not identity)."""
-        a, b = self.amps_of(labels1), self.amps_of(labels2)
-        if a.shape[1] != 2 or b.shape[1] != 2:
-            raise sv.StateError("content comparison needs single-qubit groups")
-        return sv.equal_up_to_phase_rows(a, b, EQUALITY_TOL)
-
 
 @dataclass(frozen=True)
 class SignaturePackage:
@@ -448,9 +441,8 @@ class ProtocolKeys:
 
 @dataclass(frozen=True)
 class SignerPrivate:
-    """What the signer keeps to herself after signing."""
+    """What the signer keeps to herself after signing, besides the pad."""
 
-    pad: KeyBits
     outcome_probabilities: tuple
     max_probability_deviation: float
 
@@ -599,7 +591,6 @@ def alice_sign(
         bell_results=tuple(outcomes),
     )
     private = SignerPrivate(
-        pad=pad,
         outcome_probabilities=tuple(all_probs),
         max_probability_deviation=max_dev,
     )
@@ -634,16 +625,27 @@ def bob_forward(
     return CipherPayload(masked=package.masked, signature=package.signature)
 
 
+def _qubit_rows(registry: QuantumRegistry, labels: Sequence) -> np.ndarray:
+    """The (m, 2) rows of single-qubit groups, for a comparison of content, not identity."""
+    amps = registry.amps_of(labels)
+    if amps.shape[1] != 2:
+        raise sv.StateError("content comparison needs single-qubit groups")
+    return amps
+
+
 def trent_verify(
     payload: CipherPayload,
     signer_key: KeyBits,
     verifier_key: KeyBits,
     registry: QuantumRegistry,
 ) -> tuple[CipherPayload, TrentRecord]:
-    """Arbiter check: decrypt, recompute the bound copy, compare, re-encrypt.
+    """Arbiter check: decrypt, recompute the bound copy, compare, return the bit.
 
-    The verification bit is encoded as one extra computational-basis qubit,
-    keyed by the final two verifier-key bits on the way back.
+    Pauli masks act exactly, so decrypting and re-encrypting under one key
+    leaves every carrier bit for bit as it arrived: the check reads each
+    stream once and runs on a decrypted copy. The only qubit written is the
+    verification bit, a computational-basis qubit keyed by the final two
+    verifier-key bits (slot 2n) on the way back.
     """
     n = len(payload.signature)
     if len(payload.masked) != n:
@@ -653,40 +655,33 @@ def trent_verify(
         )
     received_digest = payload.digest(registry)
 
-    _mask_stream(registry, payload.masked + payload.signature, verifier_key, inverse=True)
+    def decrypted(carriers):  # unmasked by slot, as _mask_stream keys the channel
+        x, z = qotp.key_paulis(verifier_key, [c.time_slot for c in carriers])
+        amps = sv.pauli_rows(_qubit_rows(registry, [c.payload for c in carriers]), 0, x, z,
+                             inverse=True)
+        texts = jsonutil.state_texts([(c.payload,) for c in carriers], amps)
+        return amps, tuple(map(jsonutil.Rendered, texts))
 
-    masked_labels = [c.payload for c in payload.masked]
-    masked_snapshot = tuple(map(jsonutil.Rendered, registry.state_texts(masked_labels)))
-    signature_snapshot = tuple(map(jsonutil.Rendered, registry.state_texts(
-        [c.payload for c in payload.signature])))
+    (masked, masked_snapshot), (signature, signature_snapshot) = (
+        decrypted(payload.masked), decrypted(payload.signature))
 
     # Bind the received masked copy under the signer key and compare per qubit.
-    x, z = qotp.key_paulis(signer_key, np.arange(n))
-    registry.apply_paulis(masked_labels, x, z)
-    all_match = all(registry.equal_up_to_phase_many(
-        masked_labels, [c.payload for c in payload.signature]))
-    verified = 1 if all_match else 0
-    # Recover the masked copy from the bound one.
-    registry.apply_paulis(masked_labels, x, z, inverse=True)
+    verified = int(all(sv.equal_up_to_phase_rows(qotp.mask_rows(masked, signer_key), signature,
+                                                 EQUALITY_TOL)))
 
-    verdict_label = "v"
-    registry.add(sv.make_qubit(1, 0, verdict_label) if verified == 0
-                 else sv.make_qubit(0, 1, verdict_label))
-    verdict_carrier = Carrier(id=verdict_label, band=BAND_SIGNAL, time_slot=2 * n,
-                              payload=verdict_label)
+    registry.add(sv.make_qubit(1 - verified, verified, "v"))
+    verdict_carrier = Carrier(id="v", band=BAND_SIGNAL, time_slot=2 * n, payload="v")
+    _mask_stream(registry, [verdict_carrier], verifier_key, inverse=False)
 
-    returned = CipherPayload(
-        masked=payload.masked, signature=payload.signature, verdict_carrier=verdict_carrier
-    )
-    _mask_stream(registry, returned.all_carriers(), verifier_key, inverse=False)
-    record = TrentRecord(
+    returned = CipherPayload(payload.masked, payload.signature, verdict_carrier)
+    # Recomputed from the registry, so it also attests the carriers are as received.
+    return returned, TrentRecord(
         received_digest=received_digest,
         masked_snapshot=masked_snapshot,
         signature_snapshot=signature_snapshot,
         verified=verified,
         returned_digest=returned.digest(registry),
     )
-    return returned, record
 
 
 def _read_basis_bit(state: PureState) -> int:
@@ -721,8 +716,9 @@ def bob_verify_and_compare(
 
     # The correction for outcome (x, z) is sigma_x^x sigma_z^z (sv.teleport_correction).
     registry.apply_paulis(bob_labels, [o.x for o in bell_results], [o.z for o in bell_results])
-    per_qubit = tuple(registry.equal_up_to_phase_many(
-        bob_labels, [c.payload for c in payload.masked]))
+    per_qubit = tuple(sv.equal_up_to_phase_rows(
+        _qubit_rows(registry, bob_labels),
+        _qubit_rows(registry, [c.payload for c in payload.masked]), EQUALITY_TOL))
     result = CompareResult.MATCH_OK if all(per_qubit) else CompareResult.MISMATCH
     return CompareReport(result, 1, per_qubit)
 

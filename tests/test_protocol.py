@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from aqsim import adversary as adv
 from aqsim import protocol as proto
 from aqsim import qotp
 from aqsim import statevector as sv
@@ -273,6 +274,59 @@ def test_trent_verify_flags_wrong_signer_binding():
         payload, KeyBits(signer_bits, qotp.ROLE_SIGNER),
         KeyBits(verifier_bits, qotp.ROLE_VERIFIER), registry)
     assert record.verified == 0
+
+
+def _forwarded(n, seed):
+    """A signed and forwarded run, stopped before the arbiter."""
+    signer_bits, verifier_bits = honest_keys(n, seed=seed)
+    run = SimpleNamespace(registry=QuantumRegistry(),
+                          signer_key=KeyBits(signer_bits, qotp.ROLE_SIGNER),
+                          verifier_key=KeyBits(verifier_bits, qotp.ROLE_VERIFIER))
+    alice_labels, _ = proto.distribute_bell_pairs(n, run.registry)
+    package, _, _ = proto.alice_sign(generic_spec(n, seed), run.signer_key,
+                                     np.random.default_rng(seed), run.registry, alice_labels)
+    run.payload = proto.bob_forward(package, run.verifier_key, run.registry)
+    return run
+
+
+def _carrier_bytes(registry, carriers):
+    return [registry.state_of(c.payload).amps.tobytes() for c in carriers]
+
+
+def test_trent_verify_writes_only_the_verification_qubit():
+    n = 3
+    run = _forwarded(n, 53)
+    registry, verifier_key = run.registry, run.verifier_key
+    carriers = run.payload.masked + run.payload.signature
+    before, labels = _carrier_bytes(registry, carriers), set(registry._where)
+    returned, record = proto.trent_verify(run.payload, run.signer_key, verifier_key, registry)
+    assert record.verified == 1
+    assert _carrier_bytes(registry, carriers) == before
+    assert "v" not in labels and set(registry._where) == labels | {"v"}
+    assert returned.verdict_carrier.time_slot == 2 * n
+    x, z = verifier_key.bits[4 * n], verifier_key.bits[4 * n + 1]
+    expected = sv.apply_pauli(sv.make_qubit(0, 1, "v"), "v", PauliBits(x, z))
+    np.testing.assert_array_equal(registry.state_of("v").amps, expected.amps)
+
+
+def test_trent_verify_refuses_a_probe_and_leaves_the_registry_unchanged():
+    # a Trojan probe is half of a two-qubit group, so its stream cannot be
+    # compared by content; the refusal must come before anything is written
+    n = 2
+    run = _forwarded(n, 59)
+    registry, payload = run.registry, run.payload
+    decoys = adv.make_decoy_set(n, registry)
+    probe = proto.Carrier(id="d1_1", band=proto.BAND_SIGNAL, time_slot=0,
+                          payload=decoys.pairs[0][0])
+    swapped = proto.CipherPayload(masked=(probe,) + payload.masked[1:],
+                                  signature=payload.signature)
+    carriers = payload.masked + payload.signature + (probe,)
+    before = _carrier_bytes(registry, carriers)
+    with pytest.raises(sv.StateError):
+        proto.trent_verify(swapped, run.signer_key, run.verifier_key, registry)
+    assert _carrier_bytes(registry, carriers) == before
+    with pytest.raises(sv.UnknownLabel):
+        registry.state_of("v")
 
 
 def test_trent_record_is_blind():
