@@ -10,13 +10,17 @@ The documents are mostly long runs of same-shaped rows (state snapshots,
 carrier metadata, probability rows). The row renderers below format a
 whole run of rows at once, from one array, where the rows are made. What
 they return is text only: a ``Rendered`` holds the canonical text and no
-copy of the value, and ``_emit`` appends that text verbatim. The generic
-``_emit`` walk stays the reference they are tested against.
+copy of the value, and ``_emit`` appends that text verbatim.
+
+The emitter takes exactly the built-in types the documents are made of
+(dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
+anything else, a tuple, a numpy scalar or a subclass of a built-in type,
+is a ``TypeError``. The reference for the bytes, renderers included, is
+the independent emitter in ``tests/canonical_oracle.py``.
 """
 from __future__ import annotations
 
 import functools
-import json
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -47,13 +51,8 @@ def _float_token(x: float) -> str:
 
 
 def _emit(obj, out: list[str]) -> None:
-    """Append the canonical tokens of ``obj`` to ``out``.
-
-    The exact built-in types the documents are made of dispatch on
-    ``type(obj)`` first; anything else (numpy scalars, bool/int/str
-    subclasses, tuples, list and dict subclasses) falls through to the
-    ``isinstance`` checks at the end, which give the same bytes for a value.
-    """
+    """Append the canonical tokens of ``obj`` to ``out``, dispatching on
+    ``type(obj)``: only the exact built-in types are accepted."""
     kind = type(obj)
     if kind is str:
         out.append(_encode_str(obj))
@@ -63,7 +62,7 @@ def _emit(obj, out: list[str]) -> None:
         out.append("{")
         sep = ""
         for key, value in obj.items():
-            if type(key) is not str and not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"non-string key {key!r} in canonical document")
             out.append(sep)
             out.append(_encode_str(key))
@@ -101,16 +100,6 @@ def _emit(obj, out: list[str]) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_token(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (list, tuple)):
-        _emit(list(obj), out)
-    elif isinstance(obj, dict):
-        _emit(dict(obj), out)
     else:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
@@ -137,20 +126,14 @@ def _state_template(width: int) -> str:
     return '{"labels":%s,"amps":[' + ",".join(["[%.17g,%.17g]"] * width) + "]}"
 
 
-def _labels_text(labels) -> str:
-    try:
-        return "[" + ",".join(map(_encode_str, labels)) + "]"
-    except TypeError:  # a label that is not a string
-        return canonical_json(list(labels))
-
-
 def state_texts(labels, amps) -> list[str]:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
-    each row of an (m, 2**k) complex stack; ``labels[r]`` names row r's qubits."""
+    each row of an (m, 2**k) complex stack; ``labels[r]`` names row r's qubits,
+    as strings."""
     # the (m, 2w) float view of the (m, w) stack: (re, im) per amplitude
     stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
     template = _state_template(stack.shape[1] // 2)
-    return [template % (_labels_text(row), *values)
+    return [template % ("[" + ",".join(map(_encode_str, row)) + "]", *values)
             for row, values in zip(labels, stack.tolist(), strict=True)]
 
 

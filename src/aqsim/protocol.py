@@ -20,9 +20,8 @@ that record plus the parties' claims.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from . import jsonutil, qotp
 from . import statevector as sv
 from .jsonutil import canonical_bytes
 from .qotp import KeyBits
-from .statevector import BellOutcome, LabelCollision, PauliBits, PureState, UnknownLabel
+from .statevector import BellOutcome, LabelCollision, PureState, UnknownLabel
 
 BAND_SIGNAL = "signal"
 BAND_OFF = "off-band"
@@ -79,27 +78,21 @@ class MessageSpec:
     """
 
     coefficients: tuple[tuple[complex, complex], ...]
+    # (n, 2) read-only stack of the prepared qubits, ``make_qubit``'s rows
+    amps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple((complex(a), complex(b)) for a, b in self.coefficients)
         if not coeffs:
             raise ValueError("message needs at least one qubit")
-        for i, (a, b) in enumerate(coeffs):
-            norm_sq = abs(a) ** 2 + abs(b) ** 2
-            if abs(norm_sq - 1.0) > sv.INPUT_NORM_TOL:
-                raise sv.NotNormalized(f"coefficient pair {i} has |a|^2+|b|^2 = {norm_sq!r}")
+        amps = sv.qubit_rows(coeffs)  # raises NotNormalized off the unit sphere
+        amps.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "amps", amps)
 
     @property
     def n(self) -> int:
         return len(self.coefficients)
-
-    @cached_property
-    def amps(self) -> np.ndarray:
-        """(n, 2) read-only stack of the prepared qubits, ``make_qubit``'s rows."""
-        amps = sv.qubit_rows(self.coefficients)
-        amps.flags.writeable = False
-        return amps
 
     def qubit(self, i: int, label) -> PureState:
         return sv.states_from_rows([(label,)], self.amps[i:i + 1])[0]
@@ -118,9 +111,10 @@ def random_message_spec(
     if n < 1:
         raise ValueError("need n >= 1")
     coeffs = []
-    for _ in range(n):
-        while True:
-            re_a, im_a, re_b, im_b = rng.normal(size=4)
+    # One block of draws for the qubits still needed, walked in order: the
+    # same doubles, and the same accepted qubits, as one normal(size=4) per try.
+    while len(coeffs) < n:
+        for re_a, im_a, re_b, im_b in rng.normal(size=(n - len(coeffs), 4)).tolist():
             a = complex(re_a, im_a)
             b = complex(re_b, im_b)
             norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
@@ -138,7 +132,6 @@ def random_message_spec(
                 if axis_max > 1.0 - generic_margin:
                     continue
             coeffs.append((a, b))
-            break
     return MessageSpec(tuple(coeffs))
 
 
@@ -181,9 +174,9 @@ class QuantumRegistry:
     the two groups involved, then drops the measured labels. It compares no
     states: the protocol's checks compare rows read with ``amps_of``.
 
-    The batched writes take uniform streams, one carrier per time slot. Any
-    other input raises before anything changes; mixed inputs go through the
-    single-label calls (the one-row case), one at a time.
+    The batched calls take uniform streams, one carrier per time slot. Any
+    other input raises before anything changes; there are no single-label
+    calls, and a caller with mixed pairs measures them one pair per call.
     """
 
     def __init__(self):
@@ -226,9 +219,6 @@ class QuantumRegistry:
                     raise LabelCollision(f"label {label!r} already registered")
                 new[label] = (family, r, j)
         self._where.update(new)
-
-    def add(self, state: PureState) -> None:
-        self.add_rows([state.labels], state.amps[None, :])
 
     def _gather(self, labels: Sequence, read):
         """Item i read off the group of ``labels[i]``, by one ``read(row labels, amps)``
@@ -273,9 +263,6 @@ class QuantumRegistry:
             family.amps[rows] = sv.pauli_rows(family.amps[rows], axis, x[positions],
                                               z[positions], inverse)
 
-    def apply_pauli(self, label, p: PauliBits) -> None:
-        self.apply_paulis([label], [p.x], [p.z])
-
     def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
         (amps, axis1, axis2, row labels). Raises ``LabelMismatch`` unless each
@@ -297,38 +284,22 @@ class QuantumRegistry:
                 [f1.labels[a] + f2.labels[b] for a, b in zip(rows1, rows2)])
 
     def bell_measure_many(
-        self,
-        labels1: Sequence,
-        labels2: Sequence,
-        rng: np.random.Generator,
-        forced: Sequence[BellOutcome | None] | None = None,
+        self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
     ) -> tuple[list[BellOutcome], np.ndarray]:
         """Bell-measure each pair (labels1[i], labels2[i]): the outcomes, and
         the (m, 4) branch probabilities (BELL_ORDER columns) they were drawn from.
 
-        Unforced pairs draw one uniform each, in pair order, from a single
-        ``rng.random(k)`` call: the same doubles as k ``bell_measure`` calls.
+        The m pairs draw one uniform each, in pair order, from a single
+        ``rng.random(m)`` call: the same doubles as m ``statevector.bell_measure``
+        calls, one per pair.
         """
-        forced = list(forced) if forced is not None else [None] * len(labels1)
-        if not len(labels1) == len(labels2) == len(forced):
-            raise ValueError("pairs and forced outcomes must align")
+        if len(labels1) != len(labels2):
+            raise ValueError("labels1 and labels2 must align")
         if not labels1:
             return [], np.empty((0, 4))
         amps, axis1, axis2, row_labels = self._merged(labels1, labels2)
-        comp = sv.bell_components_rows(amps, axis1, axis2)
-        probs = sv.bell_probabilities_rows(comp)
-        free = [i for i, f in enumerate(forced) if f is None]
-        u = np.zeros(len(forced))
-        if free:
-            u[free] = rng.random(len(free))
-        rows = sv.bell_sample_rows(probs, u)
-        for i, f in enumerate(forced):
-            if f is not None:
-                rows[i] = sv.BELL_ORDER.index(f)
-                if probs[i, rows[i]] <= sv.PROB_FLOOR:
-                    raise sv.ImpossibleOutcome(
-                        f"forced outcome {f.token} has probability {probs[i, rows[i]]!r}")
-        residual = sv.bell_residual_rows(comp, probs, rows)
+        rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2,
+                                                     rng.random(len(labels1)))
         for row in row_labels:
             for label in row:
                 del self._where[label]
@@ -337,11 +308,6 @@ class QuantumRegistry:
         if kept[0]:
             self.add_rows(kept, residual)
         return [sv.BELL_ORDER[r] for r in rows.tolist()], probs
-
-    def bell_measure(
-        self, label1, label2, rng: np.random.Generator, forced: BellOutcome | None = None
-    ) -> BellOutcome:
-        return self.bell_measure_many([label1], [label2], rng, [forced])[0][0]
 
 
 @dataclass(frozen=True)
@@ -538,7 +504,6 @@ def alice_sign(
     registry: QuantumRegistry,
     alice_labels: Sequence,
     forced_pad: KeyBits | None = None,
-    forced_outcomes: Sequence[BellOutcome] | None = None,
 ) -> tuple[SignaturePackage, KeyBits, SignerPrivate]:
     """Produce the signature package.
 
@@ -565,8 +530,7 @@ def alice_sign(
     registry.add_rows([(f"sa{i + 1}",) for i in range(n)], signature)
     registry.add_rows([(label,) for label in teleport_labels], masked)
 
-    outcomes, probs = registry.bell_measure_many(teleport_labels, alice_labels, rng,
-                                                 forced_outcomes)
+    outcomes, probs = registry.bell_measure_many(teleport_labels, alice_labels, rng)
     devs = np.max(np.abs(probs - 0.25), axis=1)
     bad = np.flatnonzero(devs > UNIFORM_LAW_TOL)
     if bad.size:
@@ -575,7 +539,6 @@ def alice_sign(
             f"beyond {UNIFORM_LAW_TOL}"
         )
     max_dev = max(0.0, float(devs.max()))
-    all_probs = [tuple(p) for p in probs.tolist()]
 
     # One channel message, one slot sequence: masked slots 0..n-1, then
     # signature slots n..2n-1. Key bits are consumed positionally by slot.
@@ -591,7 +554,7 @@ def alice_sign(
         bell_results=tuple(outcomes),
     )
     private = SignerPrivate(
-        outcome_probabilities=tuple(all_probs),
+        outcome_probabilities=tuple(map(tuple, probs.tolist())),
         max_probability_deviation=max_dev,
     )
     return package, pad, private
@@ -669,7 +632,7 @@ def trent_verify(
     verified = int(all(sv.equal_up_to_phase_rows(qotp.mask_rows(masked, signer_key), signature,
                                                  EQUALITY_TOL)))
 
-    registry.add(sv.make_qubit(1 - verified, verified, "v"))
+    registry.add_rows([("v",)], [[1 - verified, verified]])
     verdict_carrier = Carrier(id="v", band=BAND_SIGNAL, time_slot=2 * n, payload="v")
     _mask_stream(registry, [verdict_carrier], verifier_key, inverse=False)
 

@@ -11,7 +11,10 @@ groups, one group per row of an (m, 2**k) array: the slot families that
 ``protocol.QuantumRegistry`` stores. Row r of a kernel's output is bit for
 bit what the scalar function returns for row r alone, and every kernel
 runs the norm and finiteness invariant once over its whole output
-(``check_rows``) in place of one ``PureState`` check per group.
+(``check_rows``) in place of one ``PureState`` check per group. The one
+batched Bell measurement, ``bell_measure_rows``, takes each row's branch
+from a uniform draw, as ``bell_measure`` does; forcing a branch is left to
+the scalar reference.
 
 Global phase is never significant. All state equality goes through
 ``equal_up_to_phase``; nothing downstream may depend on a phase
@@ -415,38 +418,32 @@ def tensor_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return check_rows((a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1))
 
 
-def bell_components_rows(amps: np.ndarray, axis1: int, axis2: int) -> np.ndarray:
-    """(m, 4, 2**(k-2)) Bell components of qubits (axis1, axis2), BELL_ORDER rows."""
+def bell_measure_rows(amps: np.ndarray, axis1: int, axis2: int, u) -> tuple:
+    """Project qubits (axis1, axis2) of every row onto the Bell basis, row r
+    taking its branch from the uniform draw ``u[r]``.
+
+    Returns (rows, probs, residual): each row's branch index in BELL_ORDER,
+    the (m, 4) analytic probabilities, and the renormalized residual stack
+    with the two measured qubits removed. Row r is bit for bit what
+    ``bell_measure`` returns on row r alone with the draw ``u[r]``, including
+    its fall-through: a draw above a row's cumulative sum lands on its last
+    branch with probability above PROB_FLOOR.
+    """
     if axis1 == axis2:
         raise DuplicateLabel("bell measurement needs two distinct labels")
     m = amps.shape[0]
     t = amps.reshape((m,) + (2,) * _num_qubits(amps))
     stacked = np.moveaxis(t, (1 + axis1, 1 + axis2), (1, 2)).reshape(m, 4, -1)
-    return _BELL_MATRIX.conj() @ stacked
-
-
-def bell_probabilities_rows(comp: np.ndarray) -> np.ndarray:
-    """(m, 4) analytic branch probabilities of stacked Bell components."""
-    return np.sum(np.abs(comp) ** 2, axis=2)
-
-
-def bell_sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF branch per row over BELL_ORDER, one uniform draw per row.
-
-    A draw above a row's cumulative sum falls through to its last branch
-    with probability above PROB_FLOOR.
-    """
-    if not np.all(np.any(probs > PROB_FLOOR, axis=1)):
+    comp = _BELL_MATRIX.conj() @ stacked  # (m, 4, 2**(k-2)), BELL_ORDER rows
+    probs = np.sum(np.abs(comp) ** 2, axis=2)
+    possible = probs > PROB_FLOOR
+    if not np.all(np.any(possible, axis=1)):
         raise DegenerateState("all four Bell branches vanished")
     hit = np.asarray(u)[:, None] < np.cumsum(probs, axis=1)
-    last = probs.shape[1] - 1 - np.argmax((probs > PROB_FLOOR)[:, ::-1], axis=1)
-    return np.where(hit.any(axis=1), hit.argmax(axis=1), last)
-
-
-def bell_residual_rows(comp: np.ndarray, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Renormalized post-measurement states, branch ``rows[r]`` of row r."""
-    idx = np.arange(comp.shape[0])
-    return check_rows(comp[idx, rows] / np.sqrt(probs[idx, rows])[:, None])
+    last = 3 - np.argmax(possible[:, ::-1], axis=1)
+    rows = np.where(hit.any(axis=1), hit.argmax(axis=1), last)
+    idx = np.arange(m)
+    return rows, probs, check_rows(comp[idx, rows] / np.sqrt(probs[idx, rows])[:, None])
 
 
 def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> list[bool]:

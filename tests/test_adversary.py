@@ -25,7 +25,7 @@ from aqsim.protocol import (
     QuantumRegistry,
 )
 from aqsim.scenarios import run_scenario
-from aqsim.statevector import BellOutcome, PauliBits
+from aqsim.statevector import BellOutcome
 
 
 def scenario(token):
@@ -243,7 +243,7 @@ def test_extraction_maps_pauli_to_bits(x, z):
     predicted = [tok for tok, p in oracles.bell_probs(transformed).items() if p > 0.5]
     assert predicted == [BellOutcome.from_bits(x, z).token]
 
-    registry.apply_pauli(probe, PauliBits(x, z))
+    registry.apply_paulis([probe], [x], [z])
     bits = adv.ipe_extract((probe,), decoys, registry, np.random.default_rng(0))
     assert bits == (x, z)
 

@@ -61,6 +61,24 @@ class StubRng:
         return np.array([self.values.pop(0) for _ in range(size)])
 
 
+def draw_for(outcome):
+    """The uniform draw that picks ``outcome`` from four equally likely branches."""
+    return (BELL_ORDER.index(outcome) + 0.5) / 4
+
+
+def measure(registry, label1, label2, rng):
+    """One pair, measured through the batched call."""
+    return registry.bell_measure_many([label1], [label2], rng)[0][0]
+
+
+def bell_pair_registry(*pairs):
+    """A registry holding one Bell pair (a, b) per family, for each given pair."""
+    registry = QuantumRegistry()
+    for pair in pairs:
+        registry.add_rows([pair], sv.BELL_PAIR_AMPS[None, :])
+    return registry
+
+
 # --- Pauli by key bits --------------------------------------------------------
 
 
@@ -122,7 +140,7 @@ def test_tensor_rows_respects_the_cap():
         sv.tensor_rows(three, pairs)
 
 
-# --- Bell probabilities, sampling, residual -------------------------------------
+# --- Bell measurement: branch, probabilities, residual --------------------------
 
 
 @given(st.data())
@@ -133,10 +151,7 @@ def test_bell_rows_match_scalar_with_same_draw(data):
     axis2 = data.draw(st.integers(0, k - 1).filter(lambda a: a != axis1))
     u = np.array(data.draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=m,
                                     max_size=m)))
-    comp = sv.bell_components_rows(amps, axis1, axis2)
-    probs = sv.bell_probabilities_rows(comp)
-    rows = sv.bell_sample_rows(probs, u)
-    residual = sv.bell_residual_rows(comp, probs, rows)
+    rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2, u)
     for r in range(m):
         state = state_of_row(amps, r)
         l1, l2 = f"q{axis1}", f"q{axis2}"
@@ -154,11 +169,11 @@ def test_bell_rows_match_teleport_oracle():
     coeffs = [oracles.random_qubit(rng) for _ in range(16)]
     qubits = sv.qubit_rows(coeffs)
     groups = sv.tensor_rows(qubits, np.tile(sv.BELL_PAIR_AMPS, (16, 1)))
-    comp = sv.bell_components_rows(groups, 0, 1)
-    probs = sv.bell_probabilities_rows(comp)
     for outcome in BELL_ORDER:
-        rows = np.full(16, BELL_ORDER.index(outcome))
-        residual = sv.bell_residual_rows(comp, probs, rows)
+        # every teleport branch has probability 1/4, so this draw picks it
+        rows, probs, residual = sv.bell_measure_rows(groups, 0, 1,
+                                                     np.full(16, draw_for(outcome)))
+        assert [BELL_ORDER[r] for r in rows] == [outcome] * 16
         for r, (a, b) in enumerate(coeffs):
             p, expected = oracles.teleport_branches(a, b)[outcome.token]
             assert probs[r, rows[r]] == pytest.approx(p, abs=1e-12)
@@ -184,19 +199,16 @@ def test_scalar_bell_measure_top_draw_lands_on_a_possible_branch(outcome):
 def test_batched_bell_sample_top_draw_lands_on_a_possible_branch(outcome):
     pairs = np.tile(sv.BELL_PAIR_AMPS, (3, 1))
     pairs = sv.pauli_rows(pairs, 0, [outcome.x] * 3, [outcome.z] * 3)
-    comp = sv.bell_components_rows(pairs, 0, 1)
-    probs = sv.bell_probabilities_rows(comp)
-    rows = sv.bell_sample_rows(probs, np.full(3, TOP_DRAW))
+    rows, _, residual = sv.bell_measure_rows(pairs, 0, 1, np.full(3, TOP_DRAW))
     assert [BELL_ORDER[r] for r in rows] == [outcome] * 3
-    sv.bell_residual_rows(comp, probs, rows)  # finite, normalized
+    assert residual.shape == (3, 1)  # finite, normalized
 
 
 @pytest.mark.parametrize("outcome", BELL_ORDER)
 def test_registry_bell_measure_top_draw(outcome):
-    registry = QuantumRegistry()
-    registry.add(sv.make_bell_pair("A", "B"))
-    registry.apply_pauli("A", PauliBits(outcome.x, outcome.z))
-    assert registry.bell_measure("A", "B", StubRng(TOP_DRAW)) is outcome
+    registry = bell_pair_registry(("A", "B"))
+    registry.apply_paulis(["A"], [outcome.x], [outcome.z])
+    assert measure(registry, "A", "B", StubRng(TOP_DRAW)) is outcome
 
 
 # --- the invariant still runs -------------------------------------------------
@@ -233,14 +245,19 @@ def test_batched_ops_raise_on_a_corrupted_row(how):
 
 def test_bell_residual_raises_on_a_corrupted_row():
     pairs = np.tile(sv.BELL_PAIR_AMPS, (2, 1))
-    comp = sv.bell_components_rows(pairs, 0, 1)
-    probs = sv.bell_probabilities_rows(comp)
-    comp[1] = np.nan
-    with pytest.raises(sv.StateError):
-        sv.bell_residual_rows(comp, probs, np.array([0, 0]))
+    u = np.full(2, 0.5)
+    # a NaN row has no branch above PROB_FLOOR
+    with pytest.raises(sv.DegenerateState):
+        sv.bell_measure_rows(corrupted(pairs, 1, "nan"), 0, 1, u)
+    # an overflowing row has an infinite branch, whose residual is all zeros:
+    # only the invariant on the residual stack can catch it
+    huge = pairs.copy()
+    huge[1] *= 1e200
+    with np.errstate(over="ignore"), pytest.raises(sv.NotNormalized):
+        sv.bell_measure_rows(huge, 0, 1, u)
 
 
-# --- the registry's batched calls are its single-label calls -------------------
+# --- a batched registry call is its one-pair calls in turn --------------------
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=6),
@@ -261,7 +278,7 @@ def test_registry_many_equals_one_at_a_time(paulis, seed):
     ms, as_ = [f"m{i}" for i in range(n)], [f"a{i}" for i in range(n)]
     batched.apply_paulis(ms, [x for x, _ in paulis], [z for _, z in paulis])
     for label, (x, z) in zip(ms, paulis):
-        single.apply_pauli(label, PauliBits(x, z))
+        single.apply_paulis([label], [x], [z])
     assert same_bits(batched.amps_of(ms), single.amps_of(ms))
 
     expected = [sv.bell_probabilities(sv.tensor(single.state_of(m), single.state_of(a)), m, a)
@@ -270,7 +287,7 @@ def test_registry_many_equals_one_at_a_time(paulis, seed):
     one_rng = np.random.default_rng(seed)
     for i in range(n):
         assert tuple(probs[i].tolist()) == expected[i]
-        assert single.bell_measure(ms[i], as_[i], one_rng) is outcomes[i]
+        assert measure(single, ms[i], as_[i], one_rng) is outcomes[i]
         b = f"b{i}"
         assert batched.state_of(b).labels == (b,)
         assert same_bits(batched.state_of(b).amps, single.state_of(b).amps)
@@ -280,15 +297,12 @@ def test_registry_measures_pairs_sharing_a_group_in_turn():
     # (y, z) and (x, w) both touch the groups of x, y and z, w: the batched
     # call refuses them, and measured in turn the second measurement must see
     # the first one's residual (entanglement swapping)
-    registry = QuantumRegistry()
-    registry.add(sv.make_bell_pair("x", "y"))
-    registry.add(sv.make_bell_pair("z", "w"))
+    registry = bell_pair_registry(("x", "y"), ("z", "w"))
     with pytest.raises(sv.LabelMismatch):
-        registry.bell_measure_many(["y", "x"], ["z", "w"], np.random.default_rng(0),
-                                   [BellOutcome.PHI_PLUS, None])
-    rng = np.random.default_rng(0)
-    outcomes = [registry.bell_measure("y", "z", rng, BellOutcome.PHI_PLUS),
-                registry.bell_measure("x", "w", rng)]
+        registry.bell_measure_many(["y", "x"], ["z", "w"], np.random.default_rng(0))
+    # (y, z) is maximally mixed, so this draw picks phi-plus
+    outcomes = [measure(registry, "y", "z", StubRng(draw_for(BellOutcome.PHI_PLUS))),
+                measure(registry, "x", "w", np.random.default_rng(0))]
     assert outcomes == [BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS]
     with pytest.raises(sv.UnknownLabel):
         registry.state_of("x")
@@ -296,30 +310,29 @@ def test_registry_measures_pairs_sharing_a_group_in_turn():
 
 def test_registry_measures_mixed_pairs_one_at_a_time():
     # the batched call refuses pairs from different families and axes and
-    # leaves the registry as it was; single calls then measure them
+    # leaves the registry as it was; one-pair calls then measure them
     def fresh():
         registry = QuantumRegistry()
         registry.add_rows([("a1", "b1"), ("a2", "b2")], np.tile(sv.BELL_PAIR_AMPS, (2, 1)))
-        registry.add(sv.make_qubit(0.6, 0.8j, "m"))
-        registry.apply_pauli("a2", PauliBits(1, 1))
+        registry.add_rows([("m",)], sv.qubit_rows([(0.6, 0.8j)]))
+        registry.apply_paulis(["a2"], [1], [1])
         return registry
 
     mixed, single = fresh(), fresh()
     with pytest.raises(sv.LabelMismatch):
         mixed.bell_measure_many(["m", "b2"], ["a1", "a2"], np.random.default_rng(5))
     mixed_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = [mixed.bell_measure("m", "a1", mixed_rng), mixed.bell_measure("b2", "a2", mixed_rng)]
-    assert got == [single.bell_measure("m", "a1", rng), single.bell_measure("b2", "a2", rng)]
+    got = [measure(mixed, "m", "a1", mixed_rng), measure(mixed, "b2", "a2", mixed_rng)]
+    assert got == [measure(single, "m", "a1", rng), measure(single, "b2", "a2", rng)]
     assert got[1] is BellOutcome.PSI_MINUS
     assert same_bits(mixed.state_of("b1").amps, single.state_of("b1").amps)
 
 
 def test_registry_views_follow_writes():
-    registry = QuantumRegistry()
-    registry.add(sv.make_bell_pair("a", "b"))
+    registry = bell_pair_registry(("a", "b"))
     before = registry.state_of("a")
     assert before.labels == registry.state_of("b").labels == ("a", "b")
-    registry.apply_pauli("b", PauliBits(1, 0))
+    registry.apply_paulis(["b"], [1], [0])
     after = registry.state_of("a")
     assert after is not before
     np.testing.assert_array_equal(before.amps, sv.BELL_PAIR_AMPS)
@@ -411,7 +424,7 @@ def test_registry_empty_bell_call():
 
 def test_registry_rejects_label_collisions():
     registry = QuantumRegistry()
-    registry.add(sv.make_qubit(1, 0, "a"))
+    registry.add_rows([("a",)], sv.qubit_rows([(1, 0)]))
     with pytest.raises(sv.LabelCollision):
         registry.add_rows([("b",), ("a",)], sv.qubit_rows([(1, 0), (0, 1)]))
     with pytest.raises(sv.LabelCollision):

@@ -33,12 +33,27 @@ def generic_spec(n, seed):
     return proto.random_message_spec(n, np.random.default_rng(seed), generic_margin=0.05)
 
 
+class BranchRng:
+    """A seeded generator whose Bell draws all pick ``outcome``.
+
+    Every teleport branch has probability 1/4 within ``UNIFORM_LAW_TOL``, so
+    the draw (k + 0.5)/4 picks branch k of BELL_ORDER. The pad comes from
+    the seeded generator's ``integers``, as it would without the stub.
+    """
+
+    def __init__(self, seed, outcome):
+        self.integers = np.random.default_rng(seed).integers
+        self.u = (BELL_ORDER.index(outcome) + 0.5) / 4
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
 def manual_run(
     spec,
     signer_bits,
     verifier_bits,
-    seed=0,
-    forced_outcomes=None,
+    rng=None,
     forced_pad=None,
     tamper_results=None,
 ):
@@ -47,11 +62,10 @@ def manual_run(
     registry = QuantumRegistry()
     signer_key = KeyBits(tuple(signer_bits), qotp.ROLE_SIGNER)
     verifier_key = KeyBits(tuple(verifier_bits), qotp.ROLE_VERIFIER)
-    rng = np.random.default_rng(seed)
+    rng = rng if rng is not None else np.random.default_rng(0)
     alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
     package, pad, private = proto.alice_sign(
-        spec, signer_key, rng, registry, alice_labels,
-        forced_pad=forced_pad, forced_outcomes=forced_outcomes,
+        spec, signer_key, rng, registry, alice_labels, forced_pad=forced_pad,
     )
     if tamper_results is not None:
         package = proto.SignaturePackage(package.masked, package.signature, tamper_results(package))
@@ -95,6 +109,34 @@ def test_random_message_spec_generic_margin():
         cross = a.conjugate() * b
         axis_max = max(abs(2 * cross.real), abs(2 * cross.imag), abs(abs(a) ** 2 - abs(b) ** 2))
         assert axis_max <= 0.95 + 1e-12
+
+
+def one_draw_per_try(n, rng, margin):
+    """``random_message_spec``'s coefficients drawn one qubit try at a time."""
+    coeffs = []
+    while len(coeffs) < n:
+        re_a, im_a, re_b, im_b = rng.normal(size=4)
+        a, b = complex(re_a, im_a), complex(re_b, im_b)
+        norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+        if norm < 1e-6:
+            continue
+        a, b = a / norm, b / norm
+        cross = a.conjugate() * b
+        if max(abs(2.0 * cross.real), abs(2.0 * cross.imag),
+               abs(abs(a) ** 2 - abs(b) ** 2)) <= 1.0 - margin:
+            coeffs.append((a, b))
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("margin", [0.05, 0.3])
+def test_random_message_spec_block_draws_match_one_draw_per_try(margin):
+    # a wide margin rejects most tries, so the blocks are drawn again many
+    # times; the coefficients and the generator's state must still match
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        spec = proto.random_message_spec(40, rng, generic_margin=margin)
+        assert spec.coefficients == one_draw_per_try(40, ref_rng, margin)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # --- key setup --------------------------------------------------------------
@@ -173,17 +215,15 @@ def test_alice_sign_trivial_message():
 
 
 def test_alice_sign_forced_phi_plus_leaves_b_qubit_ready():
-    # with the identity branch forced, the verifier's half already equals
+    # with the identity branch drawn, the verifier's half already equals
     # the masked qubit before any correction
     spec = generic_spec(2, 7)
     registry = QuantumRegistry()
-    rng = np.random.default_rng(1)
+    rng = BranchRng(1, BellOutcome.PHI_PLUS)
     signer_key = KeyBits((1, 0, 0, 1), qotp.ROLE_SIGNER)
     alice_labels, bob_labels = proto.distribute_bell_pairs(2, registry)
-    proto.alice_sign(
-        spec, signer_key, rng, registry, alice_labels,
-        forced_outcomes=(BellOutcome.PHI_PLUS,) * 2,
-    )
+    package, _, _ = proto.alice_sign(spec, signer_key, rng, registry, alice_labels)
+    assert package.bell_results == (BellOutcome.PHI_PLUS,) * 2
     for i in range(2):
         b_state = registry.state_of(bob_labels[i])
         masked = registry.state_of(f"p{i + 1}")
@@ -347,7 +387,8 @@ def test_trent_record_is_blind():
 @pytest.mark.parametrize("outcome", BELL_ORDER)
 def test_bob_compare_match_for_every_forced_outcome(outcome):
     spec = generic_spec(2, 41)
-    run = manual_run(spec, *honest_keys(2), forced_outcomes=(outcome,) * 2)
+    run = manual_run(spec, *honest_keys(2), rng=BranchRng(0, outcome))
+    assert run.package.bell_results == (outcome,) * 2
     assert run.report.result is CompareResult.MATCH_OK
     assert run.report.per_qubit == (True, True)
 
