@@ -201,7 +201,7 @@ def test_batched_bell_sample_top_draw_lands_on_a_possible_branch(outcome):
     pairs = sv.pauli_rows(pairs, 0, [outcome.x] * 3, [outcome.z] * 3)
     rows, _, residual = sv.bell_measure_rows(pairs, 0, 1, np.full(3, TOP_DRAW))
     assert [BELL_ORDER[r] for r in rows] == [outcome] * 3
-    assert residual.shape == (3, 1)  # finite, normalized
+    assert residual.shape == (3, 1)  # and the kernel checked it finite and normalized
 
 
 @pytest.mark.parametrize("outcome", BELL_ORDER)
