@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the golden corpus: tests/golden/transcripts.json and summaries.json.
 
-Usage: PYTHONPATH=src python scripts/regen_golden.py
+Usage: PYTHONPATH=src python scripts/regen_golden.py [--check]
+
+With ``--check`` it recomputes both corpora and writes nothing: it prints
+the first mismatching key of each corpus that differs from its file and
+exits 1 on any mismatch, 0 when both match.
 
 transcripts.json maps one key per run of the grid below to the sha256 of
 that run's transcript bytes. summaries.json maps one key per CLI batch of
@@ -13,6 +17,7 @@ in CHANGES.md.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -73,16 +78,31 @@ def summary_hashes(scenario: str, defenses) -> dict[str, str]:
     return hashes
 
 
-def main() -> int:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="recompute both corpora, write nothing, exit 1 on any mismatch")
+    check = parser.parse_args(argv).check
+    mismatched = False
     for path, hashes in ((GOLDEN_PATH, cell_hashes), (SUMMARIES_PATH, summary_hashes)):
         corpus: dict[str, str] = {}
         for scenario in SCENARIO_TOKENS:
             for defenses in DEFENSE_GRID:
                 corpus.update(hashes(scenario, defenses))
-        path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(corpus)} hashes to {path}")
-    return 0
+        if not check:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+            print(f"wrote {len(corpus)} hashes to {path}")
+            continue
+        stored = json.loads(path.read_text()) if path.exists() else {}
+        keys = sorted(key for key in corpus.keys() | stored.keys()
+                      if corpus.get(key) != stored.get(key))
+        if keys:
+            mismatched = True
+            print(f"{path}: {len(keys)} of {len(corpus | stored)} keys mismatch, first {keys[0]}")
+        else:
+            print(f"{path}: all {len(corpus)} hashes match")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

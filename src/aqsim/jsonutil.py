@@ -10,7 +10,11 @@ The documents are mostly long runs of same-shaped rows (state snapshots,
 carrier metadata, probability rows). The row renderers below format a
 whole run of rows at once, from one array, where the rows are made. What
 they return is text only: a ``Rendered`` holds the canonical text and no
-copy of the value, and ``_emit`` appends that text verbatim.
+copy of the value, and ``_emit`` appends that text verbatim. A trial renders
+the same floats and state rows many times over (a Pauli mask only permutes
+and negates floats, and the returned digest re-reads the rows the received
+digest read), so the renderers take a ``RenderMemo`` that holds each text
+rendered so far; one memo lives as long as one trial's registry.
 
 The emitter takes exactly the built-in types the documents are made of
 (dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
@@ -107,6 +111,21 @@ def _emit(obj, out: list[str]) -> None:
 # --- row renderers ----------------------------------------------------------
 
 
+class RenderMemo:
+    """The texts rendered so far in one trial, so that each is rendered once.
+
+    ``floats`` maps a float's exact value to its token and ``states`` maps a
+    state row's (labels, float bytes) to its text. It belongs to one
+    ``QuantumRegistry``, so it lives exactly as long as one trial.
+    """
+
+    __slots__ = ("floats", "states")
+
+    def __init__(self):
+        self.floats: dict[float, str] = {}
+        self.states: dict[tuple, str] = {}
+
+
 def _float_stack(values) -> np.ndarray:
     """A float64 copy of ``values`` with -0.0 collapsed to 0.0, checked
     finite once for the whole stack."""
@@ -116,35 +135,56 @@ def _float_stack(values) -> np.ndarray:
     return stack
 
 
+def _tokens(values: list, floats: dict) -> list[str]:
+    """The token of each of ``values`` (finite, no -0.0), formatting only
+    the values that ``floats`` does not hold yet."""
+    missing = tuple(set(values).difference(floats))
+    if missing:  # one format call for all of them; no token holds a comma
+        floats.update(zip(missing, ("%.17g," * len(missing) % missing).split(",")))
+    return list(map(floats.__getitem__, values))
+
+
 @functools.cache
 def _floats_template(width: int) -> str:
-    return "[" + ",".join(["%.17g"] * width) + "]"
+    return "[" + ",".join(["%s"] * width) + "]"
 
 
 @functools.cache
 def _state_template(width: int) -> str:
-    return '{"labels":%s,"amps":[' + ",".join(["[%.17g,%.17g]"] * width) + "]}"
+    return '{"labels":[%s],"amps":[' + ",".join(["[%s,%s]"] * width) + "]}"
 
 
-def state_texts(labels, amps) -> list[str]:
+def state_texts(labels, amps, memo: RenderMemo | None = None) -> list[str]:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
-    each row of an (m, 2**k) complex stack; ``labels[r]`` names row r's qubits,
-    as strings."""
+    each row of an (m, 2**k) complex stack; ``labels[r]``, a tuple of
+    strings, names row r's qubits. Rows already in ``memo`` are not
+    rendered again."""
+    memo = RenderMemo() if memo is None else memo
     # the (m, 2w) float view of the (m, w) stack: (re, im) per amplitude
     stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
-    template = _state_template(stack.shape[1] // 2)
-    return [template % ("[" + ",".join(map(_encode_str, row)) + "]", *values)
-            for row, values in zip(labels, stack.tolist(), strict=True)]
+    width = stack.shape[1]
+    keys = list(zip(labels, stack.view(np.dtype((np.void, 8 * width))).ravel().tolist(),
+                    strict=True))
+    texts = list(map(memo.states.get, keys))
+    missing = [r for r, text in enumerate(texts) if text is None]
+    if missing:
+        template = _state_template(width // 2)
+        tokens = _tokens(stack[missing].ravel().tolist(), memo.floats)
+        for i, r in enumerate(missing):
+            texts[r] = memo.states[keys[r]] = template % (
+                ",".join(map(_encode_str, keys[r][0])), *tokens[i * width:(i + 1) * width])
+    return texts
 
 
-def render_float_rows(rows) -> Rendered:
-    """Rendered ``[[x, ...], ...]`` of equal-length rows of floats."""
+def render_float_rows(rows, memo: RenderMemo | None = None) -> Rendered:
+    """Rendered ``[[x, ...], ...]`` of equal-length rows of floats, formatting
+    only the floats not yet in ``memo``."""
     if not len(rows):
         return Rendered("[]")
     stack = _float_stack(rows)
-    template = _floats_template(stack.shape[1])
-    text = "[" + ",".join([template % tuple(row) for row in stack.tolist()]) + "]"
-    return Rendered(text)
+    width = stack.shape[1]
+    tokens = _tokens(stack.ravel().tolist(), (RenderMemo() if memo is None else memo).floats)
+    return Rendered(("[" + ",".join([_floats_template(width)] * len(stack)) + "]") % tuple(tokens))
 
 
 def carrier_rows_text(rows, states=None) -> str:

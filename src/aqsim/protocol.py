@@ -20,6 +20,7 @@ that record plus the parties' claims.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -106,10 +107,14 @@ def random_message_spec(
     With ``generic_margin`` > 0, resample any qubit whose Bloch vector comes
     within the margin of a Pauli axis, so no sampled qubit is close to an
     eigenstate of any nonidentity Pauli. Such "generic" qubits make every
-    wrong Pauli detectable by the equality checks.
+    wrong Pauli detectable by the equality checks. Every pure qubit has a
+    Bloch component of size at least 1/sqrt(3), so a margin of
+    1 - 1/sqrt(3) (about 0.4226) or more admits no qubit: ``ValueError``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if generic_margin >= 1.0 - 1.0 / math.sqrt(3.0):
+        raise ValueError(f"no qubit passes a generic margin of {generic_margin}")
     coeffs = []
     # One block of draws for the qubits still needed, walked in order: the
     # same doubles, and the same accepted qubits, as one normal(size=4) per try.
@@ -177,10 +182,14 @@ class QuantumRegistry:
     The batched calls take uniform streams, one carrier per time slot. Any
     other input raises before anything changes; there are no single-label
     calls, and a caller with mixed pairs measures them one pair per call.
+
+    ``memo`` holds the canonical texts rendered from this registry's trial
+    (see ``jsonutil.RenderMemo``), so a row read twice is rendered once.
     """
 
     def __init__(self):
         self._where: dict = {}  # label -> (family, row, axis)
+        self.memo = jsonutil.RenderMemo()
 
     def _buckets(self, labels) -> list:
         """Positions of ``labels`` grouped by the (family, axis) holding them:
@@ -199,7 +208,8 @@ class QuantumRegistry:
         return list(buckets.values())
 
     def add_rows(self, labels, amps: np.ndarray) -> None:
-        """Register one new family: ``labels[r]`` names the qubits of ``amps[r]``."""
+        """Register one new family: ``labels[r]`` names the qubits of ``amps[r]``.
+        A label must be a ``str``, the only label type canonical text renders."""
         labels = [tuple(row) for row in labels]
         amps = np.array(amps, dtype=np.complex128).reshape(len(labels), -1)
         for row in labels:
@@ -215,6 +225,8 @@ class QuantumRegistry:
         new: dict = {}
         for r, row in enumerate(labels):
             for j, label in enumerate(row):
+                if type(label) is not str:
+                    raise TypeError(f"label {label!r} is not a str")
                 if label in self._where or label in new:
                     raise LabelCollision(f"label {label!r} already registered")
                 new[label] = (family, r, j)
@@ -250,7 +262,7 @@ class QuantumRegistry:
 
     def state_texts(self, labels: Sequence) -> list[str]:
         """The canonical text of ``state_of(label).to_jsonable()`` for each label."""
-        return self._gather(labels, jsonutil.state_texts)
+        return self._gather(labels, lambda rows, amps: jsonutil.state_texts(rows, amps, self.memo))
 
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
         """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
@@ -622,7 +634,7 @@ def trent_verify(
         x, z = qotp.key_paulis(verifier_key, [c.time_slot for c in carriers])
         amps = sv.pauli_rows(_qubit_rows(registry, [c.payload for c in carriers]), 0, x, z,
                              inverse=True)
-        texts = jsonutil.state_texts([(c.payload,) for c in carriers], amps)
+        texts = jsonutil.state_texts([(c.payload,) for c in carriers], amps, registry.memo)
         return amps, tuple(map(jsonutil.Rendered, texts))
 
     (masked, masked_snapshot), (signature, signature_snapshot) = (

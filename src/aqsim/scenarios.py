@@ -263,8 +263,15 @@ SCENARIOS: dict[ScenarioVariant, ScenarioEntry] = {
 # --- the flow ---------------------------------------------------------------
 
 
-def _carrier_meta(carriers) -> list[dict]:
-    return render_carriers([(c.id, c.band, c.time_slot) for c in carriers])
+def _carrier_meta(sent: dict, stream: str, carriers: tuple):
+    """The rendered metadata of a sent stream. ``sent`` maps each stream to its
+    last (carriers, Rendered), reused while the same tuple of frozen carriers
+    is sent again; a stream an attack replaced is rendered afresh."""
+    last = sent.get(stream)
+    if last is None or last[0] is not carriers:
+        last = sent[stream] = (
+            carriers, render_carriers([(c.id, c.band, c.time_slot) for c in carriers]))
+    return last[1]
 
 
 def _screen_point(
@@ -292,11 +299,12 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     Returns the alarms that aborted the run, or () when it ran to the end.
     """
     transcript, registry, keys = trial.transcript, trial.registry, trial.keys
+    sent: dict = {}  # stream -> (carriers, Rendered), see _carrier_meta
     entry.after_sign(trial)
     transcript.log("alice", "send", {
         "channel": "alice->bob", "what": "signature-package",
-        "masked": _carrier_meta(trial.package.masked),
-        "signature": _carrier_meta(trial.package.signature),
+        "masked": _carrier_meta(sent, "masked", trial.package.masked),
+        "signature": _carrier_meta(sent, "signature", trial.package.signature),
         "bell_results": [o.token for o in trial.package.bell_results],
     })
     entry.in_flight(trial)
@@ -308,8 +316,8 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     trial.payload = proto.bob_forward(trial.package, keys.verifier, registry)
     transcript.log("bob", "send", {
         "channel": "bob->trent", "what": "ciphertext",
-        "masked": _carrier_meta(trial.payload.masked),
-        "signature": _carrier_meta(trial.payload.signature),
+        "masked": _carrier_meta(sent, "masked", trial.payload.masked),
+        "signature": _carrier_meta(sent, "signature", trial.payload.signature),
     })
     entry.after_forward(trial)
     fired = _screen_point(transcript, "trent", "trent-receive",
@@ -322,7 +330,8 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     transcript.log("trent", "arbiter-record", trial.record.to_jsonable())
     transcript.log("trent", "send", {
         "channel": "trent->bob", "what": "ciphertext",
-        "masked": _carrier_meta(returned.masked), "signature": _carrier_meta(returned.signature),
+        "masked": _carrier_meta(sent, "masked", returned.masked),
+        "signature": _carrier_meta(sent, "signature", returned.signature),
         "verdict_carrier": returned.verdict_carrier.meta(),
     })
     report = trial.report = proto.bob_verify_and_compare(
@@ -388,7 +397,7 @@ def run_scenario(
         spec, keys.signer, streams.sign, registry, alice_labels, forced_pad=forced_pad)
     transcript.log("alice", "measurement", {
         "what": "bell-projection",
-        "probabilities": render_float_rows(signer_private.outcome_probabilities),
+        "probabilities": render_float_rows(signer_private.outcome_probabilities, registry.memo),
         "outcomes": [o.token for o in package.bell_results],
     })
 

@@ -449,8 +449,14 @@ def bell_measure_rows(amps: np.ndarray, axis1: int, axis2: int, u) -> tuple:
 def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> list[bool]:
     """``equal_up_to_phase`` row by row over two stacks in the same label order.
 
-    The phase is read off stacked; the distance keeps the scalar
-    ``np.linalg.norm`` per row, whose rounding a stacked sum would not match.
+    The phase and every row's distance are computed stacked. The stacked
+    distance and the scalar ``np.linalg.norm`` sum the same (at most 16)
+    squares in different orders, so they differ by a few ulps only: a row
+    whose stacked distance lies outside ``tol * (1 +- 1e-12)`` is decided
+    from it, exactly as the scalar norm would decide it. Rows inside that
+    band, and rows whose distance is not finite, fall back to the scalar
+    ``np.linalg.norm``. The band argument needs ``tol**2`` to be a normal
+    double, which holds for any tol above 1e-150.
     """
     idx = np.arange(a.shape[0])
     j = np.argmax(np.abs(b), axis=1)
@@ -459,7 +465,13 @@ def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> l
         ratio = aj / b[idx, j]
         c = np.where(np.abs(aj) < PROB_FLOOR, 1.0, ratio / np.abs(ratio))
     diff = a - c[:, None] * b
-    return [float(np.linalg.norm(d)) <= tol for d in diff]
+    f = diff.view(np.float64)  # (re, im) per amplitude
+    dist = np.sqrt(np.einsum("ij,ij->i", f, f))
+    equal = dist < tol * (1.0 - 1e-12)
+    unequal = (dist > tol * (1.0 + 1e-12)) & np.isfinite(dist)
+    for r in np.flatnonzero(~(equal | unequal)).tolist():
+        equal[r] = float(np.linalg.norm(diff[r])) <= tol
+    return equal.tolist()
 
 
 def states_from_rows(labels, amps: np.ndarray) -> tuple[PureState, ...]:

@@ -433,6 +433,20 @@ def test_registry_rejects_label_collisions():
         registry.state_of("b")
 
 
+@pytest.mark.parametrize("bad", [0, ("q",), b"q"])
+def test_registry_refuses_a_label_that_is_not_a_str(bad):
+    # canonical text renders only string labels, so the registry refuses any
+    # other label when it comes in, before it registers any row of the call
+    registry = QuantumRegistry()
+    with pytest.raises(TypeError):
+        registry.add_rows([("a", "b"), ("c", bad)], np.tile(sv.BELL_PAIR_AMPS, (2, 1)))
+    for label in ("a", "b", "c"):
+        with pytest.raises(sv.UnknownLabel):
+            registry.state_of(label)
+    registry.add_rows([("a", "b")], sv.BELL_PAIR_AMPS[None, :])
+    assert registry.state_texts(["b"]) == [canonical_json(registry.state_of("b").to_jsonable())]
+
+
 # --- equality up to phase --------------------------------------------------------
 
 
@@ -452,3 +466,44 @@ def test_equal_up_to_phase_rows_match_scalar(data):
         assert got[r] == ref
         if same[r]:
             assert got[r] and oracles.vec_equal_up_to_phase(a[r], b[r], 1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_equal_up_to_phase_rows_decide_the_band_like_the_scalar_norm(k):
+    # row r of a is b + d[r] with b = |0...0> and d[r][0] = 0, so the phase
+    # is exactly 1 and the distance is exactly ||d[r]||: rows at tol, a hair
+    # either side of it, far from it, and random rows scaled to norm tol,
+    # where a stacked sum of squares and np.linalg.norm round apart
+    tol = 1e-9
+    dim = 2 ** k
+    rng = np.random.default_rng(k)
+    d = rng.normal(size=(200, dim)) + 1j * rng.normal(size=(200, dim))
+    d[:, 0] = 0
+    d *= tol / np.linalg.norm(d, axis=1)[:, None]
+    on_tol = np.zeros((6, dim), dtype=complex)
+    on_tol[:, 1] = [tol, tol * (1 - 1e-13), tol * (1 + 1e-13), 1j * tol, tol * 1e-3, 0.0]
+    d = np.concatenate([d, on_tol, d[:3] * (1 - 1e-13), d[:3] * (1 + 1e-13), d[:3] * 100])
+    b = np.zeros_like(d)
+    b[:, 0] = 1
+    a = np.concatenate([b + d, np.eye(dim, dtype=complex)[1:2]])  # and |0..01> vs |0..0>
+    b = np.concatenate([b, b[:1]])
+    got = sv.equal_up_to_phase_rows(a, b, tol)
+    assert got == [float(np.linalg.norm(row)) <= tol for row in a - b]
+    for r in range(len(a)):
+        assert got[r] == sv.equal_up_to_phase(state_of_row(a, r), state_of_row(b, r), tol)
+    assert got[200:206] == [True, True, False, True, True, True] and not got[-1]
+    if k > 1:  # the band holds rows that a stacked distance alone would decide wrongly
+        f = np.ascontiguousarray(a - b).view(np.float64)
+        stacked = np.sqrt(np.einsum("ij,ij->i", f, f)) <= tol
+        assert any(stacked[r] != got[r] for r in range(len(a)))
+
+
+def test_equal_up_to_phase_rows_fall_back_on_non_finite_rows():
+    # NaN, infinite and overflowing rows decide as the scalar norm does:
+    # not equal; PureState refuses such rows, so only the norm is the reference
+    b = np.array([[1, 0]] * 4, dtype=complex)
+    a = np.array([[np.nan, 0], [1, np.inf], [1, 1e200], [1, 1e-10]], dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = sv.equal_up_to_phase_rows(a, b, 1e-9)
+        assert got == [float(np.linalg.norm(row)) <= 1e-9 for row in a - b]
+    assert got == [False, False, False, True]

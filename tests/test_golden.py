@@ -46,3 +46,29 @@ def test_cli_summaries_match_golden(scenario, defenses):
     got = regen_golden.summary_hashes(scenario, defenses)
     mismatched = sorted(key for key, digest in got.items() if SUMMARIES.get(key) != digest)
     assert not mismatched
+
+
+def test_regen_check_prints_the_first_mismatch_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # stand-in hashes, one per cell, so the check runs without the grid
+    def hashes(tag):
+        return lambda scenario, defenses: {f"{tag}/{scenario}/{defenses.tokens()}": "h"}
+
+    monkeypatch.setattr(regen_golden, "cell_hashes", hashes("t"))
+    monkeypatch.setattr(regen_golden, "summary_hashes", hashes("s"))
+    transcripts, summaries = tmp_path / "transcripts.json", tmp_path / "summaries.json"
+    monkeypatch.setattr(regen_golden, "GOLDEN_PATH", transcripts)
+    monkeypatch.setattr(regen_golden, "SUMMARIES_PATH", summaries)
+    assert regen_golden.main([]) == 0
+    assert regen_golden.main(["--check"]) == 0
+
+    corpus = json.loads(summaries.read_text())
+    first, later = sorted(corpus)[2], sorted(corpus)[5]
+    corpus[first] = corpus[later] = "stale"
+    summaries.write_text(json.dumps(corpus))
+    written = transcripts.read_bytes(), summaries.read_bytes()
+    capsys.readouterr()
+    assert regen_golden.main(["--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f"all {7 * 4} hashes match")
+    assert lines[1].endswith(f"2 of {7 * 4} keys mismatch, first {first}")
+    assert (transcripts.read_bytes(), summaries.read_bytes()) == written

@@ -154,6 +154,52 @@ def test_carrier_rows_match_the_oracle(rows):
     assert jsonutil.carrier_rows_text(rows, texts) == canonical_oracle.canonical_json(with_states)
 
 
+# --- one memo per trial --------------------------------------------------------
+
+CALLS = st.lists(st.tuples(st.sampled_from(["states", "floats"]), st.integers(1, 3),
+                           st.integers(0, 4)), min_size=1, max_size=5)
+
+
+@given(pool=st.lists(FLOATS, min_size=1, max_size=4), calls=CALLS, data=st.data())
+def test_renderers_sharing_one_memo_match_the_oracle(pool, calls, data):
+    # a few values, each also negated, repeated over calls that all fill and
+    # read one memo; with row labels from two tags, equal rows recur both
+    # under the same labels and under different ones
+    memo = jsonutil.RenderMemo()
+    values = st.sampled_from(pool + [-x for x in pool])
+    for kind, k, m in calls:
+        if kind == "states":
+            flat = data.draw(st.lists(values, min_size=m * 2 ** (k + 1), max_size=m * 2 ** (k + 1)))
+            amps = np.array(flat, dtype=np.float64).view(np.complex128).reshape(m, 2 ** k)
+            labels = [tuple(f"{data.draw(st.sampled_from('pq'))}{j}" for j in range(k))
+                      for _ in range(m)]
+            assert jsonutil.state_texts(labels, amps, memo) == [
+                canonical_oracle.canonical_json(plain_state(row_labels, row))
+                for row_labels, row in zip(labels, amps)]
+        else:
+            rows = tuple(tuple(data.draw(st.lists(values, min_size=k, max_size=k)))
+                         for _ in range(m))
+            assert (jsonutil.render_float_rows(rows, memo).text
+                    == canonical_oracle.canonical_json([list(row) for row in rows]))
+
+
+def test_state_memo_tells_labels_apart_and_renders_signed_zeros_once():
+    memo = jsonutil.RenderMemo()
+    flat = [[0.6, 0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8], [0.6, -0.0, -0.0, 0.8]]
+    amps = np.array(flat).view(np.complex128)
+    labels = [("p1",), ("q1",), ("p1",)]
+    expected = [canonical_oracle.canonical_json(plain_state(row_labels, row))
+                for row_labels, row in zip(labels, amps)]
+    swapped = [("q1",), ("p1",), ("q1",)]
+    for _ in range(2):  # rendered, then read back from the memo
+        assert jsonutil.state_texts(labels, amps, memo) == expected
+        assert jsonutil.state_texts(swapped, amps, memo) == [
+            canonical_oracle.canonical_json(plain_state(row_labels, row))
+            for row_labels, row in zip(swapped, amps)]
+    assert expected[0] != expected[1] and expected[0] == expected[2]
+    assert len(memo.states) == 2  # the rows differing only in the sign of 0.0 share one text
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("column", [0, 1])
 def test_renderers_reject_non_finite_floats_like_the_oracle(bad, column):

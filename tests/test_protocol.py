@@ -111,6 +111,19 @@ def test_random_message_spec_generic_margin():
         assert axis_max <= 0.95 + 1e-12
 
 
+def test_random_message_spec_refuses_a_margin_no_qubit_passes():
+    # every pure qubit has a Bloch component of size at least 1/sqrt(3)
+    # (about 0.5774), so at a margin of 0.43 every try would be rejected
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        proto.random_message_spec(1, rng, generic_margin=0.43)
+    assert rng.bit_generator.state == state
+    (a, b), = proto.random_message_spec(1, rng, generic_margin=0.42).coefficients
+    cross = a.conjugate() * b
+    assert max(abs(2 * cross.real), abs(2 * cross.imag), abs(abs(a) ** 2 - abs(b) ** 2)) <= 0.58
+
+
 def one_draw_per_try(n, rng, margin):
     """``random_message_spec``'s coefficients drawn one qubit try at a time."""
     coeffs = []
