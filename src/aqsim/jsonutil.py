@@ -145,11 +145,6 @@ def _tokens(values: list, floats: dict) -> list[str]:
 
 
 @functools.cache
-def _floats_template(width: int) -> str:
-    return "[" + ",".join(["%s"] * width) + "]"
-
-
-@functools.cache
 def _state_template(width: int) -> str:
     return '{"labels":[%s],"amps":[' + ",".join(["[%s,%s]"] * width) + "]}"
 
@@ -184,7 +179,8 @@ def render_float_rows(rows, memo: RenderMemo | None = None) -> Rendered:
     stack = _float_stack(rows)
     width = stack.shape[1]
     tokens = _tokens(stack.ravel().tolist(), (RenderMemo() if memo is None else memo).floats)
-    return Rendered(("[" + ",".join([_floats_template(width)] * len(stack)) + "]") % tuple(tokens))
+    row = "[" + ",".join(["%s"] * width) + "]"
+    return Rendered(("[" + ",".join([row] * len(stack)) + "]") % tuple(tokens))
 
 
 def carrier_rows_text(rows, states=None) -> str:
