@@ -11,10 +11,11 @@ carrier metadata, probability rows). The row renderers below format a
 whole run of rows at once, from one array, where the rows are made. What
 they return is text only: a ``Rendered`` holds the canonical text and no
 copy of the value, and ``_emit`` appends that text verbatim. A trial renders
-the same floats and state rows many times over (a Pauli mask only permutes
-and negates floats, and the returned digest re-reads the rows the received
-digest read), so the renderers take a ``RenderMemo`` that holds each text
-rendered so far; one memo lives as long as one trial's registry.
+the same floats, state rows and carrier streams many times over (a Pauli
+mask only permutes and negates floats, the returned digest re-reads the
+rows the received digest read, and the same carriers travel three legs),
+so the renderers take a ``RenderMemo`` that holds each text rendered so
+far; one memo lives as long as one trial's registry.
 
 The emitter takes exactly the built-in types the documents are made of
 (dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import not_
 
 import numpy as np
 
@@ -114,16 +117,24 @@ def _emit(obj, out: list[str]) -> None:
 class RenderMemo:
     """The texts rendered so far in one trial, so that each is rendered once.
 
-    ``floats`` maps a float's exact value to its token and ``states`` maps a
-    state row's (labels, float bytes) to its text. It belongs to one
-    ``QuantumRegistry``, so it lives exactly as long as one trial.
+    - ``floats`` maps a float's exact value to its token. Each magnitude is
+      formatted once and stored under both signs (see ``_tokens``).
+    - ``heads`` maps a state row's labels to the text the row starts with.
+    - ``states`` maps a state row's (labels, float bytes) to its text.
+    - ``carriers`` maps a tuple of carrier rows, by identity, to that tuple
+      and the text each of its objects starts with (see ``carrier_heads``).
+
+    It belongs to one ``QuantumRegistry``, so it lives exactly as long as
+    one trial.
     """
 
-    __slots__ = ("floats", "states")
+    __slots__ = ("floats", "heads", "states", "carriers")
 
     def __init__(self):
         self.floats: dict[float, str] = {}
+        self.heads: dict[tuple, str] = {}
         self.states: dict[tuple, str] = {}
+        self.carriers: dict[int, tuple] = {}
 
 
 def _float_stack(values) -> np.ndarray:
@@ -137,16 +148,38 @@ def _float_stack(values) -> np.ndarray:
 
 def _tokens(values: list, floats: dict) -> list[str]:
     """The token of each of ``values`` (finite, no -0.0), formatting only
-    the values that ``floats`` does not hold yet."""
-    missing = tuple(set(values).difference(floats))
-    if missing:  # one format call for all of them; no token holds a comma
-        floats.update(zip(missing, ("%.17g," * len(missing) % missing).split(",")))
+    the magnitudes that ``floats`` does not hold yet.
+
+    For finite x != 0 the token of -x is "-" followed by the token of x, so
+    each new magnitude is formatted once and stored under both signs; a
+    value missing from ``floats`` therefore has a missing magnitude too.
+    """
+    tokens = list(map(floats.get, values))
+    if all(tokens):  # every value known (no token is empty)
+        return tokens
+    mags = tuple(set(map(abs, compress(values, map(not_, tokens)))))
+    new = ("%.17g," * len(mags) % mags).split(",")  # one format call; no token holds a comma
+    # negations first: 0.0 is its own negation, so its "-0" is then
+    # overwritten by "0"
+    floats.update(zip(map(float.__neg__, mags), map("-".__add__, new)))
+    floats.update(zip(mags, new))
     return list(map(floats.__getitem__, values))
 
 
 @functools.cache
-def _state_template(width: int) -> str:
-    return '{"labels":[%s],"amps":[' + ",".join(["[%s,%s]"] * width) + "]}"
+def _amps_template(width: int) -> str:
+    return ",".join(["[%s,%s]"] * width) + "]}"
+
+
+def _state_heads(labels: list, heads: dict) -> list[str]:
+    """``{"labels":[...],"amps":[`` for each row of ``labels``, rendering only
+    the rows of labels that ``heads`` does not hold yet."""
+    texts = list(map(heads.get, labels))
+    if all(texts):
+        return texts
+    heads.update((row, '{"labels":[%s],"amps":[' % ",".join(map(_encode_str, row)))
+                 for row in set(compress(labels, map(not_, texts))))
+    return list(map(heads.__getitem__, labels))
 
 
 def state_texts(labels, amps, memo: RenderMemo | None = None) -> list[str]:
@@ -161,13 +194,15 @@ def state_texts(labels, amps, memo: RenderMemo | None = None) -> list[str]:
     keys = list(zip(labels, stack.view(np.dtype((np.void, 8 * width))).ravel().tolist(),
                     strict=True))
     texts = list(map(memo.states.get, keys))
-    missing = [r for r, text in enumerate(texts) if text is None]
+    missing = list(compress(range(len(texts)), map(not_, texts)))
     if missing:
-        template = _state_template(width // 2)
-        tokens = _tokens(stack[missing].ravel().tolist(), memo.floats)
-        for i, r in enumerate(missing):
-            texts[r] = memo.states[keys[r]] = template % (
-                ",".join(map(_encode_str, keys[r][0])), *tokens[i * width:(i + 1) * width])
+        heads = _state_heads([keys[r][0] for r in missing], memo.heads)
+        # one format call for the amplitudes of all the missing rows; no token
+        # holds a newline
+        bodies = ("\n".join([_amps_template(width // 2)] * len(missing))
+                  % tuple(_tokens(stack[missing].ravel().tolist(), memo.floats))).split("\n")
+        for r, head, body in zip(missing, heads, bodies):
+            texts[r] = memo.states[keys[r]] = head + body
     return texts
 
 
@@ -183,24 +218,38 @@ def render_float_rows(rows, memo: RenderMemo | None = None) -> Rendered:
     return Rendered(("[" + ",".join([row] * len(stack)) + "]") % tuple(tokens))
 
 
-def carrier_rows_text(rows, states=None) -> str:
-    """Canonical text of the list of ``{"id", "band", "slot"}`` objects made
-    from ``rows`` of (id, band, slot): string ids and bands, integer slots.
-    With ``states`` (canonical texts, one per row), each object also ends in
-    a ``"state"`` member holding that text."""
+def carrier_heads(rows, memo: RenderMemo | None = None) -> tuple[str, ...]:
+    """The text ``{"id":...,"band":...,"slot":...`` that the object of each
+    row starts with, for rows whose first three items are (id, band, slot):
+    string ids and bands, integer slots.
+
+    A tuple of rows (of immutable rows, such as carriers) is rendered once
+    per ``memo``: the memo keeps its texts, keyed by the tuple's identity,
+    and holds the tuple itself so that the identity is not reused.
+    """
+    kept = memo.carriers.get(id(rows)) if memo is not None else None
+    if kept is not None:
+        return kept[1]
+    heads = tuple('{"id":%s,"band":%s,"slot":%d' % (_encode_str(row[0]), _encode_str(row[1]),
+                                                      row[2]) for row in rows)
+    if memo is not None and type(rows) is tuple:
+        memo.carriers[id(rows)] = (rows, heads)
+    return heads
+
+
+def carrier_rows_text(heads, states=None) -> str:
+    """Canonical text of the list of objects that start with ``heads`` (see
+    ``carrier_heads``). With ``states`` (canonical texts, one per head),
+    each object also ends in a ``"state"`` member holding that text."""
     if states is None:
-        items = ['{"id":%s,"band":%s,"slot":%d}' % (_encode_str(i), _encode_str(b), slot)
-                 for i, b, slot in rows]
-    else:
-        items = ['{"id":%s,"band":%s,"slot":%d,"state":%s}'
-                 % (_encode_str(i), _encode_str(b), slot, state)
-                 for (i, b, slot), state in zip(rows, states, strict=True)]
-    return "[" + ",".join(items) + "]"
+        return "[" + "},".join(heads) + "}]" if heads else "[]"
+    return "[" + ",".join(map('%s,"state":%s}'.__mod__, zip(heads, states, strict=True))) + "]"
 
 
-def render_carriers(rows) -> Rendered:
-    """Rendered ``[{"id", "band", "slot"}, ...]`` from rows of (id, band, slot)."""
-    return Rendered(carrier_rows_text(rows))
+def render_carriers(rows, memo: RenderMemo | None = None) -> Rendered:
+    """Rendered ``[{"id", "band", "slot"}, ...]`` from rows that start with
+    (id, band, slot), as ``carrier_heads`` renders them."""
+    return Rendered(carrier_rows_text(carrier_heads(rows, memo)))
 
 
 def canonical_json(obj) -> str:

@@ -23,7 +23,10 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from functools import partial
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,9 +143,13 @@ def random_message_spec(
     return MessageSpec(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class Carrier:
-    """Channel-level handle for one photon: band, slot, and the qubit it holds."""
+class Carrier(NamedTuple):
+    """Channel-level handle for one photon: band, slot, and the qubit it holds.
+
+    A plain immutable tuple, so a stream of them costs a tuple per carrier;
+    its first three items are the (id, band, slot) that ``jsonutil``
+    renders.
+    """
 
     id: str
     band: str
@@ -151,6 +158,30 @@ class Carrier:
 
     def meta(self) -> dict:
         return {"id": self.id, "band": self.band, "slot": self.time_slot}
+
+
+_new_carrier = partial(tuple.__new__, Carrier)  # from an (id, band, slot, payload) row
+
+
+def carriers_of(ids: Sequence[str], band: str, first_slot: int) -> tuple[Carrier, ...]:
+    """One carrier per id, in consecutive slots from ``first_slot``, each
+    holding the qubit labeled with its id."""
+    slots = range(first_slot, first_slot + len(ids))
+    return tuple(map(_new_carrier, zip(ids, repeat(band), slots, ids)))
+
+
+_LABELS = itemgetter(3)  # a carrier's payload label
+_SLOTS = itemgetter(2)
+
+
+def labels_of(carriers: Sequence[Carrier]) -> tuple[str, ...]:
+    """The label stream of a carrier stream: each carrier's payload label."""
+    return tuple(map(_LABELS, carriers))
+
+
+def slots_of(carriers: Sequence[Carrier]) -> np.ndarray:
+    """Each carrier's time slot, the index its key Pauli is drawn by."""
+    return np.fromiter(map(_SLOTS, carriers), dtype=np.intp, count=len(carriers))
 
 
 @dataclass(eq=False, slots=True)
@@ -166,18 +197,35 @@ class _Family:
     labels: list
 
 
+class _Bucket(NamedTuple):
+    """The labels of one stream that sit at one (family, axis): their
+    positions in the stream, their rows, and those rows' labels."""
+
+    family: _Family
+    axis: int
+    positions: np.ndarray
+    rows: np.ndarray
+    row_labels: list
+
+
 class QuantumRegistry:
     """Which qubit group holds each labeled qubit, stored as slot families.
 
     The protocol factors by time slot: slot i holds p_i and sa_i, the
     teleport group t_i (x) (a_i, b_i) and, under the Trojan attacks, a decoy
     pair. So groups of one shape live together in a family (one stacked
-    amplitude array, see ``_Family``); that and a map from label to (family,
-    row, axis) is all it keeps. Every operation walks its labels once into
-    (family, axis) buckets and runs one ``statevector`` kernel per bucket;
-    reads make their values afresh from the rows. A Bell measurement merges
-    the two groups involved, then drops the measured labels. It compares no
+    amplitude array, see ``_Family``). It keeps the (family, axis) parts
+    and a map from label to (part, row), nothing else. An operation runs one
+    ``statevector`` kernel per (family, axis) bucket of its labels; reads
+    make their values afresh from the rows. A Bell measurement merges the
+    two groups involved, then drops the measured labels. It compares no
     states: the protocol's checks compare rows read with ``amps_of``.
+
+    The flow sends the same carrier streams over three legs, so it asks for
+    the same label streams at every step. Each distinct label stream is
+    walked into its buckets once and the result kept (``_resolve``). Adding
+    rows leaves every kept resolution true; ``bell_measure_many``, the one
+    call that deletes and moves labels, drops them all.
 
     The batched calls take uniform streams, one carrier per time slot. Any
     other input raises before anything changes; there are no single-label
@@ -188,59 +236,88 @@ class QuantumRegistry:
     """
 
     def __init__(self):
-        self._where: dict = {}  # label -> (family, row, axis)
+        self._parts: list = []  # part id -> (family, axis)
+        self._where: dict = {}  # label -> (part id, row)
+        self._resolved: dict = {}  # label stream (a tuple) -> its buckets
         self.memo = jsonutil.RenderMemo()
 
-    def _buckets(self, labels) -> list:
-        """Positions of ``labels`` grouped by the (family, axis) holding them:
-        a list of (family, axis, positions, rows), in first-seen order."""
-        buckets: dict = {}
-        for pos, label in enumerate(labels):
-            try:
-                family, row, axis = self._where[label]
-            except KeyError:
-                raise UnknownLabel(f"label {label!r} not in registry") from None
-            bucket = buckets.get((family, axis))
-            if bucket is None:
-                bucket = buckets[family, axis] = (family, axis, [], [])
-            bucket[2].append(pos)
-            bucket[3].append(row)
-        return list(buckets.values())
+    def _buckets(self, labels: tuple) -> list[_Bucket]:
+        """Walk ``labels`` into the (family, axis) buckets holding them, in
+        first-seen order."""
+        try:
+            where = list(map(self._where.__getitem__, labels))
+        except KeyError as missing:
+            raise UnknownLabel(f"label {missing.args[0]!r} not in registry") from None
+        if not where:
+            return []
+        parts, rows = zip(*where)
+        if parts.count(parts[0]) == len(parts):  # the common case: one bucket
+            groups = [(parts[0], np.arange(len(rows)))]
+        else:
+            parts = np.array(parts, dtype=np.intp)
+            groups = [(parts[first], np.flatnonzero(parts == parts[first]))
+                      for first in np.sort(np.unique(parts, return_index=True)[1]).tolist()]
+        rows = np.array(rows, dtype=np.intp)
+        buckets = []
+        for part, positions in groups:
+            family, axis = self._parts[part]
+            part_rows = rows[positions]
+            buckets.append(_Bucket(family, axis, positions, part_rows,
+                                   list(map(family.labels.__getitem__, part_rows.tolist()))))
+        return buckets
+
+    def _resolve(self, labels: Sequence) -> list[_Bucket]:
+        """The buckets of a label stream, walked once and then kept until
+        ``bell_measure_many`` drops every kept resolution."""
+        key = labels if type(labels) is tuple else tuple(labels)
+        buckets = self._resolved.get(key)
+        if buckets is None:
+            buckets = self._resolved[key] = self._buckets(key)
+        return buckets
 
     def add_rows(self, labels, amps: np.ndarray) -> None:
         """Register one new family: ``labels[r]`` names the qubits of ``amps[r]``.
-        A label must be a ``str``, the only label type canonical text renders."""
+        A label must be a ``str``, the only label type canonical text renders.
+        Every check runs before anything is registered."""
         labels = [tuple(row) for row in labels]
         amps = np.array(amps, dtype=np.complex128).reshape(len(labels), -1)
-        for row in labels:
-            if len(row) > sv.MAX_QUBITS:
-                raise sv.TooManyQubits(f"{len(row)} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
-            if len(set(row)) != len(row):
-                raise sv.DuplicateLabel(f"duplicate qubit labels in {row}")
-            if 2 ** len(row) != amps.shape[1]:
-                raise sv.StateError(
-                    f"amplitude count {amps.shape[1]} does not match {len(row)} qubit(s)"
-                )
-        family = _Family(sv.check_rows(amps), labels)
-        new: dict = {}
-        for r, row in enumerate(labels):
-            for j, label in enumerate(row):
-                if type(label) is not str:
-                    raise TypeError(f"label {label!r} is not a str")
-                if label in self._where or label in new:
+        k = amps.shape[1].bit_length() - 1
+        if {*map(len, labels)} - {k} or 2 ** k != amps.shape[1]:
+            raise sv.StateError(f"amplitude count {amps.shape[1]} does not match the rows' "
+                                f"qubit counts {sorted({*map(len, labels)})}")
+        if k > sv.MAX_QUBITS:
+            raise sv.TooManyQubits(f"{k} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
+        flat = list(chain.from_iterable(labels))
+        if {*map(type, flat)} - {str}:
+            bad = next(label for label in flat if type(label) is not str)
+            raise TypeError(f"label {bad!r} is not a str")
+        new = set(flat)
+        if len(new) != len(flat):
+            for row in labels:
+                if len(set(row)) != k:
+                    raise sv.DuplicateLabel(f"duplicate qubit labels in {row}")
+        if len(new) != len(flat) or not new.isdisjoint(self._where):
+            seen: set = set()  # name the first label repeated or already registered
+            for label in flat:
+                if label in seen or label in self._where:
                     raise LabelCollision(f"label {label!r} already registered")
-                new[label] = (family, r, j)
-        self._where.update(new)
+                seen.add(label)
+        family = _Family(sv.check_rows(amps), labels)
+        parts = range(len(self._parts), len(self._parts) + k)
+        self._parts.extend((family, j) for j in range(k))
+        self._where.update(zip(flat, [(part, r) for r in range(len(labels)) for part in parts]))
 
     def _gather(self, labels: Sequence, read):
         """Item i read off the group of ``labels[i]``, by one ``read(row labels, amps)``
         per bucket; a bucket that holds every label returns ``read``'s result as is."""
+        buckets = self._resolve(labels)
+        if len(buckets) == 1:
+            bucket = buckets[0]
+            return read(bucket.row_labels, bucket.family.amps[bucket.rows])
         out: list = [None] * len(labels)
-        for family, _, positions, rows in self._buckets(labels):
-            items = read([family.labels[row] for row in rows], family.amps[rows])
-            if len(positions) == len(labels):
-                return items
-            for pos, item in zip(positions, items):
+        for bucket in buckets:
+            items = read(bucket.row_labels, bucket.family.amps[bucket.rows])
+            for pos, item in zip(bucket.positions.tolist(), items):
                 out[pos] = item
         return out
 
@@ -271,7 +348,7 @@ class QuantumRegistry:
             raise sv.DuplicateLabel("apply_paulis takes each label once")
         x = np.asarray(x)
         z = np.asarray(z)
-        for family, axis, positions, rows in self._buckets(labels):
+        for family, axis, positions, rows, _ in self._resolve(labels):
             family.amps[rows] = sv.pauli_rows(family.amps[rows], axis, x[positions],
                                               z[positions], inverse)
 
@@ -281,19 +358,20 @@ class QuantumRegistry:
         side sits at one (family, axis) and no two pairs touch one group."""
         if any(l1 == l2 for l1, l2 in zip(labels1, labels2)):
             raise sv.DuplicateLabel("bell measurement needs two distinct labels")
-        first, second = self._buckets(labels1), self._buckets(labels2)
+        first, second = self._resolve(labels1), self._resolve(labels2)
         if len(first) != 1 or len(second) != 1:
             raise sv.LabelMismatch("a side of a batched Bell call spans two families or axes")
-        (f1, x1, _, rows1), (f2, x2, _, rows2) = first[0], second[0]
-        one_group = f1 is f2 and rows1 == rows2
-        touched = [(f1, r) for r in rows1] + ([] if one_group else [(f2, r) for r in rows2])
+        (f1, x1, _, rows1, labels_1), (f2, x2, _, rows2, labels_2) = first[0], second[0]
+        one_group = f1 is f2 and np.array_equal(rows1, rows2)
+        touched = [(f1, r) for r in rows1.tolist()]
+        if not one_group:
+            touched += [(f2, r) for r in rows2.tolist()]
         if len(set(touched)) != len(touched):
             raise sv.LabelMismatch("two pairs of a batched Bell call touch one group")
         if one_group:
-            return f1.amps[rows1], x1, x2, [f1.labels[r] for r in rows1]
-        return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1,
-                len(f1.labels[rows1[0]]) + x2,
-                [f1.labels[a] + f2.labels[b] for a, b in zip(rows1, rows2)])
+            return f1.amps[rows1], x1, x2, labels_1
+        return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1, len(labels_1[0]) + x2,
+                list(map(tuple.__add__, labels_1, labels_2)))
 
     def bell_measure_many(
         self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
@@ -312,13 +390,12 @@ class QuantumRegistry:
         amps, axis1, axis2, row_labels = self._merged(labels1, labels2)
         rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2,
                                                      rng.random(len(labels1)))
-        for row in row_labels:
-            for label in row:
-                del self._where[label]
-        kept = [tuple(l for j, l in enumerate(row) if j not in (axis1, axis2))
-                for row in row_labels]
-        if kept[0]:
-            self.add_rows(kept, residual)
+        for label in chain.from_iterable(row_labels):
+            del self._where[label]
+        self._resolved.clear()  # labels were deleted, and the kept ones move
+        keep = [j for j in range(len(row_labels[0])) if j not in (axis1, axis2)]
+        if keep:
+            self.add_rows(zip(*(map(itemgetter(j), row_labels) for j in keep)), residual)
         return [sv.BELL_ORDER[r] for r in rows.tolist()], probs
 
 
@@ -353,16 +430,24 @@ class CipherPayload:
     signature: tuple[Carrier, ...]
     verdict_carrier: Carrier | None = None
 
+    def streams(self) -> tuple[tuple[Carrier, ...], ...]:
+        """The carrier streams in send order: masked, signature and, on the
+        return leg, the verification carrier."""
+        extra = ((self.verdict_carrier,),) if self.verdict_carrier is not None else ()
+        return (self.masked, self.signature) + extra
+
     def all_carriers(self) -> tuple[Carrier, ...]:
-        extra = (self.verdict_carrier,) if self.verdict_carrier is not None else ()
-        return self.masked + self.signature + extra
+        return tuple(chain.from_iterable(self.streams()))
 
     def digest(self, registry: QuantumRegistry) -> str:
         """Receive-time digest: carrier metadata plus the exact states held,
-        the sha256 of the canonical list of {"id", "band", "slot", "state"}."""
-        carriers = self.all_carriers()
-        states = registry.state_texts([c.payload for c in carriers])
-        text = jsonutil.carrier_rows_text([(c.id, c.band, c.time_slot) for c in carriers], states)
+        the sha256 of the canonical list of {"id", "band", "slot", "state"}.
+        Each stream's metadata is rendered once per trial (``jsonutil.carrier_heads``)."""
+        streams = self.streams()
+        heads = tuple(chain.from_iterable(jsonutil.carrier_heads(s, registry.memo)
+                                          for s in streams))
+        states = registry.state_texts(sum(map(labels_of, streams), ()))
+        text = jsonutil.carrier_rows_text(heads, states)
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
@@ -537,10 +622,11 @@ def alice_sign(
 
     masked = qotp.mask_rows(spec.amps, pad)
     signature = qotp.mask_rows(masked, signer_key)
-    teleport_labels = [f"t{i + 1}" for i in range(n)]
-    registry.add_rows([(f"p{i + 1}",) for i in range(n)], masked)
-    registry.add_rows([(f"sa{i + 1}",) for i in range(n)], signature)
-    registry.add_rows([(label,) for label in teleport_labels], masked)
+    p_labels, sa_labels, teleport_labels = (
+        tuple(f"{tag}{i}" for i in range(1, n + 1)) for tag in ("p", "sa", "t"))
+    registry.add_rows(zip(p_labels), masked)
+    registry.add_rows(zip(sa_labels), signature)
+    registry.add_rows(zip(teleport_labels), masked)
 
     outcomes, probs = registry.bell_measure_many(teleport_labels, alice_labels, rng)
     devs = np.max(np.abs(probs - 0.25), axis=1)
@@ -555,14 +641,8 @@ def alice_sign(
     # One channel message, one slot sequence: masked slots 0..n-1, then
     # signature slots n..2n-1. Key bits are consumed positionally by slot.
     package = SignaturePackage(
-        masked=tuple(
-            Carrier(id=f"p{i + 1}", band=BAND_SIGNAL, time_slot=i, payload=f"p{i + 1}")
-            for i in range(n)
-        ),
-        signature=tuple(
-            Carrier(id=f"sa{i + 1}", band=BAND_SIGNAL, time_slot=n + i, payload=f"sa{i + 1}")
-            for i in range(n)
-        ),
+        masked=carriers_of(p_labels, BAND_SIGNAL, 0),
+        signature=carriers_of(sa_labels, BAND_SIGNAL, n),
         bell_results=tuple(outcomes),
     )
     private = SignerPrivate(
@@ -583,8 +663,8 @@ def _mask_stream(
     Honest apparatus keys by time slot, which is exactly why an adversarial
     carrier sharing a slot picks up the same keyed operation.
     """
-    x, z = qotp.key_paulis(key, [c.time_slot for c in carriers])
-    registry.apply_paulis([c.payload for c in carriers], x, z, inverse=inverse)
+    x, z = qotp.key_paulis(key, slots_of(carriers))
+    registry.apply_paulis(labels_of(carriers), x, z, inverse=inverse)
 
 
 def bob_forward(
@@ -631,10 +711,10 @@ def trent_verify(
     received_digest = payload.digest(registry)
 
     def decrypted(carriers):  # unmasked by slot, as _mask_stream keys the channel
-        x, z = qotp.key_paulis(verifier_key, [c.time_slot for c in carriers])
-        amps = sv.pauli_rows(_qubit_rows(registry, [c.payload for c in carriers]), 0, x, z,
-                             inverse=True)
-        texts = jsonutil.state_texts([(c.payload,) for c in carriers], amps, registry.memo)
+        x, z = qotp.key_paulis(verifier_key, slots_of(carriers))
+        labels = labels_of(carriers)
+        amps = sv.pauli_rows(_qubit_rows(registry, labels), 0, x, z, inverse=True)
+        texts = jsonutil.state_texts(list(zip(labels)), amps, registry.memo)
         return amps, tuple(map(jsonutil.Rendered, texts))
 
     (masked, masked_snapshot), (signature, signature_snapshot) = (
@@ -692,8 +772,8 @@ def bob_verify_and_compare(
     # The correction for outcome (x, z) is sigma_x^x sigma_z^z (sv.teleport_correction).
     registry.apply_paulis(bob_labels, [o.x for o in bell_results], [o.z for o in bell_results])
     per_qubit = tuple(sv.equal_up_to_phase_rows(
-        _qubit_rows(registry, bob_labels),
-        _qubit_rows(registry, [c.payload for c in payload.masked]), EQUALITY_TOL))
+        _qubit_rows(registry, bob_labels), _qubit_rows(registry, labels_of(payload.masked)),
+        EQUALITY_TOL))
     result = CompareResult.MATCH_OK if all(per_qubit) else CompareResult.MISMATCH
     return CompareReport(result, 1, per_qubit)
 

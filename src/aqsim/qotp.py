@@ -13,7 +13,7 @@ README.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +38,17 @@ class KeyBits:
 
     bits: tuple[int, ...]
     role: str
+    # read-only uint8 copy of ``bits``, which ``key_paulis`` indexes
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(self.bits)
+        if not {*bits} <= {0, 1}:
             raise ValueError("key bits must be 0/1")
-        object.__setattr__(self, "bits", bits)
+        array = np.array(bits, dtype=np.uint8)
+        array.flags.writeable = False
+        object.__setattr__(self, "bits", tuple(array.tolist()))
+        object.__setattr__(self, "array", array)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -77,7 +82,7 @@ class KeyBits:
 
 def random_bits(length: int, role: str, rng: np.random.Generator) -> KeyBits:
     """Uniform key material from a seeded stream."""
-    return KeyBits(tuple(int(b) for b in rng.integers(0, 2, size=length)), role)
+    return KeyBits(rng.integers(0, 2, size=length).tolist(), role)
 
 
 def random_pad(n: int, rng: np.random.Generator) -> KeyBits:
@@ -91,7 +96,7 @@ def key_paulis(key: KeyBits, indices) -> tuple[np.ndarray, np.ndarray]:
     """The Pauli bits the key assigns to each qubit index i (0-based), as
     (x, z) bit arrays: x = k[2i], z = k[2i+1]."""
     indices = np.asarray(indices, dtype=np.intp)
-    bits = np.array(key.bits, dtype=np.uint8)
+    bits = key.array
     if indices.size and 2 * int(indices.max()) + 1 >= len(bits):
         raise KeyTooShort(
             f"key of {len(bits)} bits cannot cover qubit index {int(indices.max())}"

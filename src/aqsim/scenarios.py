@@ -263,17 +263,6 @@ SCENARIOS: dict[ScenarioVariant, ScenarioEntry] = {
 # --- the flow ---------------------------------------------------------------
 
 
-def _carrier_meta(sent: dict, stream: str, carriers: tuple):
-    """The rendered metadata of a sent stream. ``sent`` maps each stream to its
-    last (carriers, Rendered), reused while the same tuple of frozen carriers
-    is sent again; a stream an attack replaced is rendered afresh."""
-    last = sent.get(stream)
-    if last is None or last[0] is not carriers:
-        last = sent[stream] = (
-            carriers, render_carriers([(c.id, c.band, c.time_slot) for c in carriers]))
-    return last[1]
-
-
 def _screen_point(
     transcript: Transcript, actor: str, point: str, carriers, config: DefenseConfig
 ) -> tuple[str, ...]:
@@ -299,12 +288,14 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     Returns the alarms that aborted the run, or () when it ran to the end.
     """
     transcript, registry, keys = trial.transcript, trial.registry, trial.keys
-    sent: dict = {}  # stream -> (carriers, Rendered), see _carrier_meta
+
+    def meta(stream):  # each stream's metadata is rendered once per trial
+        return render_carriers(stream, registry.memo)
+
     entry.after_sign(trial)
     transcript.log("alice", "send", {
         "channel": "alice->bob", "what": "signature-package",
-        "masked": _carrier_meta(sent, "masked", trial.package.masked),
-        "signature": _carrier_meta(sent, "signature", trial.package.signature),
+        "masked": meta(trial.package.masked), "signature": meta(trial.package.signature),
         "bell_results": [o.token for o in trial.package.bell_results],
     })
     entry.in_flight(trial)
@@ -316,8 +307,7 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     trial.payload = proto.bob_forward(trial.package, keys.verifier, registry)
     transcript.log("bob", "send", {
         "channel": "bob->trent", "what": "ciphertext",
-        "masked": _carrier_meta(sent, "masked", trial.payload.masked),
-        "signature": _carrier_meta(sent, "signature", trial.payload.signature),
+        "masked": meta(trial.payload.masked), "signature": meta(trial.payload.signature),
     })
     entry.after_forward(trial)
     fired = _screen_point(transcript, "trent", "trent-receive",
@@ -330,8 +320,7 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     transcript.log("trent", "arbiter-record", trial.record.to_jsonable())
     transcript.log("trent", "send", {
         "channel": "trent->bob", "what": "ciphertext",
-        "masked": _carrier_meta(sent, "masked", returned.masked),
-        "signature": _carrier_meta(sent, "signature", returned.signature),
+        "masked": meta(returned.masked), "signature": meta(returned.signature),
         "verdict_carrier": returned.verdict_carrier.meta(),
     })
     report = trial.report = proto.bob_verify_and_compare(
@@ -354,13 +343,13 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     transcript.log("bob", "decision", {"action": "request-pad"})
     published = trial.published = entry.publish(trial)
     transcript.log("alice", "board-post", {"value": published.to_jsonable()})
-    recovered = proto.bob_recover(
-        registry.sequence([c.payload for c in trial.payload.masked]), published)
+    recovered = proto.bob_recover(registry.sequence(proto.labels_of(trial.payload.masked)),
+                                  published)
     transcript.log("bob", "decision", {"action": "recover-message"})
     trial.fidelities = tuple(sv.fidelity(state, trial.message.qubit(i, state.labels[0]))
                              for i, state in enumerate(recovered))
     trial.signature_valid = proto.verify_signature_pair(
-        registry.sequence([c.payload for c in trial.payload.signature]), published,
+        registry.sequence(proto.labels_of(trial.payload.signature)), published,
         trial.message, keys.signer)
     trial.verdict = Verdict.NO_DISPUTE.value
     return ()

@@ -266,6 +266,29 @@ def test_intercept_removes_probes_only():
     assert [c.id for c in cleaned.masked] == ["p1", "p2"]
 
 
+@pytest.mark.parametrize("inject", [adv.ipe_inject, adv.delay_photon_inject])
+def test_a_probe_picks_up_its_slots_pauli_through_a_kept_resolution(inject, monkeypatch):
+    # the probes sit in the decoy family, not in the message family whose
+    # slots they share; the stream is resolved before the verifier keys it
+    n = 3
+    rng = np.random.default_rng(11)
+    registry = QuantumRegistry()
+    spec = proto.random_message_spec(n, rng, generic_margin=0.05)
+    keys = proto.setup_keys(n, rng)
+    alice_labels, _ = proto.distribute_bell_pairs(n, registry)
+    package, _, _ = proto.alice_sign(spec, keys.signer, rng, registry, alice_labels)
+    decoys = adv.make_decoy_set(n, registry)
+    package = inject(package, decoys)
+    registry.state_texts(proto.labels_of(package.masked + package.signature))
+    walks = []
+    walk = QuantumRegistry._buckets
+    monkeypatch.setattr(QuantumRegistry, "_buckets",
+                        lambda self, labels: walks.append(labels) or walk(self, labels))
+    payload = proto.bob_forward(package, keys.verifier, registry)
+    assert walks == []  # keyed through the kept resolution
+    _, captured = adv.intercept_decoys(payload, decoys)
+    assert adv.ipe_extract(captured, decoys, registry, rng) == keys.verifier.bits[:2 * n]
+
 @pytest.mark.parametrize("token", ["ipe", "delay-photon"])
 def test_extraction_soundness(token):
     for trial in range(30):

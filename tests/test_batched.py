@@ -447,6 +447,55 @@ def test_registry_refuses_a_label_that_is_not_a_str(bad):
     assert registry.state_texts(["b"]) == [canonical_json(registry.state_of("b").to_jsonable())]
 
 
+
+# --- kept stream resolutions ------------------------------------------------------
+
+
+def kept_state(registry):
+    """Where each label sits, the (family, axis) parts, and each kept stream
+    resolution (by identity)."""
+    return (dict(registry._where), list(registry._parts),
+            {stream: id(buckets) for stream, buckets in registry._resolved.items()})
+
+
+@pytest.mark.parametrize("rows,amps,error", [
+    ([("x1",), ("x2",), ("m",)], sv.qubit_rows([(1, 0)] * 3), sv.LabelCollision),
+    ([("x1",), ("x2",), (7,)], sv.qubit_rows([(1, 0)] * 3), TypeError),
+    ([("x1",), ("x2", "x3")], sv.qubit_rows([(1, 0)] * 2), sv.StateError),
+])
+def test_a_failed_add_rows_leaves_the_registry_as_it_was(rows, amps, error):
+    # a collision in the last row, a label that is not a str, rows of two widths
+    registry = uniform_streams()
+    streams = [("m", "n"), ("a1", "a2"), ("b2", "a1", "b1")]
+    reads = [registry.amps_of(stream) for stream in streams]  # resolved and kept
+    before = kept_state(registry)
+    assert set(before[2]) == set(streams)
+    with pytest.raises(error):
+        registry.add_rows(rows, amps)
+    assert kept_state(registry) == before
+    for stream, read in zip(streams, reads):
+        assert same_bits(registry.amps_of(stream), read)
+    with pytest.raises(sv.UnknownLabel):
+        registry.state_of("x1")
+
+
+def test_a_stream_resolved_before_a_bell_measurement_follows_its_labels():
+    registry = uniform_streams()
+    gone, moved = ["m", "a1", "n"], ["b1", "b2"]
+    for stream in (gone, moved):
+        registry.state_texts(stream)  # resolved and kept
+    assert registry.amps_of(moved).shape == (2, 4)
+    registry.bell_measure_many(["a1", "a2"], ["m", "n"], np.random.default_rng(5))
+    for read in (registry.sequence, registry.amps_of, registry.state_texts):
+        with pytest.raises(sv.UnknownLabel):
+            read(gone)
+    with pytest.raises(sv.UnknownLabel):
+        registry.apply_paulis(gone, [1, 1, 1], [0, 0, 0])
+    # the b halves now sit alone in the residual family
+    residual = registry.sequence(moved)
+    assert [state.labels for state in residual] == [("b1",), ("b2",)]
+    assert same_bits(registry.amps_of(moved), np.array([state.amps for state in residual]))
+
 # --- equality up to phase --------------------------------------------------------
 
 

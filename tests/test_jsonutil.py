@@ -13,6 +13,7 @@ import canonical_oracle
 import regen_golden
 from aqsim import jsonutil
 from aqsim import protocol as proto
+from aqsim import statevector as sv
 from aqsim.adversary import SCENARIO_TOKENS, Scenario
 from aqsim.defense import DEFENSE_GRID
 from aqsim.scenarios import run_scenario
@@ -151,7 +152,8 @@ def test_carrier_rows_match_the_oracle(rows):
     state = {"labels": ["q"], "amps": [[0.6, -0.0], [0.0, 0.8]]}
     with_states = [dict(doc, state=state) for doc in plain]
     texts = [canonical_oracle.canonical_json(state)] * len(rows)
-    assert jsonutil.carrier_rows_text(rows, texts) == canonical_oracle.canonical_json(with_states)
+    assert (jsonutil.carrier_rows_text(jsonutil.carrier_heads(rows), texts)
+            == canonical_oracle.canonical_json(with_states))
 
 
 # --- one memo per trial --------------------------------------------------------
@@ -199,6 +201,16 @@ def test_state_memo_tells_labels_apart_and_renders_signed_zeros_once():
     assert expected[0] != expected[1] and expected[0] == expected[2]
     assert len(memo.states) == 2  # the rows differing only in the sign of 0.0 share one text
 
+
+def test_float_memo_formats_each_magnitude_once_for_both_signs():
+    memo = jsonutil.RenderMemo()
+    assert (jsonutil.render_float_rows([(0.1, 2.5, -0.0)], memo).text
+            == "[[0.10000000000000001,2.5,0]]")
+    assert memo.floats == {0.1: "0.10000000000000001", -0.1: "-0.10000000000000001",
+                           2.5: "2.5", -2.5: "-2.5", 0.0: "0"}
+    assert (jsonutil.render_float_rows([(-0.1, -2.5, 0.0)], memo).text
+            == "[[-0.10000000000000001,-2.5,0]]")
+    assert len(memo.floats) == 5
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("column", [0, 1])
@@ -252,3 +264,22 @@ def test_payload_digests_match_the_oracle(scenario, monkeypatch):
                 run_scenario(Scenario.from_token(scenario), n, seed, trial)
     assert not mismatched
     assert widths == ({1, 2} if scenario in ("ipe", "delay-photon") else {1})
+
+
+
+ESCAPED = ['p"1', "p\\2", "pé3", 'v☃"\\']
+
+
+def test_digests_and_send_rows_escape_ids_and_labels_like_the_oracle():
+    registry = proto.QuantumRegistry()
+    registry.add_rows(zip(ESCAPED), sv.qubit_rows([(0.6, 0.8j), (0.8, -0.6), (1, 0), (0, 1)]))
+    masked = proto.carriers_of(ESCAPED[:2], 'band "é"', 0)
+    signature = (proto.Carrier('s\\ig"☃', proto.BAND_SIGNAL, 2, ESCAPED[2]),)
+    verdict = proto.Carrier("vé", proto.BAND_SIGNAL, 3, ESCAPED[3])
+    for payload in (proto.CipherPayload(masked, signature),
+                    proto.CipherPayload(masked, signature, verdict)):
+        for _ in range(2):  # rendered, then read back from the memo
+            assert payload.digest(registry) == _oracle_digest(payload, registry)
+            for stream in payload.streams():
+                assert (jsonutil.render_carriers(stream, registry.memo).text
+                        == canonical_oracle.canonical_json([c.meta() for c in stream]))

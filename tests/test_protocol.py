@@ -594,3 +594,15 @@ def test_transcript_events_cover_flow():
     kinds = [e["kind"] for e in result.transcript.events]
     for kind in ("setup", "send", "measurement", "arbiter-record", "decision", "board-post"):
         assert kind in kinds
+
+
+def test_each_label_stream_is_walked_at_most_once_per_trial(monkeypatch):
+    # the flow asks for the same carrier streams at every step; each distinct
+    # label stream is walked into its buckets once and the walk is kept
+    walks = []
+    walk = QuantumRegistry._buckets
+    monkeypatch.setattr(QuantumRegistry, "_buckets",
+                        lambda self, labels: walks.append(tuple(labels)) or walk(self, labels))
+    run_scenario(Scenario.from_token("honest"), 64, 7, 0)
+    assert walks
+    assert len(walks) == len(set(walks))

@@ -237,6 +237,24 @@ def test_key_rejects_non_bits():
         KeyBits((0, 2), qotp.ROLE_PAD)
 
 
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, "1", None])
+def test_key_rejects_any_bit_but_0_and_1(bad):
+    with pytest.raises(ValueError):
+        KeyBits((0, bad, 1), qotp.ROLE_PAD)
+
+
+def test_key_bits_are_ints_beside_a_read_only_array():
+    k = KeyBits(np.array([1, 0, 1]), qotp.ROLE_PAD)
+    assert k.bits == (1, 0, 1) and all(type(b) is int for b in k.bits)
+    assert k.array.dtype == np.uint8 and k.array.tolist() == [1, 0, 1]
+    with pytest.raises(ValueError):
+        k.array[0] = 0
+    assert k == KeyBits((True, 0, 1.0), qotp.ROLE_PAD)
+    drawn = qotp.random_bits(9, qotp.ROLE_PAD, np.random.default_rng(3))
+    assert all(type(b) is int for b in drawn.bits)
+    assert drawn.array.tolist() == list(drawn.bits)
+
 def test_key_paulis_positions():
     k = key([1, 0, 0, 1])
     x, z = qotp.key_paulis(k, [0, 1])
