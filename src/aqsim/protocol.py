@@ -252,18 +252,21 @@ class QuantumRegistry:
             return []
         parts, rows = zip(*where)
         if parts.count(parts[0]) == len(parts):  # the common case: one bucket
-            groups = [(parts[0], np.arange(len(rows)))]
+            groups = {parts[0]: (np.arange(len(rows)), rows)}
         else:
-            parts = np.array(parts, dtype=np.intp)
-            groups = [(parts[first], np.flatnonzero(parts == parts[first]))
-                      for first in np.sort(np.unique(parts, return_index=True)[1]).tolist()]
-        rows = np.array(rows, dtype=np.intp)
+            groups = {}  # part -> (positions, rows)
+            for pos, part, row in zip(range(len(rows)), parts, rows):
+                group = groups.get(part)
+                if group is None:
+                    group = groups[part] = ([], [])
+                group[0].append(pos)
+                group[1].append(row)
         buckets = []
-        for part, positions in groups:
+        for part, (positions, part_rows) in groups.items():
             family, axis = self._parts[part]
-            part_rows = rows[positions]
-            buckets.append(_Bucket(family, axis, positions, part_rows,
-                                   list(map(family.labels.__getitem__, part_rows.tolist()))))
+            buckets.append(_Bucket(family, axis, np.asarray(positions, dtype=np.intp),
+                                   np.array(part_rows, dtype=np.intp),
+                                   list(map(family.labels.__getitem__, part_rows))))
         return buckets
 
     def _resolve(self, labels: Sequence) -> list[_Bucket]:
