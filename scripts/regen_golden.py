@@ -36,6 +36,9 @@ SUMMARIES_PATH = GOLDEN_DIR / "summaries.json"
 NS = (1, 3, 8, 64)
 SEEDS = (0, 42)
 TRIALS = (0, 1)
+BENCH_N = 256  # the benchmark's n, pinned on seed 0 only
+# (n, seed, trial) of every run of a scenario x defense cell
+RUNS = (*itertools.product(NS, SEEDS, TRIALS), *itertools.product((BENCH_N,), (0,), TRIALS))
 SUMMARY_NS = (1, 8)
 SUMMARY_FORMATS = ("json", "text")
 
@@ -46,12 +49,9 @@ def cell_key(scenario: str, defenses, n: int, seed: int, trial: int) -> str:
 
 def cell_runs(scenario: str, defenses):
     """(key, RunResult) for every run of one scenario x defense cell."""
-    for n in NS:
-        for seed in SEEDS:
-            for trial in TRIALS:
-                result = run_scenario(Scenario.from_token(scenario), n, seed, trial,
-                                      defenses=defenses)
-                yield cell_key(scenario, defenses, n, seed, trial), result
+    for n, seed, trial in RUNS:
+        result = run_scenario(Scenario.from_token(scenario), n, seed, trial, defenses=defenses)
+        yield cell_key(scenario, defenses, n, seed, trial), result
 
 
 def run_hashes(runs) -> dict[str, str]:

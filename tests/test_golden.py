@@ -20,9 +20,12 @@ def test_corpus_covers_the_grid():
         regen_golden.cell_key(s, d, n, seed, trial)
         for s in SCENARIO_TOKENS for d in DEFENSE_GRID
         for n in regen_golden.NS for seed in regen_golden.SEEDS for trial in regen_golden.TRIALS
+    } | {
+        regen_golden.cell_key(s, d, 256, 0, trial)
+        for s in SCENARIO_TOKENS for d in DEFENSE_GRID for trial in regen_golden.TRIALS
     }
     assert set(GOLDEN) == expected
-    assert len(GOLDEN) == 7 * 4 * 4 * 2 * 2
+    assert len(GOLDEN) == 7 * 4 * 4 * 2 * 2 + 7 * 4 * 2
 
 
 @pytest.mark.parametrize("defenses", DEFENSE_GRID, ids=lambda d: ",".join(d.tokens()) or "none")

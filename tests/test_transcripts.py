@@ -116,7 +116,7 @@ def test_golden_grid_transcripts_follow_the_schema_and_leak_no_keys(scenario, go
         _check_schema(key, doc, data)
         _check_leakage(key, result, doc, data)
         scanned += result.message.n >= LEAK_SCAN_N
-    assert scanned == len(DEFENSE_GRID) * len(regen_golden.SEEDS) * len(regen_golden.TRIALS)
+    assert scanned == len(DEFENSE_GRID) * sum(n >= LEAK_SCAN_N for n, _, _ in regen_golden.RUNS)
 
 
 def test_extracted_bits_are_the_verifiers_first_2n_key_bits(golden_grid):
