@@ -147,28 +147,35 @@ def _float_stack(values) -> np.ndarray:
 
 
 def _tokens(values: list, floats: dict) -> list[str]:
-    """The token of each of ``values`` (finite, no -0.0), formatting only
-    the magnitudes that ``floats`` does not hold yet.
+    """The token of each of ``values`` (finite, no -0.0); the tokens that
+    ``floats`` does not hold yet are formatted and stored there.
 
     For finite x != 0 the token of -x is "-" followed by the token of x, so
-    each new magnitude is formatted once and stored under both signs; a
-    value missing from ``floats`` therefore has a missing magnitude too.
+    each token formatted is stored under both signs; a value missing from
+    ``floats`` therefore has a missing magnitude too. When most values are
+    new and distinct, all of them are formatted straight, in order, in one
+    format call; otherwise each new magnitude is formatted once.
     """
     tokens = list(map(floats.get, values))
     if all(tokens):  # every value known (no token is empty)
         return tokens
-    mags = tuple(set(map(abs, compress(values, map(not_, tokens)))))
-    new = ("%.17g," * len(mags) % mags).split(",")  # one format call; no token holds a comma
+    new = set(compress(values, map(not_, tokens)))
+    straight = 2 * len(new) > len(values)
+    formatted = values if straight else tuple(set(map(abs, new)))
+    # one format call; no token holds a comma, and the last text is empty
+    texts = ("%.17g," * len(formatted) % tuple(formatted)).split(",")[:-1]
     # negations first: 0.0 is its own negation, so its "-0" is then
     # overwritten by "0"
-    floats.update(zip(map(float.__neg__, mags), map("-".__add__, new)))
-    floats.update(zip(mags, new))
-    return list(map(floats.__getitem__, values))
+    floats.update(zip(map(float.__neg__, formatted),
+                      [t[1:] if t[0] == "-" else "-" + t for t in texts]))
+    floats.update(zip(formatted, texts))
+    return texts if straight else list(map(floats.__getitem__, values))
 
 
 @functools.cache
-def _amps_template(width: int) -> str:
-    return ",".join(["[%s,%s]"] * width) + "]}"
+def _amps_layout(width: int) -> tuple[str, np.dtype]:
+    """A row's amps template, and the dtype that views its floats as one key."""
+    return ",".join(["[%s,%s]"] * width) + "]}", np.dtype((np.void, 16 * width))
 
 
 def _state_heads(labels: list, heads: dict) -> list[str]:
@@ -188,19 +195,19 @@ def state_texts(labels, amps, memo: RenderMemo | None = None) -> list[str]:
     strings, names row r's qubits. Rows already in ``memo`` are not
     rendered again."""
     memo = RenderMemo() if memo is None else memo
-    # the (m, 2w) float view of the (m, w) stack: (re, im) per amplitude
-    stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
-    width = stack.shape[1]
-    keys = list(zip(labels, stack.view(np.dtype((np.void, 8 * width))).ravel().tolist(),
-                    strict=True))
+    # the (m, 2w) float view of the (m, w) stack, -0.0 collapsed: (re, im) per amplitude
+    stack = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64) + 0.0
+    template, row_key = _amps_layout(stack.shape[1] // 2)
+    keys = list(zip(labels, stack.view(row_key).ravel().tolist(), strict=True))
     texts = list(map(memo.states.get, keys))
     missing = list(compress(range(len(texts)), map(not_, texts)))
-    if missing:
+    if missing:  # the rows in the memo were checked finite when they were rendered
         heads = _state_heads([keys[r][0] for r in missing], memo.heads)
         # one format call for the amplitudes of all the missing rows; no token
         # holds a newline
-        bodies = ("\n".join([_amps_template(width // 2)] * len(missing))
-                  % tuple(_tokens(stack[missing].ravel().tolist(), memo.floats))).split("\n")
+        bodies = ("\n".join([template] * len(missing))
+                  % tuple(_tokens(_float_stack(stack[missing]).ravel().tolist(),
+                                  memo.floats))).split("\n")
         for r, head, body in zip(missing, heads, bodies):
             texts[r] = memo.states[keys[r]] = head + body
     return texts

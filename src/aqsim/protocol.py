@@ -189,8 +189,10 @@ class _Family:
     """m groups of k qubits each, stored as one (m, 2**k) amplitude array.
 
     Row r is the group over ``labels[r]``; axis j of that group is qubit
-    ``labels[r][j]``. Rows are only ever written through the batched
-    kernels, which check every row they produce. Families hash by identity.
+    ``labels[r][j]``. Rows are checked where they enter: ``add_rows`` checks
+    every row, a tensor is checked by ``tensor_rows`` and a Bell residual by
+    ``bell_measure_rows``. After that only Paulis write them, and a Pauli
+    keeps a row on the unit sphere bit for bit. Families hash by identity.
     """
 
     amps: np.ndarray
@@ -199,13 +201,18 @@ class _Family:
 
 class _Bucket(NamedTuple):
     """The labels of one stream that sit at one (family, axis): their
-    positions in the stream, their rows, and those rows' labels."""
+    positions in the stream (``slice(None)`` when they are the whole
+    stream) and their rows."""
 
     family: _Family
     axis: int
-    positions: np.ndarray
+    positions: np.ndarray | slice
     rows: np.ndarray
-    row_labels: list
+
+    @property
+    def row_labels(self) -> list:
+        """The labels of each of the bucket's rows, made afresh."""
+        return list(map(self.family.labels.__getitem__, self.rows.tolist()))
 
 
 class QuantumRegistry:
@@ -252,22 +259,17 @@ class QuantumRegistry:
             return []
         parts, rows = zip(*where)
         if parts.count(parts[0]) == len(parts):  # the common case: one bucket
-            groups = {parts[0]: (np.arange(len(rows)), rows)}
-        else:
-            groups = {}  # part -> (positions, rows)
-            for pos, part, row in zip(range(len(rows)), parts, rows):
-                group = groups.get(part)
-                if group is None:
-                    group = groups[part] = ([], [])
-                group[0].append(pos)
-                group[1].append(row)
-        buckets = []
-        for part, (positions, part_rows) in groups.items():
-            family, axis = self._parts[part]
-            buckets.append(_Bucket(family, axis, np.asarray(positions, dtype=np.intp),
-                                   np.array(part_rows, dtype=np.intp),
-                                   list(map(family.labels.__getitem__, part_rows))))
-        return buckets
+            return [_Bucket(*self._parts[parts[0]], slice(None), np.array(rows, dtype=np.intp))]
+        groups = {}  # part -> (positions, rows)
+        for pos, part, row in zip(range(len(rows)), parts, rows):
+            group = groups.get(part)
+            if group is None:
+                group = groups[part] = ([], [])
+            group[0].append(pos)
+            group[1].append(row)
+        return [_Bucket(*self._parts[part], np.array(positions, dtype=np.intp),
+                        np.array(part_rows, dtype=np.intp))
+                for part, (positions, part_rows) in groups.items()]
 
     def _resolve(self, labels: Sequence) -> list[_Bucket]:
         """The buckets of a label stream, walked once and then kept until
@@ -311,15 +313,15 @@ class QuantumRegistry:
         self._where.update(zip(flat, [(part, r) for r in range(len(labels)) for part in parts]))
 
     def _gather(self, labels: Sequence, read):
-        """Item i read off the group of ``labels[i]``, by one ``read(row labels, amps)``
+        """Item i read off the group of ``labels[i]``, by one ``read(bucket, amps)``
         per bucket; a bucket that holds every label returns ``read``'s result as is."""
         buckets = self._resolve(labels)
         if len(buckets) == 1:
             bucket = buckets[0]
-            return read(bucket.row_labels, bucket.family.amps[bucket.rows])
+            return read(bucket, bucket.family.amps[bucket.rows])
         out: list = [None] * len(labels)
         for bucket in buckets:
-            items = read(bucket.row_labels, bucket.family.amps[bucket.rows])
+            items = read(bucket, bucket.family.amps[bucket.rows])
             for pos, item in zip(bucket.positions.tolist(), items):
                 out[pos] = item
         return out
@@ -329,7 +331,7 @@ class QuantumRegistry:
 
     def sequence(self, labels: Sequence) -> tuple[PureState, ...]:
         """The state of each label's group, in label order."""
-        return tuple(self._gather(labels, sv.states_from_rows))
+        return tuple(self._gather(labels, lambda b, amps: sv.states_from_rows(b.row_labels, amps)))
 
     def amps_of(self, labels: Sequence) -> np.ndarray:
         """The amplitudes of each label's group, stacked in label order."""
@@ -342,7 +344,8 @@ class QuantumRegistry:
 
     def state_texts(self, labels: Sequence) -> list[str]:
         """The canonical text of ``state_of(label).to_jsonable()`` for each label."""
-        return self._gather(labels, lambda rows, amps: jsonutil.state_texts(rows, amps, self.memo))
+        return self._gather(labels, lambda b, amps: jsonutil.state_texts(b.row_labels, amps,
+                                                                         self.memo))
 
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
         """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
@@ -351,9 +354,9 @@ class QuantumRegistry:
             raise sv.DuplicateLabel("apply_paulis takes each label once")
         x = np.asarray(x)
         z = np.asarray(z)
-        for family, axis, positions, rows, _ in self._resolve(labels):
-            family.amps[rows] = sv.pauli_rows(family.amps[rows], axis, x[positions],
-                                              z[positions], inverse)
+        for family, axis, positions, rows in self._resolve(labels):
+            family.amps[rows] = sv._pauli_rows(family.amps[rows], axis, x[positions],
+                                               z[positions], inverse)
 
     def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
@@ -364,7 +367,8 @@ class QuantumRegistry:
         first, second = self._resolve(labels1), self._resolve(labels2)
         if len(first) != 1 or len(second) != 1:
             raise sv.LabelMismatch("a side of a batched Bell call spans two families or axes")
-        (f1, x1, _, rows1, labels_1), (f2, x2, _, rows2, labels_2) = first[0], second[0]
+        (f1, x1, _, rows1), (f2, x2, _, rows2) = first[0], second[0]
+        labels_1 = first[0].row_labels
         one_group = f1 is f2 and np.array_equal(rows1, rows2)
         touched = [(f1, r) for r in rows1.tolist()]
         if not one_group:
@@ -374,7 +378,7 @@ class QuantumRegistry:
         if one_group:
             return f1.amps[rows1], x1, x2, labels_1
         return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1, len(labels_1[0]) + x2,
-                list(map(tuple.__add__, labels_1, labels_2)))
+                list(map(tuple.__add__, labels_1, second[0].row_labels)))
 
     def bell_measure_many(
         self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
@@ -444,14 +448,17 @@ class CipherPayload:
 
     def digest(self, registry: QuantumRegistry) -> str:
         """Receive-time digest: carrier metadata plus the exact states held,
-        the sha256 of the canonical list of {"id", "band", "slot", "state"}.
-        Each stream's metadata is rendered once per trial (``jsonutil.carrier_heads``)."""
-        streams = self.streams()
-        heads = tuple(chain.from_iterable(jsonutil.carrier_heads(s, registry.memo)
-                                          for s in streams))
-        states = registry.state_texts(sum(map(labels_of, streams), ()))
-        text = jsonutil.carrier_rows_text(heads, states)
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
+        the sha256 of the canonical list of {"id", "band", "slot", "state"}."""
+        return hashlib.sha256(_digest_bytes(self.streams(), registry)).hexdigest()
+
+
+def _digest_bytes(streams, registry: QuantumRegistry) -> bytes:
+    """The canonical list of {"id", "band", "slot", "state"} of ``streams``
+    that a payload digest hashes. Each stream's metadata is rendered once
+    per trial (``jsonutil.carrier_heads``)."""
+    heads = tuple(chain.from_iterable(jsonutil.carrier_heads(s, registry.memo) for s in streams))
+    states = registry.state_texts(sum(map(labels_of, streams), ()))
+    return jsonutil.carrier_rows_text(heads, states).encode("ascii")
 
 
 class PublicBoard:
@@ -711,12 +718,17 @@ def trent_verify(
             f"expected {n} masked carriers to match {n} signature carriers, "
             f"got {len(payload.masked)}"
         )
-    received_digest = payload.digest(registry)
+    if payload.verdict_carrier is not None:
+        raise ProtocolError("the arbiter's payload already carries a verification qubit")
+    received = _digest_bytes(payload.streams(), registry)
+    rows_hash = hashlib.sha256(received[:-1])
+    received_hash = rows_hash.copy()
+    received_hash.update(b"]")
 
     def decrypted(carriers):  # unmasked by slot, as _mask_stream keys the channel
         x, z = qotp.key_paulis(verifier_key, slots_of(carriers))
         labels = labels_of(carriers)
-        amps = sv.pauli_rows(_qubit_rows(registry, labels), 0, x, z, inverse=True)
+        amps = sv._pauli_rows(_qubit_rows(registry, labels), 0, x, z, inverse=True)
         texts = jsonutil.state_texts(list(zip(labels)), amps, registry.memo)
         return amps, tuple(map(jsonutil.Rendered, texts))
 
@@ -731,14 +743,15 @@ def trent_verify(
     verdict_carrier = Carrier(id="v", band=BAND_SIGNAL, time_slot=2 * n, payload="v")
     _mask_stream(registry, [verdict_carrier], verifier_key, inverse=False)
 
-    returned = CipherPayload(payload.masked, payload.signature, verdict_carrier)
-    # Recomputed from the registry, so it also attests the carriers are as received.
-    return returned, TrentRecord(
-        received_digest=received_digest,
+    # The arbiter wrote no carrier but v, so the returned digest's text is the
+    # received one with v's row added before the closing "]": hash on from there.
+    rows_hash.update((b"," if n else b"") + _digest_bytes(((verdict_carrier,),), registry)[1:])
+    return CipherPayload(payload.masked, payload.signature, verdict_carrier), TrentRecord(
+        received_digest=received_hash.hexdigest(),
         masked_snapshot=masked_snapshot,
         signature_snapshot=signature_snapshot,
         verified=verified,
-        returned_digest=returned.digest(registry),
+        returned_digest=rows_hash.hexdigest(),
     )
 
 

@@ -48,9 +48,10 @@ class RngStreams:
 
 
 def rng_streams(seed: int, trial: int) -> RngStreams:
-    """Per-trial splittable streams from SeedSequence([seed, trial])."""
-    children = np.random.SeedSequence(entropy=[seed, trial]).spawn(4)
-    return RngStreams(*(np.random.default_rng(c) for c in children))
+    """Per-trial splittable streams: the children ``SeedSequence([seed, trial]).spawn(4)``,
+    each built directly from its ``spawn_key``."""
+    return RngStreams(*(np.random.default_rng(
+        np.random.SeedSequence(entropy=[seed, trial], spawn_key=(i,))) for i in range(4)))
 
 
 @dataclass

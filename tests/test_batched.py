@@ -257,6 +257,150 @@ def test_bell_residual_raises_on_a_corrupted_row():
         sv.bell_measure_rows(huge, 0, 1, u)
 
 
+def exact_check_rows(amps):
+    """``check_rows`` without its fused pass: the reference for its verdicts."""
+    if not np.isfinite(amps).all():
+        raise sv.StateError("non-finite amplitude")
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=1)
+    bad = np.flatnonzero(np.abs(norm_sq - 1.0) > sv.NORM_TOL)
+    if bad.size:
+        row = int(bad[0])
+        raise sv.NotNormalized(f"row {row}: |amplitudes|^2 sums to {float(norm_sq[row])!r}, not 1")
+    return amps
+
+
+def verdict(check, amps):
+    """None if ``check`` accepts ``amps``, else the type and message it raises."""
+    try:
+        check(amps)
+    except sv.StateError as error:
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("width", [2, 4, 16])
+@pytest.mark.parametrize("edge", [1.0, 0.5])  # NORM_TOL, and the fused pass's NORM_TOL / 2
+def test_check_rows_decides_the_norm_edge_like_the_exact_check(width, edge):
+    rng = np.random.default_rng(width)
+    unit = rng.normal(size=(1, 2 * width)).view(np.complex128)
+    unit /= np.linalg.norm(unit)
+    verdicts = set()
+    for sign in (1, -1):
+        for rel in (-1e-6, 0.0, 1e-6):
+            row = unit * math.sqrt(1.0 + sign * sv.NORM_TOL * edge * (1.0 + rel))
+            for ulps in range(-8, 9):  # sweep the squared norm over the edge
+                amps = np.concatenate([unit, row * (1.0 + ulps * 2.0 ** -53), unit])
+                got = verdict(sv.check_rows, amps)
+                assert got == verdict(exact_check_rows, amps)
+                verdicts.add(got is None)
+    assert verdicts == ({True, False} if edge == 1.0 else {True})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [2, 3, 7])  # a real part, an imaginary part, the last float
+def test_check_rows_raises_on_a_non_finite_float_like_the_exact_check(bad, column):
+    amps = np.tile(sv.BELL_PAIR_AMPS, (3, 1))
+    amps.view(np.float64)[1, column] = bad
+    assert verdict(sv.check_rows, amps) == verdict(exact_check_rows, amps)
+    assert verdict(sv.check_rows, amps) == (sv.StateError, "non-finite amplitude")
+
+
+def test_check_rows_raises_on_an_overflowing_row_like_the_exact_check():
+    huge = np.tile(sv.BELL_PAIR_AMPS, (2, 1))
+    huge[1] *= 1e200
+    with np.errstate(over="ignore"):
+        got = verdict(sv.check_rows, huge)
+        assert got == verdict(exact_check_rows, huge)
+    assert got[0] is sv.NotNormalized
+
+
+def test_check_rows_gives_stacks_outside_the_fused_pass_the_exact_check():
+    # single precision, and a stack whose rows are not contiguous
+    near = np.tile(sv.BELL_PAIR_AMPS, (3, 1))
+    near[1] *= math.sqrt(1.0 + 0.9 * sv.NORM_TOL)
+    for amps in (near.astype(np.complex64), np.tile(sv.BELL_PAIR_AMPS, (2, 3))[:, ::3]):
+        assert verdict(sv.check_rows, amps) == verdict(exact_check_rows, amps)
+
+
+# --- each row is checked where it enters the registry ----------------------------
+
+
+def corrupt_in_place(registry, label, how):
+    """Corrupt the row that holds ``label``, as a fault in the store would,
+    after the registry checked it."""
+    (bucket,) = registry._resolve([label])
+    amps = bucket.family.amps
+    if how == "huge":
+        amps[bucket.rows] *= 1e200
+    else:
+        amps[bucket.rows] = corrupted(amps[bucket.rows], 0, how)
+
+
+@pytest.mark.parametrize("how", ["nan", "scaled"])
+def test_a_corrupted_row_cannot_enter_the_registry(how):
+    registry = uniform_streams()
+    before = dict(registry._where)
+    with pytest.raises(sv.StateError):
+        registry.add_rows([("x1",), ("x2",)], corrupted(sv.qubit_rows([(1, 0)] * 2), 1, how))
+    assert registry._where == before
+    # a Bell measurement across two families tensors their rows; the merged
+    # rows are checked before anything is measured or removed
+    corrupt_in_place(registry, "n", how)
+    with pytest.raises(sv.StateError):
+        registry.bell_measure_many(["m", "n"], ["a1", "a2"], np.random.default_rng(5))
+    assert registry._where == before
+
+
+@pytest.mark.parametrize("how,error", [("nan", sv.DegenerateState), ("huge", sv.NotNormalized),
+                                       ("scaled", None)])
+def test_a_bell_residual_enters_the_registry_checked(how, error):
+    registry = QuantumRegistry()
+    groups = np.kron(sv.qubit_rows([(0.6, 0.8j), (0.8, -0.6)]), sv.BELL_PAIR_AMPS[None, :])
+    registry.add_rows([("t1", "a1", "b1"), ("t2", "a2", "b2")], groups)
+    corrupt_in_place(registry, "t2", how)
+    before = dict(registry._where)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if error is None:
+            # a scaled row's residual is renormalized by its branch probability
+            registry.bell_measure_many(["t1", "t2"], ["a1", "a2"], np.random.default_rng(5))
+            sv.check_rows(registry.amps_of(["b1", "b2"]))
+        else:
+            with pytest.raises(error):
+                registry.bell_measure_many(["t1", "t2"], ["a1", "a2"], np.random.default_rng(5))
+            assert registry._where == before
+
+
+@given(st.data())
+def test_paulis_keep_registry_rows_as_the_scalar_reference_does(data):
+    # a Pauli only swaps and negates floats, so rows checked where they
+    # entered stay on the unit sphere, bit for bit, with no check after it
+    registry = QuantumRegistry()
+    groups = {}
+    for rows, k in ((3, 1), (2, 2)):
+        amps = data.draw(stacks(k, k, rows=rows))
+        names = [tuple(f"q{len(groups) + r}_{j}" for j in range(k)) for r in range(rows)]
+        registry.add_rows(names, amps)
+        groups.update((name, PureState(name, row)) for name, row in zip(names, amps))
+    group_of = {label: name for name in groups for label in name}
+    for _ in range(data.draw(st.integers(1, 5))):
+        labels = data.draw(st.permutations(sorted(group_of)))[:data.draw(st.integers(1, 7))]
+        x, z = bits(data.draw, len(labels)), bits(data.draw, len(labels))
+        inverse = data.draw(st.booleans())
+        registry.apply_paulis(labels, x, z, inverse=inverse)
+        for label, xi, zi in zip(labels, x.tolist(), z.tolist()):
+            state = groups[group_of[label]]
+            if inverse:
+                state = sv.apply_pauli(sv.apply_pauli(state, label, PauliBits(xi, 0)), label,
+                                       PauliBits(0, zi))
+            else:
+                state = sv.apply_pauli(state, label, PauliBits(xi, zi))
+            groups[group_of[label]] = state
+    for name, state in groups.items():
+        assert same_bits(registry.state_of(name[0]).amps, state.amps)
+    for family in {id(f): f for f, _ in registry._parts}.values():
+        sv.check_rows(family.amps)
+
+
 # --- a batched registry call is its one-pair calls in turn --------------------
 
 

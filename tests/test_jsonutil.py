@@ -267,6 +267,26 @@ def test_payload_digests_match_the_oracle(scenario, monkeypatch):
 
 
 
+@pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
+def test_arbiter_record_digests_match_the_oracle(scenario, monkeypatch):
+    # the returned digest is hashed on from the received one; both must be
+    # the digests of the carriers as the registry holds them after the call
+    verify, checked = proto.trent_verify, []
+
+    def verify_and_check(payload, signer_key, verifier_key, registry):
+        returned, record = verify(payload, signer_key, verifier_key, registry)
+        checked.append((record.received_digest, record.returned_digest)
+                       == (_oracle_digest(payload, registry), _oracle_digest(returned, registry)))
+        return returned, record
+
+    monkeypatch.setattr(proto, "trent_verify", verify_and_check)
+    for n in (1, 3, 8):
+        for seed in regen_golden.SEEDS:
+            for trial in regen_golden.TRIALS:
+                run_scenario(Scenario.from_token(scenario), n, seed, trial)
+    assert checked == [True] * 12
+
+
 ESCAPED = ['p"1', "p\\2", "pé3", 'v☃"\\']
 
 

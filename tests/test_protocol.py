@@ -8,7 +8,7 @@ import pytest
 import oracles
 from aqsim import adversary as adv
 from aqsim import protocol as proto
-from aqsim import qotp
+from aqsim import qotp, scenarios
 from aqsim import statevector as sv
 from aqsim.adversary import Scenario
 from aqsim.jsonutil import canonical_json
@@ -382,6 +382,16 @@ def test_trent_verify_refuses_a_probe_and_leaves_the_registry_unchanged():
         registry.state_of("v")
 
 
+def test_trent_verify_refuses_a_payload_that_carries_a_verification_qubit():
+    run = _forwarded(2, 61)
+    payload, registry = run.payload, run.registry
+    carrying = proto.CipherPayload(payload.masked, payload.signature,
+                                   proto.Carrier("w", proto.BAND_SIGNAL, 4, "b1"))
+    with pytest.raises(proto.ProtocolError):
+        proto.trent_verify(carrying, run.signer_key, run.verifier_key, registry)
+    with pytest.raises(sv.UnknownLabel):
+        registry.state_of("v")
+
 def test_trent_record_is_blind():
     run = manual_run(generic_spec(2, 37), *honest_keys(2))
     doc = run.record.to_jsonable()
@@ -606,3 +616,14 @@ def test_each_label_stream_is_walked_at_most_once_per_trial(monkeypatch):
     run_scenario(Scenario.from_token("honest"), 64, 7, 0)
     assert walks
     assert len(walks) == len(set(walks))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+def test_rng_streams_are_the_spawned_children_of_seed_and_trial(seed):
+    for trial in (0, 5):
+        streams = scenarios.rng_streams(seed, trial)
+        children = np.random.SeedSequence(entropy=[seed, trial]).spawn(4)
+        for name, child in zip(("message", "keys", "sign", "attack"), children):
+            ref, got = np.random.default_rng(child), getattr(streams, name)
+            assert got.random(4).tolist() == ref.random(4).tolist()
+            assert got.integers(0, 2, 16).tolist() == ref.integers(0, 2, 16).tolist()
