@@ -266,7 +266,6 @@ def test_payload_digests_match_the_oracle(scenario, monkeypatch):
     assert widths == ({1, 2} if scenario in ("ipe", "delay-photon") else {1})
 
 
-
 @pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
 def test_arbiter_record_digests_match_the_oracle(scenario, monkeypatch):
     # the returned digest is hashed on from the received one; both must be

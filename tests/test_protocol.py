@@ -392,6 +392,7 @@ def test_trent_verify_refuses_a_payload_that_carries_a_verification_qubit():
     with pytest.raises(sv.UnknownLabel):
         registry.state_of("v")
 
+
 def test_trent_record_is_blind():
     run = manual_run(generic_spec(2, 37), *honest_keys(2))
     doc = run.record.to_jsonable()
