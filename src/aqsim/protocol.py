@@ -755,8 +755,8 @@ def trent_verify(
     )
 
 
-def _read_basis_bit(state: PureState) -> int:
-    amps = np.abs(state.amps)
+def _read_basis_bit(amps: np.ndarray) -> int:
+    amps = np.abs(amps)
     bit = int(np.argmax(amps))
     if abs(amps[bit] - 1.0) > EQUALITY_TOL:
         raise ProtocolError("verification qubit is not a computational basis state")
@@ -781,7 +781,7 @@ def bob_verify_and_compare(
 
     _mask_stream(registry, payload.all_carriers(), verifier_key, inverse=True)
 
-    verify_bit = _read_basis_bit(registry.state_of(payload.verdict_carrier.payload))
+    verify_bit = _read_basis_bit(registry.amps_of([payload.verdict_carrier.payload])[0])
     if verify_bit == 0:
         return CompareReport(CompareResult.REJECT, 0, ())
 
@@ -806,24 +806,31 @@ def bob_recover(
     return qotp.decrypt(masked_states, pad)
 
 
-def verify_signature_pair(
-    signature_states: Sequence[PureState],
-    pad: KeyBits,
-    spec: MessageSpec,
-    signer_key: KeyBits,
+def verify_signature_rows(
+    held: np.ndarray, pad: KeyBits, spec: MessageSpec, signer_key: KeyBits
 ) -> bool:
     """Final validity check of the held (signature, pad) pair.
 
     Rebuilds pad-masked-then-bound copies from the message spec and compares
-    them per qubit against the held signature states.
+    them per qubit against ``held``, the signature's (n, 2) rows.
     """
-    if len(signature_states) != spec.n:
+    if len(held) != spec.n:
         raise ProtocolError("signature length does not match the message spec")
-    if any(state.num_qubits != 1 for state in signature_states):
+    if held.shape[1:] != (2,):
         raise sv.LabelMismatch("signature states must be single qubits")
     expected = qotp.mask_rows(qotp.mask_rows(spec.amps, pad), signer_key)
-    held = np.array([state.amps for state in signature_states])
     return all(sv.equal_up_to_phase_rows(expected, held, EQUALITY_TOL))
+
+
+def verify_signature_pair(
+    signature_states: Sequence[PureState], pad: KeyBits, spec: MessageSpec, signer_key: KeyBits
+) -> bool:
+    """``verify_signature_rows`` over the held states' stacked amplitudes."""
+    single = all(state.num_qubits == 1 for state in signature_states)
+    # groups of mixed sizes do not stack; a 0-wide stack fails the width check
+    held = np.array([state.amps for state in signature_states]) if single else np.empty(
+        (len(signature_states), 0))
+    return verify_signature_rows(held, pad, spec, signer_key)
 
 
 def arbitrate(record: TrentRecord, alice_claim: Claim, bob_claim: Claim) -> Verdict:

@@ -16,12 +16,14 @@ steps at those points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import adversary as adv
 from . import protocol as proto
+from . import qotp
 from . import statevector as sv
 from .adversary import Scenario, ScenarioVariant
 from .defense import DEVICE_FILTER, DEVICE_PNS, DefenseConfig, screen
@@ -39,19 +41,26 @@ HONEST_FIDELITY_FLOOR = 1.0 - 1e-9
 DEGRADED_FIDELITY_CEILING = 1.0 - 1e-6
 
 
-@dataclass(frozen=True)
 class RngStreams:
-    message: np.random.Generator
-    keys: np.random.Generator
-    sign: np.random.Generator
-    attack: np.random.Generator
+    """Per-trial splittable streams: the children ``SeedSequence([seed, trial]).spawn(4)``,
+    each built directly from its ``spawn_key``. Only ``eve-disturb``,
+    ``alice-false-pad`` and the Trojan extraction draw from ``attack``, so it
+    is built on first use."""
+
+    def __init__(self, seed: int, trial: int):
+        self._entropy = [seed, trial]
+        self.message, self.keys, self.sign = map(self._child, range(3))
+
+    def _child(self, i: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(entropy=self._entropy, spawn_key=(i,)))
+
+    @cached_property
+    def attack(self) -> np.random.Generator:
+        return self._child(3)
 
 
 def rng_streams(seed: int, trial: int) -> RngStreams:
-    """Per-trial splittable streams: the children ``SeedSequence([seed, trial]).spawn(4)``,
-    each built directly from its ``spawn_key``."""
-    return RngStreams(*(np.random.default_rng(
-        np.random.SeedSequence(entropy=[seed, trial], spawn_key=(i,))) for i in range(4)))
+    return RngStreams(seed, trial)
 
 
 @dataclass
@@ -344,13 +353,12 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     transcript.log("bob", "decision", {"action": "request-pad"})
     published = trial.published = entry.publish(trial)
     transcript.log("alice", "board-post", {"value": published.to_jsonable()})
-    recovered = proto.bob_recover(registry.sequence(proto.labels_of(trial.payload.masked)),
-                                  published)
+    recovered = qotp.mask_rows(proto._qubit_rows(registry, proto.labels_of(trial.payload.masked)),
+                               published, inverse=True)
     transcript.log("bob", "decision", {"action": "recover-message"})
-    trial.fidelities = tuple(sv.fidelity(state, trial.message.qubit(i, state.labels[0]))
-                             for i, state in enumerate(recovered))
-    trial.signature_valid = proto.verify_signature_pair(
-        registry.sequence(proto.labels_of(trial.payload.signature)), published,
+    trial.fidelities = tuple(sv.fidelity_rows(recovered, trial.message.amps))
+    trial.signature_valid = proto.verify_signature_rows(
+        proto._qubit_rows(registry, proto.labels_of(trial.payload.signature)), published,
         trial.message, keys.signer)
     trial.verdict = Verdict.NO_DISPUTE.value
     return ()

@@ -476,7 +476,8 @@ def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> l
     idx = np.arange(a.shape[0])
     j = np.argmax(np.abs(b), axis=1)
     aj = a[idx, j]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal aj can overflow the unit phase; np.where then picks 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = aj / b[idx, j]
         c = np.where(np.abs(aj) < PROB_FLOOR, 1.0, ratio / np.abs(ratio))
     diff = a - c[:, None] * b
@@ -487,6 +488,18 @@ def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> l
     for r in np.flatnonzero(~(equal | unequal)).tolist():
         equal[r] = float(np.linalg.norm(diff[r])) <= tol
     return equal.tolist()
+
+
+def fidelity_rows(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """``fidelity(a[r], b[r])`` row by row over two stacks in the same label order.
+
+    The inner products are one batched matmul of a's conjugated rows, which
+    runs the BLAS dot that ``np.vdot`` runs, so each product is bit for bit
+    ``np.vdot``'s. The modulus, square and clamp stay the scalar's expression
+    on each product: the stacked ``np.abs`` and square round differently.
+    """
+    dots = (a.conj()[:, None, :] @ b[:, :, None]).reshape(-1)
+    return [min(1.0, max(0.0, float(abs(v) ** 2))) for v in dots]
 
 
 def states_from_rows(labels, amps: np.ndarray) -> tuple[PureState, ...]:

@@ -6,6 +6,7 @@ agree with the brute-force matrices of ``oracles``. A corrupted row must
 still trip the norm and finiteness invariant.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -691,6 +692,17 @@ def test_equal_up_to_phase_rows_decide_the_band_like_the_scalar_norm(k):
         assert any(stacked[r] != got[r] for r in range(len(a)))
 
 
+def test_equal_up_to_phase_rows_stay_quiet_on_a_subnormal_phase():
+    # a's amplitude at b's dominant index is subnormal: its unit phase
+    # overflows, and the row takes c = 1 below PROB_FLOOR as the scalar does
+    a = np.array([[0, 2.2e-309j, 0, 1j]])
+    b = np.array([[0, 1j, 0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sv.equal_up_to_phase_rows(a, b, 1e-9)
+    assert got == [sv.equal_up_to_phase(state_of_row(a, 0), state_of_row(b, 0), 1e-9)] == [False]
+
+
 def test_equal_up_to_phase_rows_fall_back_on_non_finite_rows():
     # NaN, infinite and overflowing rows decide as the scalar norm does:
     # not equal; PureState refuses such rows, so only the norm is the reference
@@ -700,3 +712,42 @@ def test_equal_up_to_phase_rows_fall_back_on_non_finite_rows():
         got = sv.equal_up_to_phase_rows(a, b, 1e-9)
         assert got == [float(np.linalg.norm(row)) <= 1e-9 for row in a - b]
     assert got == [False, False, False, True]
+
+
+# --- fidelity --------------------------------------------------------------------
+
+
+def _phase_equal_rows_above_one():
+    """Phase-equal single-qubit rows whose squared overlap rounds above 1."""
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(400, 2)) + 1j * rng.normal(size=(400, 2))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b = np.exp(1j * rng.uniform(0, 2 * math.pi, 400))[:, None] * a
+    above = [abs(np.vdot(x, y)) ** 2 > 1.0 for x, y in zip(a, b)]
+    return a[above], b[above]
+
+
+@given(st.data())
+def test_fidelity_rows_match_scalar_bit_for_bit(data):
+    # each row of b is an unrelated state, a phase-rotated copy of a's row
+    # or a state orthogonal to it; a signed-zero basis pair and phase-equal
+    # rows whose overlap rounds above 1 (and is clamped) ride along at k=1
+    a = data.draw(stacks(max_qubits=3))
+    m, k = a.shape[0], int(math.log2(a.shape[1]))
+    other = data.draw(stacks(min_qubits=k, max_qubits=k, rows=m))
+    theta = np.array(data.draw(st.lists(st.floats(0, 2 * math.pi), min_size=m, max_size=m)))
+    kind = np.array(data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))[:, None]
+    orthogonal = (a.conj().reshape(m, -1, 2)[:, :, ::-1] * [-1, 1]).reshape(m, -1)
+    b = np.where(kind == 0, other, np.where(kind == 1, np.exp(1j * theta)[:, None] * a, orthogonal))
+    if k == 1:
+        above_a, above_b = _phase_equal_rows_above_one()
+        zeros_a = np.array([[complex(-0.0, 0.0), 1j], [complex(0.0, -0.0), complex(-1.0, -0.0)]])
+        zeros_b = np.array([[complex(-1.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1j]])
+        a = np.concatenate([a, above_a, zeros_a])
+        b = np.concatenate([b, above_b, zeros_b])
+    got = sv.fidelity_rows(a, b)
+    ref = [sv.fidelity(state_of_row(a, r), state_of_row(b, r, "q")) for r in range(len(a))]
+    assert [x.hex() for x in got] == [x.hex() for x in ref]
+    assert all(0.0 <= x <= 1.0 for x in got)
+    if k == 1:
+        assert len(above_a) and got[m:] == [1.0] * len(above_a) + [0.0, 1.0]

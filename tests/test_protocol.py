@@ -11,6 +11,7 @@ from aqsim import protocol as proto
 from aqsim import qotp, scenarios
 from aqsim import statevector as sv
 from aqsim.adversary import Scenario
+from aqsim.defense import DEFENSE_GRID
 from aqsim.jsonutil import canonical_json
 from aqsim.protocol import (
     CLAIM_FOLLOWED,
@@ -504,11 +505,19 @@ def test_bob_recover_wrong_pad_degrades_fidelity():
     assert fid < 1 - 1e-6
 
 
+# the final check over held states, and over their rows as the flow holds them
+VERIFY_SIGNATURE = (
+    proto.verify_signature_pair,
+    lambda states, *rest: proto.verify_signature_rows(np.array([s.amps for s in states]), *rest),
+)
+
+
 def test_verify_signature_pair_honest():
     spec = generic_spec(3, 67)
     run = manual_run(spec, *honest_keys(3))
     signature = run.registry.sequence([c.payload for c in run.payload.signature])
-    assert proto.verify_signature_pair(signature, run.pad, spec, run.signer_key)
+    for verify in VERIFY_SIGNATURE:
+        assert verify(signature, run.pad, spec, run.signer_key)
 
 
 def test_verify_signature_pair_fails_on_wrong_pad():
@@ -516,7 +525,8 @@ def test_verify_signature_pair_fails_on_wrong_pad():
     run = manual_run(spec, *honest_keys(2))
     signature = run.registry.sequence([c.payload for c in run.payload.signature])
     wrong = KeyBits((run.pad.bits[0] ^ 1,) + tuple(run.pad.bits[1:]), qotp.ROLE_PAD)
-    assert not proto.verify_signature_pair(signature, wrong, spec, run.signer_key)
+    for verify in VERIFY_SIGNATURE:
+        assert not verify(signature, wrong, spec, run.signer_key)
 
 
 def test_verify_signature_pair_fails_on_tampered_signature():
@@ -524,7 +534,8 @@ def test_verify_signature_pair_fails_on_tampered_signature():
     run = manual_run(spec, *honest_keys(2))
     signature = list(run.registry.sequence([c.payload for c in run.payload.signature]))
     signature[1] = sv.apply_pauli(signature[1], signature[1].labels[0], PauliBits(1, 0))
-    assert not proto.verify_signature_pair(tuple(signature), run.pad, spec, run.signer_key)
+    for verify in VERIFY_SIGNATURE:
+        assert not verify(tuple(signature), run.pad, spec, run.signer_key)
 
 
 # --- arbitration ------------------------------------------------------------
@@ -628,3 +639,28 @@ def test_rng_streams_are_the_spawned_children_of_seed_and_trial(seed):
             ref, got = np.random.default_rng(child), getattr(streams, name)
             assert got.random(4).tolist() == ref.random(4).tolist()
             assert got.integers(0, 2, 16).tolist() == ref.integers(0, 2, 16).tolist()
+
+
+def test_an_honest_trial_builds_three_generators(monkeypatch):
+    # only eve-disturb, alice-false-pad and the Trojan extraction draw from
+    # the attack stream, so an honest trial never builds it
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+    run_scenario(Scenario.from_token("honest"), 8, 7, 0)
+    assert len(built) == 3
+
+
+def test_the_flow_builds_no_pure_state(monkeypatch):
+    # every step of every scenario under every defense set works on registry
+    # rows; PureState is the scalar reference and the replay's adapters only
+    built = []
+    post_init, checked = sv.PureState.__post_init__, sv.PureState._checked.__func__
+    monkeypatch.setattr(sv.PureState, "__post_init__",
+                        lambda self: built.append(self.labels) or post_init(self))
+    monkeypatch.setattr(sv.PureState, "_checked", classmethod(
+        lambda cls, labels, amps: built.append(labels) or checked(cls, labels, amps)))
+    for variant in adv.ScenarioVariant:
+        for defenses in DEFENSE_GRID:
+            run_scenario(Scenario.from_token(variant.value), 8, 7, 0, defenses)
+    assert built == []
