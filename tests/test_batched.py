@@ -746,7 +746,7 @@ def test_fidelity_rows_match_scalar_bit_for_bit(data):
         a = np.concatenate([a, above_a, zeros_a])
         b = np.concatenate([b, above_b, zeros_b])
     got = sv.fidelity_rows(a, b)
-    ref = [sv.fidelity(state_of_row(a, r), state_of_row(b, r, "q")) for r in range(len(a))]
+    ref = [sv.fidelity(state_of_row(a, r), state_of_row(b, r)) for r in range(len(a))]
     assert [x.hex() for x in got] == [x.hex() for x in ref]
     assert all(0.0 <= x <= 1.0 for x in got)
     if k == 1:
