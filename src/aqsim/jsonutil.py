@@ -11,11 +11,12 @@ carrier metadata, probability rows). The row renderers below format a
 whole run of rows at once, from one array, where the rows are made. What
 they return is text only: a ``Rendered`` holds the canonical text and no
 copy of the value, and ``_emit`` appends that text verbatim. A trial renders
-the same floats, state rows and carrier streams many times over (a Pauli
-mask only permutes and negates floats, the returned digest re-reads the
-rows the received digest read, and the same carriers travel three legs),
-so the renderers take a ``RenderMemo`` that holds each text rendered so
-far; one memo lives as long as one trial's registry.
+the same floats and carrier streams many times over (a Pauli mask only
+permutes and negates floats, and the same carriers travel three legs), so
+the renderers take a ``RenderMemo`` that keeps float tokens and carrier
+heads; one memo lives as long as one trial's registry. State rows are
+rendered afresh on every call: few of them recur within a trial, and
+keying every row costs more than the repeats save.
 
 The emitter takes exactly the built-in types the documents are made of
 (dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
@@ -74,13 +75,7 @@ def _emit(obj, out: list[str]) -> None:
             out.append(sep)
             out.append(_encode_str(key))
             out.append(":")
-            leaf = type(value)  # floats and strings, most leaves, skip a call
-            if leaf is float:
-                out.append(_float_token(value))
-            elif leaf is str:
-                out.append(_encode_str(value))
-            else:
-                _emit(value, out)
+            _emit(value, out)
             sep = ","
         out.append("}")
     elif kind is list:
@@ -88,13 +83,7 @@ def _emit(obj, out: list[str]) -> None:
         sep = ""
         for item in obj:
             out.append(sep)
-            leaf = type(item)
-            if leaf is float:
-                out.append(_float_token(item))
-            elif leaf is str:
-                out.append(_encode_str(item))
-            else:
-                _emit(item, out)
+            _emit(item, out)
             sep = ","
         out.append("]")
     elif kind is Rendered:
@@ -115,12 +104,10 @@ def _emit(obj, out: list[str]) -> None:
 
 
 class RenderMemo:
-    """The texts rendered so far in one trial, so that each is rendered once.
+    """The texts rendered so far in one trial that are worth keeping.
 
     - ``floats`` maps a float's exact value to its token. Each magnitude is
       formatted once and stored under both signs (see ``_tokens``).
-    - ``heads`` maps a state row's labels to the text the row starts with.
-    - ``states`` maps a state row's (labels, float bytes) to its text.
     - ``carriers`` maps a tuple of carrier rows, by identity, to that tuple
       and the text each of its objects starts with (see ``carrier_heads``).
 
@@ -128,12 +115,10 @@ class RenderMemo:
     one trial.
     """
 
-    __slots__ = ("floats", "heads", "states", "carriers")
+    __slots__ = ("floats", "carriers")
 
     def __init__(self):
         self.floats: dict[float, str] = {}
-        self.heads: dict[tuple, str] = {}
-        self.states: dict[tuple, str] = {}
         self.carriers: dict[int, tuple] = {}
 
 
@@ -173,44 +158,27 @@ def _tokens(values: list, floats: dict) -> list[str]:
 
 
 @functools.cache
-def _amps_layout(width: int) -> tuple[str, np.dtype]:
-    """A row's amps template, and the dtype that views its floats as one key."""
-    return ",".join(["[%s,%s]"] * width) + "]}", np.dtype((np.void, 16 * width))
-
-
-def _state_heads(labels: list, heads: dict) -> list[str]:
-    """``{"labels":[...],"amps":[`` for each row of ``labels``, rendering only
-    the rows of labels that ``heads`` does not hold yet."""
-    texts = list(map(heads.get, labels))
-    if all(texts):
-        return texts
-    heads.update((row, '{"labels":[%s],"amps":[' % ",".join(map(_encode_str, row)))
-                 for row in set(compress(labels, map(not_, texts))))
-    return list(map(heads.__getitem__, labels))
+def _amps_template(width: int) -> str:
+    """The ``%`` template of a row's amps, closing the row's object."""
+    return ",".join(["[%s,%s]"] * width) + "]}"
 
 
 def state_texts(labels, amps, memo: RenderMemo | None = None) -> list[str]:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
     each row of an (m, 2**k) complex stack; ``labels[r]``, a tuple of
-    strings, names row r's qubits. Rows already in ``memo`` are not
-    rendered again."""
-    memo = RenderMemo() if memo is None else memo
+    strings, names row r's qubits. Floats already in ``memo`` are not
+    formatted again."""
     # the (m, 2w) float view of the (m, w) stack, -0.0 collapsed: (re, im) per amplitude
-    stack = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64) + 0.0
-    template, row_key = _amps_layout(stack.shape[1] // 2)
-    keys = list(zip(labels, stack.view(row_key).ravel().tolist(), strict=True))
-    texts = list(map(memo.states.get, keys))
-    missing = list(compress(range(len(texts)), map(not_, texts)))
-    if missing:  # the rows in the memo were checked finite when they were rendered
-        heads = _state_heads([keys[r][0] for r in missing], memo.heads)
-        # one format call for the amplitudes of all the missing rows; no token
-        # holds a newline
-        bodies = ("\n".join([template] * len(missing))
-                  % tuple(_tokens(_float_stack(stack[missing]).ravel().tolist(),
-                                  memo.floats))).split("\n")
-        for r, head, body in zip(missing, heads, bodies):
-            texts[r] = memo.states[keys[r]] = head + body
-    return texts
+    stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
+    if len(labels) != len(stack):
+        raise ValueError(f"{len(labels)} label rows for {len(stack)} amplitude rows")
+    tokens = _tokens(stack.ravel().tolist(), (RenderMemo() if memo is None else memo).floats)
+    # one format call for the amplitudes of all the rows; no token holds a
+    # newline, and the last text is empty
+    bodies = ((_amps_template(stack.shape[1] // 2) + "\n") * len(stack)
+              % tuple(tokens)).split("\n")[:-1]
+    return ['{"labels":[%s],"amps":[%s' % (",".join(map(_encode_str, row)), body)
+            for row, body in zip(labels, bodies)]
 
 
 def render_float_rows(rows, memo: RenderMemo | None = None) -> Rendered:

@@ -238,8 +238,9 @@ class QuantumRegistry:
     other input raises before anything changes; there are no single-label
     calls, and a caller with mixed pairs measures them one pair per call.
 
-    ``memo`` holds the canonical texts rendered from this registry's trial
-    (see ``jsonutil.RenderMemo``), so a row read twice is rendered once.
+    ``memo`` keeps the float tokens and carrier heads rendered in this
+    registry's trial (see ``jsonutil.RenderMemo``), so a value or a carrier
+    stream read twice is formatted once.
     """
 
     def __init__(self):

@@ -67,15 +67,6 @@ class KeyBits:
             value = (value << 1) | b
         return format(value, f"0{(len(self.bits) + pad) // 4}x")
 
-    @classmethod
-    def from_hex(cls, hex_str: str, length: int, role: str) -> "KeyBits":
-        total = 4 * len(hex_str)
-        if length > total:
-            raise ValueError(f"hex string holds {total} bits, {length} requested")
-        value = int(hex_str, 16) if hex_str else 0
-        bits = tuple((value >> (total - 1 - i)) & 1 for i in range(length))
-        return cls(bits, role)
-
     def to_jsonable(self) -> dict:
         return {"role": self.role, "len": len(self.bits), "hex": self.to_hex()}
 

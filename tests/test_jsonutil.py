@@ -185,7 +185,7 @@ def test_renderers_sharing_one_memo_match_the_oracle(pool, calls, data):
                     == canonical_oracle.canonical_json([list(row) for row in rows]))
 
 
-def test_state_memo_tells_labels_apart_and_renders_signed_zeros_once():
+def test_state_texts_tell_labels_apart_and_collapse_signed_zeros():
     memo = jsonutil.RenderMemo()
     flat = [[0.6, 0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8], [0.6, -0.0, -0.0, 0.8]]
     amps = np.array(flat).view(np.complex128)
@@ -193,13 +193,19 @@ def test_state_memo_tells_labels_apart_and_renders_signed_zeros_once():
     expected = [canonical_oracle.canonical_json(plain_state(row_labels, row))
                 for row_labels, row in zip(labels, amps)]
     swapped = [("q1",), ("p1",), ("q1",)]
-    for _ in range(2):  # rendered, then read back from the memo
+    for _ in range(2):  # the second pass reads its float tokens from the memo
         assert jsonutil.state_texts(labels, amps, memo) == expected
         assert jsonutil.state_texts(swapped, amps, memo) == [
             canonical_oracle.canonical_json(plain_state(row_labels, row))
             for row_labels, row in zip(swapped, amps)]
     assert expected[0] != expected[1] and expected[0] == expected[2]
-    assert len(memo.states) == 2  # the rows differing only in the sign of 0.0 share one text
+
+
+@pytest.mark.parametrize("labels", [[("p1",), ("q1",), ("r1",)], [("p1",)], []])
+def test_state_texts_refuse_label_and_amplitude_rows_of_different_counts(labels):
+    amps = np.array([[0.6, 0.8j], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        jsonutil.state_texts(labels, amps)
 
 
 def test_float_memo_formats_each_magnitude_once_for_both_signs():
