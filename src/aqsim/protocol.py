@@ -238,9 +238,8 @@ class QuantumRegistry:
     other input raises before anything changes; there are no single-label
     calls, and a caller with mixed pairs measures them one pair per call.
 
-    ``memo`` keeps the float tokens and carrier heads rendered in this
-    registry's trial (see ``jsonutil.RenderMemo``), so a value or a carrier
-    stream read twice is formatted once.
+    ``memo`` keeps this trial's float tokens and carrier heads (see
+    ``jsonutil.RenderMemo``): a value or a carrier stream read twice is formatted once.
     """
 
     def __init__(self):
