@@ -102,12 +102,26 @@ class Scenario:
         return SCENARIOS[self.variant].tamper_indices
 
 
+class Phase(Enum):
+    """How far a run has got, step by step."""
+
+    SETUP = "setup"
+    SIGNED = "signed"
+    FORWARDED = "forwarded"
+    VERIFIED = "verified"
+    COMPARED = "compared"
+
+
 @dataclass(frozen=True)
 class RunState:
-    """Minimal view of a live run, for phase-gated attack moves."""
+    """Minimal view of a live run, for phase-gated attack moves. ``phase``
+    takes a ``Phase`` or its value, such as ``"compared"``."""
 
-    phase: str  # "setup" | "signed" | "forwarded" | "verified" | "compared"
+    phase: Phase
     genuine_compare: CompareResult | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "phase", Phase(self.phase))  # ValueError on an unknown phase
 
 
 @dataclass(frozen=True)
@@ -129,8 +143,8 @@ def bob_dos_negate(state: RunState) -> Claim:
     Only callable once the teleport comparison really returned a match;
     the point is that nothing in the arbiter's record can refute the lie.
     """
-    if state.phase != "compared":
-        raise InvalidPhase(f"cannot negate before the comparison step (phase={state.phase})")
+    if state.phase is not Phase.COMPARED:
+        raise InvalidPhase(f"cannot negate before the comparison step (phase={state.phase.value})")
     if state.genuine_compare is not CompareResult.MATCH_OK:
         raise InvalidPhase("negation targets a genuinely matching run")
     return Claim("bob", CLAIM_TELEPORT_MISMATCH)

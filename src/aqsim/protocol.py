@@ -86,12 +86,12 @@ class MessageSpec:
     amps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple((complex(a), complex(b)) for a, b in self.coefficients)
-        if not coeffs:
+        coefficients = np.array(self.coefficients, dtype=np.complex128).reshape(-1, 2)
+        if not len(coefficients):
             raise ValueError("message needs at least one qubit")
-        amps = sv.qubit_rows(coeffs)  # raises NotNormalized off the unit sphere
+        amps = sv.qubit_rows(coefficients)  # raises NotNormalized off the unit sphere
         amps.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", tuple(map(tuple, coefficients.tolist())))
         object.__setattr__(self, "amps", amps)
 
     @property
@@ -118,29 +118,25 @@ def random_message_spec(
         raise ValueError("need n >= 1")
     if generic_margin >= 1.0 - 1.0 / math.sqrt(3.0):
         raise ValueError(f"no qubit passes a generic margin of {generic_margin}")
+    limit = 1.0 - generic_margin
+    half = limit / 2  # |<X>| = 2|Re(conj(a) b)| > limit exactly when |Re(conj(a) b)| > half
     coeffs = []
     # One block of draws for the qubits still needed, walked in order: the
     # same doubles, and the same accepted qubits, as one normal(size=4) per try.
     while len(coeffs) < n:
-        for re_a, im_a, re_b, im_b in rng.normal(size=(n - len(coeffs), 4)).tolist():
-            a = complex(re_a, im_a)
-            b = complex(re_b, im_b)
+        for a, b in rng.normal(size=(n - len(coeffs), 4)).view(np.complex128).tolist():
             norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
             if norm < 1e-6:
                 continue
             a /= norm
             b /= norm
-            if generic_margin > 0.0:
-                cross = a.conjugate() * b
-                axis_max = max(
-                    abs(2.0 * cross.real),               # <X>
-                    abs(2.0 * cross.imag),               # <Y>
-                    abs(abs(a) ** 2 - abs(b) ** 2),      # <Z>
-                )
-                if axis_max > 1.0 - generic_margin:
-                    continue
+            if generic_margin > 0.0 and (
+                    abs(a.real * b.real + a.imag * b.imag) > half      # <X> / 2
+                    or abs(a.real * b.imag - a.imag * b.real) > half   # <Y> / 2
+                    or abs(abs(a) ** 2 - abs(b) ** 2) > limit):        # <Z>
+                continue
             coeffs.append((a, b))
-    return MessageSpec(tuple(coeffs))
+    return MessageSpec(coeffs)
 
 
 class Carrier(NamedTuple):
@@ -189,10 +185,13 @@ class _Family:
     """m groups of k qubits each, stored as one (m, 2**k) amplitude array.
 
     Row r is the group over ``labels[r]``; axis j of that group is qubit
-    ``labels[r][j]``. Rows are checked where they enter: ``add_rows`` checks
-    every row, a tensor is checked by ``tensor_rows`` and a Bell residual by
-    ``bell_measure_rows``. After that only Paulis write them, and a Pauli
-    keeps a row on the unit sphere bit for bit. Families hash by identity.
+    ``labels[r][j]``. Rows are checked where they are made: ``add_rows``
+    checks the rows it is given, ``_add_checked_rows`` takes rows that a
+    public kernel has just checked (the signer's masked stacks from
+    ``qotp.mask_rows``, a Bell residual from ``bell_measure_rows``), and
+    ``tensor_rows`` checks the merged groups of a Bell measurement. After
+    that only Paulis write them, and a Pauli keeps a row on the unit sphere
+    bit for bit. Families hash by identity.
     """
 
     amps: np.ndarray
@@ -230,9 +229,12 @@ class QuantumRegistry:
 
     The flow sends the same carrier streams over three legs, so it asks for
     the same label streams at every step. Each distinct label stream is
-    walked into its buckets once and the result kept (``_resolve``). Adding
-    rows leaves every kept resolution true; ``bell_measure_many``, the one
-    call that deletes and moves labels, drops them all.
+    resolved into its buckets once and the result kept (``_resolve``). A new
+    family's label streams, one per axis, are resolved as it is added: one
+    bucket holding every row, with no walk. Adding rows leaves every kept
+    resolution true; ``bell_measure_many``, the one call that deletes and
+    moves labels, drops the ones that touch the two families it measured.
+    Any other stream is walked label by label the first time it is asked for.
 
     The batched calls take uniform streams, one carrier per time slot. Any
     other input raises before anything changes; there are no single-label
@@ -272,8 +274,8 @@ class QuantumRegistry:
                 for part, (positions, part_rows) in groups.items()]
 
     def _resolve(self, labels: Sequence) -> list[_Bucket]:
-        """The buckets of a label stream, walked once and then kept until
-        ``bell_measure_many`` drops every kept resolution."""
+        """The buckets of a label stream, kept from ``add_rows`` or walked once,
+        until ``bell_measure_many`` measures a family they touch."""
         key = labels if type(labels) is tuple else tuple(labels)
         buckets = self._resolved.get(key)
         if buckets is None:
@@ -284,6 +286,17 @@ class QuantumRegistry:
         """Register one new family: ``labels[r]`` names the qubits of ``amps[r]``.
         A label must be a ``str``, the only label type canonical text renders.
         Every check runs before anything is registered."""
+        labels, amps = self._new_family(labels, amps)
+        self._register(labels, sv.check_rows(amps))
+
+    def _add_checked_rows(self, labels, amps: np.ndarray) -> None:
+        """``add_rows`` for rows that a public kernel has just checked: every
+        check but ``check_rows``."""
+        self._register(*self._new_family(labels, amps))
+
+    def _new_family(self, labels, amps) -> tuple[list, np.ndarray]:
+        """The rows of a new family, as (label tuples, (m, 2**k) complex
+        stack), once their labels and shape pass every check."""
         labels = [tuple(row) for row in labels]
         amps = np.array(amps, dtype=np.complex128).reshape(len(labels), -1)
         k = amps.shape[1].bit_length() - 1
@@ -307,10 +320,20 @@ class QuantumRegistry:
                 if label in seen or label in self._where:
                     raise LabelCollision(f"label {label!r} already registered")
                 seen.add(label)
-        family = _Family(sv.check_rows(amps), labels)
+        return labels, amps
+
+    def _register(self, labels: list, amps: np.ndarray) -> None:
+        """Add the checked family and keep the resolution of each axis's label stream."""
+        family = _Family(amps, labels)
+        k = len(labels[0])
         parts = range(len(self._parts), len(self._parts) + k)
         self._parts.extend((family, j) for j in range(k))
-        self._where.update(zip(flat, [(part, r) for r in range(len(labels)) for part in parts]))
+        self._where.update(zip(chain.from_iterable(labels),
+                               [(part, r) for r in range(len(labels)) for part in parts]))
+        rows = np.arange(len(labels))
+        for j in range(k):
+            self._resolved[tuple(map(itemgetter(j), labels))] = [
+                _Bucket(family, j, slice(None), rows)]
 
     def _gather(self, labels: Sequence, read):
         """Item i read off the group of ``labels[i]``, by one ``read(bucket, amps)``
@@ -360,8 +383,9 @@ class QuantumRegistry:
 
     def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
-        (amps, axis1, axis2, row labels). Raises ``LabelMismatch`` unless each
-        side sits at one (family, axis) and no two pairs touch one group."""
+        (amps, axis1, axis2, row labels, the two families). Raises
+        ``LabelMismatch`` unless each side sits at one (family, axis) and no
+        two pairs touch one group."""
         if any(l1 == l2 for l1, l2 in zip(labels1, labels2)):
             raise sv.DuplicateLabel("bell measurement needs two distinct labels")
         first, second = self._resolve(labels1), self._resolve(labels2)
@@ -376,9 +400,9 @@ class QuantumRegistry:
         if len(set(touched)) != len(touched):
             raise sv.LabelMismatch("two pairs of a batched Bell call touch one group")
         if one_group:
-            return f1.amps[rows1], x1, x2, labels_1
+            return f1.amps[rows1], x1, x2, labels_1, (f1, f2)
         return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1, len(labels_1[0]) + x2,
-                list(map(tuple.__add__, labels_1, second[0].row_labels)))
+                list(map(tuple.__add__, labels_1, second[0].row_labels)), (f1, f2))
 
     def bell_measure_many(
         self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
@@ -394,15 +418,19 @@ class QuantumRegistry:
             raise ValueError("labels1 and labels2 must align")
         if not labels1:
             return [], np.empty((0, 4))
-        amps, axis1, axis2, row_labels = self._merged(labels1, labels2)
+        amps, axis1, axis2, row_labels, measured = self._merged(labels1, labels2)
         rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2,
                                                      rng.random(len(labels1)))
         for label in chain.from_iterable(row_labels):
             del self._where[label]
-        self._resolved.clear()  # labels were deleted, and the kept ones move
+        # the measured labels are gone and the rest of their groups move, so
+        # a kept stream that touches either family no longer holds
+        self._resolved = {stream: buckets for stream, buckets in self._resolved.items()
+                          if not any(bucket.family in measured for bucket in buckets)}
         keep = [j for j in range(len(row_labels[0])) if j not in (axis1, axis2)]
-        if keep:
-            self.add_rows(zip(*(map(itemgetter(j), row_labels) for j in keep)), residual)
+        if keep:  # bell_measure_rows checked the residual
+            self._add_checked_rows(zip(*(map(itemgetter(j), row_labels) for j in keep)),
+                                   residual)
         return [sv.BELL_ORDER[r] for r in rows.tolist()], probs
 
 
@@ -455,9 +483,9 @@ class CipherPayload:
 def _digest_bytes(streams, registry: QuantumRegistry) -> bytes:
     """The canonical list of {"id", "band", "slot", "state"} of ``streams``
     that a payload digest hashes. Each stream's metadata is rendered once
-    per trial (``jsonutil.carrier_heads``)."""
+    per trial (``jsonutil.carrier_heads``), and its states one stream at a time."""
     heads = tuple(chain.from_iterable(jsonutil.carrier_heads(s, registry.memo) for s in streams))
-    states = registry.state_texts(sum(map(labels_of, streams), ()))
+    states = list(chain.from_iterable(registry.state_texts(labels_of(s)) for s in streams))
     return jsonutil.carrier_rows_text(heads, states).encode("ascii")
 
 
@@ -634,9 +662,10 @@ def alice_sign(
     signature = qotp.mask_rows(masked, signer_key)
     p_labels, sa_labels, teleport_labels = (
         tuple(f"{tag}{i}" for i in range(1, n + 1)) for tag in ("p", "sa", "t"))
-    registry.add_rows(zip(p_labels), masked)
-    registry.add_rows(zip(sa_labels), signature)
-    registry.add_rows(zip(teleport_labels), masked)
+    # qotp.mask_rows checked both stacks
+    registry._add_checked_rows(zip(p_labels), masked)
+    registry._add_checked_rows(zip(sa_labels), signature)
+    registry._add_checked_rows(zip(teleport_labels), masked)
 
     outcomes, probs = registry.bell_measure_many(teleport_labels, alice_labels, rng)
     devs = np.max(np.abs(probs - 0.25), axis=1)
@@ -662,19 +691,28 @@ def alice_sign(
     return package, pad, private
 
 
-def _mask_stream(
+def _mask_streams(
     registry: QuantumRegistry,
-    carriers: Sequence[Carrier],
+    streams: Sequence[Sequence[Carrier]],
     key: KeyBits,
     inverse: bool,
 ) -> None:
-    """Apply each slot's positional key Pauli to every carrier in the slot.
+    """Apply each slot's positional key Pauli to every carrier in the slot,
+    one carrier stream at a time: in an honest run each stream is the label
+    stream of one family axis, which the registry resolved when it was
+    added, where the streams joined would have to be walked.
 
     Honest apparatus keys by time slot, which is exactly why an adversarial
-    carrier sharing a slot picks up the same keyed operation.
+    carrier sharing a slot picks up the same keyed operation. The streams
+    are one transmission: a label in two of them raises ``DuplicateLabel``
+    before any is masked, as it would within one stream.
     """
-    x, z = qotp.key_paulis(key, slots_of(carriers))
-    registry.apply_paulis(labels_of(carriers), x, z, inverse=inverse)
+    labels = [labels_of(carriers) for carriers in streams]
+    if len(set(chain.from_iterable(labels))) != sum(map(len, labels)):
+        raise sv.DuplicateLabel("apply_paulis takes each label once")
+    for carriers, stream in zip(streams, labels):
+        x, z = qotp.key_paulis(key, slots_of(carriers))
+        registry.apply_paulis(stream, x, z, inverse=inverse)
 
 
 def bob_forward(
@@ -686,7 +724,7 @@ def bob_forward(
     transmission consumes 4n key bits. Bell results are retained, never
     forwarded.
     """
-    _mask_stream(registry, package.masked + package.signature, verifier_key, inverse=False)
+    _mask_streams(registry, (package.masked, package.signature), verifier_key, inverse=False)
     return CipherPayload(masked=package.masked, signature=package.signature)
 
 
@@ -725,7 +763,7 @@ def trent_verify(
     received_hash = rows_hash.copy()
     received_hash.update(b"]")
 
-    def decrypted(carriers):  # unmasked by slot, as _mask_stream keys the channel
+    def decrypted(carriers):  # unmasked by slot, as _mask_streams keys the channel
         x, z = qotp.key_paulis(verifier_key, slots_of(carriers))
         labels = labels_of(carriers)
         amps = sv._pauli_rows(_qubit_rows(registry, labels), 0, x, z, inverse=True)
@@ -741,7 +779,7 @@ def trent_verify(
 
     registry.add_rows([("v",)], [[1 - verified, verified]])
     verdict_carrier = Carrier(id="v", band=BAND_SIGNAL, time_slot=2 * n, payload="v")
-    _mask_stream(registry, [verdict_carrier], verifier_key, inverse=False)
+    _mask_streams(registry, [(verdict_carrier,)], verifier_key, inverse=False)
 
     # The arbiter wrote no carrier but v, so the returned digest's text is the
     # received one with v's row added before the closing "]": hash on from there.
@@ -779,7 +817,7 @@ def bob_verify_and_compare(
     if len(bob_labels) != n or len(bell_results) != n:
         raise ProtocolError("verifier context does not match payload size")
 
-    _mask_stream(registry, payload.all_carriers(), verifier_key, inverse=True)
+    _mask_streams(registry, payload.streams(), verifier_key, inverse=True)
 
     verify_bit = _read_basis_bit(registry.amps_of([payload.verdict_carrier.payload])[0])
     if verify_bit == 0:

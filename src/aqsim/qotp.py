@@ -45,10 +45,21 @@ class KeyBits:
         bits = tuple(self.bits)
         if not {*bits} <= {0, 1}:
             raise ValueError("key bits must be 0/1")
-        array = np.array(bits, dtype=np.uint8)
+        self._set_array(np.array(bits, dtype=np.uint8))
+
+    def _set_array(self, array: np.ndarray) -> None:
+        """Hold ``array``, a uint8 array of 0/1, and the bits it spells."""
         array.flags.writeable = False
         object.__setattr__(self, "bits", tuple(array.tolist()))
         object.__setattr__(self, "array", array)
+
+    @classmethod
+    def _of_array(cls, array: np.ndarray, role: str) -> "KeyBits":
+        """A key over an array of 0/1 integers, without a Python pass over the bits."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "role", role)
+        key._set_array(array.astype(np.uint8))
+        return key
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -59,13 +70,7 @@ class KeyBits:
         Lengths not divisible by 4 are zero-padded at the tail; the true
         length travels alongside in ``to_jsonable``.
         """
-        if not self.bits:
-            return ""
-        pad = (-len(self.bits)) % 4
-        value = 0
-        for b in self.bits + (0,) * pad:
-            value = (value << 1) | b
-        return format(value, f"0{(len(self.bits) + pad) // 4}x")
+        return np.packbits(self.array).tobytes().hex()[:(len(self.bits) + 3) // 4]
 
     def to_jsonable(self) -> dict:
         return {"role": self.role, "len": len(self.bits), "hex": self.to_hex()}
@@ -73,7 +78,7 @@ class KeyBits:
 
 def random_bits(length: int, role: str, rng: np.random.Generator) -> KeyBits:
     """Uniform key material from a seeded stream."""
-    return KeyBits(rng.integers(0, 2, size=length).tolist(), role)
+    return KeyBits._of_array(rng.integers(0, 2, size=length), role)
 
 
 def random_pad(n: int, rng: np.random.Generator) -> KeyBits:

@@ -170,7 +170,7 @@ def _claim_mismatch(trial: Trial) -> Claim | None:
 
 
 def _negate_match(trial: Trial) -> Claim:
-    return adv.bob_dos_negate(adv.RunState(phase="compared", genuine_compare=trial.report.result))
+    return adv.bob_dos_negate(adv.RunState(adv.Phase.COMPARED, trial.report.result))
 
 
 def _publish_pad(trial: Trial) -> KeyBits:

@@ -231,11 +231,20 @@ def _qubit_amps(alpha, beta) -> tuple[complex, complex]:
 def qubit_rows(coefficients) -> np.ndarray:
     """(n, 2) stack of ``make_qubit`` amplitudes, one (alpha, beta) per row.
 
-    The rescaling stays the scalar formula, row by row, so each row is
-    bitwise what ``make_qubit`` prepares.
+    Each row is bitwise what ``make_qubit`` prepares. A row whose stacked
+    norm lies within RENORM_FLOOR / 2 of 1 is on the unit sphere for the
+    scalar too, whose norm rounds apart from it by a few ulps, so it is kept
+    as is; so is a row with a NaN, which the closing check refuses. Every
+    other row, in row order, goes through the scalar formula, which
+    rescales it or raises ``NotNormalized``.
     """
-    return check_rows(np.array([_qubit_amps(a, b) for a, b in coefficients],
-                               dtype=np.complex128).reshape(-1, 2))
+    amps = np.array(coefficients, dtype=np.complex128).reshape(-1, 2)
+    f = amps.view(np.float64)
+    off = np.abs(np.einsum("ij,ij->i", f, f) - 1.0) > RENORM_FLOOR / 2
+    if off.any():
+        for r in np.flatnonzero(off).tolist():
+            amps[r] = _qubit_amps(*amps[r].tolist())
+    return check_rows(amps)
 
 
 # (|00> + |11>)/sqrt(2)

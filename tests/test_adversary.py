@@ -57,6 +57,17 @@ def test_dos_negate_requires_comparison_phase():
         adv.bob_dos_negate(RunState(phase="compared", genuine_compare=CompareResult.MISMATCH))
 
 
+def test_run_state_takes_a_phase_or_its_value():
+    assert RunState(phase="compared").phase is adv.Phase.COMPARED
+    assert RunState("signed") == RunState(adv.Phase.SIGNED)
+    assert [phase.value for phase in adv.Phase] == [
+        "setup", "signed", "forwarded", "verified", "compared"]
+    with pytest.raises(ValueError):
+        RunState(phase="done")
+    with pytest.raises(InvalidPhase, match=r"\(phase=verified\)"):
+        adv.bob_dos_negate(RunState(adv.Phase.VERIFIED))
+
+
 def test_dos_negate_produces_dispute_claim():
     claim = adv.bob_dos_negate(RunState(phase="compared", genuine_compare=CompareResult.MATCH_OK))
     assert claim.party == "bob"
@@ -269,7 +280,8 @@ def test_intercept_removes_probes_only():
 @pytest.mark.parametrize("inject", [adv.ipe_inject, adv.delay_photon_inject])
 def test_a_probe_picks_up_its_slots_pauli_through_a_kept_resolution(inject, monkeypatch):
     # the probes sit in the decoy family, not in the message family whose
-    # slots they share; the stream is resolved before the verifier keys it
+    # slots they share; the masked stream is resolved before the verifier
+    # keys it, and the signature stream was resolved when it was added
     n = 3
     rng = np.random.default_rng(11)
     registry = QuantumRegistry()
@@ -279,7 +291,7 @@ def test_a_probe_picks_up_its_slots_pauli_through_a_kept_resolution(inject, monk
     package, _, _ = proto.alice_sign(spec, keys.signer, rng, registry, alice_labels)
     decoys = adv.make_decoy_set(n, registry)
     package = inject(package, decoys)
-    registry.state_texts(proto.labels_of(package.masked + package.signature))
+    registry.state_texts(proto.labels_of(package.masked))
     walks = []
     walk = QuantumRegistry._buckets
     monkeypatch.setattr(QuantumRegistry, "_buckets",

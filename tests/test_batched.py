@@ -181,6 +181,39 @@ def test_bell_rows_match_teleport_oracle():
             assert oracles.vec_equal_up_to_phase(residual[r], expected, 1e-12)
 
 
+# rows on the unit sphere, within RENORM_FLOOR of it, within INPUT_NORM_TOL, and beyond
+OFF_SPHERE = [1.0, 1 + 1e-14, 1 - 4e-14, 1 + 1e-13, 1 + 1e-12, 1 - 3e-12, 1 + 4e-10, 1 - 4e-10,
+              1 + 2e-9, 1 - 1e-6, 2.0]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from(OFF_SPHERE), min_size=1, max_size=12))
+def test_qubit_rows_rescale_or_refuse_rows_off_the_sphere_as_make_qubit_does(seed, scales):
+    # a row off the unit sphere by up to INPUT_NORM_TOL is rescaled, bit for
+    # bit as make_qubit rescales it; the first row make_qubit refuses is
+    # refused with make_qubit's message
+    rng = np.random.default_rng(seed)
+    rows = [(a * s, b * s) for (a, b), s in zip(
+        (oracles.random_qubit(rng) for _ in scales), scales)]
+    try:
+        expected = np.array([sv.make_qubit(a, b, "q").amps for a, b in rows])
+    except sv.NotNormalized as refused:
+        with pytest.raises(sv.NotNormalized) as got:
+            sv.qubit_rows(rows)
+        assert str(got.value) == str(refused)
+    else:
+        assert same_bits(sv.qubit_rows(rows), expected)
+
+
+def test_qubit_rows_rescale_rows_a_hair_off_the_sphere():
+    rows = [(0.6 * s, 0.8j * s) for s in (1.0, 1 + 1e-12, 1 - 1e-12)]
+    got = sv.qubit_rows(rows)
+    assert not same_bits(got[1:], np.array(rows[1:]))  # rescaled
+    for row, (a, b) in zip(got, rows):
+        assert same_bits(row, sv.make_qubit(a, b, "q").amps)
+    with pytest.raises(sv.NotNormalized, match=r"\|alpha\|\^2 \+ \|beta\|\^2 = "):
+        sv.qubit_rows(rows + [(0.6 * (1 + 2e-9), 0.8j)])
+
+
 # --- the sampling fall-through --------------------------------------------------
 
 TOP_DRAW = 1.0 - 2.0 ** -53  # the largest double Generator.random() can return
@@ -614,7 +647,8 @@ def test_a_failed_add_rows_leaves_the_registry_as_it_was(rows, amps, error):
     streams = [("m", "n"), ("a1", "a2"), ("b2", "a1", "b1")]
     reads = [registry.amps_of(stream) for stream in streams]  # resolved and kept
     before = kept_state(registry)
-    assert set(before[2]) == set(streams)
+    # each family's axis streams were kept when it was added; the mixed one when read
+    assert set(before[2]) == set(streams) | {("b1", "b2")}
     with pytest.raises(error):
         registry.add_rows(rows, amps)
     assert kept_state(registry) == before

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from aqsim import adversary as adv
@@ -136,21 +138,36 @@ def one_draw_per_try(n, rng, margin):
             continue
         a, b = a / norm, b / norm
         cross = a.conjugate() * b
-        if max(abs(2.0 * cross.real), abs(2.0 * cross.imag),
-               abs(abs(a) ** 2 - abs(b) ** 2)) <= 1.0 - margin:
+        if margin == 0.0 or max(abs(2.0 * cross.real), abs(2.0 * cross.imag),
+                                abs(abs(a) ** 2 - abs(b) ** 2)) <= 1.0 - margin:
             coeffs.append((a, b))
     return tuple(coeffs)
 
 
-@pytest.mark.parametrize("margin", [0.05, 0.3])
+def float_bits(coefficients):
+    return [(x.real.hex(), x.imag.hex()) for pair in coefficients for x in pair]
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.05, 0.3, 0.42])
 def test_random_message_spec_block_draws_match_one_draw_per_try(margin):
     # a wide margin rejects most tries, so the blocks are drawn again many
-    # times; the coefficients and the generator's state must still match
-    for seed in range(5):
+    # times; the coefficients, the prepared rows and the generator's state
+    # must still match. At 0.42 about one try in 25,000 passes, so the cases
+    # there are few and small.
+    wide = margin == 0.42
+
+    @settings(max_examples=5 if wide else 60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 2 if wide else 300))
+    def check(seed, n):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        spec = proto.random_message_spec(40, rng, generic_margin=margin)
-        assert spec.coefficients == one_draw_per_try(40, ref_rng, margin)
+        spec = proto.random_message_spec(n, rng, generic_margin=margin)
+        expected = one_draw_per_try(n, ref_rng, margin)
+        assert float_bits(spec.coefficients) == float_bits(expected)
+        assert spec.amps.tobytes() == np.array(
+            [sv.make_qubit(a, b, "q").amps for a, b in expected]).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    check()
 
 
 # --- key setup --------------------------------------------------------------
@@ -619,15 +636,91 @@ def test_transcript_events_cover_flow():
 
 
 def test_each_label_stream_is_walked_at_most_once_per_trial(monkeypatch):
-    # the flow asks for the same carrier streams at every step; each distinct
-    # label stream is walked into its buckets once and the walk is kept
+    # the flow asks for the same carrier streams at every step; a stream that
+    # no family's axis holds (under ipe, the masked carriers with the probes
+    # among them) is walked into its buckets once and the walk is kept
     walks = []
     walk = QuantumRegistry._buckets
     monkeypatch.setattr(QuantumRegistry, "_buckets",
                         lambda self, labels: walks.append(tuple(labels)) or walk(self, labels))
-    run_scenario(Scenario.from_token("honest"), 64, 7, 0)
-    assert walks
-    assert len(walks) == len(set(walks))
+    for token in ("ipe", "delay-photon"):
+        walks.clear()
+        run_scenario(Scenario.from_token(token), 64, 7, 0)
+        assert walks
+        assert len(walks) == len(set(walks))
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_an_honest_trial_walks_no_stream(n, monkeypatch):
+    # every stream an honest trial reads is one family axis, resolved when
+    # its family was added, so no stream is walked label by label
+    walks = []
+    walk = QuantumRegistry._buckets
+    monkeypatch.setattr(QuantumRegistry, "_buckets",
+                        lambda self, labels: walks.append(tuple(labels)) or walk(self, labels))
+    run_scenario(Scenario.from_token("honest"), n, 7, 0)
+    assert walks == []
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_an_honest_trial_checks_rows_11_times(n, monkeypatch):
+    # rows are checked where they are made: the p, sa and t rows by
+    # qotp.mask_rows and the Bell residual by bell_measure_rows, so the
+    # registry takes them without checking them again
+    checks = []
+    check_rows = sv.check_rows
+    monkeypatch.setattr(sv, "check_rows", lambda amps: checks.append(len(amps)) or check_rows(amps))
+    run_scenario(Scenario.from_token("honest"), n, 7, 0)
+    assert len(checks) == 11
+
+
+def _signed(n, seed):
+    """A signed run: the registry, the carrier label streams and the package."""
+    signer_bits, verifier_bits = honest_keys(n, seed=seed)
+    registry = QuantumRegistry()
+    alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
+    kept = dict(registry._resolved)
+    package, _, _ = proto.alice_sign(generic_spec(n, seed), KeyBits(signer_bits, qotp.ROLE_SIGNER),
+                                     np.random.default_rng(seed), registry, alice_labels)
+    streams = SimpleNamespace(a=alice_labels, b=bob_labels, **{
+        tag: tuple(f"{tag}{i}" for i in range(1, n + 1)) for tag in ("p", "sa", "t")})
+    return registry, streams, package, kept, KeyBits(verifier_bits, qotp.ROLE_VERIFIER)
+
+
+def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
+    registry, streams, package, kept, _ = _signed(4, 61)
+    assert set(kept) == {streams.a, streams.b}  # kept when the pairs were added
+    # the teleport and pair families were measured; p and sa stay as add_rows
+    # kept them, and the b halves were kept again in the residual family
+    assert set(registry._resolved) == {streams.p, streams.sa, streams.b}
+    assert proto.labels_of(package.masked) == streams.p
+    assert proto.labels_of(package.signature) == streams.sa
+    (bucket,) = registry._resolved[streams.b]
+    assert bucket is not kept[streams.b][0] and bucket.family.labels == list(zip(streams.b))
+
+
+def test_a_stream_that_names_a_measured_label_raises():
+    registry, streams, _, _, _ = _signed(4, 62)
+    for stream in (streams.t, streams.a, (streams.p[0], streams.t[0]), streams.b[:2] + streams.a[:1]):
+        with pytest.raises(sv.UnknownLabel):
+            registry.amps_of(stream)
+        with pytest.raises(sv.UnknownLabel):
+            registry.state_texts(stream)
+        with pytest.raises(sv.UnknownLabel):
+            registry.apply_paulis(stream, [1] * len(stream), [1] * len(stream))
+    assert registry.amps_of(streams.b).shape == (4, 2)
+
+
+def test_bob_forward_refuses_a_label_in_both_streams():
+    # masked and signature are one transmission: a label in both is keyed
+    # twice, and it raises before either stream is masked
+    registry, streams, package, _, verifier_key = _signed(3, 63)
+    both = proto.SignaturePackage(package.masked, package.masked[:1] + package.signature[1:],
+                                  package.bell_results)
+    before = registry.amps_of(streams.p + streams.sa)
+    with pytest.raises(sv.DuplicateLabel):
+        proto.bob_forward(both, verifier_key, registry)
+    assert registry.amps_of(streams.p + streams.sa).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])

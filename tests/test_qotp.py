@@ -227,6 +227,41 @@ def test_key_hex_round_trip():
     assert KeyBits(tuple(map(int, format(int("b4", 16) >> 2, "06b"))), qotp.ROLE_SIGNER) == k
 
 
+def loop_hex(bits):
+    """The hex of ``bits`` folded one bit at a time, zero-padded at the tail."""
+    if not bits:
+        return ""
+    pad = (-len(bits)) % 4
+    value = 0
+    for b in tuple(bits) + (0,) * pad:
+        value = (value << 1) | b
+    return format(value, f"0{(len(bits) + pad) // 4}x")
+
+
+def test_key_hex_matches_the_bit_loop_at_every_length():
+    rng = np.random.default_rng(70)
+    for length in range(71):
+        for bits in ((0,) * length, (1,) * length, tuple(rng.integers(0, 2, length).tolist())):
+            assert key(bits).to_hex() == loop_hex(bits)
+
+
+@given(st.lists(st.integers(0, 1), max_size=1100))
+def test_key_hex_of_a_random_key_matches_the_bit_loop(bits):
+    assert key(bits).to_hex() == loop_hex(bits)
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 512, 1026])
+def test_random_bits_are_the_key_of_the_generators_bits(length):
+    rng, ref_rng = np.random.default_rng(length), np.random.default_rng(length)
+    got = qotp.random_bits(length, qotp.ROLE_VERIFIER, rng)
+    ref = KeyBits(ref_rng.integers(0, 2, size=length).tolist(), qotp.ROLE_VERIFIER)
+    assert got == ref and got.role == ref.role
+    assert all(type(b) is int for b in got.bits)
+    assert got.array.dtype == np.uint8 and not got.array.flags.writeable
+    assert got.array.tobytes() == ref.array.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_key_jsonable_fields():
     k = key([1, 1, 0, 0], qotp.ROLE_VERIFIER)
     assert k.to_jsonable() == {"role": qotp.ROLE_VERIFIER, "len": 4, "hex": "c"}
