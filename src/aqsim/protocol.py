@@ -323,17 +323,15 @@ class QuantumRegistry:
         return labels, amps
 
     def _register(self, labels: list, amps: np.ndarray) -> None:
-        """Add the checked family and keep the resolution of each axis's label stream."""
+        """Add the checked family one axis at a time, and keep the resolution
+        of each axis's label stream."""
         family = _Family(amps, labels)
-        k = len(labels[0])
-        parts = range(len(self._parts), len(self._parts) + k)
-        self._parts.extend((family, j) for j in range(k))
-        self._where.update(zip(chain.from_iterable(labels),
-                               [(part, r) for r in range(len(labels)) for part in parts]))
         rows = np.arange(len(labels))
-        for j in range(k):
-            self._resolved[tuple(map(itemgetter(j), labels))] = [
-                _Bucket(family, j, slice(None), rows)]
+        for axis, stream in enumerate(zip(*labels)):
+            part = len(self._parts)
+            self._parts.append((family, axis))
+            self._where.update(zip(stream, zip(repeat(part), range(len(stream)))))
+            self._resolved[stream] = [_Bucket(family, axis, slice(None), rows)]
 
     def _gather(self, labels: Sequence, read):
         """Item i read off the group of ``labels[i]``, by one ``read(bucket, amps)``
@@ -470,9 +468,6 @@ class CipherPayload:
         return leg, the verification carrier."""
         extra = ((self.verdict_carrier,),) if self.verdict_carrier is not None else ()
         return (self.masked, self.signature) + extra
-
-    def all_carriers(self) -> tuple[Carrier, ...]:
-        return tuple(chain.from_iterable(self.streams()))
 
     def digest(self, registry: QuantumRegistry) -> str:
         """Receive-time digest: carrier metadata plus the exact states held,

@@ -3,6 +3,7 @@ import enum
 import hashlib
 import json
 from collections import OrderedDict
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def _oracle_digest(payload, registry) -> str:
     """The payload digest as it was first defined: sha256 of the plain-dict doc."""
     doc = [{"id": c.id, "band": c.band, "slot": c.time_slot,
             "state": registry.state_of(c.payload).to_jsonable()}
-           for c in payload.all_carriers()]
+           for c in chain.from_iterable(payload.streams())]
     return hashlib.sha256(canonical_oracle.canonical_json(doc).encode("ascii")).hexdigest()
 
 
@@ -251,7 +252,8 @@ def test_payload_digests_match_the_oracle(scenario, monkeypatch):
         got = digest(payload, registry)
         if got != _oracle_digest(payload, registry):
             mismatched.append(payload)
-        widths.update(len(registry.state_of(c.payload).labels) for c in payload.all_carriers())
+        widths.update(len(registry.state_of(c.payload).labels)
+                      for c in chain.from_iterable(payload.streams()))
         return got
 
     def forward_and_digest(package, key, registry):
