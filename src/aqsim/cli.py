@@ -27,6 +27,7 @@ from .statevector import StateError
 
 SEED_ENV_VAR = "AQS_SEED"
 SEED_MAX = 2 ** 64 - 1
+N_MAX = 2 ** 16  # a trial holds about 5 KB per qubit: about 330 MB at the bound
 
 
 class UsageError(Exception):
@@ -86,6 +87,8 @@ def parse_config(argv, env) -> RunConfig:
         )
     if args.n < 1:
         raise UsageError("--n: must be >= 1")
+    if args.n > N_MAX:
+        raise UsageError(f"--n: must be <= {N_MAX}")
     if args.trials < 1:
         raise UsageError("--trials: must be >= 1")
 
@@ -227,7 +230,15 @@ def main(argv=None, env=None) -> int:
     except (StateError, ProtocolError, KeyTooShort, AttackError) as exc:
         print(f"aqsim: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(render_summary(summary, config.format))
+    try:
+        print(render_summary(summary, config.format), flush=True)
+    except OSError as exc:  # stdout closed before the summary, as by `| head -c 10`
+        # point stdout at devnull, so that the shutdown flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"aqsim: io error: {exc}", file=sys.stderr)
+        return 1
     return 0 if summary.all_ok else 2
 
 

@@ -7,16 +7,21 @@ width unpinned, so floats are emitted here with 17 significant digits
 (lossless for IEEE doubles). Dict insertion order is preserved.
 
 The documents are mostly long runs of same-shaped rows (state snapshots,
-carrier metadata, probability rows). The row renderers below format a
-whole run of rows at once, from one array, where the rows are made. What
-they return is text only: a ``Rendered`` holds the canonical text and no
-copy of the value, and ``_emit`` appends that text verbatim. A trial renders
-the same floats and carrier streams many times over (a Pauli mask only
-permutes and negates floats, and the same carriers travel three legs), so
-the renderers take a ``RenderMemo`` that keeps float tokens and carrier
-heads; one memo lives as long as one trial's registry. State rows are
-rendered afresh on every call: few of them recur within a trial, and
-keying every row costs more than the repeats save.
+carrier metadata, probability rows). They are rendered by columns, where
+the rows are made: a row's constant text depends only on its shape (labels
+per row, amplitudes per row, and whether it starts with a carrier's id,
+band and slot), so it is cut once per shape into a cached layout. Each
+row's data goes in as columns: quoted labels per axis, float tokens as
+strided slices of one token list, carrier ids, bands and slots. The
+layout and the columns are laid into one list by slice assignment and
+joined once, with no Python per row. What the renderers return is text
+only: a ``Rendered`` holds the canonical text and no copy of the value,
+and ``_emit`` appends that text verbatim. A trial renders the same floats
+and carrier streams many times over (a Pauli mask only permutes and
+negates floats, and the same carriers travel three legs), so the
+renderers take a ``RenderMemo`` that keeps float tokens and each carrier
+stream's columns and text; one memo lives as long as one trial's
+registry.
 
 The emitter takes exactly the built-in types the documents are made of
 (dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
@@ -100,7 +105,7 @@ def _emit(obj, out: list[str]) -> None:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
-# --- row renderers ----------------------------------------------------------
+# --- the column renderer ----------------------------------------------------
 
 
 class RenderMemo:
@@ -108,8 +113,10 @@ class RenderMemo:
 
     - ``floats`` maps a float's exact value to its token. Each magnitude is
       formatted once and stored under both signs (see ``_tokens``).
-    - ``carriers`` maps a tuple of carrier rows, by identity, to that tuple
-      and the text each of its objects starts with (see ``carrier_heads``).
+    - ``carriers`` maps a tuple of carrier rows, by identity, to that tuple,
+      its id, band and slot columns (which the payload digests read) and its
+      text (which the transcript's send events read), see
+      ``carrier_columns``.
 
     It belongs to one ``QuantumRegistry``, so it lives exactly as long as
     one trial.
@@ -157,74 +164,131 @@ def _tokens(values: list, floats: dict) -> list[str]:
     return texts if straight else list(map(floats.__getitem__, values))
 
 
+_COLUMN = "\0"  # marks a column in a row template; no fragment holds it
+
+
+def _layout(template: str, sep: str) -> tuple[str, list, str]:
+    """A row template's constant text, cut at its columns (at least one)
+    and laid out for ``_fill``: (the first row's opening, the list of one
+    later row with None where each column goes, the last row's close). A
+    later row opens with the close of the row before it and ``sep``."""
+    first, *middle, last = template.split(_COLUMN)
+    block = [last + sep + first]
+    for fragment in middle:
+        block += [None, fragment]
+    return first, block + [None], last
+
+
 @functools.cache
-def _amps_template(width: int) -> str:
-    """The ``%`` template of a row's amps, closing the row's object."""
-    return ",".join(["[%s,%s]"] * width) + "]}"
+def _state_layout(labels: int, amps: int, head: bool, sep: str = ",") -> tuple:
+    """The layout of a row by its shape: with ``head``, the three carrier
+    columns (id, band, slot); then, if ``amps``, a state of ``labels`` label
+    columns and ``amps`` amplitudes of two float columns each (re, im)."""
+    state = ('{"labels":[' + ",".join([_COLUMN] * labels) + '],"amps":['
+             + ",".join(["[%s,%s]" % (_COLUMN, _COLUMN)] * amps) + "]}")
+    if head:
+        carrier = '{"id":%s,"band":%s,"slot":%s' % ((_COLUMN,) * 3)
+        state = carrier + (',"state":' + state if amps else "") + "}"
+    return _layout(state, sep)
 
 
-def state_texts(labels, amps, memo: RenderMemo | None = None) -> list[str]:
+@functools.cache
+def _float_layout(width: int) -> tuple:
+    """The layout of a ``[x, ...]`` row of ``width`` (at least one) floats."""
+    return _layout("[" + ",".join([_COLUMN] * width) + "]", ",")
+
+
+def _fill(layout: tuple, columns: list, m: int) -> str:
+    """The text of m rows: row r is the layout's constant text with
+    ``columns[j][r]`` in column j. The layout and the columns are laid into
+    one list by slice assignment and joined once."""
+    if not m:
+        return ""
+    first, block, last = layout
+    flat = block * m
+    for j, column in enumerate(columns):
+        flat[2 * j + 1::len(block)] = column
+    flat[0] = first
+    flat.append(last)
+    return "".join(flat)
+
+
+def render_states(labels, amps, memo: RenderMemo | None = None, heads=(),
+                  sep: str = ",") -> str:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
-    each row of an (m, 2**k) complex stack; ``labels[r]``, a tuple of
-    strings, names row r's qubits. Floats already in ``memo`` are not
-    formatted again."""
+    each row of an (m, 2**k) complex stack, joined by ``sep``. ``labels``
+    holds k columns of m strings: column j names each row's axis j. With
+    ``heads``, a stream's three columns from ``carrier_columns``, row r is
+    ``{"id", "band", "slot", "state"}`` with row r's state as its
+    ``"state"``. Floats already in ``memo`` are not formatted again."""
     # the (m, 2w) float view of the (m, w) stack, -0.0 collapsed: (re, im) per amplitude
     stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
-    if len(labels) != len(stack):
-        raise ValueError(f"{len(labels)} label rows for {len(stack)} amplitude rows")
+    m, width = stack.shape
+    labels = [list(map(_encode_str, column)) for column in labels]
+    if 2 ** len(labels) * 2 != width or any(len(column) != m for column in labels):
+        raise ValueError(f"{len(labels)} label columns of {[*map(len, labels)]} rows "
+                         f"for {m} rows of {width // 2} amplitudes")
     tokens = _tokens(stack.ravel().tolist(), (RenderMemo() if memo is None else memo).floats)
-    # one format call for the amplitudes of all the rows; no token holds a
-    # newline, and the last text is empty
-    bodies = ((_amps_template(stack.shape[1] // 2) + "\n") * len(stack)
-              % tuple(tokens)).split("\n")[:-1]
-    return ['{"labels":[%s],"amps":[%s' % (",".join(map(_encode_str, row)), body)
-            for row, body in zip(labels, bodies)]
+    columns = [*heads, *labels, *(tokens[j::width] for j in range(width))]
+    return _fill(_state_layout(len(labels), width // 2, bool(heads), sep), columns, m)
 
 
 def render_float_rows(rows, memo: RenderMemo | None = None) -> Rendered:
     """Rendered ``[[x, ...], ...]`` of equal-length rows of floats, formatting
     only the floats not yet in ``memo``."""
-    if not len(rows):
-        return Rendered("[]")
     stack = _float_stack(rows)
-    width = stack.shape[1]
+    if not stack.size:  # no rows, or rows of no floats
+        return Rendered("[" + ",".join(["[]"] * len(stack)) + "]")
+    m, width = stack.shape
     tokens = _tokens(stack.ravel().tolist(), (RenderMemo() if memo is None else memo).floats)
-    row = "[" + ",".join(["%s"] * width) + "]"
-    return Rendered(("[" + ",".join([row] * len(stack)) + "]") % tuple(tokens))
+    columns = [tokens[j::width] for j in range(width)]
+    return Rendered("[" + _fill(_float_layout(width), columns, m) + "]")
 
 
-def carrier_heads(rows, memo: RenderMemo | None = None) -> tuple[str, ...]:
-    """The text ``{"id":...,"band":...,"slot":...`` that the object of each
-    row starts with, for rows whose first three items are (id, band, slot):
-    string ids and bands, integer slots.
+def _carriers(rows, memo: RenderMemo | None) -> tuple:
+    """(rows, their id, band and slot columns, their text), rendered once
+    per ``memo`` for a tuple of rows."""
+    kept = memo.carriers.get(id(rows)) if memo is not None else None
+    if kept is None:
+        ids, bands, slots, *_ = zip(*rows) if len(rows) else ((), (), ())
+        columns = (list(map(_encode_str, ids)), list(map(_encode_str, bands)),
+                   list(map("%d".__mod__, slots)))
+        kept = (rows, columns, "[" + _fill(_state_layout(0, 0, True), columns, len(rows)) + "]")
+        if memo is not None and type(rows) is tuple:
+            memo.carriers[id(rows)] = kept
+    return kept
+
+
+def carrier_columns(rows, memo: RenderMemo | None = None) -> tuple[list, list, list]:
+    """The id, band and slot columns, as canonical texts, of rows whose
+    first three items are (id, band, slot): string ids and bands, integer
+    slots.
 
     A tuple of rows (of immutable rows, such as carriers) is rendered once
-    per ``memo``: the memo keeps its texts, keyed by the tuple's identity,
-    and holds the tuple itself so that the identity is not reused.
+    per ``memo``: the memo keeps its columns and its text, keyed by the
+    tuple's identity, and holds the tuple itself so that the identity is not
+    reused.
     """
-    kept = memo.carriers.get(id(rows)) if memo is not None else None
-    if kept is not None:
-        return kept[1]
-    heads = tuple('{"id":%s,"band":%s,"slot":%d' % (_encode_str(row[0]), _encode_str(row[1]),
-                                                      row[2]) for row in rows)
-    if memo is not None and type(rows) is tuple:
-        memo.carriers[id(rows)] = (rows, heads)
-    return heads
-
-
-def carrier_rows_text(heads, states=None) -> str:
-    """Canonical text of the list of objects that start with ``heads`` (see
-    ``carrier_heads``). With ``states`` (canonical texts, one per head),
-    each object also ends in a ``"state"`` member holding that text."""
-    if states is None:
-        return "[" + "},".join(heads) + "}]" if heads else "[]"
-    return "[" + ",".join(map('%s,"state":%s}'.__mod__, zip(heads, states, strict=True))) + "]"
+    return _carriers(rows, memo)[1]
 
 
 def render_carriers(rows, memo: RenderMemo | None = None) -> Rendered:
     """Rendered ``[{"id", "band", "slot"}, ...]`` from rows that start with
-    (id, band, slot), as ``carrier_heads`` renders them."""
-    return Rendered(carrier_rows_text(carrier_heads(rows, memo)))
+    (id, band, slot), kept in ``memo`` as ``carrier_columns`` keeps them."""
+    return Rendered(_carriers(rows, memo)[2])
+
+
+def render_strings(strings) -> Rendered:
+    """Rendered ``[s, ...]`` of strings."""
+    return Rendered("[" + ",".join(map(_encode_str, strings)) + "]")
+
+
+_BOOLS = {True: "true", False: "false"}
+
+
+def render_bools(flags) -> Rendered:
+    """Rendered ``[b, ...]`` of bools."""
+    return Rendered("[" + ",".join(map(_BOOLS.__getitem__, flags)) + "]")
 
 
 def canonical_json(obj) -> str:

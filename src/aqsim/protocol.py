@@ -196,6 +196,7 @@ class _Family:
 
     amps: np.ndarray
     labels: list
+    every: np.ndarray  # arange(m): the rows of each axis stream's kept resolution
 
 
 class _Bucket(NamedTuple):
@@ -240,7 +241,7 @@ class QuantumRegistry:
     other input raises before anything changes; there are no single-label
     calls, and a caller with mixed pairs measures them one pair per call.
 
-    ``memo`` keeps this trial's float tokens and carrier heads (see
+    ``memo`` keeps this trial's float tokens and carrier columns (see
     ``jsonutil.RenderMemo``): a value or a carrier stream read twice is formatted once.
     """
 
@@ -325,13 +326,12 @@ class QuantumRegistry:
     def _register(self, labels: list, amps: np.ndarray) -> None:
         """Add the checked family one axis at a time, and keep the resolution
         of each axis's label stream."""
-        family = _Family(amps, labels)
-        rows = np.arange(len(labels))
+        family = _Family(amps, labels, np.arange(len(labels)))
         for axis, stream in enumerate(zip(*labels)):
             part = len(self._parts)
             self._parts.append((family, axis))
             self._where.update(zip(stream, zip(repeat(part), range(len(stream)))))
-            self._resolved[stream] = [_Bucket(family, axis, slice(None), rows)]
+            self._resolved[stream] = [_Bucket(family, axis, slice(None), family.every)]
 
     def _gather(self, labels: Sequence, read):
         """Item i read off the group of ``labels[i]``, by one ``read(bucket, amps)``
@@ -363,10 +363,28 @@ class QuantumRegistry:
             raise sv.LabelMismatch(f"labels {list(labels)} sit in groups of different sizes") from None
         return amps if len(labels) else np.empty((0, 2), dtype=np.complex128)
 
-    def state_texts(self, labels: Sequence) -> list[str]:
-        """The canonical text of ``state_of(label).to_jsonable()`` for each label."""
-        return self._gather(labels, lambda b, amps: jsonutil.state_texts(b.row_labels, amps,
-                                                                         self.memo))
+    def render_states(self, labels: Sequence, heads=()) -> str:
+        """The canonical texts of ``state_of(label).to_jsonable()`` for each
+        label, joined by commas; with ``heads`` (the stream's
+        ``jsonutil.carrier_columns``), of each carrier's ``{"id", "band",
+        "slot", "state"}``. One render per bucket; a stream that spans
+        buckets has each bucket's rows placed by their stream positions."""
+        def render(bucket, bucket_heads, sep=","):
+            return jsonutil.render_states(zip(*bucket.row_labels), bucket.family.amps[bucket.rows],
+                                          self.memo, bucket_heads, sep)
+
+        buckets = self._resolve(labels)
+        if len(buckets) == 1:
+            return render(buckets[0], heads)
+        rows: list = [None] * len(labels)
+        for bucket in buckets:
+            positions = bucket.positions.tolist()
+            # one row per line: no row's text holds a newline
+            text = render(bucket, [list(map(column.__getitem__, positions)) for column in heads],
+                          "\n")
+            for pos, row in zip(positions, text.split("\n")):
+                rows[pos] = row
+        return ",".join(rows)
 
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
         """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
@@ -392,11 +410,14 @@ class QuantumRegistry:
         (f1, x1, _, rows1), (f2, x2, _, rows2) = first[0], second[0]
         labels_1 = first[0].row_labels
         one_group = f1 is f2 and np.array_equal(rows1, rows2)
-        touched = [(f1, r) for r in rows1.tolist()]
-        if not one_group:
-            touched += [(f2, r) for r in rows2.tolist()]
-        if len(set(touched)) != len(touched):
-            raise sv.LabelMismatch("two pairs of a batched Bell call touch one group")
+        # a kept resolution of a whole family axis holds each row once, so two
+        # of them touch no group twice; any other side is checked
+        if rows1 is not f1.every or rows2 is not f2.every:
+            touched = [(f1, r) for r in rows1.tolist()]
+            if not one_group:
+                touched += [(f2, r) for r in rows2.tolist()]
+            if len(set(touched)) != len(touched):
+                raise sv.LabelMismatch("two pairs of a batched Bell call touch one group")
         if one_group:
             return f1.amps[rows1], x1, x2, labels_1, (f1, f2)
         return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1, len(labels_1[0]) + x2,
@@ -477,11 +498,12 @@ class CipherPayload:
 
 def _digest_bytes(streams, registry: QuantumRegistry) -> bytes:
     """The canonical list of {"id", "band", "slot", "state"} of ``streams``
-    that a payload digest hashes. Each stream's metadata is rendered once
-    per trial (``jsonutil.carrier_heads``), and its states one stream at a time."""
-    heads = tuple(chain.from_iterable(jsonutil.carrier_heads(s, registry.memo) for s in streams))
-    states = list(chain.from_iterable(registry.state_texts(labels_of(s)) for s in streams))
-    return jsonutil.carrier_rows_text(heads, states).encode("ascii")
+    that a payload digest hashes, rendered one stream at a time. Each
+    stream's carrier columns are rendered once per trial
+    (``jsonutil.carrier_columns``)."""
+    texts = [registry.render_states(labels_of(s), jsonutil.carrier_columns(s, registry.memo))
+             for s in streams if s]
+    return ("[" + ",".join(texts) + "]").encode("ascii")
 
 
 class PublicBoard:
@@ -510,16 +532,16 @@ class TrentRecord:
     """
 
     received_digest: str
-    masked_snapshot: tuple
-    signature_snapshot: tuple
+    masked_snapshot: jsonutil.Rendered  # the list of decrypted states, one stream
+    signature_snapshot: jsonutil.Rendered
     verified: int
     returned_digest: str
 
     def to_jsonable(self) -> dict:
         return {
             "received_digest": self.received_digest,
-            "masked": list(self.masked_snapshot),
-            "signature": list(self.signature_snapshot),
+            "masked": self.masked_snapshot,
+            "signature": self.signature_snapshot,
             "V": self.verified,
             "returned_digest": self.returned_digest,
         }
@@ -762,8 +784,8 @@ def trent_verify(
         x, z = qotp.key_paulis(verifier_key, slots_of(carriers))
         labels = labels_of(carriers)
         amps = sv._pauli_rows(_qubit_rows(registry, labels), 0, x, z, inverse=True)
-        texts = jsonutil.state_texts(list(zip(labels)), amps, registry.memo)
-        return amps, tuple(map(jsonutil.Rendered, texts))
+        return amps, jsonutil.Rendered(
+            "[" + jsonutil.render_states((labels,), amps, registry.memo) + "]")
 
     (masked, masked_snapshot), (signature, signature_snapshot) = (
         decrypted(payload.masked), decrypted(payload.signature))

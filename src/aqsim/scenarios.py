@@ -27,7 +27,7 @@ from . import qotp
 from . import statevector as sv
 from .adversary import Scenario, ScenarioVariant
 from .defense import DEVICE_FILTER, DEVICE_PNS, DefenseConfig, screen
-from .jsonutil import render_carriers, render_float_rows
+from .jsonutil import render_bools, render_carriers, render_float_rows, render_strings
 from .protocol import (
     CLAIM_FOLLOWED, CLAIM_TELEPORT_MISMATCH, CipherPayload, Claim, CompareReport, CompareResult,
     MessageSpec, PublicBoard, QuantumRegistry, SignaturePackage, Transcript, TrentRecord,
@@ -306,7 +306,7 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     transcript.log("alice", "send", {
         "channel": "alice->bob", "what": "signature-package",
         "masked": meta(trial.package.masked), "signature": meta(trial.package.signature),
-        "bell_results": [o.token for o in trial.package.bell_results],
+        "bell_results": render_strings([o.token for o in trial.package.bell_results]),
     })
     entry.in_flight(trial)
     fired = _screen_point(transcript, "bob", "bob-receive",
@@ -337,7 +337,7 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
         returned, trial.package.bell_results, trial.bob_labels, keys.verifier, registry)
     transcript.log("bob", "decision", {
         "action": "verify-and-compare", "verify_bit": report.verify_bit,
-        "compare": report.result.value, "per_qubit": list(report.per_qubit),
+        "compare": report.result.value, "per_qubit": render_bools(report.per_qubit),
     })
 
     bob_claim = entry.claim(trial)
@@ -388,8 +388,7 @@ def run_scenario(
     alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
     transcript.log("alice", "send", {
         "channel": "alice->bob", "what": "entangled-halves",
-        "carriers": render_carriers([(label, proto.BAND_SIGNAL, i)
-                                     for i, label in enumerate(bob_labels)]),
+        "carriers": render_carriers(proto.carriers_of(bob_labels, proto.BAND_SIGNAL, 0)),
     })
     package, pad, signer_private = proto.alice_sign(
         spec, keys.signer, streams.sign, registry, alice_labels, forced_pad=forced_pad)

@@ -548,13 +548,13 @@ def test_registry_reads_of_interleaved_labels_equal_per_label_reads(data):
     else:
         with pytest.raises(sv.LabelMismatch):
             registry.amps_of(labels)
-    texts = registry.state_texts(labels)
-    assert texts == [registry.state_texts([label])[0] for label in labels]
-    assert texts == [canonical_json(s.to_jsonable()) for s in singles]
+    text = registry.render_states(labels)
+    assert text == ",".join(registry.render_states([label]) for label in labels)
+    assert text == ",".join(canonical_json(s.to_jsonable()) for s in singles)
 
     bad = list(labels)
     bad.insert(data.draw(st.integers(0, len(labels))), "nowhere")
-    for read in (registry.sequence, registry.amps_of, registry.state_texts):
+    for read in (registry.sequence, registry.amps_of, registry.render_states):
         with pytest.raises(sv.UnknownLabel):
             read(bad)
 
@@ -579,6 +579,8 @@ def test_registry_apply_paulis_rejects_a_repeated_label():
     (["m", "b2"], ["a1", "a2"]),  # one side spans two families
     (["a1", "b2"], ["m", "n"]),  # one side spans two axes of one family
     (["a1", "a2"], ["b2", "b1"]),  # each pair group is touched by two pairs
+    (["m", "m"], ["a1", "a2"]),  # one label twice on one side
+    (["a1", "a2"], ["b1", "b1"]),  # a pair group touched once whole, once by one side
 ])
 def test_registry_batched_bell_rejects_mixed_streams(labels1, labels2):
     registry = uniform_streams()
@@ -622,7 +624,7 @@ def test_registry_refuses_a_label_that_is_not_a_str(bad):
         with pytest.raises(sv.UnknownLabel):
             registry.state_of(label)
     registry.add_rows([("a", "b")], sv.BELL_PAIR_AMPS[None, :])
-    assert registry.state_texts(["b"]) == [canonical_json(registry.state_of("b").to_jsonable())]
+    assert registry.render_states(["b"]) == canonical_json(registry.state_of("b").to_jsonable())
 
 
 
@@ -662,10 +664,10 @@ def test_a_stream_resolved_before_a_bell_measurement_follows_its_labels():
     registry = uniform_streams()
     gone, moved = ["m", "a1", "n"], ["b1", "b2"]
     for stream in (gone, moved):
-        registry.state_texts(stream)  # resolved and kept
+        registry.render_states(stream)  # resolved and kept
     assert registry.amps_of(moved).shape == (2, 4)
     registry.bell_measure_many(["a1", "a2"], ["m", "n"], np.random.default_rng(5))
-    for read in (registry.sequence, registry.amps_of, registry.state_texts):
+    for read in (registry.sequence, registry.amps_of, registry.render_states):
         with pytest.raises(sv.UnknownLabel):
             read(gone)
     with pytest.raises(sv.UnknownLabel):

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 import run_matrix
@@ -40,6 +43,16 @@ def test_parse_rejects_bad_counts():
         parse(["run", "--scenario", "honest", "--n", "0", "--trials", "1", "--seed", "1"])
     with pytest.raises(UsageError, match="--trials"):
         parse(["run", "--scenario", "honest", "--n", "1", "--trials", "0", "--seed", "1"])
+
+
+@pytest.mark.parametrize("n", ["0", "-3", str(2 ** 70), str(cli.N_MAX + 1)])
+def test_parse_bounds_n(n, capsys):
+    # refused at the parser, before any trial allocates n qubits
+    with pytest.raises(UsageError, match="--n: must be"):
+        parse(BASE[:4] + [n] + BASE[5:])
+    assert cli.main(BASE[:4] + [n] + BASE[5:], env={}) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert parse(BASE[:4] + [str(cli.N_MAX)] + BASE[5:]).n == cli.N_MAX
 
 
 def test_parse_rejects_unknown_flag():
@@ -162,6 +175,19 @@ def test_main_exit_one_on_io_error(tmp_path, capsys):
     code = cli.main(BASE + ["--out", str(blocker / "sub")], env={})
     assert code == 1
     assert "io error" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_in_one_io_error_line():
+    # the reader is gone before the summary is written: one line, exit 1,
+    # and no second failure when the interpreter flushes stdout at exit
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = subprocess.Popen([sys.executable, "-m", "aqsim", *BASE, "--format", "json"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1
+    assert err.startswith("aqsim: io error: ") and err.count("\n") == 1, err
 
 
 def test_main_exit_two_on_failed_expectation(monkeypatch, capsys):

@@ -107,6 +107,16 @@ def plain_state(labels, row) -> dict:
     return {"labels": list(labels), "amps": [[float(a.real), float(a.imag)] for a in row]}
 
 
+def columns_of(labels, k) -> list[tuple]:
+    """The k label columns of rows of k labels (k empty columns for no rows)."""
+    return [tuple(row[j] for row in labels) for j in range(k)]
+
+
+def listed(text: str) -> str:
+    """The canonical list of the rows in ``text``, joined by commas."""
+    return "[" + text + "]"
+
+
 @given(k=st.sampled_from([1, 2, 3]), m=st.integers(1, 4), data=st.data())
 def test_state_renderers_match_the_oracle(k, m, data):
     # widths 2, 4 and 8: every group shape the registry holds
@@ -114,12 +124,11 @@ def test_state_renderers_match_the_oracle(k, m, data):
     amps = np.array(values).view(np.complex128).reshape(m, 2 ** k)
     labels = [tuple(f"q{r}_{j}" for j in range(k)) for r in range(m)]
     plain = [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)]
-    expected = [canonical_oracle.canonical_json(doc) for doc in plain]
-    texts = jsonutil.state_texts(labels, amps)
-    assert texts == expected
-    docs = [jsonutil.Rendered(text) for text in texts]
-    assert jsonutil.canonical_json(docs) == canonical_oracle.canonical_json(plain)
-    assert [json.loads(text) for text in texts] == json.loads(json.dumps(plain))
+    text = jsonutil.render_states(columns_of(labels, k), amps)
+    assert text == ",".join(canonical_oracle.canonical_json(doc) for doc in plain)
+    rendered = jsonutil.Rendered(listed(text))
+    assert jsonutil.canonical_json(rendered) == canonical_oracle.canonical_json(plain)
+    assert json.loads(rendered.text) == json.loads(json.dumps(plain))
 
 
 def test_state_renderers_take_any_label():
@@ -128,10 +137,78 @@ def test_state_renderers_take_any_label():
     amps = np.array([[0.6, 0.8j], [1.0, 0.0]])
     labels = [("q",), ("café \"☃\"",)]
     plain = [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)]
-    assert jsonutil.state_texts(labels, amps) == [canonical_oracle.canonical_json(doc)
-                                                  for doc in plain]
+    assert (listed(jsonutil.render_states(columns_of(labels, 1), amps))
+            == canonical_oracle.canonical_json(plain))
     with pytest.raises(TypeError):
-        jsonutil.state_texts([(0,), ("q",)], amps)
+        jsonutil.render_states([(0, "q")], amps)
+
+
+# labels and carrier metadata with quotes, backslashes, %, control and
+# non-ASCII characters; never "|", which the tests use to keep labels apart
+ODD_TEXT = st.text(alphabet=st.sampled_from('"\\%é☃\U0001f600\n\tq0'), max_size=4)
+CARRIER_ROW = st.tuples(ODD_TEXT, ODD_TEXT, st.integers(-2 ** 40, 2 ** 40))
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+def carried(rows, states) -> list[dict]:
+    """The plain {"id", "band", "slot", "state"} objects of carrier rows."""
+    return [{"id": i, "band": b, "slot": slot, "state": state}
+            for (i, b, slot), state in zip(rows, states)]
+
+
+@given(k=st.sampled_from([1, 2, 3]), m=st.integers(0, 40), head=st.booleans(), data=st.data())
+def test_the_column_renderer_matches_the_oracle(k, m, head, data):
+    # 1 to 3 odd labels per row, m rows of 2, 4 or 8 amplitudes with signed
+    # zeros among them, with and without the carrier columns in front; the
+    # rows pick from drawn pools of floats, labels and carrier rows
+    floats = np.array(data.draw(st.lists(st.one_of(FLOATS, SIGNED_ZEROS), min_size=1,
+                                         max_size=8)))
+    names = data.draw(st.lists(ODD_TEXT, min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.choice(floats, (m, 2 ** (k + 1))).view(np.complex128)
+    labels = [tuple(names[i] for i in rng.integers(len(names), size=k)) for _ in range(m)]
+    plain = [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)]
+    heads = ()
+    if head:
+        carriers = data.draw(st.lists(CARRIER_ROW, min_size=1, max_size=4))
+        rows = [carriers[i] for i in rng.integers(len(carriers), size=m)]
+        plain = carried(rows, plain)
+        heads = jsonutil.carrier_columns(rows)
+    memo = jsonutil.RenderMemo()
+    for _ in range(2):  # the second render reads its float tokens from the memo
+        text = jsonutil.render_states(columns_of(labels, k), amps, memo, heads)
+        assert listed(text) == canonical_oracle.canonical_json(plain)
+
+
+@given(singles=st.integers(1, 6), pairs=st.integers(1, 6), head=st.booleans(), data=st.data())
+def test_a_stream_over_buckets_of_two_widths_renders_like_the_oracle(singles, pairs, head, data):
+    # single qubits and one or both axes of Bell-pair-shaped groups, in a
+    # stream that interleaves the width-2 and width-4 buckets at random
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rows(m, width):  # unit rows, some imaginary parts a signed zero
+        f = rng.normal(size=(m, 2 * width))
+        f[:, 1::2] = np.where(rng.random((m, width)) < 0.3, rng.choice([0.0, -0.0], (m, width)),
+                              f[:, 1::2])
+        amps = f.view(np.complex128)
+        return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+    registry = proto.QuantumRegistry()
+    single_labels = [f"s{i}|{data.draw(ODD_TEXT)}" for i in range(singles)]
+    pair_labels = [(f"a{i}|{data.draw(ODD_TEXT)}", f"b{i}|{data.draw(ODD_TEXT)}")
+                   for i in range(pairs)]
+    registry.add_rows(zip(single_labels), rows(singles, 2))
+    registry.add_rows(pair_labels, rows(pairs, 4))
+    pool = single_labels + [pair[0] for pair in pair_labels] + data.draw(
+        st.lists(st.sampled_from([pair[1] for pair in pair_labels]), unique=True))
+    stream = tuple(data.draw(st.permutations(pool)))
+    plain = [registry.state_of(label).to_jsonable() for label in stream]
+    heads = ()
+    if head:
+        carriers = tuple(data.draw(CARRIER_ROW) for _ in stream)
+        plain = carried(carriers, plain)
+        heads = jsonutil.carrier_columns(carriers, registry.memo)
+    assert listed(registry.render_states(stream, heads)) == canonical_oracle.canonical_json(plain)
 
 
 @given(m=st.integers(0, 4), w=st.integers(0, 6), data=st.data())
@@ -151,10 +228,18 @@ def test_carrier_rows_match_the_oracle(rows):
     assert rendered.text == canonical_oracle.canonical_json(plain)
     assert json.loads(rendered.text) == plain
     state = {"labels": ["q"], "amps": [[0.6, -0.0], [0.0, 0.8]]}
-    with_states = [dict(doc, state=state) for doc in plain]
-    texts = [canonical_oracle.canonical_json(state)] * len(rows)
-    assert (jsonutil.carrier_rows_text(jsonutil.carrier_heads(rows), texts)
-            == canonical_oracle.canonical_json(with_states))
+    amps = np.tile(np.array([0.6, -0.0, 0.0, 0.8]).view(np.complex128), (len(rows), 1))
+    text = jsonutil.render_states([("q",) * len(rows)], amps,
+                                  heads=jsonutil.carrier_columns(rows))
+    assert listed(text) == canonical_oracle.canonical_json(carried(rows, [state] * len(rows)))
+
+
+@given(st.lists(st.one_of(st.text(), st.booleans()), max_size=6))
+def test_leaf_lists_match_the_oracle(values):
+    strings = [v for v in values if type(v) is str]
+    flags = [v for v in values if type(v) is bool]
+    assert jsonutil.render_strings(strings).text == canonical_oracle.canonical_json(strings)
+    assert jsonutil.render_bools(flags).text == canonical_oracle.canonical_json(flags)
 
 
 # --- one memo per trial --------------------------------------------------------
@@ -176,9 +261,9 @@ def test_renderers_sharing_one_memo_match_the_oracle(pool, calls, data):
             amps = np.array(flat, dtype=np.float64).view(np.complex128).reshape(m, 2 ** k)
             labels = [tuple(f"{data.draw(st.sampled_from('pq'))}{j}" for j in range(k))
                       for _ in range(m)]
-            assert jsonutil.state_texts(labels, amps, memo) == [
-                canonical_oracle.canonical_json(plain_state(row_labels, row))
-                for row_labels, row in zip(labels, amps)]
+            assert listed(jsonutil.render_states(columns_of(labels, k), amps, memo)) == (
+                canonical_oracle.canonical_json([plain_state(row_labels, row)
+                                                 for row_labels, row in zip(labels, amps)]))
         else:
             rows = tuple(tuple(data.draw(st.lists(values, min_size=k, max_size=k)))
                          for _ in range(m))
@@ -195,10 +280,10 @@ def test_state_texts_tell_labels_apart_and_collapse_signed_zeros():
                 for row_labels, row in zip(labels, amps)]
     swapped = [("q1",), ("p1",), ("q1",)]
     for _ in range(2):  # the second pass reads its float tokens from the memo
-        assert jsonutil.state_texts(labels, amps, memo) == expected
-        assert jsonutil.state_texts(swapped, amps, memo) == [
+        assert jsonutil.render_states(columns_of(labels, 1), amps, memo) == ",".join(expected)
+        assert jsonutil.render_states(columns_of(swapped, 1), amps, memo) == ",".join(
             canonical_oracle.canonical_json(plain_state(row_labels, row))
-            for row_labels, row in zip(swapped, amps)]
+            for row_labels, row in zip(swapped, amps))
     assert expected[0] != expected[1] and expected[0] == expected[2]
 
 
@@ -206,7 +291,7 @@ def test_state_texts_tell_labels_apart_and_collapse_signed_zeros():
 def test_state_texts_refuse_label_and_amplitude_rows_of_different_counts(labels):
     amps = np.array([[0.6, 0.8j], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        jsonutil.state_texts(labels, amps)
+        jsonutil.render_states(columns_of(labels, len(labels[0]) if labels else 0), amps)
 
 
 def test_float_memo_formats_each_magnitude_once_for_both_signs():
@@ -228,7 +313,7 @@ def test_renderers_reject_non_finite_floats_like_the_oracle(bad, column):
     with pytest.raises(ValueError):
         canonical_oracle.canonical_json(plain_state(("q",), amps[0]))
     with pytest.raises(ValueError, match="non-finite"):
-        jsonutil.state_texts([("q",)], amps)
+        jsonutil.render_states([("q",)], amps)
     with pytest.raises(ValueError):
         canonical_oracle.canonical_json([row])
     with pytest.raises(ValueError, match="non-finite"):

@@ -326,7 +326,7 @@ def test_trent_verify_round_trip_restores_plaintext():
     plain = [registry.state_of(c.payload).to_jsonable() for c in package.masked]
     payload = proto.bob_forward(package, verifier_key, registry)
     _, record = proto.trent_verify(payload, signer_key, verifier_key, registry)
-    assert [state.text for state in record.masked_snapshot] == list(map(canonical_json, plain))
+    assert record.masked_snapshot.text == canonical_json(plain)
 
 
 def test_trent_verify_flags_wrong_signer_binding():
@@ -418,9 +418,11 @@ def test_trent_record_is_blind():
     blob = run.record.canonical_bytes().decode()
     for token in ("phi-plus", "phi-minus", "psi-plus", "psi-minus"):
         assert token not in blob
-    for snapshot in (doc["masked"], doc["signature"]):
-        for state in snapshot:
-            assert all(l.startswith(("p", "sa")) for l in json.loads(state.text)["labels"])
+    for snapshot in (doc["masked"], doc["signature"]):  # one Rendered list per stream
+        states = json.loads(snapshot.text)
+        assert len(states) == 2
+        for state in states:
+            assert all(l.startswith(("p", "sa")) for l in state["labels"])
 
 
 # --- verifier compare -------------------------------------------------------
@@ -705,7 +707,7 @@ def test_a_stream_that_names_a_measured_label_raises():
         with pytest.raises(sv.UnknownLabel):
             registry.amps_of(stream)
         with pytest.raises(sv.UnknownLabel):
-            registry.state_texts(stream)
+            registry.render_states(stream)
         with pytest.raises(sv.UnknownLabel):
             registry.apply_paulis(stream, [1] * len(stream), [1] * len(stream))
     assert registry.amps_of(streams.b).shape == (4, 2)
