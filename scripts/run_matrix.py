@@ -5,7 +5,9 @@ Usage: PYTHONPATH=src python scripts/run_matrix.py [--n N] [--trials T] [--seed 
 
 Each line is one ``aqsim run`` batch of the cell, run through ``cli.run_batch``.
 Each cell's config is built by ``cli.parse_config``, so a bad value ends
-like it does for ``aqsim run``: exit 1 with one ``aqsim: error:`` line.
+like it does for ``aqsim run``: exit 1 with one ``aqsim: error:`` line. An
+interrupt (Ctrl-C) ends it as it ends ``aqsim run``: exit 1 with one
+``aqsim: interrupted`` line.
 """
 import argparse
 import sys
@@ -17,6 +19,14 @@ from aqsim.defense import DEFENSE_GRID
 
 
 def main(argv=None) -> int:
+    try:
+        return _sweep(argv)
+    except KeyboardInterrupt:
+        print("aqsim: interrupted", file=sys.stderr)
+        return 1
+
+
+def _sweep(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", default="4")
     parser.add_argument("--trials", default="20")

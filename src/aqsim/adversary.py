@@ -24,12 +24,14 @@ from .protocol import (
     BAND_SIGNAL,
     CLAIM_TELEPORT_MISMATCH,
     Carrier,
+    CarrierStream,
     CipherPayload,
     Claim,
     CompareResult,
     PublicBoard,
     QuantumRegistry,
     SignaturePackage,
+    slot_plan,
 )
 from .qotp import ROLE_PAD, KeyBits
 from .statevector import BELL_ORDER
@@ -132,7 +134,7 @@ class DecoySet:
 
 
 def make_decoy_set(n: int, registry: QuantumRegistry) -> DecoySet:
-    pairs = tuple((f"d1_{i}", f"d2_{i}") for i in range(1, n + 1))
+    pairs = slot_plan(n).decoys
     registry.add_rows(pairs, np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
     return DecoySet(pairs)
 
@@ -208,7 +210,7 @@ def _inject(package: SignaturePackage, decoys: DecoySet, band: str) -> Signature
     for carrier, (probe, _) in zip(package.masked, decoys.pairs):
         injected.append(carrier)
         injected.append(Carrier(id=probe, band=band, time_slot=carrier.time_slot, payload=probe))
-    return SignaturePackage(tuple(injected), package.signature, package.bell_results)
+    return SignaturePackage(CarrierStream(injected), package.signature, package.bell_results)
 
 
 def ipe_inject(package: SignaturePackage, decoys: DecoySet) -> SignaturePackage:
@@ -235,12 +237,8 @@ def intercept_decoys(
     """Pull the probe carriers out of the verifier->arbiter transmission."""
     probe_labels = {probe for probe, _ in decoys.pairs}
     captured = tuple(c.payload for c in payload.masked if c.payload in probe_labels)
-    cleaned = tuple(c for c in payload.masked if c.payload not in probe_labels)
-    return (
-        CipherPayload(masked=cleaned, signature=payload.signature,
-                      verdict_carrier=payload.verdict_carrier),
-        captured,
-    )
+    cleaned = CarrierStream(c for c in payload.masked if c.payload not in probe_labels)
+    return CipherPayload(cleaned, payload.signature, payload.verification), captured
 
 
 def ipe_extract(

@@ -3,10 +3,12 @@
 Each scenario/defense combination has a codified expected outcome (an
 attack that the enabled screening must catch is *supposed* to raise an
 alarm), so the exit code asserts success for attack scenarios too:
-0 = every trial matched the expected outcome, 1 = usage or I/O error,
-2 = some invariant check failed, or an internal error (a state, protocol,
-key-length or attack failure) stopped the batch; either way a one-line
-message says why.
+0 = every trial matched the expected outcome, 1 = usage or I/O error, or
+an interrupt (Ctrl-C, SIGINT) stopped the batch, 2 = some invariant check
+failed, or an internal error (a state, protocol, key-length or attack
+failure) stopped the batch. A failed check shows in the summary; every
+other failure prints one line on stderr that says why. The transcripts
+written before an interrupt stay whole.
 """
 from __future__ import annotations
 
@@ -103,6 +105,8 @@ def parse_config(argv, env) -> RunConfig:
             raise UsageError(f"--seed: {SEED_ENV_VAR}={raw!r} is not an integer") from None
     if not 0 <= seed <= SEED_MAX:
         raise UsageError("--seed: must be a non-negative 64-bit integer")
+    if args.out == "":
+        raise UsageError("--out: must name a directory")
 
     tokens = [t for t in args.defenses.split(",") if t]
     try:
@@ -214,22 +218,31 @@ def render_summary(summary: BatchSummary, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _fail(message: str, code: int) -> int:
+    """Say ``aqsim: <message>`` on one line of stderr (a newline that the
+    message quotes from argv is escaped) and return the exit code."""
+    print("aqsim: " + message.replace("\n", "\\n"), file=sys.stderr)
+    return code
+
+
 def main(argv=None, env=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    env = os.environ if env is None else env
+    try:
+        return _main(sys.argv[1:] if argv is None else argv, os.environ if env is None else env)
+    except KeyboardInterrupt:
+        return _fail("interrupted", 1)
+
+
+def _main(argv, env) -> int:
     try:
         config = parse_config(argv, env)
     except UsageError as exc:
-        print(f"aqsim: error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"error: {exc}", 1)
     try:
         summary = run_batch(config)
     except OSError as exc:
-        print(f"aqsim: io error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"io error: {exc}", 1)
     except (StateError, ProtocolError, KeyTooShort, AttackError) as exc:
-        print(f"aqsim: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", 2)
     try:
         print(render_summary(summary, config.format), flush=True)
     except OSError as exc:  # stdout closed before the summary, as by `| head -c 10`
@@ -237,8 +250,7 @@ def main(argv=None, env=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"aqsim: io error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"io error: {exc}", 1)
     return 0 if summary.all_ok else 2
 
 

@@ -18,10 +18,10 @@ joined once, with no Python per row. What the renderers return is text
 only: a ``Rendered`` holds the canonical text and no copy of the value,
 and ``_emit`` appends that text verbatim. A trial renders the same floats
 and carrier streams many times over (a Pauli mask only permutes and
-negates floats, and the same carriers travel three legs), so the
-renderers take a ``RenderMemo`` that keeps float tokens and each carrier
-stream's columns and text; one memo lives as long as one trial's
-registry.
+negates floats), so the renderers take a ``RenderMemo`` that keeps float
+tokens; one memo lives as long as one trial's registry. The same carriers
+travel three legs, so a carrier stream (``protocol.CarrierStream``) keeps
+its own ``carrier_columns`` and ``render_carriers`` text.
 
 The emitter takes exactly the built-in types the documents are made of
 (dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
@@ -109,24 +109,18 @@ def _emit(obj, out: list[str]) -> None:
 
 
 class RenderMemo:
-    """The texts rendered so far in one trial that are worth keeping.
+    """The float tokens rendered so far in one trial.
 
-    - ``floats`` maps a float's exact value to its token. Each magnitude is
-      formatted once and stored under both signs (see ``_tokens``).
-    - ``carriers`` maps a tuple of carrier rows, by identity, to that tuple,
-      its id, band and slot columns (which the payload digests read) and its
-      text (which the transcript's send events read), see
-      ``carrier_columns``.
-
-    It belongs to one ``QuantumRegistry``, so it lives exactly as long as
-    one trial.
+    ``floats`` maps a float's exact value to its token. Each magnitude is
+    formatted once and stored under both signs (see ``_tokens``). The memo
+    belongs to one ``QuantumRegistry``, so it lives exactly as long as one
+    trial.
     """
 
-    __slots__ = ("floats", "carriers")
+    __slots__ = ("floats",)
 
     def __init__(self):
         self.floats: dict[float, str] = {}
-        self.carriers: dict[int, tuple] = {}
 
 
 def _float_stack(values) -> np.ndarray:
@@ -245,37 +239,20 @@ def render_float_rows(rows, memo: RenderMemo | None = None) -> Rendered:
     return Rendered("[" + _fill(_float_layout(width), columns, m) + "]")
 
 
-def _carriers(rows, memo: RenderMemo | None) -> tuple:
-    """(rows, their id, band and slot columns, their text), rendered once
-    per ``memo`` for a tuple of rows."""
-    kept = memo.carriers.get(id(rows)) if memo is not None else None
-    if kept is None:
-        ids, bands, slots, *_ = zip(*rows) if len(rows) else ((), (), ())
-        columns = (list(map(_encode_str, ids)), list(map(_encode_str, bands)),
-                   list(map("%d".__mod__, slots)))
-        kept = (rows, columns, "[" + _fill(_state_layout(0, 0, True), columns, len(rows)) + "]")
-        if memo is not None and type(rows) is tuple:
-            memo.carriers[id(rows)] = kept
-    return kept
-
-
-def carrier_columns(rows, memo: RenderMemo | None = None) -> tuple[list, list, list]:
+def carrier_columns(rows) -> tuple[tuple, tuple, tuple]:
     """The id, band and slot columns, as canonical texts, of rows whose
     first three items are (id, band, slot): string ids and bands, integer
-    slots.
-
-    A tuple of rows (of immutable rows, such as carriers) is rendered once
-    per ``memo``: the memo keeps its columns and its text, keyed by the
-    tuple's identity, and holds the tuple itself so that the identity is not
-    reused.
-    """
-    return _carriers(rows, memo)[1]
+    slots."""
+    ids, bands, slots, *_ = zip(*rows) if len(rows) else ((), (), ())
+    return (tuple(map(_encode_str, ids)), tuple(map(_encode_str, bands)),
+            tuple(map("%d".__mod__, slots)))
 
 
-def render_carriers(rows, memo: RenderMemo | None = None) -> Rendered:
+def render_carriers(rows, columns=None) -> Rendered:
     """Rendered ``[{"id", "band", "slot"}, ...]`` from rows that start with
-    (id, band, slot), kept in ``memo`` as ``carrier_columns`` keeps them."""
-    return Rendered(_carriers(rows, memo)[2])
+    (id, band, slot), laid out from their ``carrier_columns`` when given."""
+    columns = carrier_columns(rows) if columns is None else columns
+    return Rendered("[" + _fill(_state_layout(0, 0, True), columns, len(rows)) + "]")
 
 
 def render_strings(strings) -> Rendered:

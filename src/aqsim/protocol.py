@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -73,30 +73,40 @@ class Claim:
     statement: str
 
 
-@dataclass(frozen=True)
 class MessageSpec:
     """The signer's classical description of her n-qubit message.
 
     Holding the message classically is what lets her prepare the three
-    copies the flow needs without cloning anything.
+    copies the flow needs without cloning anything. ``amps`` is the (n, 2)
+    read-only stack of the prepared qubits, ``make_qubit``'s rows, and is
+    all the flow reads; the ``coefficients`` tuple is made when first read.
+    Specs compare and hash by their coefficients.
     """
 
-    coefficients: tuple[tuple[complex, complex], ...]
-    # (n, 2) read-only stack of the prepared qubits, ``make_qubit``'s rows
-    amps: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        coefficients = np.array(self.coefficients, dtype=np.complex128).reshape(-1, 2)
+    def __init__(self, coefficients):
+        coefficients = np.array(coefficients, dtype=np.complex128).reshape(-1, 2)
         if not len(coefficients):
             raise ValueError("message needs at least one qubit")
-        amps = sv.qubit_rows(coefficients)  # raises NotNormalized off the unit sphere
-        amps.flags.writeable = False
-        object.__setattr__(self, "coefficients", tuple(map(tuple, coefficients.tolist())))
-        object.__setattr__(self, "amps", amps)
+        self.amps = sv.qubit_rows(coefficients)  # raises NotNormalized off the unit sphere
+        self.amps.flags.writeable = False
+        coefficients.flags.writeable = False
+        self._coefficients = coefficients
+
+    @cached_property
+    def coefficients(self) -> tuple[tuple[complex, complex], ...]:
+        return tuple(map(tuple, self._coefficients.tolist()))
+
+    def __eq__(self, other):
+        if type(other) is not MessageSpec:
+            return NotImplemented
+        return bool(np.array_equal(self._coefficients, other._coefficients))
+
+    def __hash__(self):
+        return hash(self.coefficients)
 
     @property
     def n(self) -> int:
-        return len(self.coefficients)
+        return len(self.amps)
 
     def qubit(self, i: int, label) -> PureState:
         return sv.states_from_rows([(label,)], self.amps[i:i + 1])[0]
@@ -157,27 +167,90 @@ class Carrier(NamedTuple):
 
 
 _new_carrier = partial(tuple.__new__, Carrier)  # from an (id, band, slot, payload) row
-
-
-def carriers_of(ids: Sequence[str], band: str, first_slot: int) -> tuple[Carrier, ...]:
-    """One carrier per id, in consecutive slots from ``first_slot``, each
-    holding the qubit labeled with its id."""
-    slots = range(first_slot, first_slot + len(ids))
-    return tuple(map(_new_carrier, zip(ids, repeat(band), slots, ids)))
-
-
 _LABELS = itemgetter(3)  # a carrier's payload label
 _SLOTS = itemgetter(2)
 
 
-def labels_of(carriers: Sequence[Carrier]) -> tuple[str, ...]:
-    """The label stream of a carrier stream: each carrier's payload label."""
-    return tuple(map(_LABELS, carriers))
+class CarrierStream(tuple):
+    """A stream of carriers, one transmission, that works out what the flow
+    reads off it once and keeps it: its label stream, its slots, and the
+    canonical id, band and slot columns and text of its carriers.
+
+    The streams that n alone fixes come from ``slot_plan`` and serve every
+    trial of that n. A stream built in a trial, such as an attacker's
+    injected or cleaned stream, keeps its fields for as long as the trial
+    holds it. ``tuple()`` and slices of a stream are plain tuples, which
+    keep nothing: ``of`` takes any sequence of carriers to a stream.
+    """
+
+    @classmethod
+    def of(cls, carriers: Sequence[Carrier]) -> CarrierStream:
+        return carriers if type(carriers) is cls else cls(carriers)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each carrier's payload label."""
+        return tuple(map(_LABELS, self))
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """Each carrier's time slot, the index its key Pauli is drawn by (read-only)."""
+        slots = np.fromiter(map(_SLOTS, self), dtype=np.intp, count=len(self))
+        slots.flags.writeable = False
+        return slots
+
+    @cached_property
+    def columns(self) -> tuple[tuple, tuple, tuple]:
+        """The canonical id, band and slot columns that a payload digest reads."""
+        return jsonutil.carrier_columns(self)
+
+    @cached_property
+    def rendered(self) -> jsonutil.Rendered:
+        """The canonical ``[{"id", "band", "slot"}, ...]`` that a send event logs."""
+        return jsonutil.render_carriers(self, self.columns)
 
 
-def slots_of(carriers: Sequence[Carrier]) -> np.ndarray:
-    """Each carrier's time slot, the index its key Pauli is drawn by."""
-    return np.fromiter(map(_SLOTS, carriers), dtype=np.intp, count=len(carriers))
+def carriers_of(ids: Sequence[str], band: str, first_slot: int) -> CarrierStream:
+    """One carrier per id, in consecutive slots from ``first_slot``, each
+    holding the qubit labeled with its id."""
+    slots = range(first_slot, first_slot + len(ids))
+    return CarrierStream(map(_new_carrier, zip(ids, repeat(band), slots, ids)))
+
+
+class SlotPlan(NamedTuple):
+    """The labels and carrier streams that n alone fixes: every trial of n
+    shares them, and only the amplitudes and keys differ between trials."""
+
+    pairs: tuple[tuple[str, str], ...]  # the shared Bell pairs (a_i, b_i)
+    alice: tuple[str, ...]  # a_1..a_n, the signer's halves
+    bob: tuple[str, ...]  # b_1..b_n, the verifier's halves
+    teleport: tuple[str, ...]  # t_1..t_n, the copies the signer Bell-measures
+    decoys: tuple[tuple[str, str], ...]  # the Trojan probes and keepers (d1_i, d2_i)
+    halves: CarrierStream  # the b halves, slots 0..n-1
+    masked: CarrierStream  # p_i, slots 0..n-1
+    signature: CarrierStream  # sa_i, slots n..2n-1
+    verification: CarrierStream  # v, slot 2n
+
+
+@lru_cache(maxsize=4)
+def slot_plan(n: int) -> SlotPlan:
+    """The slot plan of n, built once per process and shared, read-only, by
+    every trial of n. The four sizes used last are kept: a batch or a
+    benchmark workload uses one or two. A plan holds about 1.6 KB per qubit
+    once its streams have been read (6.4 MB at n=4,096)."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    ids = range(1, n + 1)
+    alice, bob, teleport, masked, signature, probes, keepers = (
+        tuple(f"{tag}{i}" for i in ids) for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
+    return SlotPlan(
+        pairs=tuple(zip(alice, bob)), alice=alice, bob=bob, teleport=teleport,
+        decoys=tuple(zip(probes, keepers)),
+        halves=carriers_of(bob, BAND_SIGNAL, 0),
+        masked=carriers_of(masked, BAND_SIGNAL, 0),
+        signature=carriers_of(signature, BAND_SIGNAL, n),
+        verification=carriers_of(("v",), BAND_SIGNAL, 2 * n),
+    )
 
 
 @dataclass(eq=False, slots=True)
@@ -241,8 +314,9 @@ class QuantumRegistry:
     other input raises before anything changes; there are no single-label
     calls, and a caller with mixed pairs measures them one pair per call.
 
-    ``memo`` keeps this trial's float tokens and carrier columns (see
-    ``jsonutil.RenderMemo``): a value or a carrier stream read twice is formatted once.
+    ``memo`` keeps this trial's float tokens (see ``jsonutil.RenderMemo``):
+    a value read twice is formatted once. A carrier stream keeps its own
+    carrier columns (``CarrierStream``).
     """
 
     def __init__(self):
@@ -365,8 +439,8 @@ class QuantumRegistry:
 
     def render_states(self, labels: Sequence, heads=()) -> str:
         """The canonical texts of ``state_of(label).to_jsonable()`` for each
-        label, joined by commas; with ``heads`` (the stream's
-        ``jsonutil.carrier_columns``), of each carrier's ``{"id", "band",
+        label, joined by commas; with ``heads`` (a ``CarrierStream``'s
+        ``columns``), of each carrier's ``{"id", "band",
         "slot", "state"}``. One render per bucket; a stream that spans
         buckets has each bucket's rows placed by their stream positions."""
         def render(bucket, bucket_heads, sep=","):
@@ -458,13 +532,13 @@ class SignaturePackage:
     """What the signer ships: masked message carriers, bound-signature
     carriers, and her Bell results (one per message qubit)."""
 
-    masked: tuple[Carrier, ...]
-    signature: tuple[Carrier, ...]
+    masked: CarrierStream
+    signature: CarrierStream
     bell_results: tuple[BellOutcome, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "masked", tuple(self.masked))
-        object.__setattr__(self, "signature", tuple(self.signature))
+        object.__setattr__(self, "masked", CarrierStream.of(self.masked))
+        object.__setattr__(self, "signature", CarrierStream.of(self.signature))
         object.__setattr__(self, "bell_results", tuple(self.bell_results))
         if len(self.signature) != len(self.bell_results):
             raise ValueError("signature carriers and bell results must align")
@@ -478,17 +552,26 @@ class SignaturePackage:
 
 @dataclass(frozen=True)
 class CipherPayload:
-    """The carrier streams of one quantum ciphertext transmission."""
+    """The carrier streams of one quantum ciphertext transmission: masked,
+    signature and, on the return leg, the one-carrier verification stream."""
 
-    masked: tuple[Carrier, ...]
-    signature: tuple[Carrier, ...]
-    verdict_carrier: Carrier | None = None
+    masked: CarrierStream
+    signature: CarrierStream
+    verification: CarrierStream = CarrierStream()
 
-    def streams(self) -> tuple[tuple[Carrier, ...], ...]:
-        """The carrier streams in send order: masked, signature and, on the
-        return leg, the verification carrier."""
-        extra = ((self.verdict_carrier,),) if self.verdict_carrier is not None else ()
-        return (self.masked, self.signature) + extra
+    def __post_init__(self):
+        for name in ("masked", "signature", "verification"):
+            object.__setattr__(self, name, CarrierStream.of(getattr(self, name)))
+
+    @property
+    def verdict_carrier(self) -> Carrier | None:
+        """The verification carrier, or None before the arbiter adds it."""
+        return self.verification[0] if self.verification else None
+
+    def streams(self) -> tuple[CarrierStream, ...]:
+        """The carrier streams in send order, the verification stream last
+        when there is one."""
+        return (self.masked, self.signature) + ((self.verification,) if self.verification else ())
 
     def digest(self, registry: QuantumRegistry) -> str:
         """Receive-time digest: carrier metadata plus the exact states held,
@@ -498,11 +581,9 @@ class CipherPayload:
 
 def _digest_bytes(streams, registry: QuantumRegistry) -> bytes:
     """The canonical list of {"id", "band", "slot", "state"} of ``streams``
-    that a payload digest hashes, rendered one stream at a time. Each
-    stream's carrier columns are rendered once per trial
-    (``jsonutil.carrier_columns``)."""
-    texts = [registry.render_states(labels_of(s), jsonutil.carrier_columns(s, registry.memo))
-             for s in streams if s]
+    that a payload digest hashes, rendered one stream at a time, each
+    stream's carrier columns read off the stream (``CarrierStream``)."""
+    texts = [registry.render_states(s.labels, s.columns) for s in streams if s]
     return ("[" + ",".join(texts) + "]").encode("ascii")
 
 
@@ -643,10 +724,9 @@ def distribute_bell_pairs(n: int, registry: QuantumRegistry) -> tuple[tuple, tup
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    alice_labels = tuple(f"a{i}" for i in range(1, n + 1))
-    bob_labels = tuple(f"b{i}" for i in range(1, n + 1))
-    registry.add_rows(zip(alice_labels, bob_labels), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
-    return alice_labels, bob_labels
+    plan = slot_plan(n)
+    registry.add_rows(plan.pairs, np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    return plan.alice, plan.bob
 
 
 def alice_sign(
@@ -677,14 +757,13 @@ def alice_sign(
 
     masked = qotp.mask_rows(spec.amps, pad)
     signature = qotp.mask_rows(masked, signer_key)
-    p_labels, sa_labels, teleport_labels = (
-        tuple(f"{tag}{i}" for i in range(1, n + 1)) for tag in ("p", "sa", "t"))
+    plan = slot_plan(n)
     # qotp.mask_rows checked both stacks
-    registry._add_checked_rows(zip(p_labels), masked)
-    registry._add_checked_rows(zip(sa_labels), signature)
-    registry._add_checked_rows(zip(teleport_labels), masked)
+    registry._add_checked_rows(zip(plan.masked.labels), masked)
+    registry._add_checked_rows(zip(plan.signature.labels), signature)
+    registry._add_checked_rows(zip(plan.teleport), masked)
 
-    outcomes, probs = registry.bell_measure_many(teleport_labels, alice_labels, rng)
+    outcomes, probs = registry.bell_measure_many(plan.teleport, alice_labels, rng)
     devs = np.max(np.abs(probs - 0.25), axis=1)
     bad = np.flatnonzero(devs > UNIFORM_LAW_TOL)
     if bad.size:
@@ -696,11 +775,7 @@ def alice_sign(
 
     # One channel message, one slot sequence: masked slots 0..n-1, then
     # signature slots n..2n-1. Key bits are consumed positionally by slot.
-    package = SignaturePackage(
-        masked=carriers_of(p_labels, BAND_SIGNAL, 0),
-        signature=carriers_of(sa_labels, BAND_SIGNAL, n),
-        bell_results=tuple(outcomes),
-    )
+    package = SignaturePackage(plan.masked, plan.signature, tuple(outcomes))
     private = SignerPrivate(
         outcome_probabilities=tuple(map(tuple, probs.tolist())),
         max_probability_deviation=max_dev,
@@ -710,7 +785,7 @@ def alice_sign(
 
 def _mask_streams(
     registry: QuantumRegistry,
-    streams: Sequence[Sequence[Carrier]],
+    streams: Sequence[CarrierStream],
     key: KeyBits,
     inverse: bool,
 ) -> None:
@@ -724,12 +799,12 @@ def _mask_streams(
     are one transmission: a label in two of them raises ``DuplicateLabel``
     before any is masked, as it would within one stream.
     """
-    labels = [labels_of(carriers) for carriers in streams]
+    labels = [stream.labels for stream in streams]
     if len(set(chain.from_iterable(labels))) != sum(map(len, labels)):
         raise sv.DuplicateLabel("apply_paulis takes each label once")
-    for carriers, stream in zip(streams, labels):
-        x, z = qotp.key_paulis(key, slots_of(carriers))
-        registry.apply_paulis(stream, x, z, inverse=inverse)
+    for stream in streams:
+        x, z = qotp.key_paulis(key, stream.slots)
+        registry.apply_paulis(stream.labels, x, z, inverse=inverse)
 
 
 def bob_forward(
@@ -773,7 +848,7 @@ def trent_verify(
             f"expected {n} masked carriers to match {n} signature carriers, "
             f"got {len(payload.masked)}"
         )
-    if payload.verdict_carrier is not None:
+    if payload.verification:
         raise ProtocolError("the arbiter's payload already carries a verification qubit")
     received = _digest_bytes(payload.streams(), registry)
     rows_hash = hashlib.sha256(received[:-1])
@@ -781,8 +856,8 @@ def trent_verify(
     received_hash.update(b"]")
 
     def decrypted(carriers):  # unmasked by slot, as _mask_streams keys the channel
-        x, z = qotp.key_paulis(verifier_key, slots_of(carriers))
-        labels = labels_of(carriers)
+        x, z = qotp.key_paulis(verifier_key, carriers.slots)
+        labels = carriers.labels
         amps = sv._pauli_rows(_qubit_rows(registry, labels), 0, x, z, inverse=True)
         return amps, jsonutil.Rendered(
             "[" + jsonutil.render_states((labels,), amps, registry.memo) + "]")
@@ -794,14 +869,14 @@ def trent_verify(
     verified = int(all(sv.equal_up_to_phase_rows(qotp.mask_rows(masked, signer_key), signature,
                                                  EQUALITY_TOL)))
 
-    registry.add_rows([("v",)], [[1 - verified, verified]])
-    verdict_carrier = Carrier(id="v", band=BAND_SIGNAL, time_slot=2 * n, payload="v")
-    _mask_streams(registry, [(verdict_carrier,)], verifier_key, inverse=False)
+    verification = slot_plan(n).verification
+    registry.add_rows(zip(verification.labels), [[1 - verified, verified]])
+    _mask_streams(registry, [verification], verifier_key, inverse=False)
 
     # The arbiter wrote no carrier but v, so the returned digest's text is the
     # received one with v's row added before the closing "]": hash on from there.
-    rows_hash.update((b"," if n else b"") + _digest_bytes(((verdict_carrier,),), registry)[1:])
-    return CipherPayload(payload.masked, payload.signature, verdict_carrier), TrentRecord(
+    rows_hash.update((b"," if n else b"") + _digest_bytes((verification,), registry)[1:])
+    return CipherPayload(payload.masked, payload.signature, verification), TrentRecord(
         received_digest=received_hash.hexdigest(),
         masked_snapshot=masked_snapshot,
         signature_snapshot=signature_snapshot,
@@ -829,21 +904,21 @@ def bob_verify_and_compare(
     then teleport-correct each held half and compare it with the delivered
     masked qubit."""
     n = len(payload.signature)
-    if payload.verdict_carrier is None:
+    if not payload.verification:
         raise ProtocolError("return payload carries no verification qubit")
     if len(bob_labels) != n or len(bell_results) != n:
         raise ProtocolError("verifier context does not match payload size")
 
     _mask_streams(registry, payload.streams(), verifier_key, inverse=True)
 
-    verify_bit = _read_basis_bit(registry.amps_of([payload.verdict_carrier.payload])[0])
+    verify_bit = _read_basis_bit(registry.amps_of(payload.verification.labels)[0])
     if verify_bit == 0:
         return CompareReport(CompareResult.REJECT, 0, ())
 
     # The correction for outcome (x, z) is sigma_x^x sigma_z^z (sv.teleport_correction).
     registry.apply_paulis(bob_labels, [o.x for o in bell_results], [o.z for o in bell_results])
     per_qubit = tuple(sv.equal_up_to_phase_rows(
-        _qubit_rows(registry, bob_labels), _qubit_rows(registry, labels_of(payload.masked)),
+        _qubit_rows(registry, bob_labels), _qubit_rows(registry, payload.masked.labels),
         EQUALITY_TOL))
     result = CompareResult.MATCH_OK if all(per_qubit) else CompareResult.MISMATCH
     return CompareReport(result, 1, per_qubit)

@@ -27,7 +27,7 @@ from . import qotp
 from . import statevector as sv
 from .adversary import Scenario, ScenarioVariant
 from .defense import DEVICE_FILTER, DEVICE_PNS, DefenseConfig, screen
-from .jsonutil import render_bools, render_carriers, render_float_rows, render_strings
+from .jsonutil import render_bools, render_float_rows, render_strings
 from .protocol import (
     CLAIM_FOLLOWED, CLAIM_TELEPORT_MISMATCH, CipherPayload, Claim, CompareReport, CompareResult,
     MessageSpec, PublicBoard, QuantumRegistry, SignaturePackage, Transcript, TrentRecord,
@@ -299,13 +299,10 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     """
     transcript, registry, keys = trial.transcript, trial.registry, trial.keys
 
-    def meta(stream):  # each stream's metadata is rendered once per trial
-        return render_carriers(stream, registry.memo)
-
     entry.after_sign(trial)
     transcript.log("alice", "send", {
         "channel": "alice->bob", "what": "signature-package",
-        "masked": meta(trial.package.masked), "signature": meta(trial.package.signature),
+        "masked": trial.package.masked.rendered, "signature": trial.package.signature.rendered,
         "bell_results": render_strings([o.token for o in trial.package.bell_results]),
     })
     entry.in_flight(trial)
@@ -317,7 +314,7 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     trial.payload = proto.bob_forward(trial.package, keys.verifier, registry)
     transcript.log("bob", "send", {
         "channel": "bob->trent", "what": "ciphertext",
-        "masked": meta(trial.payload.masked), "signature": meta(trial.payload.signature),
+        "masked": trial.payload.masked.rendered, "signature": trial.payload.signature.rendered,
     })
     entry.after_forward(trial)
     fired = _screen_point(transcript, "trent", "trent-receive",
@@ -330,7 +327,7 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     transcript.log("trent", "arbiter-record", trial.record.to_jsonable())
     transcript.log("trent", "send", {
         "channel": "trent->bob", "what": "ciphertext",
-        "masked": meta(returned.masked), "signature": meta(returned.signature),
+        "masked": returned.masked.rendered, "signature": returned.signature.rendered,
         "verdict_carrier": returned.verdict_carrier.meta(),
     })
     report = trial.report = proto.bob_verify_and_compare(
@@ -353,12 +350,12 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     transcript.log("bob", "decision", {"action": "request-pad"})
     published = trial.published = entry.publish(trial)
     transcript.log("alice", "board-post", {"value": published.to_jsonable()})
-    recovered = qotp.mask_rows(proto._qubit_rows(registry, proto.labels_of(trial.payload.masked)),
+    recovered = qotp.mask_rows(proto._qubit_rows(registry, trial.payload.masked.labels),
                                published, inverse=True)
     transcript.log("bob", "decision", {"action": "recover-message"})
     trial.fidelities = tuple(sv.fidelity_rows(recovered, trial.message.amps))
     trial.signature_valid = proto.verify_signature_rows(
-        proto._qubit_rows(registry, proto.labels_of(trial.payload.signature)), published,
+        proto._qubit_rows(registry, trial.payload.signature.labels), published,
         trial.message, keys.signer)
     trial.verdict = Verdict.NO_DISPUTE.value
     return ()
@@ -388,7 +385,7 @@ def run_scenario(
     alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
     transcript.log("alice", "send", {
         "channel": "alice->bob", "what": "entangled-halves",
-        "carriers": render_carriers(proto.carriers_of(bob_labels, proto.BAND_SIGNAL, 0)),
+        "carriers": proto.slot_plan(n).halves.rendered,
     })
     package, pad, signer_private = proto.alice_sign(
         spec, keys.signer, streams.sign, registry, alice_labels, forced_pad=forced_pad)

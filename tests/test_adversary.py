@@ -291,7 +291,7 @@ def test_a_probe_picks_up_its_slots_pauli_through_a_kept_resolution(inject, monk
     package, _, _ = proto.alice_sign(spec, keys.signer, rng, registry, alice_labels)
     decoys = adv.make_decoy_set(n, registry)
     package = inject(package, decoys)
-    registry.render_states(proto.labels_of(package.masked))
+    registry.render_states(package.masked.labels)
     walks = []
     walk = QuantumRegistry._buckets
     monkeypatch.setattr(QuantumRegistry, "_buckets",

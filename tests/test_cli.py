@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
 import run_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqsim import cli
-from aqsim.adversary import ScenarioVariant
+from aqsim.adversary import SCENARIO_TOKENS, ScenarioVariant
 from aqsim.cli import UsageError, parse_config, render_summary, run_batch
 from aqsim.defense import DefenseConfig
 
@@ -190,6 +197,95 @@ def test_closed_stdout_ends_in_one_io_error_line():
     assert err.startswith("aqsim: io error: ") and err.count("\n") == 1, err
 
 
+def test_empty_out_is_a_usage_error(capsys):
+    # an empty path would otherwise name the working directory
+    with pytest.raises(UsageError, match="--out"):
+        parse(BASE + ["--out", ""])
+    assert cli.main(BASE + ["--out", ""], env={}) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "aqsim: error: --out: must name a directory\n"
+
+
+def test_sigint_ends_a_batch_in_one_line_and_leaves_whole_transcripts(tmp_path):
+    # interrupted once the first transcript is in place: exit 1, one line,
+    # and every file left behind is a whole transcript, with no temp file
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "out"
+    child = subprocess.Popen([sys.executable, "-m", "aqsim", "run", "--scenario", "honest",
+                              "--n", "8", "--trials", "100000", "--seed", "1", "--out", str(out)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.is_dir() and any(p.suffix == ".json" for p in out.iterdir())):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signal.SIGINT)
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 1
+    assert stderr.decode() == "aqsim: interrupted\n"
+    assert stdout == b""
+    files = sorted(out.iterdir())
+    assert files and all(p.name.startswith("honest-n8-seed1-trial") for p in files)
+    for path in files:
+        assert json.loads(path.read_bytes())["config"]["n"] == 8
+
+
+# each flag's values, valid and not; none of them is large
+VALID = {"--scenario": SCENARIO_TOKENS, "--n": ("1", "2"), "--trials": ("1", "2"),
+         "--seed": ("0", "7"), "--defenses": ("", "pns", "wavelength-filter,pns"),
+         "--format": ("json", "text"), "--out": ("OUT",)}
+INVALID = {"--scenario": ("bogus", ""), "--n": ("-1", "0", str(cli.N_MAX + 1), "x", ""),
+           "--trials": ("0", "-5", "x"), "--seed": ("-1", str(2 ** 64), "y"),
+           "--defenses": ("bogus", ",pns,"), "--format": ("xml",), "--out": ("BLOCKED", "")}
+FLAGS = sorted(VALID)
+# stray tokens: flag-like, spaced, non-ASCII or multi-line; with no digit
+# and no "=", none of them sets a count
+STRAY = st.text(st.sampled_from("-ab é\n\t☃"), max_size=6)
+
+
+def test_main_fuzzed_argv_ends_in_a_documented_code_and_one_line():
+    # a whole argv with a few flags broken, dropped, left without a value
+    # or joined by stray tokens, in any order
+    with tempfile.TemporaryDirectory() as tmp:
+        blocker = pathlib.Path(tmp) / "blocker"
+        blocker.write_text("not a directory")
+        paths = {"OUT": str(pathlib.Path(tmp) / "out"), "BLOCKED": str(blocker / "sub")}
+
+        @settings(max_examples=200, deadline=None)
+        @given(data=st.data(), command=st.one_of(st.just(["run"]), st.sampled_from([[], ["x"]])),
+               env=st.sampled_from([{}, {"AQS_SEED": "3"}, {"AQS_SEED": "z"}]))
+        def check(data, command, env):
+            def some(strategy):  # half the time nothing, so that some argvs are whole
+                return data.draw(st.one_of(st.just(set()), strategy))
+
+            broken = some(st.sets(st.sampled_from(FLAGS), min_size=1, max_size=2))
+            dropped = some(st.sets(st.sampled_from(FLAGS), min_size=1, max_size=2))
+            bare = some(st.sets(st.sampled_from(FLAGS), min_size=1, max_size=1))
+            units = [[flag] if flag in bare else
+                     [flag, paths.get(value, value) if flag == "--out" else value]
+                     for flag in FLAGS if flag not in dropped
+                     for value in [data.draw(st.sampled_from(
+                         (INVALID if flag in broken else VALID)[flag]))]]
+            units += [[token] for token in some(st.lists(STRAY, min_size=1, max_size=2))]
+            argv = command + [token for unit in data.draw(st.permutations(units))
+                              for token in unit]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv, env)
+                except SystemExit as exc:  # argparse's --help, which prints the usage
+                    code = exc.code
+            assert code in (0, 1, 2), (argv, code)
+            assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), argv
+
+        check()
+
+
 def test_main_exit_two_on_failed_expectation(monkeypatch, capsys):
     monkeypatch.setattr(cli, "evaluate_expectations", lambda *a, **k: {"doomed": False})
     assert cli.main(BASE, env={}) == 2
@@ -289,6 +385,15 @@ def test_run_matrix_bad_argument_exits_one_in_one_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"aqsim: error: {message}\n"
+
+
+def test_run_matrix_interrupt_exits_one_in_one_line(monkeypatch, capsys):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(run_matrix, "run_batch", interrupted)
+    assert run_matrix.main(["--n", "1", "--trials", "1"]) == 1
+    assert capsys.readouterr().err == "aqsim: interrupted\n"
 
 
 def test_run_matrix_prints_one_line_per_cell(capsys):

@@ -207,7 +207,7 @@ def test_a_stream_over_buckets_of_two_widths_renders_like_the_oracle(singles, pa
     if head:
         carriers = tuple(data.draw(CARRIER_ROW) for _ in stream)
         plain = carried(carriers, plain)
-        heads = jsonutil.carrier_columns(carriers, registry.memo)
+        heads = jsonutil.carrier_columns(carriers)
     assert listed(registry.render_states(stream, heads)) == canonical_oracle.canonical_json(plain)
 
 
@@ -387,11 +387,12 @@ def test_digests_and_send_rows_escape_ids_and_labels_like_the_oracle():
     registry.add_rows(zip(ESCAPED), sv.qubit_rows([(0.6, 0.8j), (0.8, -0.6), (1, 0), (0, 1)]))
     masked = proto.carriers_of(ESCAPED[:2], 'band "é"', 0)
     signature = (proto.Carrier('s\\ig"☃', proto.BAND_SIGNAL, 2, ESCAPED[2]),)
-    verdict = proto.Carrier("vé", proto.BAND_SIGNAL, 3, ESCAPED[3])
+    verdict = (proto.Carrier("vé", proto.BAND_SIGNAL, 3, ESCAPED[3]),)
     for payload in (proto.CipherPayload(masked, signature),
                     proto.CipherPayload(masked, signature, verdict)):
-        for _ in range(2):  # rendered, then read back from the memo
+        for _ in range(2):  # rendered, then read back from each stream
             assert payload.digest(registry) == _oracle_digest(payload, registry)
             for stream in payload.streams():
-                assert (jsonutil.render_carriers(stream, registry.memo).text
-                        == canonical_oracle.canonical_json([c.meta() for c in stream]))
+                expected = canonical_oracle.canonical_json([c.meta() for c in stream])
+                assert stream.rendered.text == expected
+                assert jsonutil.render_carriers(stream).text == expected

@@ -404,7 +404,7 @@ def test_trent_verify_refuses_a_payload_that_carries_a_verification_qubit():
     run = _forwarded(2, 61)
     payload, registry = run.payload, run.registry
     carrying = proto.CipherPayload(payload.masked, payload.signature,
-                                   proto.Carrier("w", proto.BAND_SIGNAL, 4, "b1"))
+                                   (proto.Carrier("w", proto.BAND_SIGNAL, 4, "b1"),))
     with pytest.raises(proto.ProtocolError):
         proto.trent_verify(carrying, run.signer_key, run.verifier_key, registry)
     with pytest.raises(sv.UnknownLabel):
@@ -695,8 +695,8 @@ def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
     # the teleport and pair families were measured; p and sa stay as add_rows
     # kept them, and the b halves were kept again in the residual family
     assert set(registry._resolved) == {streams.p, streams.sa, streams.b}
-    assert proto.labels_of(package.masked) == streams.p
-    assert proto.labels_of(package.signature) == streams.sa
+    assert package.masked.labels == streams.p
+    assert package.signature.labels == streams.sa
     (bucket,) = registry._resolved[streams.b]
     assert bucket is not kept[streams.b][0] and bucket.family.labels == list(zip(streams.b))
 
@@ -759,3 +759,83 @@ def test_the_flow_builds_no_pure_state(monkeypatch):
         for defenses in DEFENSE_GRID:
             run_scenario(Scenario.from_token(variant.value), 8, 7, 0, defenses)
     assert built == []
+
+
+# --- the slot plan ----------------------------------------------------------
+
+
+def _bytes(scenario, n, seed=11, trial=0):
+    return run_scenario(Scenario.from_token(scenario), n, seed, trial).transcript_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["honest", "ipe", "delay-photon", "alice-tamper"])
+def test_a_trial_reads_the_same_with_its_plan_cold_or_warm(scenario):
+    n, maxsize = 3, proto.slot_plan.cache_info().maxsize
+    proto.slot_plan.cache_clear()
+    cold = _bytes(scenario, n)
+    assert proto.slot_plan.cache_info().currsize == 1
+    assert _bytes(scenario, n) == cold
+    for trojan in ("ipe", "delay-photon"):  # a Trojan trial of the same n reads the same plan
+        _bytes(trojan, n, seed=12)
+        assert _bytes(scenario, n) == cold
+    for m in range(n + 1, n + 2 + maxsize):  # more sizes than the cache holds: n's is evicted
+        _bytes("honest", m)
+    misses = proto.slot_plan.cache_info().misses
+    assert _bytes(scenario, n) == cold
+    assert proto.slot_plan.cache_info().misses == misses + 1
+
+
+def test_the_plan_is_shared_and_read_only():
+    plan = proto.slot_plan(4)
+    assert proto.slot_plan(4) is plan
+    assert plan.masked.labels == ("p1", "p2", "p3", "p4") and plan.teleport[-1] == "t4"
+    assert plan.signature.slots.tolist() == [4, 5, 6, 7]
+    assert plan.verification == (proto.Carrier("v", proto.BAND_SIGNAL, 8, "v"),)
+    for stream in (plan.halves, plan.masked, plan.signature, plan.verification):
+        with pytest.raises(ValueError):
+            stream.slots[0] = 9
+    assert plan.signature.slots.tolist() == [4, 5, 6, 7]
+    # a package keeps the plan's streams, so they are not rebuilt per trial
+    package = proto.SignaturePackage(plan.masked, plan.signature, (BellOutcome.PHI_PLUS,) * 4)
+    assert package.masked is plan.masked and package.signature is plan.signature
+    package = proto.SignaturePackage(tuple(plan.masked), list(plan.signature), package.bell_results)
+    assert type(package.masked) is proto.CarrierStream and package.masked == plan.masked
+
+
+def test_the_plan_cache_stays_within_its_bound():
+    maxsize = proto.slot_plan.cache_info().maxsize
+    for n in [*range(3 * maxsize), *range(maxsize, 0, -1)]:
+        proto.slot_plan(n)
+        assert proto.slot_plan.cache_info().currsize <= maxsize
+    with pytest.raises(ValueError):
+        proto.slot_plan(-1)
+
+
+@pytest.mark.parametrize("scenario", ["ipe", "delay-photon"])
+def test_a_trojan_trials_own_streams_die_with_its_result(scenario, monkeypatch):
+    # the injected and the cleaned stream are built in the trial: once its
+    # RunResult is gone, nothing in the process holds them. A tuple takes no
+    # weak reference, so each is followed by the slots array it keeps.
+    import gc
+    import weakref
+
+    refs = []
+    inject, intercept = adv._inject, adv.intercept_decoys
+
+    def kept_inject(*args):
+        package = inject(*args)
+        refs.append(weakref.ref(package.masked.slots))
+        return package
+
+    def kept_intercept(*args):
+        payload, captured = intercept(*args)
+        refs.append(weakref.ref(payload.masked.slots))
+        return payload, captured
+
+    monkeypatch.setattr(adv, "_inject", kept_inject)
+    monkeypatch.setattr(adv, "intercept_decoys", kept_intercept)
+    result = run_scenario(Scenario.from_token(scenario), 4, 5)
+    assert result.extraction_matches and len(refs) == 2
+    del result
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
