@@ -7,14 +7,13 @@ Each line is one ``aqsim run`` batch of the cell, run through ``cli.run_batch``.
 Each cell's config is built by ``cli.parse_config``, so a bad value ends
 like it does for ``aqsim run``: exit 1 with one ``aqsim: error:`` line. An
 interrupt (Ctrl-C) ends it as it ends ``aqsim run``: exit 1 with one
-``aqsim: interrupted`` line.
+``aqsim: interrupted`` line. Both lines are written by ``cli.fail``.
 """
 import argparse
-import sys
 from collections import Counter
 
 from aqsim.adversary import SCENARIO_TOKENS
-from aqsim.cli import UsageError, parse_config, run_batch
+from aqsim.cli import UsageError, fail, parse_config, run_batch
 from aqsim.defense import DEFENSE_GRID
 
 
@@ -22,8 +21,7 @@ def main(argv=None) -> int:
     try:
         return _sweep(argv)
     except KeyboardInterrupt:
-        print("aqsim: interrupted", file=sys.stderr)
-        return 1
+        return fail("interrupted", 1)
 
 
 def _sweep(argv) -> int:
@@ -40,8 +38,7 @@ def _sweep(argv) -> int:
             for token in SCENARIO_TOKENS for defenses in DEFENSE_GRID
         ]
     except UsageError as exc:
-        print(f"aqsim: error: {exc}", file=sys.stderr)
-        return 1
+        return fail(f"error: {exc}", 1)
 
     print(f"{'scenario':<16} {'defenses':<24} {'verdicts':<28} expected")
     all_ok = True

@@ -218,7 +218,7 @@ def render_summary(summary: BatchSummary, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _fail(message: str, code: int) -> int:
+def fail(message: str, code: int) -> int:
     """Say ``aqsim: <message>`` on one line of stderr (a newline that the
     message quotes from argv is escaped) and return the exit code."""
     print("aqsim: " + message.replace("\n", "\\n"), file=sys.stderr)
@@ -229,20 +229,20 @@ def main(argv=None, env=None) -> int:
     try:
         return _main(sys.argv[1:] if argv is None else argv, os.environ if env is None else env)
     except KeyboardInterrupt:
-        return _fail("interrupted", 1)
+        return fail("interrupted", 1)
 
 
 def _main(argv, env) -> int:
     try:
         config = parse_config(argv, env)
     except UsageError as exc:
-        return _fail(f"error: {exc}", 1)
+        return fail(f"error: {exc}", 1)
     try:
         summary = run_batch(config)
     except OSError as exc:
-        return _fail(f"io error: {exc}", 1)
+        return fail(f"io error: {exc}", 1)
     except (StateError, ProtocolError, KeyTooShort, AttackError) as exc:
-        return _fail(f"internal error: {type(exc).__name__}: {exc}", 2)
+        return fail(f"internal error: {type(exc).__name__}: {exc}", 2)
     try:
         print(render_summary(summary, config.format), flush=True)
     except OSError as exc:  # stdout closed before the summary, as by `| head -c 10`
@@ -250,7 +250,7 @@ def _main(argv, env) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return _fail(f"io error: {exc}", 1)
+        return fail(f"io error: {exc}", 1)
     return 0 if summary.all_ok else 2
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import chain, repeat
@@ -80,21 +80,31 @@ class MessageSpec:
     copies the flow needs without cloning anything. ``amps`` is the (n, 2)
     read-only stack of the prepared qubits, ``make_qubit``'s rows, and is
     all the flow reads; the ``coefficients`` tuple is made when first read.
-    Specs compare and hash by their coefficients.
+    Specs are immutable, and compare and hash by their coefficients.
     """
 
     def __init__(self, coefficients):
         coefficients = np.array(coefficients, dtype=np.complex128).reshape(-1, 2)
         if not len(coefficients):
             raise ValueError("message needs at least one qubit")
-        self.amps = sv.qubit_rows(coefficients)  # raises NotNormalized off the unit sphere
-        self.amps.flags.writeable = False
+        amps = sv.qubit_rows(coefficients)  # raises NotNormalized off the unit sphere
+        amps.flags.writeable = False
         coefficients.flags.writeable = False
-        self._coefficients = coefficients
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_coefficients", coefficients)
 
-    @cached_property
+    @cached_property  # writes the instance __dict__, past __setattr__
     def coefficients(self) -> tuple[tuple[complex, complex], ...]:
         return tuple(map(tuple, self._coefficients.tolist()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"MessageSpec(coefficients={self.coefficients!r})"
 
     def __eq__(self, other):
         if type(other) is not MessageSpec:
@@ -185,7 +195,18 @@ class CarrierStream(tuple):
 
     @classmethod
     def of(cls, carriers: Sequence[Carrier]) -> CarrierStream:
-        return carriers if type(carriers) is cls else cls(carriers)
+        """``carriers`` as a stream: a stream as it is, any other sequence
+        of carriers copied into one. A bare ``Carrier`` (itself a tuple) or
+        an item that is not a ``Carrier`` raises ``TypeError``."""
+        if type(carriers) is cls:
+            return carriers
+        if isinstance(carriers, Carrier):
+            raise TypeError(f"expected a sequence of carriers, got the carrier {carriers.id!r}")
+        stream = cls(carriers)
+        for item in stream:
+            if not isinstance(item, Carrier):
+                raise TypeError(f"expected a sequence of carriers, got an item {item!r}")
+        return stream
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -232,12 +253,14 @@ class SlotPlan(NamedTuple):
     verification: CarrierStream  # v, slot 2n
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def slot_plan(n: int) -> SlotPlan:
     """The slot plan of n, built once per process and shared, read-only, by
-    every trial of n. The four sizes used last are kept: a batch or a
-    benchmark workload uses one or two. A plan holds about 1.6 KB per qubit
-    once its streams have been read (6.4 MB at n=4,096)."""
+    every trial of n. Only the last size's plan is kept: an ``aqsim run``
+    batch, ``scripts/run_matrix.py`` and each benchmark workload run one n
+    per process, and a trial asks only for its own n's plan. A plan holds
+    about 1.6 KB per qubit once its streams have been read (6.4 MB at
+    n=4,096)."""
     if n < 0:
         raise ValueError("need n >= 0")
     ids = range(1, n + 1)

@@ -396,6 +396,15 @@ def test_run_matrix_interrupt_exits_one_in_one_line(monkeypatch, capsys):
     assert capsys.readouterr().err == "aqsim: interrupted\n"
 
 
+def test_run_matrix_escapes_a_newline_in_its_error_line(monkeypatch, capsys):
+    def refused(argv, env):
+        raise UsageError("--n: bad value '1\n2'")
+
+    monkeypatch.setattr(run_matrix, "parse_config", refused)
+    assert run_matrix.main([]) == 1
+    assert capsys.readouterr().err == "aqsim: error: --n: bad value '1\\n2'\n"
+
+
 def test_run_matrix_prints_one_line_per_cell(capsys):
     assert run_matrix.main(["--n", "1", "--trials", "1", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,6 +105,18 @@ def honest_keys(n, seed=0):
 def test_message_spec_validates_normalization():
     with pytest.raises(sv.NotNormalized):
         MessageSpec(((1, 1),))
+
+
+def test_message_spec_is_immutable():
+    spec = MessageSpec(((1, 0),))
+    assert repr(spec) == "MessageSpec(coefficients=(((1+0j), 0j),))"
+    for name in ("amps", "_coefficients", "coefficients", "n"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(spec, name)
+    assert spec == MessageSpec(((1, 0),)) and hash(spec) == hash(MessageSpec(((1, 0),)))
+    assert spec.coefficients == ((1, 0),)
 
 
 def test_random_message_spec_generic_margin():
@@ -409,6 +422,18 @@ def test_trent_verify_refuses_a_payload_that_carries_a_verification_qubit():
         proto.trent_verify(carrying, run.signer_key, run.verifier_key, registry)
     with pytest.raises(sv.UnknownLabel):
         registry.state_of("v")
+
+
+def test_a_payload_refuses_a_bare_carrier_or_items_that_are_not_carriers():
+    run = _forwarded(2, 61)
+    masked, signature = run.payload.masked, run.payload.signature
+    carrier = proto.Carrier("v", proto.BAND_SIGNAL, 4, "v")
+    for bad in (carrier, ("v",), (carrier, "v")):
+        with pytest.raises(TypeError):
+            proto.CipherPayload(masked, signature, bad)
+        with pytest.raises(TypeError):
+            proto.SignaturePackage(bad, signature, (None, None))
+    assert proto.CipherPayload(masked, signature, [carrier]).verdict_carrier == carrier
 
 
 def test_trent_record_is_blind():
