@@ -4,16 +4,16 @@
 Usage: PYTHONPATH=src python scripts/run_matrix.py [--n N] [--trials T] [--seed S]
 
 Each line is one ``aqsim run`` batch of the cell, run through ``cli.run_batch``.
-Each cell's config is built by ``cli.parse_config``, so a bad value ends
-like it does for ``aqsim run``: exit 1 with one ``aqsim: error:`` line. An
+The options are parsed by ``cli.Parser`` and each cell's config is built by
+``cli.parse_config``, so a bad value or an unknown option ends like it does
+for ``aqsim run``: exit 1 with one ``aqsim: error:`` line. An
 interrupt (Ctrl-C) ends it as it ends ``aqsim run``: exit 1 with one
 ``aqsim: interrupted`` line. Both lines are written by ``cli.fail``.
 """
-import argparse
 from collections import Counter
 
 from aqsim.adversary import SCENARIO_TOKENS
-from aqsim.cli import UsageError, fail, parse_config, run_batch
+from aqsim.cli import HelpShown, Parser, UsageError, fail, parse_config, run_batch
 from aqsim.defense import DEFENSE_GRID
 
 
@@ -25,13 +25,12 @@ def main(argv=None) -> int:
 
 
 def _sweep(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--n", default="4")
     parser.add_argument("--trials", default="20")
     parser.add_argument("--seed", default="2026")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         configs = [
             parse_config(["run", "--scenario", token, "--n", args.n, "--trials", args.trials,
                           "--seed", args.seed, "--defenses", ",".join(defenses.tokens())], {})
@@ -39,6 +38,8 @@ def _sweep(argv) -> int:
         ]
     except UsageError as exc:
         return fail(f"error: {exc}", 1)
+    except HelpShown:
+        return 0
 
     print(f"{'scenario':<16} {'defenses':<24} {'verdicts':<28} expected")
     all_ok = True

@@ -28,6 +28,7 @@ from .protocol import (
     CipherPayload,
     Claim,
     CompareResult,
+    LabelStream,
     PublicBoard,
     QuantumRegistry,
     SignaturePackage,
@@ -128,15 +129,22 @@ class RunState:
 
 @dataclass(frozen=True)
 class DecoySet:
-    """Fresh Bell pairs (probe, keeper); the attacker keeps every keeper."""
+    """Fresh Bell pairs (probe, keeper); the attacker keeps every keeper.
+    The probes and the keepers are the slot plan's two label columns."""
 
-    pairs: tuple[tuple[str, str], ...]
+    probes: LabelStream
+    keepers: LabelStream
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """Each (probe, keeper) pair, made afresh."""
+        return tuple(zip(self.probes, self.keepers))
 
 
 def make_decoy_set(n: int, registry: QuantumRegistry) -> DecoySet:
-    pairs = slot_plan(n).decoys
-    registry.add_rows(pairs, np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
-    return DecoySet(pairs)
+    plan = slot_plan(n)
+    registry.add_columns((plan.probes, plan.keepers), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    return DecoySet(plan.probes, plan.keepers)
 
 
 def bob_dos_negate(state: RunState) -> Claim:
@@ -204,10 +212,10 @@ def alice_publish_false_pad(
 
 def _inject(package: SignaturePackage, decoys: DecoySet, band: str) -> SignaturePackage:
     signal = [c for c in package.masked if c.band == BAND_SIGNAL]
-    if len(signal) != len(decoys.pairs):
-        raise SizeMismatch(f"{len(decoys.pairs)} decoys for {len(signal)} carriers")
+    if len(signal) != len(decoys.probes):
+        raise SizeMismatch(f"{len(decoys.probes)} decoys for {len(signal)} carriers")
     injected: list[Carrier] = []
-    for carrier, (probe, _) in zip(package.masked, decoys.pairs):
+    for carrier, probe in zip(package.masked, decoys.probes):
         injected.append(carrier)
         injected.append(Carrier(id=probe, band=band, time_slot=carrier.time_slot, payload=probe))
     return SignaturePackage(CarrierStream(injected), package.signature, package.bell_results)
@@ -235,7 +243,7 @@ def intercept_decoys(
     payload: CipherPayload, decoys: DecoySet
 ) -> tuple[CipherPayload, tuple[str, ...]]:
     """Pull the probe carriers out of the verifier->arbiter transmission."""
-    probe_labels = {probe for probe, _ in decoys.pairs}
+    probe_labels = set(decoys.probes)
     captured = tuple(c.payload for c in payload.masked if c.payload in probe_labels)
     cleaned = CarrierStream(c for c in payload.masked if c.payload not in probe_labels)
     return CipherPayload(cleaned, payload.signature, payload.verification), captured
@@ -254,9 +262,8 @@ def ipe_extract(
     certainty.
     """
     have = set(captured)
-    for probe, _ in decoys.pairs:
-        if probe not in have:
-            raise MissingDecoy(f"probe {probe!r} never came back (filtered upstream?)")
-    outcomes, _ = registry.bell_measure_many(
-        [probe for probe, _ in decoys.pairs], [keeper for _, keeper in decoys.pairs], rng)
+    if not have.issuperset(decoys.probes):
+        probe = next(probe for probe in decoys.probes if probe not in have)
+        raise MissingDecoy(f"probe {probe!r} never came back (filtered upstream?)")
+    outcomes, _ = registry.bell_measure_many(decoys.probes, decoys.keepers, rng)
     return tuple(bit for outcome in outcomes for bit in (outcome.x, outcome.z))

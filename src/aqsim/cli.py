@@ -3,12 +3,12 @@
 Each scenario/defense combination has a codified expected outcome (an
 attack that the enabled screening must catch is *supposed* to raise an
 alarm), so the exit code asserts success for attack scenarios too:
-0 = every trial matched the expected outcome, 1 = usage or I/O error, or
-an interrupt (Ctrl-C, SIGINT) stopped the batch, 2 = some invariant check
-failed, or an internal error (a state, protocol, key-length or attack
-failure) stopped the batch. A failed check shows in the summary; every
-other failure prints one line on stderr that says why. The transcripts
-written before an interrupt stay whole.
+0 = every trial matched the expected outcome (or ``--help`` printed the
+usage), 1 = usage or I/O error, or an interrupt (Ctrl-C, SIGINT) stopped
+the batch, 2 = some invariant check failed, or an internal error (a state,
+protocol, key-length or attack failure) stopped the batch. A failed check
+shows in the summary; every other failure prints one line on stderr that
+says why. The transcripts written before an interrupt stay whole.
 """
 from __future__ import annotations
 
@@ -36,9 +36,19 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
+class HelpShown(Exception):
+    """argparse printed the help that ``--help`` asked for: exit 0."""
+
+
+class Parser(argparse.ArgumentParser):
+    """An argument parser that raises where argparse would exit: ``UsageError``
+    for a bad argument, ``HelpShown`` once ``--help`` has printed."""
+
     def error(self, message):  # argparse would exit(2); the contract is raise -> exit(1)
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):  # argparse exits here after --help
+        raise HelpShown()
 
 
 @dataclass(frozen=True)
@@ -61,9 +71,9 @@ class BatchSummary:
 
 
 @functools.cache
-def _parser() -> _Parser:
+def _parser() -> Parser:
     """The argument parser, built on first use and reused."""
-    parser = _Parser(prog="aqsim", description="arbitrated quantum signature testbed")
+    parser = Parser(prog="aqsim", description="arbitrated quantum signature testbed")
     sub = parser.add_subparsers(dest="command")
     run_parser = sub.add_parser("run", help="execute a seeded batch of protocol runs")
     run_parser.error = parser.error
@@ -237,6 +247,8 @@ def _main(argv, env) -> int:
         config = parse_config(argv, env)
     except UsageError as exc:
         return fail(f"error: {exc}", 1)
+    except HelpShown:
+        return 0
     try:
         summary = run_batch(config)
     except OSError as exc:

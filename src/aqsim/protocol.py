@@ -176,6 +176,40 @@ class Carrier(NamedTuple):
         return {"id": self.id, "band": self.band, "slot": self.time_slot}
 
 
+class LabelStream(tuple):
+    """A stream of distinct ``str`` qubit labels, checked once when it is made:
+    a label that is not a ``str`` (the only label type canonical text
+    renders) raises ``TypeError``, and a label that repeats raises
+    ``LabelCollision``. ``tuple()`` and slices of a stream are plain tuples.
+
+    The slot plan's label streams are made once per process, so the
+    registry takes them as a new family's columns with no per-label check
+    but the two a stream cannot make itself: that no label sits in two
+    columns of the family, and that none is registered already.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, labels=()):
+        stream = super().__new__(cls, labels)
+        if {*map(type, stream)} - {str}:
+            bad = next(label for label in stream if type(label) is not str)
+            raise TypeError(f"label {bad!r} is not a str")
+        if len(set(stream)) != len(stream):
+            seen: set = set()
+            for label in stream:
+                if label in seen:
+                    raise LabelCollision(f"label {label!r} repeats in a label stream")
+                seen.add(label)
+        return stream
+
+    @classmethod
+    def of(cls, labels: Sequence[str]) -> LabelStream:
+        """``labels`` as a stream: a stream as it is, any other sequence of
+        labels checked and copied into one."""
+        return labels if type(labels) is cls else cls(labels)
+
+
 _new_carrier = partial(tuple.__new__, Carrier)  # from an (id, band, slot, payload) row
 _LABELS = itemgetter(3)  # a carrier's payload label
 _SLOTS = itemgetter(2)
@@ -209,9 +243,9 @@ class CarrierStream(tuple):
         return stream
 
     @cached_property
-    def labels(self) -> tuple[str, ...]:
+    def labels(self) -> LabelStream:
         """Each carrier's payload label."""
-        return tuple(map(_LABELS, self))
+        return LabelStream(map(_LABELS, self))
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -242,11 +276,11 @@ class SlotPlan(NamedTuple):
     """The labels and carrier streams that n alone fixes: every trial of n
     shares them, and only the amplitudes and keys differ between trials."""
 
-    pairs: tuple[tuple[str, str], ...]  # the shared Bell pairs (a_i, b_i)
-    alice: tuple[str, ...]  # a_1..a_n, the signer's halves
-    bob: tuple[str, ...]  # b_1..b_n, the verifier's halves
-    teleport: tuple[str, ...]  # t_1..t_n, the copies the signer Bell-measures
-    decoys: tuple[tuple[str, str], ...]  # the Trojan probes and keepers (d1_i, d2_i)
+    alice: LabelStream  # a_1..a_n, the signer's halves of the shared Bell pairs
+    bob: LabelStream  # b_1..b_n, the verifier's halves
+    teleport: LabelStream  # t_1..t_n, the copies the signer Bell-measures
+    probes: LabelStream  # d1_1..d1_n, the Trojan probes
+    keepers: LabelStream  # d2_1..d2_n, the halves the Trojan attacker keeps
     halves: CarrierStream  # the b halves, slots 0..n-1
     masked: CarrierStream  # p_i, slots 0..n-1
     signature: CarrierStream  # sa_i, slots n..2n-1
@@ -265,10 +299,9 @@ def slot_plan(n: int) -> SlotPlan:
         raise ValueError("need n >= 0")
     ids = range(1, n + 1)
     alice, bob, teleport, masked, signature, probes, keepers = (
-        tuple(f"{tag}{i}" for i in ids) for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
+        LabelStream(f"{tag}{i}" for i in ids) for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
     return SlotPlan(
-        pairs=tuple(zip(alice, bob)), alice=alice, bob=bob, teleport=teleport,
-        decoys=tuple(zip(probes, keepers)),
+        alice=alice, bob=bob, teleport=teleport, probes=probes, keepers=keepers,
         halves=carriers_of(bob, BAND_SIGNAL, 0),
         masked=carriers_of(masked, BAND_SIGNAL, 0),
         signature=carriers_of(signature, BAND_SIGNAL, n),
@@ -280,18 +313,19 @@ def slot_plan(n: int) -> SlotPlan:
 class _Family:
     """m groups of k qubits each, stored as one (m, 2**k) amplitude array.
 
-    Row r is the group over ``labels[r]``; axis j of that group is qubit
-    ``labels[r][j]``. Rows are checked where they are made: ``add_rows``
-    checks the rows it is given, ``_add_checked_rows`` takes rows that a
-    public kernel has just checked (the signer's masked stacks from
-    ``qotp.mask_rows``, a Bell residual from ``bell_measure_rows``), and
-    ``tensor_rows`` checks the merged groups of a Bell measurement. After
-    that only Paulis write them, and a Pauli keeps a row on the unit sphere
-    bit for bit. Families hash by identity.
+    ``columns`` holds the family's labels as k ``LabelStream``s of m
+    labels, one per axis: axis j of row r is qubit ``columns[j][r]``. Rows
+    are checked where they are made: ``add_columns`` checks the rows it is
+    given, ``_add_checked_columns`` takes rows that a public kernel has just
+    checked (the signer's masked stacks from ``qotp.mask_rows``, a Bell
+    residual from ``bell_measure_rows``), and ``tensor_rows`` checks the
+    merged groups of a Bell measurement. After that only Paulis write them,
+    and a Pauli keeps a row on the unit sphere bit for bit. Families hash
+    by identity.
     """
 
     amps: np.ndarray
-    labels: list
+    columns: tuple  # k LabelStreams, one per axis
     every: np.ndarray  # arange(m): the rows of each axis stream's kept resolution
 
 
@@ -306,9 +340,18 @@ class _Bucket(NamedTuple):
     rows: np.ndarray
 
     @property
+    def columns(self) -> tuple:
+        """The labels of the bucket's rows, one column per axis: the family's
+        own columns when the bucket holds every row, else made afresh."""
+        if self.rows is self.family.every:
+            return self.family.columns
+        rows = self.rows.tolist()
+        return tuple(tuple(map(column.__getitem__, rows)) for column in self.family.columns)
+
+    @property
     def row_labels(self) -> list:
         """The labels of each of the bucket's rows, made afresh."""
-        return list(map(self.family.labels.__getitem__, self.rows.tolist()))
+        return list(zip(*self.columns))
 
 
 class QuantumRegistry:
@@ -317,20 +360,22 @@ class QuantumRegistry:
     The protocol factors by time slot: slot i holds p_i and sa_i, the
     teleport group t_i (x) (a_i, b_i) and, under the Trojan attacks, a decoy
     pair. So groups of one shape live together in a family (one stacked
-    amplitude array, see ``_Family``). It keeps the (family, axis) parts
-    and a map from label to (part, row), nothing else. An operation runs one
-    ``statevector`` kernel per (family, axis) bucket of its labels; reads
-    make their values afresh from the rows. A Bell measurement merges the
-    two groups involved, then drops the measured labels. It compares no
+    amplitude array and one ``LabelStream`` column per axis, see
+    ``_Family``). It keeps the (family, axis) parts and a map from label to
+    (part, row), nothing else. A family goes in by its columns
+    (``add_columns``); ``add_rows`` turns rows into columns. An operation
+    runs one ``statevector`` kernel per (family, axis) bucket of its labels;
+    reads make their values afresh from the rows. A Bell measurement merges
+    the two groups involved, then drops the measured labels. It compares no
     states: the protocol's checks compare rows read with ``amps_of``.
 
     The flow sends the same carrier streams over three legs, so it asks for
     the same label streams at every step. Each distinct label stream is
     resolved into its buckets once and the result kept (``_resolve``). A new
-    family's label streams, one per axis, are resolved as it is added: one
-    bucket holding every row, with no walk. Adding rows leaves every kept
-    resolution true; ``bell_measure_many``, the one call that deletes and
-    moves labels, drops the ones that touch the two families it measured.
+    family's columns are resolved as it is added: one bucket holding every
+    row, with no walk. Adding a family leaves every kept resolution true;
+    ``bell_measure_many``, the one call that deletes and moves labels,
+    drops the ones that touch the two families it measured.
     Any other stream is walked label by label the first time it is asked for.
 
     The batched calls take uniform streams, one carrier per time slot. Any
@@ -372,63 +417,92 @@ class QuantumRegistry:
                 for part, (positions, part_rows) in groups.items()]
 
     def _resolve(self, labels: Sequence) -> list[_Bucket]:
-        """The buckets of a label stream, kept from ``add_rows`` or walked once,
+        """The buckets of a label stream, kept when its family was added or walked once,
         until ``bell_measure_many`` measures a family they touch."""
-        key = labels if type(labels) is tuple else tuple(labels)
+        key = labels if isinstance(labels, tuple) else tuple(labels)
         buckets = self._resolved.get(key)
         if buckets is None:
             buckets = self._resolved[key] = self._buckets(key)
         return buckets
 
-    def add_rows(self, labels, amps: np.ndarray) -> None:
-        """Register one new family: ``labels[r]`` names the qubits of ``amps[r]``.
+    def add_rows(self, rows, amps: np.ndarray) -> None:
+        """Register one new family: ``rows[r]`` names the qubits of ``amps[r]``.
+        The rows go in as label columns (``add_columns``)."""
+        rows = [tuple(row) for row in rows]
+        amps = np.asarray(amps, dtype=np.complex128).reshape(len(rows), -1)
+        widths = {*map(len, rows)}
+        if widths - {amps.shape[1].bit_length() - 1}:  # rows of two widths do not transpose
+            raise sv.StateError(f"amplitude count {amps.shape[1]} does not match the rows' "
+                                f"qubit counts {sorted(widths)}")
+        self.add_columns(tuple(zip(*rows)), amps)
+
+    def add_columns(self, columns, amps: np.ndarray) -> None:
+        """Register one new family: ``columns[j][r]`` names axis j of ``amps[r]``.
         A label must be a ``str``, the only label type canonical text renders.
         Every check runs before anything is registered."""
-        labels, amps = self._new_family(labels, amps)
-        self._register(labels, sv.check_rows(amps))
+        columns, amps = self._new_family(columns, amps)
+        self._register(columns, sv.check_rows(amps))
 
-    def _add_checked_rows(self, labels, amps: np.ndarray) -> None:
-        """``add_rows`` for rows that a public kernel has just checked: every
+    def _add_checked_columns(self, columns, amps: np.ndarray) -> None:
+        """``add_columns`` for rows that a public kernel has just checked: every
         check but ``check_rows``."""
-        self._register(*self._new_family(labels, amps))
+        self._register(*self._new_family(columns, amps))
 
-    def _new_family(self, labels, amps) -> tuple[list, np.ndarray]:
-        """The rows of a new family, as (label tuples, (m, 2**k) complex
-        stack), once their labels and shape pass every check."""
-        labels = [tuple(row) for row in labels]
-        amps = np.array(amps, dtype=np.complex128).reshape(len(labels), -1)
-        k = amps.shape[1].bit_length() - 1
-        if {*map(len, labels)} - {k} or 2 ** k != amps.shape[1]:
-            raise sv.StateError(f"amplitude count {amps.shape[1]} does not match the rows' "
-                                f"qubit counts {sorted({*map(len, labels)})}")
+    def _new_family(self, columns, amps) -> tuple[tuple, np.ndarray]:
+        """The columns and rows of a new family, as (k ``LabelStream``s, (m, 2**k)
+        complex stack), once they pass every check. A ``LabelStream`` column
+        was checked when it was made; any other column is made into one. What
+        is left is the shape, that no label sits in two columns, and that no
+        label is registered already."""
+        columns = tuple(columns)
+        m = len(columns[0]) if columns else len(amps)
+        amps = np.array(amps, dtype=np.complex128).reshape(m, -1)
+        k = len(columns)
+        if 2 ** k != amps.shape[1] or any(len(column) != m for column in columns):
+            raise sv.StateError(f"{k} label columns of {[*map(len, columns)]} labels do not "
+                                f"match {m} rows of {amps.shape[1]} amplitudes")
         if k > sv.MAX_QUBITS:
             raise sv.TooManyQubits(f"{k} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
-        flat = list(chain.from_iterable(labels))
-        if {*map(type, flat)} - {str}:
-            bad = next(label for label in flat if type(label) is not str)
-            raise TypeError(f"label {bad!r} is not a str")
-        new = set(flat)
-        if len(new) != len(flat):
-            for row in labels:
-                if len(set(row)) != k:
-                    raise sv.DuplicateLabel(f"duplicate qubit labels in {row}")
-        if len(new) != len(flat) or not new.isdisjoint(self._where):
-            seen: set = set()  # name the first label repeated or already registered
-            for label in flat:
-                if label in seen or label in self._where:
-                    raise LabelCollision(f"label {label!r} already registered")
-                seen.add(label)
-        return labels, amps
+        try:
+            streams = tuple(map(LabelStream.of, columns))
+        except (TypeError, LabelCollision):
+            raise self._refusal(columns) from None
+        live = self._where.keys()
+        if (k > 1 and len(set().union(*streams)) != k * m) or not all(
+                map(live.isdisjoint, streams)):
+            raise self._refusal(streams)
+        return streams, amps
 
-    def _register(self, labels: list, amps: np.ndarray) -> None:
+    def _refusal(self, columns) -> Exception:
+        """What is wrong with the labels of a refused family, named as its rows
+        name them: first a label that is not a ``str``, then a label twice in
+        one row (``DuplicateLabel``), then one in two rows or registered
+        already (``LabelCollision``)."""
+        rows = list(zip(*columns))
+        flat = list(chain.from_iterable(rows))
+        for label in flat:
+            if type(label) is not str:
+                return TypeError(f"label {label!r} is not a str")
+        for row in rows:
+            if len(set(row)) != len(row):
+                return sv.DuplicateLabel(f"duplicate qubit labels in {row}")
+        seen: set = set()
+        for label in flat:
+            if label in seen or label in self._where:
+                break
+            seen.add(label)
+        return LabelCollision(f"label {label!r} already registered")
+
+    def _register(self, columns: tuple, amps: np.ndarray) -> None:
         """Add the checked family one axis at a time, and keep the resolution
-        of each axis's label stream."""
-        family = _Family(amps, labels, np.arange(len(labels)))
-        for axis, stream in enumerate(zip(*labels)):
+        of each axis's label column."""
+        family = _Family(amps, columns, np.arange(len(amps)))
+        rows = range(len(amps))
+        for axis, column in enumerate(columns):
             part = len(self._parts)
             self._parts.append((family, axis))
-            self._where.update(zip(stream, zip(repeat(part), range(len(stream)))))
-            self._resolved[stream] = [_Bucket(family, axis, slice(None), family.every)]
+            self._where.update(zip(column, zip(repeat(part), rows)))
+            self._resolved[column] = [_Bucket(family, axis, slice(None), family.every)]
 
     def _gather(self, labels: Sequence, read):
         """Item i read off the group of ``labels[i]``, by one ``read(bucket, amps)``
@@ -467,7 +541,7 @@ class QuantumRegistry:
         "slot", "state"}``. One render per bucket; a stream that spans
         buckets has each bucket's rows placed by their stream positions."""
         def render(bucket, bucket_heads, sep=","):
-            return jsonutil.render_states(zip(*bucket.row_labels), bucket.family.amps[bucket.rows],
+            return jsonutil.render_states(bucket.columns, bucket.family.amps[bucket.rows],
                                           self.memo, bucket_heads, sep)
 
         buckets = self._resolve(labels)
@@ -486,7 +560,7 @@ class QuantumRegistry:
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
         """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
         ``inverse`` undoes that exactly (sigma_x first, then sigma_z)."""
-        if len(set(labels)) != len(labels):
+        if type(labels) is not LabelStream and len(set(labels)) != len(labels):
             raise sv.DuplicateLabel("apply_paulis takes each label once")
         x = np.asarray(x)
         z = np.asarray(z)
@@ -496,7 +570,7 @@ class QuantumRegistry:
 
     def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
-        (amps, axis1, axis2, row labels, the two families). Raises
+        (amps, axis1, axis2, label columns, the two families). Raises
         ``LabelMismatch`` unless each side sits at one (family, axis) and no
         two pairs touch one group."""
         if any(l1 == l2 for l1, l2 in zip(labels1, labels2)):
@@ -505,7 +579,7 @@ class QuantumRegistry:
         if len(first) != 1 or len(second) != 1:
             raise sv.LabelMismatch("a side of a batched Bell call spans two families or axes")
         (f1, x1, _, rows1), (f2, x2, _, rows2) = first[0], second[0]
-        labels_1 = first[0].row_labels
+        columns = first[0].columns
         one_group = f1 is f2 and np.array_equal(rows1, rows2)
         # a kept resolution of a whole family axis holds each row once, so two
         # of them touch no group twice; any other side is checked
@@ -516,9 +590,9 @@ class QuantumRegistry:
             if len(set(touched)) != len(touched):
                 raise sv.LabelMismatch("two pairs of a batched Bell call touch one group")
         if one_group:
-            return f1.amps[rows1], x1, x2, labels_1, (f1, f2)
-        return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1, len(labels_1[0]) + x2,
-                list(map(tuple.__add__, labels_1, second[0].row_labels)), (f1, f2))
+            return f1.amps[rows1], x1, x2, columns, (f1, f2)
+        return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1, len(columns) + x2,
+                columns + second[0].columns, (f1, f2))
 
     def bell_measure_many(
         self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
@@ -534,19 +608,18 @@ class QuantumRegistry:
             raise ValueError("labels1 and labels2 must align")
         if not labels1:
             return [], np.empty((0, 4))
-        amps, axis1, axis2, row_labels, measured = self._merged(labels1, labels2)
+        amps, axis1, axis2, columns, measured = self._merged(labels1, labels2)
         rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2,
                                                      rng.random(len(labels1)))
-        for label in chain.from_iterable(row_labels):
+        for label in chain.from_iterable(columns):
             del self._where[label]
         # the measured labels are gone and the rest of their groups move, so
         # a kept stream that touches either family no longer holds
         self._resolved = {stream: buckets for stream, buckets in self._resolved.items()
                           if not any(bucket.family in measured for bucket in buckets)}
-        keep = [j for j in range(len(row_labels[0])) if j not in (axis1, axis2)]
+        keep = tuple(column for j, column in enumerate(columns) if j not in (axis1, axis2))
         if keep:  # bell_measure_rows checked the residual
-            self._add_checked_rows(zip(*(map(itemgetter(j), row_labels) for j in keep)),
-                                   residual)
+            self._add_checked_columns(keep, residual)
         return [sv.BELL_ORDER[r] for r in rows.tolist()], probs
 
 
@@ -748,7 +821,7 @@ def distribute_bell_pairs(n: int, registry: QuantumRegistry) -> tuple[tuple, tup
     if n < 1:
         raise ValueError("need n >= 1")
     plan = slot_plan(n)
-    registry.add_rows(plan.pairs, np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    registry.add_columns((plan.alice, plan.bob), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
     return plan.alice, plan.bob
 
 
@@ -782,9 +855,9 @@ def alice_sign(
     signature = qotp.mask_rows(masked, signer_key)
     plan = slot_plan(n)
     # qotp.mask_rows checked both stacks
-    registry._add_checked_rows(zip(plan.masked.labels), masked)
-    registry._add_checked_rows(zip(plan.signature.labels), signature)
-    registry._add_checked_rows(zip(plan.teleport), masked)
+    registry._add_checked_columns((plan.masked.labels,), masked)
+    registry._add_checked_columns((plan.signature.labels,), signature)
+    registry._add_checked_columns((plan.teleport,), masked)
 
     outcomes, probs = registry.bell_measure_many(plan.teleport, alice_labels, rng)
     devs = np.max(np.abs(probs - 0.25), axis=1)
@@ -893,7 +966,7 @@ def trent_verify(
                                                  EQUALITY_TOL)))
 
     verification = slot_plan(n).verification
-    registry.add_rows(zip(verification.labels), [[1 - verified, verified]])
+    registry.add_columns((verification.labels,), [[1 - verified, verified]])
     _mask_streams(registry, [verification], verifier_key, inverse=False)
 
     # The arbiter wrote no carrier but v, so the returned digest's text is the

@@ -10,13 +10,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from aqsim import statevector as sv
 from aqsim.jsonutil import canonical_json
-from aqsim.protocol import QuantumRegistry
+from aqsim.protocol import LabelStream, QuantumRegistry
 from aqsim.statevector import BELL_ORDER, BellOutcome, PauliBits, PureState
 
 UNIT = st.floats(-1, 1, allow_nan=False)
@@ -676,6 +676,120 @@ def test_a_stream_resolved_before_a_bell_measurement_follows_its_labels():
     residual = registry.sequence(moved)
     assert [state.labels for state in residual] == [("b1",), ("b2",)]
     assert same_bits(registry.amps_of(moved), np.array([state.amps for state in residual]))
+
+# --- label columns -----------------------------------------------------------------
+
+# quotes, escapes, % and non-ASCII: every label renders through the JSON encoder
+LABEL_CHARS = st.sampled_from(['"', "\\", "%", "%d", "é", "✓", "q", "1", " ", "\n"])
+LABELS = st.lists(LABEL_CHARS, min_size=1, max_size=3).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), data=st.data())
+def test_columns_and_rows_register_the_same_families(n, data):
+    labels = data.draw(st.lists(LABELS, min_size=3 * n, max_size=3 * n, unique=True))
+    singles, probes, keepers = labels[:n], labels[n:2 * n], labels[2 * n:]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    single_amps, pair_amps = (rng.normal(size=(n, 2 * width)).view(np.complex128)
+                              for width in (2, 4))
+    for amps in (single_amps, pair_amps):
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+    by_columns, by_rows = QuantumRegistry(), QuantumRegistry()
+    by_columns.add_columns((LabelStream(singles),), single_amps)
+    by_columns.add_columns((LabelStream(probes), LabelStream(keepers)), pair_amps)
+    by_rows.add_rows([[label] for label in singles], single_amps)
+    by_rows.add_rows([list(pair) for pair in zip(probes, keepers)], pair_amps)
+    order = data.draw(st.permutations(range(n)))
+    streams = [singles, probes, keepers, [keepers[r] for r in order],
+               [singles[r] for r in order[:n // 2]] + [probes[r] for r in order[n // 2:]]]
+
+    def same_registries():
+        assert set(by_columns._where) == set(by_rows._where)
+        for stream in streams:
+            try:
+                live = [by_rows.amps_of(stream), by_rows.render_states(stream)]
+            except sv.UnknownLabel:
+                for registry in (by_columns, by_rows):
+                    with pytest.raises(sv.UnknownLabel):
+                        registry.amps_of(stream)
+                continue
+            except sv.LabelMismatch:  # the mixed stream spans groups of two widths
+                live = [None, by_rows.render_states(stream)]
+            if live[0] is not None:
+                assert same_bits(by_columns.amps_of(stream), live[0])
+            assert by_columns.render_states(stream) == live[1]
+
+    same_registries()
+    seed = data.draw(st.integers(0, 2 ** 32))
+    outcomes = [registry.bell_measure_many(singles, probes, np.random.default_rng(seed))
+                for registry in (by_columns, by_rows)]
+    assert outcomes[0][0] == outcomes[1][0] and same_bits(outcomes[0][1], outcomes[1][1])
+    same_registries()
+    assert set(by_columns._where) == set(keepers)
+
+
+@pytest.mark.parametrize("labels,error", [
+    (("a", 7), TypeError),
+    (("a", b"b"), TypeError),
+    (("a", ("b",)), TypeError),
+    (("a", "b", "a"), sv.LabelCollision),
+])
+def test_a_label_stream_refuses_a_label_that_is_not_a_str_or_repeats(labels, error):
+    with pytest.raises(error):
+        LabelStream.of(labels)
+    with pytest.raises(error):
+        LabelStream(labels)
+
+
+def test_a_label_stream_is_checked_once():
+    stream = LabelStream.of(["a", "b"])
+    assert type(stream) is LabelStream and stream == ("a", "b")
+    assert LabelStream.of(stream) is stream
+    assert type(stream[:1]) is tuple  # a slice keeps nothing
+
+
+def pairs_of(rows):
+    return np.tile(sv.BELL_PAIR_AMPS, (len(rows), 1))
+
+
+@pytest.mark.parametrize("rows,error", [
+    ([("x", "x")], sv.DuplicateLabel),  # one row names a label twice
+    ([("x", "y"), ("z", "z")], sv.DuplicateLabel),
+    ([("x", "y"), ("z", "x")], sv.LabelCollision),  # two rows name one label, across columns
+    ([("x", "y"), ("x", "z")], sv.LabelCollision),  # and within one column
+    ([("x", "y"), ("z", "m")], sv.LabelCollision),  # m is registered already
+    ([("m", "x")], sv.LabelCollision),
+])
+@pytest.mark.parametrize("kind", ["rows", "columns", "label streams"])
+def test_a_repeated_or_live_label_is_refused_by_rows_and_columns_alike(rows, error, kind):
+    registry = uniform_streams()
+    before = kept_state(registry)
+    columns = list(zip(*rows))
+    with pytest.raises(error):
+        if kind == "rows":
+            registry.add_rows(rows, pairs_of(rows))
+        elif kind == "columns":
+            registry.add_columns(columns, pairs_of(rows))
+        else:  # a stream refuses a repeat within itself; the registry sees the rest
+            registry.add_columns([LabelStream(column) for column in columns], pairs_of(rows))
+    assert kept_state(registry) == before
+
+
+def test_a_registered_family_keeps_its_label_streams_as_its_columns():
+    registry = QuantumRegistry()
+    probes, keepers = LabelStream(("d1", "d2")), LabelStream(("k1", "k2"))
+    registry.add_columns((probes, keepers), pairs_of(probes))
+    (bucket,) = registry._resolve(probes)
+    assert bucket.family.columns[0] is probes and bucket.family.columns[1] is keepers
+    assert bucket.row_labels == [("d1", "k1"), ("d2", "k2")]
+    assert registry.sequence(["k2"])[0].labels == ("d2", "k2")
+    with pytest.raises(sv.LabelCollision):
+        registry.add_columns((LabelStream(("k3", "k1")),), sv.qubit_rows([(1, 0)] * 2))
+    # a column that is not a stream is made into one, with its checks
+    registry.add_rows([("r1",), ("r2",)], sv.qubit_rows([(1, 0)] * 2))
+    (bucket,) = registry._resolve(["r1", "r2"])
+    assert type(bucket.family.columns[0]) is LabelStream
+
 
 # --- equality up to phase --------------------------------------------------------
 

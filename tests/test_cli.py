@@ -276,14 +276,19 @@ def test_main_fuzzed_argv_ends_in_a_documented_code_and_one_line():
                               for token in unit]
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv, env)
-                except SystemExit as exc:  # argparse's --help, which prints the usage
-                    code = exc.code
+                code = cli.main(argv, env)
             assert code in (0, 1, 2), (argv, code)
             assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), argv
 
         check()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], BASE + ["-h"]])
+def test_help_returns_zero_in_process(argv, capsys):
+    # argparse's help action would exit; main prints the usage and returns 0
+    assert cli.main(argv, {}) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: aqsim") and captured.err == ""
 
 
 def test_main_exit_two_on_failed_expectation(monkeypatch, capsys):
@@ -379,12 +384,21 @@ def test_successful_batch_leaves_only_transcripts(tmp_path, capsys):
     (["--seed", "-1"], "--seed: must be a non-negative 64-bit integer"),
     (["--seed", str(2 ** 64)], "--seed: must be a non-negative 64-bit integer"),
     (["--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--n"], "argument --n: expected one argument"),
 ])
 def test_run_matrix_bad_argument_exits_one_in_one_line(argv, message, capsys):
     assert run_matrix.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"aqsim: error: {message}\n"
+
+
+def test_run_matrix_help_returns_zero(capsys):
+    assert run_matrix.main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:") and "--trials" in captured.out
+    assert captured.err == ""
 
 
 def test_run_matrix_interrupt_exits_one_in_one_line(monkeypatch, capsys):

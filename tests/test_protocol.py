@@ -723,7 +723,25 @@ def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
     assert package.masked.labels == streams.p
     assert package.signature.labels == streams.sa
     (bucket,) = registry._resolved[streams.b]
-    assert bucket is not kept[streams.b][0] and bucket.family.labels == list(zip(streams.b))
+    assert bucket is not kept[streams.b][0] and bucket.family.columns == (streams.b,)
+
+
+def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
+    # the plan's streams were checked once per process; a trial registers
+    # them as they are, with no per-trial copy
+    registry, streams, package, _, _ = _signed(4, 64)
+    plan = proto.slot_plan(4)
+    (p,), (sa,), (b,) = (registry._resolved[s] for s in (streams.p, streams.sa, streams.b))
+    assert p.family.columns == (plan.masked.labels,)
+    assert p.family.columns[0] is plan.masked.labels is package.masked.labels
+    assert sa.family.columns[0] is plan.signature.labels
+    assert b.family.columns[0] is plan.bob  # the residual of the pair family's b column
+    for stream in (plan.alice, plan.bob, plan.teleport, plan.probes, plan.keepers,
+                   plan.masked.labels, plan.signature.labels, plan.verification.labels):
+        assert type(stream) is proto.LabelStream
+    decoys = adv.make_decoy_set(4, registry)
+    assert decoys.probes is plan.probes and decoys.keepers is plan.keepers
+    assert decoys.pairs == tuple(zip(plan.probes, plan.keepers))
 
 
 def test_a_stream_that_names_a_measured_label_raises():
