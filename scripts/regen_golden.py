@@ -5,7 +5,8 @@ Usage: PYTHONPATH=src python scripts/regen_golden.py [--check]
 
 With ``--check`` it recomputes both corpora and writes nothing: it prints
 the first mismatching key of each corpus that differs from its file and
-exits 1 on any mismatch, 0 when both match.
+exits 1 on any mismatch, 0 when both match. As for ``aqsim run``, a bad
+option exits 1 with one ``aqsim: error:`` line and ``--help`` exits 0.
 
 transcripts.json maps one key per run of the grid below to the sha256 of
 that run's transcript bytes. summaries.json maps one key per CLI batch of
@@ -79,10 +80,15 @@ def summary_hashes(scenario: str, defenses) -> dict[str, str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate or check the golden corpus.")
+    parser = cli.Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check", action="store_true",
                         help="recompute both corpora, write nothing, exit 1 on any mismatch")
-    check = parser.parse_args(argv).check
+    try:
+        check = parser.parse_args(argv).check
+    except cli.UsageError as exc:
+        return cli.fail(f"error: {exc}", 1)
+    except cli.HelpShown:
+        return 0
     mismatched = False
     for path, hashes in ((GOLDEN_PATH, cell_hashes), (SUMMARIES_PATH, summary_hashes)):
         corpus: dict[str, str] = {}

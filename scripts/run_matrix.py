@@ -10,6 +10,7 @@ for ``aqsim run``: exit 1 with one ``aqsim: error:`` line. An
 interrupt (Ctrl-C) ends it as it ends ``aqsim run``: exit 1 with one
 ``aqsim: interrupted`` line. Both lines are written by ``cli.fail``.
 """
+import argparse
 from collections import Counter
 
 from aqsim.adversary import SCENARIO_TOKENS
@@ -25,7 +26,7 @@ def main(argv=None) -> int:
 
 
 def _sweep(argv) -> int:
-    parser = Parser(description=__doc__)
+    parser = Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--n", default="4")
     parser.add_argument("--trials", default="20")
     parser.add_argument("--seed", default="2026")

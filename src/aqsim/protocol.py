@@ -326,13 +326,13 @@ class _Family:
 
     amps: np.ndarray
     columns: tuple  # k LabelStreams, one per axis
-    every: np.ndarray  # arange(m): the rows of each axis stream's kept resolution
 
 
 class _Bucket(NamedTuple):
     """The labels of one stream that sit at one (family, axis): their
-    positions in the stream (``slice(None)`` when they are the whole
-    stream) and their rows."""
+    positions in the stream and their rows. The positions are
+    ``slice(None)`` exactly when the bucket is a whole column from the
+    registry's column index."""
 
     family: _Family
     axis: int
@@ -342,16 +342,11 @@ class _Bucket(NamedTuple):
     @property
     def columns(self) -> tuple:
         """The labels of the bucket's rows, one column per axis: the family's
-        own columns when the bucket holds every row, else made afresh."""
-        if self.rows is self.family.every:
+        own columns for a whole column, else made afresh."""
+        if type(self.positions) is slice:
             return self.family.columns
         rows = self.rows.tolist()
         return tuple(tuple(map(column.__getitem__, rows)) for column in self.family.columns)
-
-    @property
-    def row_labels(self) -> list:
-        """The labels of each of the bucket's rows, made afresh."""
-        return list(zip(*self.columns))
 
 
 class QuantumRegistry:
@@ -361,22 +356,21 @@ class QuantumRegistry:
     teleport group t_i (x) (a_i, b_i) and, under the Trojan attacks, a decoy
     pair. So groups of one shape live together in a family (one stacked
     amplitude array and one ``LabelStream`` column per axis, see
-    ``_Family``). It keeps the (family, axis) parts and a map from label to
-    (part, row), nothing else. A family goes in by its columns
-    (``add_columns``); ``add_rows`` turns rows into columns. An operation
-    runs one ``statevector`` kernel per (family, axis) bucket of its labels;
-    reads make their values afresh from the rows. A Bell measurement merges
-    the two groups involved, then drops the measured labels. It compares no
-    states: the protocol's checks compare rows read with ``amps_of``.
+    ``_Family``). It keeps a map from label to (family, axis, row) and an
+    index of the families' columns, nothing else. A family goes in by its
+    columns (``add_columns``); ``add_rows`` turns rows into columns. An
+    operation runs one ``statevector`` kernel per (family, axis) bucket of
+    its labels; reads make their values afresh from the rows. A Bell
+    measurement merges the two groups involved, then drops the measured
+    labels. It compares no states: the protocol's checks compare rows read
+    with ``amps_of``.
 
-    The flow sends the same carrier streams over three legs, so it asks for
-    the same label streams at every step. Each distinct label stream is
-    resolved into its buckets once and the result kept (``_resolve``). A new
-    family's columns are resolved as it is added: one bucket holding every
-    row, with no walk. Adding a family leaves every kept resolution true;
-    ``bell_measure_many``, the one call that deletes and moves labels,
-    drops the ones that touch the two families it measured.
-    Any other stream is walked label by label the first time it is asked for.
+    Every operation is keyed by time slot, so nearly every stream the flow
+    asks for is a family's column. The column index (``_columns``) maps each
+    column to its one bucket, holding every row, until ``bell_measure_many``
+    (the one call that deletes and moves labels) measures the family. Any
+    other stream, such as the Trojan probes' masked stream, which spans two
+    families, is walked label by label each time it is asked for.
 
     The batched calls take uniform streams, one carrier per time slot. Any
     other input raises before anything changes; there are no single-label
@@ -388,42 +382,33 @@ class QuantumRegistry:
     """
 
     def __init__(self):
-        self._parts: list = []  # part id -> (family, axis)
-        self._where: dict = {}  # label -> (part id, row)
-        self._resolved: dict = {}  # label stream (a tuple) -> its buckets
+        self._where: dict = {}  # label -> (family, axis, row)
+        self._columns: dict = {}  # column of an unmeasured family -> its whole-column bucket
         self.memo = jsonutil.RenderMemo()
 
     def _buckets(self, labels: tuple) -> list[_Bucket]:
         """Walk ``labels`` into the (family, axis) buckets holding them, in
         first-seen order."""
+        groups = {}  # (family, axis) -> (positions, rows)
         try:
-            where = list(map(self._where.__getitem__, labels))
+            for pos, (family, axis, row) in enumerate(map(self._where.__getitem__, labels)):
+                group = groups.get((family, axis))
+                if group is None:
+                    group = groups[family, axis] = ([], [])
+                group[0].append(pos)
+                group[1].append(row)
         except KeyError as missing:
             raise UnknownLabel(f"label {missing.args[0]!r} not in registry") from None
-        if not where:
-            return []
-        parts, rows = zip(*where)
-        if parts.count(parts[0]) == len(parts):  # the common case: one bucket
-            return [_Bucket(*self._parts[parts[0]], slice(None), np.array(rows, dtype=np.intp))]
-        groups = {}  # part -> (positions, rows)
-        for pos, part, row in zip(range(len(rows)), parts, rows):
-            group = groups.get(part)
-            if group is None:
-                group = groups[part] = ([], [])
-            group[0].append(pos)
-            group[1].append(row)
-        return [_Bucket(*self._parts[part], np.array(positions, dtype=np.intp),
-                        np.array(part_rows, dtype=np.intp))
-                for part, (positions, part_rows) in groups.items()]
+        return [_Bucket(family, axis, np.array(positions, dtype=np.intp),
+                        np.array(rows, dtype=np.intp))
+                for (family, axis), (positions, rows) in groups.items()]
 
     def _resolve(self, labels: Sequence) -> list[_Bucket]:
-        """The buckets of a label stream, kept when its family was added or walked once,
-        until ``bell_measure_many`` measures a family they touch."""
+        """The buckets of a label stream: a live family's column is its one
+        indexed bucket, any other stream is walked afresh."""
         key = labels if isinstance(labels, tuple) else tuple(labels)
-        buckets = self._resolved.get(key)
-        if buckets is None:
-            buckets = self._resolved[key] = self._buckets(key)
-        return buckets
+        bucket = self._columns.get(key)
+        return self._buckets(key) if bucket is None else [bucket]
 
     def add_rows(self, rows, amps: np.ndarray) -> None:
         """Register one new family: ``rows[r]`` names the qubits of ``amps[r]``.
@@ -494,15 +479,14 @@ class QuantumRegistry:
         return LabelCollision(f"label {label!r} already registered")
 
     def _register(self, columns: tuple, amps: np.ndarray) -> None:
-        """Add the checked family one axis at a time, and keep the resolution
-        of each axis's label column."""
-        family = _Family(amps, columns, np.arange(len(amps)))
+        """Add the checked family one axis at a time, and index each axis's
+        label column."""
+        family = _Family(amps, columns)
         rows = range(len(amps))
+        every = np.arange(len(amps))
         for axis, column in enumerate(columns):
-            part = len(self._parts)
-            self._parts.append((family, axis))
-            self._where.update(zip(column, zip(repeat(part), rows)))
-            self._resolved[column] = [_Bucket(family, axis, slice(None), family.every)]
+            self._where.update(zip(column, zip(repeat(family), repeat(axis), rows)))
+            self._columns[column] = _Bucket(family, axis, slice(None), every)
 
     def _gather(self, labels: Sequence, read):
         """Item i read off the group of ``labels[i]``, by one ``read(bucket, amps)``
@@ -523,7 +507,8 @@ class QuantumRegistry:
 
     def sequence(self, labels: Sequence) -> tuple[PureState, ...]:
         """The state of each label's group, in label order."""
-        return tuple(self._gather(labels, lambda b, amps: sv.states_from_rows(b.row_labels, amps)))
+        return tuple(self._gather(
+            labels, lambda b, amps: sv.states_from_rows(list(zip(*b.columns)), amps)))
 
     def amps_of(self, labels: Sequence) -> np.ndarray:
         """The amplitudes of each label's group, stacked in label order."""
@@ -562,8 +547,9 @@ class QuantumRegistry:
         ``inverse`` undoes that exactly (sigma_x first, then sigma_z)."""
         if type(labels) is not LabelStream and len(set(labels)) != len(labels):
             raise sv.DuplicateLabel("apply_paulis takes each label once")
-        x = np.asarray(x)
-        z = np.asarray(z)
+        x, z = np.asarray(x), np.asarray(z)
+        if x.shape != (len(labels),) or z.shape != x.shape:
+            raise ValueError("labels, x and z must align")
         for family, axis, positions, rows in self._resolve(labels):
             family.amps[rows] = sv._pauli_rows(family.amps[rows], axis, x[positions],
                                                z[positions], inverse)
@@ -572,18 +558,19 @@ class QuantumRegistry:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
         (amps, axis1, axis2, label columns, the two families). Raises
         ``LabelMismatch`` unless each side sits at one (family, axis) and no
-        two pairs touch one group."""
-        if any(l1 == l2 for l1, l2 in zip(labels1, labels2)):
-            raise sv.DuplicateLabel("bell measurement needs two distinct labels")
+        two pairs touch one group, and ``DuplicateLabel`` if a pair names
+        one label twice."""
         first, second = self._resolve(labels1), self._resolve(labels2)
         if len(first) != 1 or len(second) != 1:
             raise sv.LabelMismatch("a side of a batched Bell call spans two families or axes")
-        (f1, x1, _, rows1), (f2, x2, _, rows2) = first[0], second[0]
+        (f1, x1, positions1, rows1), (f2, x2, positions2, rows2) = first[0], second[0]
+        if f1 is f2 and x1 == x2 and (rows1 == rows2).any():
+            raise sv.DuplicateLabel("bell measurement needs two distinct labels")
         columns = first[0].columns
         one_group = f1 is f2 and np.array_equal(rows1, rows2)
-        # a kept resolution of a whole family axis holds each row once, so two
-        # of them touch no group twice; any other side is checked
-        if rows1 is not f1.every or rows2 is not f2.every:
+        # a whole column holds each row once, so two of them touch no group
+        # twice; any other side is checked
+        if type(positions1) is not slice or type(positions2) is not slice:
             touched = [(f1, r) for r in rows1.tolist()]
             if not one_group:
                 touched += [(f2, r) for r in rows2.tolist()]
@@ -614,9 +601,9 @@ class QuantumRegistry:
         for label in chain.from_iterable(columns):
             del self._where[label]
         # the measured labels are gone and the rest of their groups move, so
-        # a kept stream that touches either family no longer holds
-        self._resolved = {stream: buckets for stream, buckets in self._resolved.items()
-                          if not any(bucket.family in measured for bucket in buckets)}
+        # no column of either family is whole any more
+        for column in measured[0].columns + measured[1].columns:
+            self._columns.pop(column, None)
         keep = tuple(column for j, column in enumerate(columns) if j not in (axis1, axis2))
         if keep:  # bell_measure_rows checked the residual
             self._add_checked_columns(keep, residual)
@@ -887,8 +874,8 @@ def _mask_streams(
 ) -> None:
     """Apply each slot's positional key Pauli to every carrier in the slot,
     one carrier stream at a time: in an honest run each stream is the label
-    stream of one family axis, which the registry resolved when it was
-    added, where the streams joined would have to be walked.
+    stream of one family axis, which the registry's column index holds,
+    where the streams joined would have to be walked.
 
     Honest apparatus keys by time slot, which is exactly why an adversarial
     carrier sharing a slot picks up the same keyed operation. The streams

@@ -278,10 +278,10 @@ def test_intercept_removes_probes_only():
 
 
 @pytest.mark.parametrize("inject", [adv.ipe_inject, adv.delay_photon_inject])
-def test_a_probe_picks_up_its_slots_pauli_through_a_kept_resolution(inject, monkeypatch):
+def test_a_probe_picks_up_its_slots_pauli_through_one_walk(inject, monkeypatch):
     # the probes sit in the decoy family, not in the message family whose
-    # slots they share; the masked stream is resolved before the verifier
-    # keys it, and the signature stream was resolved when it was added
+    # slots they share; a walk of the masked stream made before the verifier
+    # keys it is not kept, and the signature stream is its family's column
     n = 3
     rng = np.random.default_rng(11)
     registry = QuantumRegistry()
@@ -297,7 +297,7 @@ def test_a_probe_picks_up_its_slots_pauli_through_a_kept_resolution(inject, monk
     monkeypatch.setattr(QuantumRegistry, "_buckets",
                         lambda self, labels: walks.append(labels) or walk(self, labels))
     payload = proto.bob_forward(package, keys.verifier, registry)
-    assert walks == []  # keyed through the kept resolution
+    assert walks == [package.masked.labels]  # the masked stream, walked afresh
     _, captured = adv.intercept_decoys(payload, decoys)
     assert adv.ipe_extract(captured, decoys, registry, rng) == keys.verifier.bits[:2 * n]
 

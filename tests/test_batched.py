@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import oracles
 from aqsim import statevector as sv
@@ -431,7 +432,7 @@ def test_paulis_keep_registry_rows_as_the_scalar_reference_does(data):
             groups[group_of[label]] = state
     for name, state in groups.items():
         assert same_bits(registry.state_of(name[0]).amps, state.amps)
-    for family in {id(f): f for f, _ in registry._parts}.values():
+    for family in {id(f): f for f, _, _ in registry._where.values()}.values():
         sv.check_rows(family.amps)
 
 
@@ -596,6 +597,41 @@ def test_registry_batched_bell_rejects_mixed_streams(labels1, labels2):
         assert new.labels == old.labels and same_bits(new.amps, old.amps)
 
 
+@pytest.mark.parametrize("labels1,labels2,error", [
+    (["a1"], ["a1"], sv.DuplicateLabel),  # one pair
+    (("a1", "a2"), ("a1", "a2"), sv.DuplicateLabel),  # two whole columns
+    (["x"], ["x"], sv.UnknownLabel),  # the label is resolved first
+    (["m", "a1"], ["m", "a1"], sv.LabelMismatch),  # and each side checked
+])
+def test_registry_batched_bell_rejects_a_label_on_both_sides(labels1, labels2, error):
+    registry = uniform_streams()
+    labels = ["a1", "b1", "a2", "b2", "m", "n"]
+    before = registry.amps_of(labels[:4]), registry.amps_of(labels[4:])
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        registry.bell_measure_many(labels1, labels2, rng)
+    assert rng.bit_generator.state == state
+    assert same_bits(registry.amps_of(labels[:4]), before[0])
+    assert same_bits(registry.amps_of(labels[4:]), before[1])
+
+
+@pytest.mark.parametrize("labels,x,z", [
+    (("p1",), [1, 0], [0, 0]),  # a whole column, bits for two labels
+    (("p1",), [1], [0, 1]),  # x and z of two lengths
+    (("p1", "q1"), [1], [0]),  # a stream over two families, bits for one label
+])
+def test_registry_apply_paulis_refuses_bits_that_do_not_align_before_any_write(labels, x, z):
+    registry = QuantumRegistry()
+    registry.add_rows([("p1",)], sv.qubit_rows([(0.6, 0.8j)]))
+    registry.add_rows([("q1", "q2")], sv.BELL_PAIR_AMPS[None, :])
+    before = registry.amps_of(["p1"]), registry.amps_of(["q1"])
+    with pytest.raises(ValueError):
+        registry.apply_paulis(labels, x, z)
+    assert same_bits(registry.amps_of(["p1"]), before[0])
+    assert same_bits(registry.amps_of(["q1"]), before[1])
+
+
 def test_registry_empty_bell_call():
     outcomes, probs = uniform_streams().bell_measure_many([], [], np.random.default_rng(0))
     assert outcomes == []
@@ -628,14 +664,13 @@ def test_registry_refuses_a_label_that_is_not_a_str(bad):
 
 
 
-# --- kept stream resolutions ------------------------------------------------------
+# --- the column index -------------------------------------------------------------
 
 
 def kept_state(registry):
-    """Where each label sits, the (family, axis) parts, and each kept stream
-    resolution (by identity)."""
-    return (dict(registry._where), list(registry._parts),
-            {stream: id(buckets) for stream, buckets in registry._resolved.items()})
+    """Where each label sits, and each indexed column's bucket (by identity)."""
+    return (dict(registry._where),
+            {column: id(bucket) for column, bucket in registry._columns.items()})
 
 
 @pytest.mark.parametrize("rows,amps,error", [
@@ -647,10 +682,11 @@ def test_a_failed_add_rows_leaves_the_registry_as_it_was(rows, amps, error):
     # a collision in the last row, a label that is not a str, rows of two widths
     registry = uniform_streams()
     streams = [("m", "n"), ("a1", "a2"), ("b2", "a1", "b1")]
-    reads = [registry.amps_of(stream) for stream in streams]  # resolved and kept
+    reads = [registry.amps_of(stream) for stream in streams]
     before = kept_state(registry)
-    # each family's axis streams were kept when it was added; the mixed one when read
-    assert set(before[2]) == set(streams) | {("b1", "b2")}
+    # each family's axis columns were indexed when it was added; the mixed
+    # stream was walked when read, and the walk was not kept
+    assert set(before[1]) == {("m", "n"), ("a1", "a2"), ("b1", "b2")}
     with pytest.raises(error):
         registry.add_rows(rows, amps)
     assert kept_state(registry) == before
@@ -664,7 +700,7 @@ def test_a_stream_resolved_before_a_bell_measurement_follows_its_labels():
     registry = uniform_streams()
     gone, moved = ["m", "a1", "n"], ["b1", "b2"]
     for stream in (gone, moved):
-        registry.render_states(stream)  # resolved and kept
+        registry.render_states(stream)  # read before the measurement
     assert registry.amps_of(moved).shape == (2, 4)
     registry.bell_measure_many(["a1", "a2"], ["m", "n"], np.random.default_rng(5))
     for read in (registry.sequence, registry.amps_of, registry.render_states):
@@ -781,7 +817,7 @@ def test_a_registered_family_keeps_its_label_streams_as_its_columns():
     registry.add_columns((probes, keepers), pairs_of(probes))
     (bucket,) = registry._resolve(probes)
     assert bucket.family.columns[0] is probes and bucket.family.columns[1] is keepers
-    assert bucket.row_labels == [("d1", "k1"), ("d2", "k2")]
+    assert list(zip(*bucket.columns)) == [("d1", "k1"), ("d2", "k2")]
     assert registry.sequence(["k2"])[0].labels == ("d2", "k2")
     with pytest.raises(sv.LabelCollision):
         registry.add_columns((LabelStream(("k3", "k1")),), sv.qubit_rows([(1, 0)] * 2))
@@ -789,6 +825,157 @@ def test_a_registered_family_keeps_its_label_streams_as_its_columns():
     registry.add_rows([("r1",), ("r2",)], sv.qubit_rows([(1, 0)] * 2))
     (bucket,) = registry._resolve(["r1", "r2"])
     assert type(bucket.family.columns[0]) is LabelStream
+
+
+# --- the column index against a scalar model ----------------------------------------
+
+# Each step adds a family (by columns or by rows), applies Paulis (to a whole
+# column or to an interleaved stream) or Bell-measures (two whole columns, or
+# one pair). The model keeps each live label's group as a scalar ``PureState``
+# and moves it with ``statevector.tensor``, ``apply_pauli`` and
+# ``bell_measure``, drawing what the registry draws. After each step every
+# live label, and every column the registry was given, reads as the model
+# says, bit for bit, and a measured label raises ``UnknownLabel``. A column
+# index entry that outlives its family's measurement, or a walk kept past
+# one, reads stale rows here.
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+class RegistryModel(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.registry = QuantumRegistry()
+        self.group = {}  # live label -> the model state of its group
+        self.family = {}  # live label -> the id of the family that holds it
+        self.intact = {}  # family id -> its columns, until a Bell measurement touches it
+        self.given = {}  # each column the registry was given whose labels all live
+        self.measured = set()  # the labels measured since the last check
+        self.families = 0
+
+    def _add(self, columns, states):
+        fid = self.families
+        self.families += 1
+        self.intact[fid] = columns
+        self.given.update(dict.fromkeys(columns))
+        for state in states:
+            for label in state.labels:
+                self.group[label] = state
+                self.family[label] = fid
+
+    def _whole_columns(self):
+        return [column for columns in self.intact.values() for column in columns]
+
+    @precondition(lambda self: len(self.group) < 24)
+    @rule(k=st.integers(1, 2), m=st.integers(1, 4), by_rows=st.booleans(), seed=SEEDS)
+    def add_family(self, k, m, by_rows, seed):
+        columns = [tuple(f"f{self.families}_{j}_{r}" for r in range(m)) for j in range(k)]
+        amps = np.random.default_rng(seed).normal(size=(m, 2 ** (k + 1))).view(np.complex128)
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        rows = list(zip(*columns))
+        if by_rows:
+            self.registry.add_rows(rows, amps)
+        else:
+            self.registry.add_columns([LabelStream(column) for column in columns], amps)
+        self._add(columns, [sv.PureState(row, row_amps) for row, row_amps in zip(rows, amps)])
+
+    def _paulis(self, stream, seed, inverse):
+        x, z = np.random.default_rng(seed).integers(0, 2, (2, len(stream)))
+        self.registry.apply_paulis(stream, x, z, inverse=inverse)
+        for label, xi, zi in zip(stream, x.tolist(), z.tolist()):
+            state = self.group[label]
+            if inverse:
+                state = sv.apply_pauli(sv.apply_pauli(state, label, PauliBits(xi, 0)), label,
+                                       PauliBits(0, zi))
+            else:
+                state = sv.apply_pauli(state, label, PauliBits(xi, zi))
+            self.group.update(dict.fromkeys(state.labels, state))
+
+    @precondition(lambda self: self.intact)
+    @rule(data=st.data(), seed=SEEDS, inverse=st.booleans())
+    def paulis_on_a_whole_column(self, data, seed, inverse):
+        self._paulis(data.draw(st.sampled_from(self._whole_columns())), seed, inverse)
+
+    @precondition(lambda self: self.group)
+    @rule(data=st.data(), seed=SEEDS, inverse=st.booleans())
+    def paulis_on_an_interleaved_stream(self, data, seed, inverse):
+        labels = np.random.default_rng(seed).permutation(sorted(self.group)).tolist()
+        self._paulis(labels[:data.draw(st.integers(1, len(labels)))], seed, inverse)
+
+    def _bell(self, labels1, labels2, seed):
+        outcomes, _ = self.registry.bell_measure_many(labels1, labels2,
+                                                      np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        expected, residuals = [], []
+        for label1, label2 in zip(labels1, labels2):
+            g1, g2 = self.group[label1], self.group[label2]
+            outcome, residual = sv.bell_measure(g1 if g1 is g2 else sv.tensor(g1, g2),
+                                                label1, label2, rng)
+            expected.append(outcome)
+            residuals.append(residual)
+            for label in {*g1.labels, *g2.labels}:
+                self.intact.pop(self.family.pop(label), None)
+                del self.group[label]
+            self.measured.update((label1, label2))
+        assert outcomes == expected
+        if residuals[0].labels:
+            self._add(list(zip(*(residual.labels for residual in residuals))), residuals)
+
+    @precondition(lambda self: len(self.intact) > 0)
+    @rule(data=st.data(), seed=SEEDS)
+    def bell_on_two_whole_columns(self, data, seed):
+        columns = self._whole_columns()
+        pairs = [(c1, c2) for c1 in columns for c2 in columns if c1 != c2 and len(c1) == len(c2)]
+        if pairs:
+            self._bell(*data.draw(st.sampled_from(pairs)), seed)
+
+    @precondition(lambda self: len(self.group) >= 2)
+    @rule(seed=SEEDS)
+    def bell_on_one_pair(self, seed):
+        label1, label2 = np.random.default_rng(seed).permutation(sorted(self.group))[:2].tolist()
+        self._bell([label1], [label2], seed)
+
+    @precondition(lambda self: self.group)
+    @rule(data=st.data(), whole=st.booleans())
+    def bell_on_one_label_twice(self, data, whole):
+        columns = self._whole_columns()
+        if whole and columns:
+            stream = data.draw(st.sampled_from(columns))
+        else:
+            stream = [data.draw(st.sampled_from(sorted(self.group)))]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(sv.DuplicateLabel):
+            self.registry.bell_measure_many(stream, stream, rng)
+        assert rng.bit_generator.state == state
+
+    @invariant()
+    def reads_match_the_model(self):
+        for label, state in self.group.items():
+            assert same_bits(self.registry.amps_of([label])[0], state.amps)
+        # no label comes back, so a read that raises right after the
+        # measurement raises from then on, unless an entry kept from before
+        # answers it: checked once, then dropped
+        for label in self.measured:
+            with pytest.raises(sv.UnknownLabel):
+                self.registry.amps_of([label])
+        self.measured.clear()
+        for column in list(self.given):
+            if not self.group.keys() >= {*column}:
+                with pytest.raises(sv.UnknownLabel):
+                    self.registry.amps_of(column)
+                del self.given[column]
+            elif len({len(self.group[label].amps) for label in column}) == 1:
+                assert same_bits(self.registry.amps_of(column),
+                                 [self.group[label].amps for label in column])
+            else:  # the column's labels now sit in groups of two widths
+                with pytest.raises(sv.LabelMismatch):
+                    self.registry.amps_of(column)
+
+
+TestRegistryModel = RegistryModel.TestCase
+# a stale entry shows within a few steps of the measurement that makes it
+TestRegistryModel.settings = settings(stateful_step_count=20)
 
 
 # --- equality up to phase --------------------------------------------------------

@@ -401,6 +401,12 @@ def test_run_matrix_help_returns_zero(capsys):
     assert captured.err == ""
 
 
+def test_run_matrix_help_keeps_its_docstring_lines(capsys):
+    assert run_matrix.main(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "Usage: PYTHONPATH=src python scripts/run_matrix.py [--n N] [--trials T] [--seed S]" in lines
+
+
 def test_run_matrix_interrupt_exits_one_in_one_line(monkeypatch, capsys):
     def interrupted(config):
         raise KeyboardInterrupt

@@ -75,3 +75,21 @@ def test_regen_check_prints_the_first_mismatch_and_writes_nothing(tmp_path, monk
     assert lines[0].endswith(f"all {7 * 4} hashes match")
     assert lines[1].endswith(f"2 of {7 * 4} keys mismatch, first {first}")
     assert (transcripts.read_bytes(), summaries.read_bytes()) == written
+
+
+def test_regen_bad_argument_exits_one_in_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(regen_golden, "GOLDEN_PATH", tmp_path / "transcripts.json")
+    assert regen_golden.main(["--bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "aqsim: error: unrecognized arguments: --bogus\n"
+    assert not regen_golden.GOLDEN_PATH.exists()
+
+
+def test_regen_help_returns_zero_and_keeps_its_docstring_lines(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(regen_golden, "GOLDEN_PATH", tmp_path / "transcripts.json")
+    assert regen_golden.main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:") and captured.err == ""
+    assert "Usage: PYTHONPATH=src python scripts/regen_golden.py [--check]" in captured.out.splitlines()
+    assert not regen_golden.GOLDEN_PATH.exists()

@@ -706,7 +706,7 @@ def _signed(n, seed):
     signer_bits, verifier_bits = honest_keys(n, seed=seed)
     registry = QuantumRegistry()
     alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
-    kept = dict(registry._resolved)
+    kept = dict(registry._columns)
     package, _, _ = proto.alice_sign(generic_spec(n, seed), KeyBits(signer_bits, qotp.ROLE_SIGNER),
                                      np.random.default_rng(seed), registry, alice_labels)
     streams = SimpleNamespace(a=alice_labels, b=bob_labels, **{
@@ -716,14 +716,14 @@ def _signed(n, seed):
 
 def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
     registry, streams, package, kept, _ = _signed(4, 61)
-    assert set(kept) == {streams.a, streams.b}  # kept when the pairs were added
+    assert set(kept) == {streams.a, streams.b}  # indexed when the pairs were added
     # the teleport and pair families were measured; p and sa stay as add_rows
-    # kept them, and the b halves were kept again in the residual family
-    assert set(registry._resolved) == {streams.p, streams.sa, streams.b}
+    # indexed them, and the b halves were indexed again in the residual family
+    assert set(registry._columns) == {streams.p, streams.sa, streams.b}
     assert package.masked.labels == streams.p
     assert package.signature.labels == streams.sa
-    (bucket,) = registry._resolved[streams.b]
-    assert bucket is not kept[streams.b][0] and bucket.family.columns == (streams.b,)
+    bucket = registry._columns[streams.b]
+    assert bucket is not kept[streams.b] and bucket.family.columns == (streams.b,)
 
 
 def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
@@ -731,7 +731,7 @@ def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
     # them as they are, with no per-trial copy
     registry, streams, package, _, _ = _signed(4, 64)
     plan = proto.slot_plan(4)
-    (p,), (sa,), (b,) = (registry._resolved[s] for s in (streams.p, streams.sa, streams.b))
+    p, sa, b = (registry._columns[s] for s in (streams.p, streams.sa, streams.b))
     assert p.family.columns == (plan.masked.labels,)
     assert p.family.columns[0] is plan.masked.labels is package.masked.labels
     assert sa.family.columns[0] is plan.signature.labels
