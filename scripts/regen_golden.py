@@ -5,8 +5,10 @@ Usage: PYTHONPATH=src python scripts/regen_golden.py [--check]
 
 With ``--check`` it recomputes both corpora and writes nothing: it prints
 the first mismatching key of each corpus that differs from its file and
-exits 1 on any mismatch, 0 when both match. As for ``aqsim run``, a bad
-option exits 1 with one ``aqsim: error:`` line and ``--help`` exits 0.
+exits 1 on any mismatch, 0 when both match; it reads both stored corpora
+first. As for ``aqsim run``, a bad option or a stored corpus that is not a
+readable JSON object exits 1 with one ``aqsim: error:`` line, and
+``--help`` exits 0. A corpus is written whole or not at all.
 
 transcripts.json maps one key per run of the grid below to the sha256 of
 that run's transcript bytes. summaries.json maps one key per CLI batch of
@@ -89,23 +91,32 @@ def main(argv=None) -> int:
         return cli.fail(f"error: {exc}", 1)
     except cli.HelpShown:
         return 0
+    corpora = ((GOLDEN_PATH, cell_hashes), (SUMMARIES_PATH, summary_hashes))
+    stored = {}  # path -> the corpus it holds, read before anything is computed
+    if check:
+        for path, _ in corpora:
+            try:
+                stored[path] = json.loads(path.read_text())
+                if type(stored[path]) is not dict:
+                    raise ValueError("not a JSON object")
+            except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError too
+                return cli.fail(f"error: cannot read the stored corpus {path}: {exc}", 1)
     mismatched = False
-    for path, hashes in ((GOLDEN_PATH, cell_hashes), (SUMMARIES_PATH, summary_hashes)):
+    for path, hashes in corpora:
         corpus: dict[str, str] = {}
         for scenario in SCENARIO_TOKENS:
             for defenses in DEFENSE_GRID:
                 corpus.update(hashes(scenario, defenses))
         if not check:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+            cli._write_atomic(path, (json.dumps(corpus, indent=1, sort_keys=True) + "\n").encode())
             print(f"wrote {len(corpus)} hashes to {path}")
             continue
-        stored = json.loads(path.read_text()) if path.exists() else {}
-        keys = sorted(key for key in corpus.keys() | stored.keys()
-                      if corpus.get(key) != stored.get(key))
+        old = stored[path]
+        keys = sorted(key for key in corpus.keys() | old.keys() if corpus.get(key) != old.get(key))
         if keys:
             mismatched = True
-            print(f"{path}: {len(keys)} of {len(corpus | stored)} keys mismatch, first {keys[0]}")
+            print(f"{path}: {len(keys)} of {len(corpus | old)} keys mismatch, first {keys[0]}")
         else:
             print(f"{path}: all {len(corpus)} hashes match")
     return 1 if mismatched else 0

@@ -28,7 +28,6 @@ from .protocol import (
     CipherPayload,
     Claim,
     CompareResult,
-    LabelStream,
     PublicBoard,
     QuantumRegistry,
     SignaturePackage,
@@ -132,8 +131,8 @@ class DecoySet:
     """Fresh Bell pairs (probe, keeper); the attacker keeps every keeper.
     The probes and the keepers are the slot plan's two label columns."""
 
-    probes: LabelStream
-    keepers: LabelStream
+    probes: tuple[str, ...]
+    keepers: tuple[str, ...]
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:

@@ -176,40 +176,6 @@ class Carrier(NamedTuple):
         return {"id": self.id, "band": self.band, "slot": self.time_slot}
 
 
-class LabelStream(tuple):
-    """A stream of distinct ``str`` qubit labels, checked once when it is made:
-    a label that is not a ``str`` (the only label type canonical text
-    renders) raises ``TypeError``, and a label that repeats raises
-    ``LabelCollision``. ``tuple()`` and slices of a stream are plain tuples.
-
-    The slot plan's label streams are made once per process, so the
-    registry takes them as a new family's columns with no per-label check
-    but the two a stream cannot make itself: that no label sits in two
-    columns of the family, and that none is registered already.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, labels=()):
-        stream = super().__new__(cls, labels)
-        if {*map(type, stream)} - {str}:
-            bad = next(label for label in stream if type(label) is not str)
-            raise TypeError(f"label {bad!r} is not a str")
-        if len(set(stream)) != len(stream):
-            seen: set = set()
-            for label in stream:
-                if label in seen:
-                    raise LabelCollision(f"label {label!r} repeats in a label stream")
-                seen.add(label)
-        return stream
-
-    @classmethod
-    def of(cls, labels: Sequence[str]) -> LabelStream:
-        """``labels`` as a stream: a stream as it is, any other sequence of
-        labels checked and copied into one."""
-        return labels if type(labels) is cls else cls(labels)
-
-
 _new_carrier = partial(tuple.__new__, Carrier)  # from an (id, band, slot, payload) row
 _LABELS = itemgetter(3)  # a carrier's payload label
 _SLOTS = itemgetter(2)
@@ -217,8 +183,10 @@ _SLOTS = itemgetter(2)
 
 class CarrierStream(tuple):
     """A stream of carriers, one transmission, that works out what the flow
-    reads off it once and keeps it: its label stream, its slots, and the
-    canonical id, band and slot columns and text of its carriers.
+    reads off it once and keeps it: its labels as a plain tuple, its slots,
+    and the canonical id, band and slot columns and text of its carriers.
+    It checks no label: the registry checks a family's labels where the
+    family is registered, and ``apply_paulis`` refuses a repeated label.
 
     The streams that n alone fixes come from ``slot_plan`` and serve every
     trial of that n. A stream built in a trial, such as an attacker's
@@ -243,9 +211,9 @@ class CarrierStream(tuple):
         return stream
 
     @cached_property
-    def labels(self) -> LabelStream:
+    def labels(self) -> tuple[str, ...]:
         """Each carrier's payload label."""
-        return LabelStream(map(_LABELS, self))
+        return tuple(map(_LABELS, self))
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -276,11 +244,11 @@ class SlotPlan(NamedTuple):
     """The labels and carrier streams that n alone fixes: every trial of n
     shares them, and only the amplitudes and keys differ between trials."""
 
-    alice: LabelStream  # a_1..a_n, the signer's halves of the shared Bell pairs
-    bob: LabelStream  # b_1..b_n, the verifier's halves
-    teleport: LabelStream  # t_1..t_n, the copies the signer Bell-measures
-    probes: LabelStream  # d1_1..d1_n, the Trojan probes
-    keepers: LabelStream  # d2_1..d2_n, the halves the Trojan attacker keeps
+    alice: tuple[str, ...]  # a_1..a_n, the signer's halves of the shared Bell pairs
+    bob: tuple[str, ...]  # b_1..b_n, the verifier's halves
+    teleport: tuple[str, ...]  # t_1..t_n, the copies the signer Bell-measures
+    probes: tuple[str, ...]  # d1_1..d1_n, the Trojan probes
+    keepers: tuple[str, ...]  # d2_1..d2_n, the halves the Trojan attacker keeps
     halves: CarrierStream  # the b halves, slots 0..n-1
     masked: CarrierStream  # p_i, slots 0..n-1
     signature: CarrierStream  # sa_i, slots n..2n-1
@@ -299,7 +267,7 @@ def slot_plan(n: int) -> SlotPlan:
         raise ValueError("need n >= 0")
     ids = range(1, n + 1)
     alice, bob, teleport, masked, signature, probes, keepers = (
-        LabelStream(f"{tag}{i}" for i in ids) for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
+        tuple(f"{tag}{i}" for i in ids) for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
     return SlotPlan(
         alice=alice, bob=bob, teleport=teleport, probes=probes, keepers=keepers,
         halves=carriers_of(bob, BAND_SIGNAL, 0),
@@ -313,19 +281,20 @@ def slot_plan(n: int) -> SlotPlan:
 class _Family:
     """m groups of k qubits each, stored as one (m, 2**k) amplitude array.
 
-    ``columns`` holds the family's labels as k ``LabelStream``s of m
-    labels, one per axis: axis j of row r is qubit ``columns[j][r]``. Rows
-    are checked where they are made: ``add_columns`` checks the rows it is
-    given, ``_add_checked_columns`` takes rows that a public kernel has just
-    checked (the signer's masked stacks from ``qotp.mask_rows``, a Bell
-    residual from ``bell_measure_rows``), and ``tensor_rows`` checks the
-    merged groups of a Bell measurement. After that only Paulis write them,
-    and a Pauli keeps a row on the unit sphere bit for bit. Families hash
-    by identity.
+    ``columns`` holds the family's labels as k tuples of m ``str`` labels,
+    one per axis: axis j of row r is qubit ``columns[j][r]``. The labels
+    are checked once, when the family is registered (``_new_family``).
+    Rows are checked where they are made: ``add_columns`` checks the rows
+    it is given, ``_add_checked_columns`` takes rows that a public kernel
+    has just checked (the signer's masked stacks from ``qotp.mask_rows``, a
+    Bell residual from ``bell_measure_rows``), and ``tensor_rows`` checks
+    the merged groups of a Bell measurement. After that only Paulis write
+    them, and a Pauli keeps a row on the unit sphere bit for bit. Families
+    hash by identity.
     """
 
     amps: np.ndarray
-    columns: tuple  # k LabelStreams, one per axis
+    columns: tuple  # k label tuples, one per axis
 
 
 class _Bucket(NamedTuple):
@@ -355,22 +324,21 @@ class QuantumRegistry:
     The protocol factors by time slot: slot i holds p_i and sa_i, the
     teleport group t_i (x) (a_i, b_i) and, under the Trojan attacks, a decoy
     pair. So groups of one shape live together in a family (one stacked
-    amplitude array and one ``LabelStream`` column per axis, see
-    ``_Family``). It keeps a map from label to (family, axis, row) and an
-    index of the families' columns, nothing else. A family goes in by its
-    columns (``add_columns``); ``add_rows`` turns rows into columns. An
-    operation runs one ``statevector`` kernel per (family, axis) bucket of
-    its labels; reads make their values afresh from the rows. A Bell
-    measurement merges the two groups involved, then drops the measured
-    labels. It compares no states: the protocol's checks compare rows read
-    with ``amps_of``.
+    amplitude array and one label tuple per axis, see ``_Family``). Its one
+    index, ``_columns``, maps each column of each live family to its
+    whole-column bucket, and every row of a live family is live. A family
+    goes in by its columns (``add_columns``); ``add_rows`` turns rows into
+    columns. An operation runs one ``statevector`` kernel per (family,
+    axis) bucket of its labels; reads make their values afresh from the
+    rows. A Bell measurement merges the two groups involved, then drops
+    the measured labels. It compares no states: the protocol's checks
+    compare rows read with ``amps_of``.
 
     Every operation is keyed by time slot, so nearly every stream the flow
-    asks for is a family's column. The column index (``_columns``) maps each
-    column to its one bucket, holding every row, until ``bell_measure_many``
-    (the one call that deletes and moves labels) measures the family. Any
+    asks for is one of those columns, and resolves to its one bucket. Any
     other stream, such as the Trojan probes' masked stream, which spans two
-    families, is walked label by label each time it is asked for.
+    families, is walked label by label through a map of the live labels
+    built from ``_columns`` for that call.
 
     The batched calls take uniform streams, one carrier per time slot. Any
     other input raises before anything changes; there are no single-label
@@ -382,16 +350,18 @@ class QuantumRegistry:
     """
 
     def __init__(self):
-        self._where: dict = {}  # label -> (family, axis, row)
-        self._columns: dict = {}  # column of an unmeasured family -> its whole-column bucket
+        self._columns: dict = {}  # each column of each live family -> its whole-column bucket
         self.memo = jsonutil.RenderMemo()
 
     def _buckets(self, labels: tuple) -> list[_Bucket]:
         """Walk ``labels`` into the (family, axis) buckets holding them, in
-        first-seen order."""
+        first-seen order, through a map of the live labels made for this walk."""
+        where = {}  # label -> (family, axis, row)
+        for column, (family, axis, _, _) in self._columns.items():
+            where.update(zip(column, zip(repeat(family), repeat(axis), range(len(column)))))
         groups = {}  # (family, axis) -> (positions, rows)
         try:
-            for pos, (family, axis, row) in enumerate(map(self._where.__getitem__, labels)):
+            for pos, (family, axis, row) in enumerate(map(where.__getitem__, labels)):
                 group = groups.get((family, axis))
                 if group is None:
                     group = groups[family, axis] = ([], [])
@@ -434,12 +404,11 @@ class QuantumRegistry:
         self._register(*self._new_family(columns, amps))
 
     def _new_family(self, columns, amps) -> tuple[tuple, np.ndarray]:
-        """The columns and rows of a new family, as (k ``LabelStream``s, (m, 2**k)
-        complex stack), once they pass every check. A ``LabelStream`` column
-        was checked when it was made; any other column is made into one. What
-        is left is the shape, that no label sits in two columns, and that no
-        label is registered already."""
-        columns = tuple(columns)
+        """The columns and rows of a new family, as (k label tuples, (m, 2**k)
+        complex stack), once they pass every check: the shape, that every
+        label is a ``str``, that the k*m labels are distinct, and that none
+        sits in a live column. A tuple column is kept as it is."""
+        columns = tuple(map(tuple, columns))
         m = len(columns[0]) if columns else len(amps)
         amps = np.array(amps, dtype=np.complex128).reshape(m, -1)
         k = len(columns)
@@ -448,21 +417,18 @@ class QuantumRegistry:
                                 f"match {m} rows of {amps.shape[1]} amplitudes")
         if k > sv.MAX_QUBITS:
             raise sv.TooManyQubits(f"{k} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
-        try:
-            streams = tuple(map(LabelStream.of, columns))
-        except (TypeError, LabelCollision):
-            raise self._refusal(columns) from None
-        live = self._where.keys()
-        if (k > 1 and len(set().union(*streams)) != k * m) or not all(
-                map(live.isdisjoint, streams)):
-            raise self._refusal(streams)
-        return streams, amps
+        if {*map(type, chain.from_iterable(columns))} - {str}:
+            raise self._refusal(columns)
+        union = set().union(*columns)
+        if len(union) != k * m or not union.isdisjoint(chain.from_iterable(self._columns)):
+            raise self._refusal(columns)
+        return columns, amps
 
     def _refusal(self, columns) -> Exception:
         """What is wrong with the labels of a refused family, named as its rows
         name them: first a label that is not a ``str``, then a label twice in
-        one row (``DuplicateLabel``), then one in two rows or registered
-        already (``LabelCollision``)."""
+        one row (``DuplicateLabel``), then one in two rows or in a live
+        column (``LabelCollision``)."""
         rows = list(zip(*columns))
         flat = list(chain.from_iterable(rows))
         for label in flat:
@@ -471,22 +437,35 @@ class QuantumRegistry:
         for row in rows:
             if len(set(row)) != len(row):
                 return sv.DuplicateLabel(f"duplicate qubit labels in {row}")
-        seen: set = set()
+        seen = set(chain.from_iterable(self._columns))
         for label in flat:
-            if label in seen or label in self._where:
+            if label in seen:
                 break
             seen.add(label)
         return LabelCollision(f"label {label!r} already registered")
 
     def _register(self, columns: tuple, amps: np.ndarray) -> None:
-        """Add the checked family one axis at a time, and index each axis's
-        label column."""
+        """Add the checked family, and index each of its label columns."""
         family = _Family(amps, columns)
-        rows = range(len(amps))
         every = np.arange(len(amps))
         for axis, column in enumerate(columns):
-            self._where.update(zip(column, zip(repeat(family), repeat(axis), rows)))
             self._columns[column] = _Bucket(family, axis, slice(None), every)
+
+    def _unregister(self, sides) -> None:
+        """Drop the columns of each family that ``sides``, the two buckets of
+        a Bell call, touched, and register the rows that no pair touched as a
+        family of their own."""
+        families = dict.fromkeys(side.family for side in sides)
+        for family in families:
+            for column in family.columns:
+                del self._columns[column]
+        if type(sides[0].positions) is slice and type(sides[1].positions) is slice:
+            return  # two whole columns touch every row of their families: nothing to split
+        for family in families:
+            touched = np.concatenate([side.rows for side in sides if side.family is family])
+            rows = np.setdiff1d(np.arange(len(family.amps)), touched)
+            if rows.size:  # rows that were live, so checked and of live labels
+                self._register(_Bucket(family, 0, rows, rows).columns, family.amps[rows])
 
     def _gather(self, labels: Sequence, read):
         """Item i read off the group of ``labels[i]``, by one ``read(bucket, amps)``
@@ -544,26 +523,37 @@ class QuantumRegistry:
 
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
         """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
-        ``inverse`` undoes that exactly (sigma_x first, then sigma_z)."""
-        if type(labels) is not LabelStream and len(set(labels)) != len(labels):
+        ``inverse`` undoes that exactly (sigma_x first, then sigma_z). A
+        repeated label raises ``DuplicateLabel``, and a bit that is not 0 or 1
+        ``ValueError``, before anything is written."""
+        if len(set(labels)) != len(labels):
             raise sv.DuplicateLabel("apply_paulis takes each label once")
         x, z = np.asarray(x), np.asarray(z)
         if x.shape != (len(labels),) or z.shape != x.shape:
             raise ValueError("labels, x and z must align")
+        # viewed unsigned, x | z exceeds 1 wherever x or z holds a bit other than 0 or 1
+        if x.size and (x.dtype.kind not in "biu" or z.dtype.kind not in "biu"
+                       or (either := x | z).view(f"u{either.itemsize}").max() > 1):
+            raise ValueError("Pauli bits must be 0/1")
+        self._apply_checked_paulis(labels, x, z, inverse)
+
+    def _apply_checked_paulis(self, labels: Sequence, x, z, inverse: bool) -> None:
+        """``apply_paulis`` with none of its checks, for distinct labels and
+        aligned arrays of 0/1 bits, such as a key's (``_mask_streams``)."""
         for family, axis, positions, rows in self._resolve(labels):
             family.amps[rows] = sv._pauli_rows(family.amps[rows], axis, x[positions],
                                                z[positions], inverse)
 
     def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple:
         """The merged group of each pair (labels1[i], labels2[i]), stacked:
-        (amps, axis1, axis2, label columns, the two families). Raises
+        (amps, axis1, axis2, label columns, the two sides' buckets). Raises
         ``LabelMismatch`` unless each side sits at one (family, axis) and no
         two pairs touch one group, and ``DuplicateLabel`` if a pair names
         one label twice."""
         first, second = self._resolve(labels1), self._resolve(labels2)
         if len(first) != 1 or len(second) != 1:
             raise sv.LabelMismatch("a side of a batched Bell call spans two families or axes")
-        (f1, x1, positions1, rows1), (f2, x2, positions2, rows2) = first[0], second[0]
+        (f1, x1, positions1, rows1), (f2, x2, positions2, rows2) = sides = first[0], second[0]
         if f1 is f2 and x1 == x2 and (rows1 == rows2).any():
             raise sv.DuplicateLabel("bell measurement needs two distinct labels")
         columns = first[0].columns
@@ -577,9 +567,9 @@ class QuantumRegistry:
             if len(set(touched)) != len(touched):
                 raise sv.LabelMismatch("two pairs of a batched Bell call touch one group")
         if one_group:
-            return f1.amps[rows1], x1, x2, columns, (f1, f2)
+            return f1.amps[rows1], x1, x2, columns, sides
         return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1, len(columns) + x2,
-                columns + second[0].columns, (f1, f2))
+                columns + second[0].columns, sides)
 
     def bell_measure_many(
         self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
@@ -595,15 +585,10 @@ class QuantumRegistry:
             raise ValueError("labels1 and labels2 must align")
         if not labels1:
             return [], np.empty((0, 4))
-        amps, axis1, axis2, columns, measured = self._merged(labels1, labels2)
+        amps, axis1, axis2, columns, sides = self._merged(labels1, labels2)
         rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2,
                                                      rng.random(len(labels1)))
-        for label in chain.from_iterable(columns):
-            del self._where[label]
-        # the measured labels are gone and the rest of their groups move, so
-        # no column of either family is whole any more
-        for column in measured[0].columns + measured[1].columns:
-            self._columns.pop(column, None)
+        self._unregister(sides)
         keep = tuple(column for j, column in enumerate(columns) if j not in (axis1, axis2))
         if keep:  # bell_measure_rows checked the residual
             self._add_checked_columns(keep, residual)
@@ -879,15 +864,15 @@ def _mask_streams(
 
     Honest apparatus keys by time slot, which is exactly why an adversarial
     carrier sharing a slot picks up the same keyed operation. The streams
-    are one transmission: a label in two of them raises ``DuplicateLabel``
-    before any is masked, as it would within one stream.
+    are one transmission: a label in two of them raises ``DuplicateLabel``,
+    and a slot the key does not cover ``KeyTooShort``, before any is masked.
     """
     labels = [stream.labels for stream in streams]
     if len(set(chain.from_iterable(labels))) != sum(map(len, labels)):
         raise sv.DuplicateLabel("apply_paulis takes each label once")
-    for stream in streams:
-        x, z = qotp.key_paulis(key, stream.slots)
-        registry.apply_paulis(stream.labels, x, z, inverse=inverse)
+    paulis = [qotp.key_paulis(key, stream.slots) for stream in streams]  # KeyTooShort first
+    for stream, (x, z) in zip(streams, paulis):  # a key's bits, one per label
+        registry._apply_checked_paulis(stream.labels, x, z, inverse)
 
 
 def bob_forward(

@@ -90,13 +90,14 @@ def random_pad(n: int, rng: np.random.Generator) -> KeyBits:
 
 def key_paulis(key: KeyBits, indices) -> tuple[np.ndarray, np.ndarray]:
     """The Pauli bits the key assigns to each qubit index i (0-based), as
-    (x, z) bit arrays: x = k[2i], z = k[2i+1]."""
+    (x, z) bit arrays: x = k[2i], z = k[2i+1]. An index the key does not
+    cover, past its end or below 0, raises ``KeyTooShort``."""
     indices = np.asarray(indices, dtype=np.intp)
     bits = key.array
-    if indices.size and 2 * int(indices.max()) + 1 >= len(bits):
-        raise KeyTooShort(
-            f"key of {len(bits)} bits cannot cover qubit index {int(indices.max())}"
-        )
+    # viewed unsigned, an index below 0 lies past the end of any key
+    if indices.size and 2 * int(indices.view(np.uintp).max()) + 1 >= len(bits):
+        index = int(indices.min()) if indices.min() < 0 else int(indices.max())
+        raise KeyTooShort(f"key of {len(bits)} bits cannot cover qubit index {index}")
     return bits[2 * indices], bits[2 * indices + 1]
 
 

@@ -17,7 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 import oracles
 from aqsim import statevector as sv
 from aqsim.jsonutil import canonical_json
-from aqsim.protocol import LabelStream, QuantumRegistry
+from aqsim.protocol import QuantumRegistry
 from aqsim.statevector import BELL_ORDER, BellOutcome, PauliBits, PureState
 
 UNIT = st.floats(-1, 1, allow_nan=False)
@@ -374,16 +374,16 @@ def corrupt_in_place(registry, label, how):
 @pytest.mark.parametrize("how", ["nan", "scaled"])
 def test_a_corrupted_row_cannot_enter_the_registry(how):
     registry = uniform_streams()
-    before = dict(registry._where)
+    before = kept_state(registry)
     with pytest.raises(sv.StateError):
         registry.add_rows([("x1",), ("x2",)], corrupted(sv.qubit_rows([(1, 0)] * 2), 1, how))
-    assert registry._where == before
+    assert kept_state(registry) == before
     # a Bell measurement across two families tensors their rows; the merged
     # rows are checked before anything is measured or removed
     corrupt_in_place(registry, "n", how)
     with pytest.raises(sv.StateError):
         registry.bell_measure_many(["m", "n"], ["a1", "a2"], np.random.default_rng(5))
-    assert registry._where == before
+    assert kept_state(registry) == before
 
 
 @pytest.mark.parametrize("how,error", [("nan", sv.DegenerateState), ("huge", sv.NotNormalized),
@@ -393,7 +393,7 @@ def test_a_bell_residual_enters_the_registry_checked(how, error):
     groups = np.kron(sv.qubit_rows([(0.6, 0.8j), (0.8, -0.6)]), sv.BELL_PAIR_AMPS[None, :])
     registry.add_rows([("t1", "a1", "b1"), ("t2", "a2", "b2")], groups)
     corrupt_in_place(registry, "t2", how)
-    before = dict(registry._where)
+    before = kept_state(registry)
     with np.errstate(over="ignore", invalid="ignore"):
         if error is None:
             # a scaled row's residual is renormalized by its branch probability
@@ -402,7 +402,7 @@ def test_a_bell_residual_enters_the_registry_checked(how, error):
         else:
             with pytest.raises(error):
                 registry.bell_measure_many(["t1", "t2"], ["a1", "a2"], np.random.default_rng(5))
-            assert registry._where == before
+            assert kept_state(registry) == before
 
 
 @given(st.data())
@@ -432,7 +432,7 @@ def test_paulis_keep_registry_rows_as_the_scalar_reference_does(data):
             groups[group_of[label]] = state
     for name, state in groups.items():
         assert same_bits(registry.state_of(name[0]).amps, state.amps)
-    for family in {id(f): f for f, _, _ in registry._where.values()}.values():
+    for family in {id(b.family): b.family for b in registry._columns.values()}.values():
         sv.check_rows(family.amps)
 
 
@@ -576,6 +576,19 @@ def test_registry_apply_paulis_rejects_a_repeated_label():
     assert same_bits(registry.amps_of(["m", "n"]), before)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+@pytest.mark.parametrize("stream", [["m", "n"], ["m", "b2"]])  # a whole column, two families
+def test_registry_apply_paulis_refuses_a_bit_that_is_not_0_or_1(stream, bad):
+    registry = uniform_streams()
+    columns = [["m", "n"], ["a1", "a2"]]
+    before = [registry.amps_of(column) for column in columns]
+    for x, z in (([0, bad], [0, 0]), ([1, 1], [bad, 0])):
+        with pytest.raises(ValueError, match="0/1"):
+            registry.apply_paulis(stream, x, z)
+    for column, amps in zip(columns, before):
+        assert same_bits(registry.amps_of(column), amps)
+
+
 @pytest.mark.parametrize("labels1,labels2", [
     (["m", "b2"], ["a1", "a2"]),  # one side spans two families
     (["a1", "b2"], ["m", "n"]),  # one side spans two axes of one family
@@ -667,10 +680,14 @@ def test_registry_refuses_a_label_that_is_not_a_str(bad):
 # --- the column index -------------------------------------------------------------
 
 
+def live_labels(registry):
+    """The live labels: those of the indexed columns."""
+    return set().union(*registry._columns)
+
+
 def kept_state(registry):
-    """Where each label sits, and each indexed column's bucket (by identity)."""
-    return (dict(registry._where),
-            {column: id(bucket) for column, bucket in registry._columns.items()})
+    """Each indexed column and its bucket (by identity)."""
+    return {column: id(bucket) for column, bucket in registry._columns.items()}
 
 
 @pytest.mark.parametrize("rows,amps,error", [
@@ -686,7 +703,7 @@ def test_a_failed_add_rows_leaves_the_registry_as_it_was(rows, amps, error):
     before = kept_state(registry)
     # each family's axis columns were indexed when it was added; the mixed
     # stream was walked when read, and the walk was not kept
-    assert set(before[1]) == {("m", "n"), ("a1", "a2"), ("b1", "b2")}
+    assert set(before) == {("m", "n"), ("a1", "a2"), ("b1", "b2")}
     with pytest.raises(error):
         registry.add_rows(rows, amps)
     assert kept_state(registry) == before
@@ -731,8 +748,8 @@ def test_columns_and_rows_register_the_same_families(n, data):
     for amps in (single_amps, pair_amps):
         amps /= np.linalg.norm(amps, axis=1)[:, None]
     by_columns, by_rows = QuantumRegistry(), QuantumRegistry()
-    by_columns.add_columns((LabelStream(singles),), single_amps)
-    by_columns.add_columns((LabelStream(probes), LabelStream(keepers)), pair_amps)
+    by_columns.add_columns((singles,), single_amps)
+    by_columns.add_columns((probes, keepers), pair_amps)
     by_rows.add_rows([[label] for label in singles], single_amps)
     by_rows.add_rows([list(pair) for pair in zip(probes, keepers)], pair_amps)
     order = data.draw(st.permutations(range(n)))
@@ -740,7 +757,7 @@ def test_columns_and_rows_register_the_same_families(n, data):
                [singles[r] for r in order[:n // 2]] + [probes[r] for r in order[n // 2:]]]
 
     def same_registries():
-        assert set(by_columns._where) == set(by_rows._where)
+        assert live_labels(by_columns) == live_labels(by_rows)
         for stream in streams:
             try:
                 live = [by_rows.amps_of(stream), by_rows.render_states(stream)]
@@ -761,7 +778,7 @@ def test_columns_and_rows_register_the_same_families(n, data):
                 for registry in (by_columns, by_rows)]
     assert outcomes[0][0] == outcomes[1][0] and same_bits(outcomes[0][1], outcomes[1][1])
     same_registries()
-    assert set(by_columns._where) == set(keepers)
+    assert live_labels(by_columns) == set(keepers)
 
 
 @pytest.mark.parametrize("labels,error", [
@@ -771,17 +788,15 @@ def test_columns_and_rows_register_the_same_families(n, data):
     (("a", "b", "a"), sv.LabelCollision),
 ])
 def test_a_label_stream_refuses_a_label_that_is_not_a_str_or_repeats(labels, error):
+    # a stream of labels is checked where its family is registered, given as
+    # one column or as one-label rows
+    registry = QuantumRegistry()
+    amps = sv.qubit_rows([(1, 0)] * len(labels))
     with pytest.raises(error):
-        LabelStream.of(labels)
+        registry.add_columns((labels,), amps)
     with pytest.raises(error):
-        LabelStream(labels)
-
-
-def test_a_label_stream_is_checked_once():
-    stream = LabelStream.of(["a", "b"])
-    assert type(stream) is LabelStream and stream == ("a", "b")
-    assert LabelStream.of(stream) is stream
-    assert type(stream[:1]) is tuple  # a slice keeps nothing
+        registry.add_rows([(label,) for label in labels], amps)
+    assert registry._columns == {}
 
 
 def pairs_of(rows):
@@ -796,35 +811,34 @@ def pairs_of(rows):
     ([("x", "y"), ("z", "m")], sv.LabelCollision),  # m is registered already
     ([("m", "x")], sv.LabelCollision),
 ])
-@pytest.mark.parametrize("kind", ["rows", "columns", "label streams"])
+@pytest.mark.parametrize("kind", ["rows", "columns"])
 def test_a_repeated_or_live_label_is_refused_by_rows_and_columns_alike(rows, error, kind):
     registry = uniform_streams()
     before = kept_state(registry)
-    columns = list(zip(*rows))
     with pytest.raises(error):
         if kind == "rows":
             registry.add_rows(rows, pairs_of(rows))
-        elif kind == "columns":
-            registry.add_columns(columns, pairs_of(rows))
-        else:  # a stream refuses a repeat within itself; the registry sees the rest
-            registry.add_columns([LabelStream(column) for column in columns], pairs_of(rows))
+        else:
+            registry.add_columns(list(zip(*rows)), pairs_of(rows))
     assert kept_state(registry) == before
 
 
 def test_a_registered_family_keeps_its_label_streams_as_its_columns():
     registry = QuantumRegistry()
-    probes, keepers = LabelStream(("d1", "d2")), LabelStream(("k1", "k2"))
+    probes, keepers = ("d1", "d2"), ("k1", "k2")
     registry.add_columns((probes, keepers), pairs_of(probes))
     (bucket,) = registry._resolve(probes)
     assert bucket.family.columns[0] is probes and bucket.family.columns[1] is keepers
     assert list(zip(*bucket.columns)) == [("d1", "k1"), ("d2", "k2")]
     assert registry.sequence(["k2"])[0].labels == ("d2", "k2")
     with pytest.raises(sv.LabelCollision):
-        registry.add_columns((LabelStream(("k3", "k1")),), sv.qubit_rows([(1, 0)] * 2))
-    # a column that is not a stream is made into one, with its checks
+        registry.add_columns((("k3", "k1"),), sv.qubit_rows([(1, 0)] * 2))
+    # a column that is not a tuple is copied into one
     registry.add_rows([("r1",), ("r2",)], sv.qubit_rows([(1, 0)] * 2))
-    (bucket,) = registry._resolve(["r1", "r2"])
-    assert type(bucket.family.columns[0]) is LabelStream
+    registry.add_columns((["s1", "s2"],), sv.qubit_rows([(1, 0)] * 2))
+    for column in (("r1", "r2"), ("s1", "s2")):
+        (bucket,) = registry._resolve(column)
+        assert type(bucket.family.columns[0]) is tuple and bucket.family.columns[0] == column
 
 
 # --- the column index against a scalar model ----------------------------------------
@@ -876,8 +890,20 @@ class RegistryModel(RuleBasedStateMachine):
         if by_rows:
             self.registry.add_rows(rows, amps)
         else:
-            self.registry.add_columns([LabelStream(column) for column in columns], amps)
+            self.registry.add_columns(columns, amps)
         self._add(columns, [sv.PureState(row, row_amps) for row, row_amps in zip(rows, amps)])
+
+    @precondition(lambda self: self.group)
+    @rule(data=st.data(), by_rows=st.booleans())
+    def add_a_live_label_again(self, data, by_rows):
+        column = ("fresh", data.draw(st.sampled_from(sorted(self.group))))
+        before = dict(self.registry._columns)
+        with pytest.raises(sv.LabelCollision):
+            if by_rows:
+                self.registry.add_rows([(label,) for label in column], sv.qubit_rows([(1, 0)] * 2))
+            else:
+                self.registry.add_columns((column,), sv.qubit_rows([(1, 0)] * 2))
+        assert self.registry._columns == before
 
     def _paulis(self, stream, seed, inverse):
         x, z = np.random.default_rng(seed).integers(0, 2, (2, len(stream)))
@@ -948,6 +974,12 @@ class RegistryModel(RuleBasedStateMachine):
         with pytest.raises(sv.DuplicateLabel):
             self.registry.bell_measure_many(stream, stream, rng)
         assert rng.bit_generator.state == state
+
+    @invariant()
+    def the_columns_index_each_live_label_once(self):
+        columns = list(self.registry._columns)
+        assert live_labels(self.registry) == self.group.keys()
+        assert sum(map(len, columns)) == len(self.group)
 
     @invariant()
     def reads_match_the_model(self):

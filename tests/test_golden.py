@@ -5,6 +5,7 @@ scripts/regen_golden.py. A refactor or speedup must leave every one of them
 unchanged.
 """
 import json
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +94,54 @@ def test_regen_help_returns_zero_and_keeps_its_docstring_lines(tmp_path, monkeyp
     assert captured.out.startswith("usage:") and captured.err == ""
     assert "Usage: PYTHONPATH=src python scripts/regen_golden.py [--check]" in captured.out.splitlines()
     assert not regen_golden.GOLDEN_PATH.exists()
+
+
+def use_corpus_paths(tmp_path, monkeypatch):
+    transcripts, summaries = tmp_path / "transcripts.json", tmp_path / "summaries.json"
+    monkeypatch.setattr(regen_golden, "GOLDEN_PATH", transcripts)
+    monkeypatch.setattr(regen_golden, "SUMMARIES_PATH", summaries)
+    return transcripts, summaries
+
+
+@pytest.mark.parametrize("bad", ["transcripts", "summaries"])
+@pytest.mark.parametrize("content", ['{"k": "h', '["k"]', b"\xff", None],
+                         ids=["truncated", "not-an-object", "not-utf8", "missing"])
+def test_regen_check_refuses_an_unreadable_corpus_before_computing_anything(
+        bad, content, tmp_path, monkeypatch, capsys):
+    def computed(scenario, defenses):
+        raise AssertionError("the grid was computed")
+
+    monkeypatch.setattr(regen_golden, "cell_hashes", computed)
+    monkeypatch.setattr(regen_golden, "summary_hashes", computed)
+    paths = dict(zip(["transcripts", "summaries"], use_corpus_paths(tmp_path, monkeypatch)))
+    for path in paths.values():
+        path.write_text('{"k": "h"}\n')
+    if content is None:
+        paths[bad].unlink()
+    else:
+        paths[bad].write_bytes(content if type(content) is bytes else content.encode())
+    assert regen_golden.main(["--check"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("aqsim: error: ")
+    assert str(paths[bad]) in err
+
+
+def test_regen_an_interrupted_write_leaves_the_stored_corpus_whole(tmp_path, monkeypatch):
+    monkeypatch.setattr(regen_golden, "cell_hashes",
+                        lambda scenario, defenses: {f"{scenario}/{defenses.tokens()}": "new"})
+    monkeypatch.setattr(regen_golden, "summary_hashes", lambda scenario, defenses: {})
+    transcripts, _ = use_corpus_paths(tmp_path, monkeypatch)
+    transcripts.write_text('{"k": "old"}\n')
+
+    def interrupted(path, data, *args, **kwargs):  # half the data lands, then the run stops
+        with open(path, "wb" if type(data) is bytes else "w") as file:
+            file.write(data[:len(data) // 2])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_bytes", interrupted)
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        regen_golden.main([])
+    assert transcripts.read_text() == '{"k": "old"}\n'
+    assert [path.name for path in tmp_path.iterdir()] == ["transcripts.json"]

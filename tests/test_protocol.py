@@ -373,6 +373,27 @@ def _forwarded(n, seed):
     return run
 
 
+def _stream_rows(registry, package):
+    return [registry.amps_of(s.labels).tobytes() for s in (package.masked, package.signature)]
+
+
+def test_bob_forward_refuses_a_key_that_misses_a_slot_before_masking_any_stream():
+    n = 3
+    registry, _, package, _, verifier_key = _signed(n, 67)
+    before = _stream_rows(registry, package)
+    # a key for the masked stream alone; and a carrier in slot -1, which numpy
+    # would key with the verifier key's last two bits, those of slot 2n
+    short = KeyBits(verifier_key.bits[:2 * n + 2], qotp.ROLE_VERIFIER)
+    masked = [package.masked[0]._replace(time_slot=-1), *package.masked[1:]]
+    for forwarded, key, index in (
+            (package, short, 2 * n - 1),
+            (proto.SignaturePackage(masked, package.signature, package.bell_results),
+             verifier_key, -1)):
+        with pytest.raises(qotp.KeyTooShort, match=f"index {index}$"):
+            proto.bob_forward(forwarded, key, registry)
+        assert _stream_rows(registry, package) == before
+
+
 def _carrier_bytes(registry, carriers):
     return [registry.state_of(c.payload).amps.tobytes() for c in carriers]
 
@@ -382,11 +403,11 @@ def test_trent_verify_writes_only_the_verification_qubit():
     run = _forwarded(n, 53)
     registry, verifier_key = run.registry, run.verifier_key
     carriers = run.payload.masked + run.payload.signature
-    before, labels = _carrier_bytes(registry, carriers), set(registry._where)
+    before, labels = _carrier_bytes(registry, carriers), set().union(*registry._columns)
     returned, record = proto.trent_verify(run.payload, run.signer_key, verifier_key, registry)
     assert record.verified == 1
     assert _carrier_bytes(registry, carriers) == before
-    assert "v" not in labels and set(registry._where) == labels | {"v"}
+    assert "v" not in labels and set().union(*registry._columns) == labels | {"v"}
     assert returned.verdict_carrier.time_slot == 2 * n
     x, z = verifier_key.bits[4 * n], verifier_key.bits[4 * n + 1]
     expected = sv.apply_pauli(sv.make_qubit(0, 1, "v"), "v", PauliBits(x, z))
@@ -727,7 +748,7 @@ def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
 
 
 def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
-    # the plan's streams were checked once per process; a trial registers
+    # the plan's label tuples are made once per process; a trial registers
     # them as they are, with no per-trial copy
     registry, streams, package, _, _ = _signed(4, 64)
     plan = proto.slot_plan(4)
@@ -738,7 +759,7 @@ def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
     assert b.family.columns[0] is plan.bob  # the residual of the pair family's b column
     for stream in (plan.alice, plan.bob, plan.teleport, plan.probes, plan.keepers,
                    plan.masked.labels, plan.signature.labels, plan.verification.labels):
-        assert type(stream) is proto.LabelStream
+        assert type(stream) is tuple
     decoys = adv.make_decoy_set(4, registry)
     assert decoys.probes is plan.probes and decoys.keepers is plan.keepers
     assert decoys.pairs == tuple(zip(plan.probes, plan.keepers))

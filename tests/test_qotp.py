@@ -296,3 +296,9 @@ def test_key_paulis_positions():
     assert (x.tolist(), z.tolist()) == ([1, 0], [0, 1])
     with pytest.raises(KeyTooShort):
         qotp.key_paulis(k, [2])
+
+
+def test_key_paulis_refuses_an_index_below_zero():
+    # numpy would wrap -1 to the key's last two bits
+    with pytest.raises(KeyTooShort, match="index -1"):
+        qotp.key_paulis(key([1, 0, 0, 1]), [0, -1])
