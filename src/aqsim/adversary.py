@@ -210,14 +210,14 @@ def alice_publish_false_pad(
 
 
 def _inject(package: SignaturePackage, decoys: DecoySet, band: str) -> SignaturePackage:
+    """Each probe after its masked carrier, in its slot: parts (masked, probes)."""
     signal = [c for c in package.masked if c.band == BAND_SIGNAL]
     if len(signal) != len(decoys.probes):
         raise SizeMismatch(f"{len(decoys.probes)} decoys for {len(signal)} carriers")
-    injected: list[Carrier] = []
-    for carrier, probe in zip(package.masked, decoys.probes):
-        injected.append(carrier)
-        injected.append(Carrier(id=probe, band=band, time_slot=carrier.time_slot, payload=probe))
-    return SignaturePackage(CarrierStream(injected), package.signature, package.bell_results)
+    probes = CarrierStream(Carrier(id=probe, band=band, time_slot=carrier.time_slot, payload=probe)
+                           for carrier, probe in zip(package.masked, decoys.probes))
+    return SignaturePackage(CarrierStream.interleaved(package.masked, probes), package.signature,
+                            package.bell_results)
 
 
 def ipe_inject(package: SignaturePackage, decoys: DecoySet) -> SignaturePackage:

@@ -161,20 +161,20 @@ def _tokens(values: list, floats: dict) -> list[str]:
 _COLUMN = "\0"  # marks a column in a row template; no fragment holds it
 
 
-def _layout(template: str, sep: str) -> tuple[str, list, str]:
+def _layout(template: str) -> tuple[str, list, str]:
     """A row template's constant text, cut at its columns (at least one)
     and laid out for ``_fill``: (the first row's opening, the list of one
     later row with None where each column goes, the last row's close). A
-    later row opens with the close of the row before it and ``sep``."""
+    later row opens with the close of the row before it and a comma."""
     first, *middle, last = template.split(_COLUMN)
-    block = [last + sep + first]
+    block = [last + "," + first]
     for fragment in middle:
         block += [None, fragment]
     return first, block + [None], last
 
 
 @functools.cache
-def _state_layout(labels: int, amps: int, head: bool, sep: str = ",") -> tuple:
+def _state_layout(labels: int, amps: int, head: bool) -> tuple:
     """The layout of a row by its shape: with ``head``, the three carrier
     columns (id, band, slot); then, if ``amps``, a state of ``labels`` label
     columns and ``amps`` amplitudes of two float columns each (re, im)."""
@@ -183,13 +183,13 @@ def _state_layout(labels: int, amps: int, head: bool, sep: str = ",") -> tuple:
     if head:
         carrier = '{"id":%s,"band":%s,"slot":%s' % ((_COLUMN,) * 3)
         state = carrier + (',"state":' + state if amps else "") + "}"
-    return _layout(state, sep)
+    return _layout(state)
 
 
 @functools.cache
 def _float_layout(width: int) -> tuple:
     """The layout of a ``[x, ...]`` row of ``width`` (at least one) floats."""
-    return _layout("[" + ",".join([_COLUMN] * width) + "]", ",")
+    return _layout("[" + ",".join([_COLUMN] * width) + "]")
 
 
 def _fill(layout: tuple, columns: list, m: int) -> str:
@@ -207,10 +207,9 @@ def _fill(layout: tuple, columns: list, m: int) -> str:
     return "".join(flat)
 
 
-def render_states(labels, amps, memo: RenderMemo | None = None, heads=(),
-                  sep: str = ",") -> str:
+def render_states(labels, amps, memo: RenderMemo | None = None, heads=()) -> str:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
-    each row of an (m, 2**k) complex stack, joined by ``sep``. ``labels``
+    each row of an (m, 2**k) complex stack, joined by commas. ``labels``
     holds k columns of m strings: column j names each row's axis j. With
     ``heads``, a stream's three columns from ``carrier_columns``, row r is
     ``{"id", "band", "slot", "state"}`` with row r's state as its
@@ -224,7 +223,7 @@ def render_states(labels, amps, memo: RenderMemo | None = None, heads=(),
                          f"for {m} rows of {width // 2} amplitudes")
     tokens = _tokens(stack.ravel().tolist(), (RenderMemo() if memo is None else memo).floats)
     columns = [*heads, *labels, *(tokens[j::width] for j in range(width))]
-    return _fill(_state_layout(len(labels), width // 2, bool(heads), sep), columns, m)
+    return _fill(_state_layout(len(labels), width // 2, bool(heads)), columns, m)
 
 
 def render_float_rows(rows, memo: RenderMemo | None = None) -> Rendered:

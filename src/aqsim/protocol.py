@@ -8,14 +8,16 @@ the verifier then compares his teleported copy against the delivered one.
 On success the signer publishes the pad on an append-only public board and
 the verifier unmasks the message.
 
-Everything quantum lives in a ``QuantumRegistry`` keyed by qubit label.
-It stores the qubits as slot families, one stacked amplitude array per
-kind of group (the p, sa and b streams, the teleport groups, the decoy
-pairs), so each step acts on a whole stream with one batched
-``statevector`` kernel. ``Carrier`` values are the channel-level handles
-(band + time slot) that the adversary and defense layers manipulate. The arbiter's entire view of
-a run is the ``TrentRecord``; dispute arbitration is a pure function of
-that record plus the parties' claims.
+Everything quantum lives in a ``QuantumRegistry``, stored by time slot as
+slot families: one amplitude array per kind of group (the p, sa and b
+streams, the teleport groups, the decoy pairs), with one label column per
+axis. Every stream the flow touches is one column of the slot plan, and
+each step acts on it with one batched ``statevector`` kernel. ``Carrier``
+values are the channel-level handles (band + time slot) that the adversary
+and defense layers manipulate; a ``CarrierStream`` names the columns it is
+made of (``parts``). The arbiter's entire view of a run is the
+``TrentRecord``; dispute arbitration is a pure function of that record
+plus the parties' claims.
 """
 from __future__ import annotations
 
@@ -177,23 +179,23 @@ class Carrier(NamedTuple):
 
 
 _new_carrier = partial(tuple.__new__, Carrier)  # from an (id, band, slot, payload) row
-_LABELS = itemgetter(3)  # a carrier's payload label
-_SLOTS = itemgetter(2)
 
 
 class CarrierStream(tuple):
     """A stream of carriers, one transmission, that works out what the flow
     reads off it once and keeps it: its labels as a plain tuple, its slots,
     and the canonical id, band and slot columns and text of its carriers.
-    It checks no label: the registry checks a family's labels where the
-    family is registered, and ``apply_paulis`` refuses a repeated label.
+    ``parts`` are the registry columns it is made of: ``(self,)``, or the
+    two streams of an ``interleaved`` one (the Trojan masked stream).
 
     The streams that n alone fixes come from ``slot_plan`` and serve every
-    trial of that n. A stream built in a trial, such as an attacker's
-    injected or cleaned stream, keeps its fields for as long as the trial
-    holds it. ``tuple()`` and slices of a stream are plain tuples, which
-    keep nothing: ``of`` takes any sequence of carriers to a stream.
+    trial of that n; a stream built in a trial keeps its fields for as long
+    as the trial holds it. ``tuple()`` and slices of a stream are plain
+    tuples, which keep nothing: ``of`` takes any sequence of carriers to a
+    stream.
     """
+
+    _parts = None  # set on an interleaved stream only: (self,) would be a cycle
 
     @classmethod
     def of(cls, carriers: Sequence[Carrier]) -> CarrierStream:
@@ -210,15 +212,26 @@ class CarrierStream(tuple):
                 raise TypeError(f"expected a sequence of carriers, got an item {item!r}")
         return stream
 
+    @classmethod
+    def interleaved(cls, first: CarrierStream, second: CarrierStream) -> CarrierStream:
+        """``first[0], second[0], first[1], ...``, whose ``parts`` are the two."""
+        stream = cls(chain.from_iterable(zip(first, second, strict=True)))
+        stream._parts = (first, second)
+        return stream
+
+    @property
+    def parts(self) -> tuple[CarrierStream, ...]:
+        return self._parts or (self,)
+
     @cached_property
     def labels(self) -> tuple[str, ...]:
         """Each carrier's payload label."""
-        return tuple(map(_LABELS, self))
+        return tuple(map(itemgetter(3), self))
 
     @cached_property
     def slots(self) -> np.ndarray:
         """Each carrier's time slot, the index its key Pauli is drawn by (read-only)."""
-        slots = np.fromiter(map(_SLOTS, self), dtype=np.intp, count=len(self))
+        slots = np.fromiter(map(itemgetter(2), self), dtype=np.intp, count=len(self))
         slots.flags.writeable = False
         return slots
 
@@ -279,117 +292,60 @@ def slot_plan(n: int) -> SlotPlan:
 
 @dataclass(eq=False, slots=True)
 class _Family:
-    """m groups of k qubits each, stored as one (m, 2**k) amplitude array.
-
-    ``columns`` holds the family's labels as k tuples of m ``str`` labels,
-    one per axis: axis j of row r is qubit ``columns[j][r]``. The labels
-    are checked once, when the family is registered (``_new_family``).
-    Rows are checked where they are made: ``add_columns`` checks the rows
-    it is given, ``_add_checked_columns`` takes rows that a public kernel
-    has just checked (the signer's masked stacks from ``qotp.mask_rows``, a
-    Bell residual from ``bell_measure_rows``), and ``tensor_rows`` checks
-    the merged groups of a Bell measurement. After that only Paulis write
-    them, and a Pauli keeps a row on the unit sphere bit for bit. Families
-    hash by identity.
+    """m groups of k qubits each, stored as one (m, 2**k) amplitude array,
+    and k label columns of m ``str`` labels: axis j of row r is qubit
+    ``columns[j][r]``. The labels are checked once, by ``_new_family``, and
+    the rows where they are made (``add_columns``, the kernel that made
+    rows for ``_add_checked_columns``, ``tensor_rows`` for a Bell merge).
+    After that only Paulis write them, and a Pauli keeps a row on the unit
+    sphere bit for bit. Families hash by identity.
     """
 
     amps: np.ndarray
     columns: tuple  # k label tuples, one per axis
 
-
-class _Bucket(NamedTuple):
-    """The labels of one stream that sit at one (family, axis): their
-    positions in the stream and their rows. The positions are
-    ``slice(None)`` exactly when the bucket is a whole column from the
-    registry's column index."""
-
-    family: _Family
-    axis: int
-    positions: np.ndarray | slice
-    rows: np.ndarray
-
-    @property
-    def columns(self) -> tuple:
-        """The labels of the bucket's rows, one column per axis: the family's
-        own columns for a whole column, else made afresh."""
-        if type(self.positions) is slice:
-            return self.family.columns
-        rows = self.rows.tolist()
-        return tuple(tuple(map(column.__getitem__, rows)) for column in self.family.columns)
+    def paulis(self, axis: int, x, z, inverse: bool) -> None:
+        """``QuantumRegistry.apply_paulis`` on axis ``axis``, for 0/1 bits."""
+        self.amps = sv._pauli_rows(self.amps, axis, x, z, inverse)
 
 
 class QuantumRegistry:
-    """Which qubit group holds each labeled qubit, stored as slot families.
+    """The trial's qubits as slot families, each stream one whole live column.
 
     The protocol factors by time slot: slot i holds p_i and sa_i, the
     teleport group t_i (x) (a_i, b_i) and, under the Trojan attacks, a decoy
-    pair. So groups of one shape live together in a family (one stacked
-    amplitude array and one label tuple per axis, see ``_Family``). Its one
-    index, ``_columns``, maps each column of each live family to its
-    whole-column bucket, and every row of a live family is live. A family
-    goes in by its columns (``add_columns``); ``add_rows`` turns rows into
-    columns. An operation runs one ``statevector`` kernel per (family,
-    axis) bucket of its labels; reads make their values afresh from the
-    rows. A Bell measurement merges the two groups involved, then drops
-    the measured labels. It compares no states: the protocol's checks
-    compare rows read with ``amps_of``.
+    pair. So groups of one shape live together in a family (``_Family``),
+    and every stream the flow acts on is one label column of a live family.
+    ``_columns`` maps each live column to its (family, axis). Every call
+    finds each of its streams there by one lookup (a tuple key, so a list
+    of the same labels finds it too) and runs one ``statevector`` kernel on
+    it. Any other stream raises before any row is written or any draw is
+    made: ``UnknownLabel`` if it names a label that is not live, else
+    ``LabelMismatch``. A transmission of several columns goes in one part
+    at a time (``CarrierStream.parts``).
 
-    Every operation is keyed by time slot, so nearly every stream the flow
-    asks for is one of those columns, and resolves to its one bucket. Any
-    other stream, such as the Trojan probes' masked stream, which spans two
-    families, is walked label by label through a map of the live labels
-    built from ``_columns`` for that call.
-
-    The batched calls take uniform streams, one carrier per time slot. Any
-    other input raises before anything changes; there are no single-label
-    calls, and a caller with mixed pairs measures them one pair per call.
-
-    ``memo`` keeps this trial's float tokens (see ``jsonutil.RenderMemo``):
-    a value read twice is formatted once. A carrier stream keeps its own
-    carrier columns (``CarrierStream``).
+    Writes replace a family's rows and reads copy them. A Bell measurement
+    of two columns merges their families, drops both and registers the
+    residual; the registry compares no states. ``state_of`` finds one label
+    by a scan of the live columns, off the flow. ``memo`` keeps this
+    trial's float tokens (``jsonutil.RenderMemo``).
     """
 
     def __init__(self):
-        self._columns: dict = {}  # each column of each live family -> its whole-column bucket
+        self._columns: dict = {}  # each column of each live family -> (family, axis)
         self.memo = jsonutil.RenderMemo()
 
-    def _buckets(self, labels: tuple) -> list[_Bucket]:
-        """Walk ``labels`` into the (family, axis) buckets holding them, in
-        first-seen order, through a map of the live labels made for this walk."""
-        where = {}  # label -> (family, axis, row)
-        for column, (family, axis, _, _) in self._columns.items():
-            where.update(zip(column, zip(repeat(family), repeat(axis), range(len(column)))))
-        groups = {}  # (family, axis) -> (positions, rows)
-        try:
-            for pos, (family, axis, row) in enumerate(map(where.__getitem__, labels)):
-                group = groups.get((family, axis))
-                if group is None:
-                    group = groups[family, axis] = ([], [])
-                group[0].append(pos)
-                group[1].append(row)
-        except KeyError as missing:
-            raise UnknownLabel(f"label {missing.args[0]!r} not in registry") from None
-        return [_Bucket(family, axis, np.array(positions, dtype=np.intp),
-                        np.array(rows, dtype=np.intp))
-                for (family, axis), (positions, rows) in groups.items()]
-
-    def _resolve(self, labels: Sequence) -> list[_Bucket]:
-        """The buckets of a label stream: a live family's column is its one
-        indexed bucket, any other stream is walked afresh."""
-        key = labels if isinstance(labels, tuple) else tuple(labels)
-        bucket = self._columns.get(key)
-        return self._buckets(key) if bucket is None else [bucket]
-
-    def add_rows(self, rows, amps: np.ndarray) -> None:
-        """Register one new family: ``rows[r]`` names the qubits of ``amps[r]``.
-        The rows go in as label columns (``add_columns``)."""
-        rows = [tuple(row) for row in rows]
-        amps = np.asarray(amps, dtype=np.complex128).reshape(len(rows), -1)
-        widths = {*map(len, rows)}
-        if widths - {amps.shape[1].bit_length() - 1}:  # rows of two widths do not transpose
-            raise sv.StateError(f"amplitude count {amps.shape[1]} does not match the rows' "
-                                f"qubit counts {sorted(widths)}")
-        self.add_columns(tuple(zip(*rows)), amps)
+    def _column(self, labels: Sequence) -> tuple[_Family, int]:
+        """The (family, axis) of the live column ``labels``."""
+        key = labels if type(labels) is tuple else tuple(labels)
+        found = self._columns.get(key)
+        if found is None:
+            live = set(chain.from_iterable(self._columns))
+            for label in key:
+                if label not in live:
+                    raise UnknownLabel(f"label {label!r} not in registry")
+            raise sv.LabelMismatch(f"a stream of {len(key)} labels is not one registered column")
+        return found
 
     def add_columns(self, columns, amps: np.ndarray) -> None:
         """Register one new family: ``columns[j][r]`` names axis j of ``amps[r]``.
@@ -427,8 +383,8 @@ class QuantumRegistry:
     def _refusal(self, columns) -> Exception:
         """What is wrong with the labels of a refused family, named as its rows
         name them: first a label that is not a ``str``, then a label twice in
-        one row (``DuplicateLabel``), then one in two rows or in a live
-        column (``LabelCollision``)."""
+        one row (``DuplicateLabel``), then the first label that is live or
+        in an earlier row (``LabelCollision``, worded for each)."""
         rows = list(zip(*columns))
         flat = list(chain.from_iterable(rows))
         for label in flat:
@@ -437,97 +393,49 @@ class QuantumRegistry:
         for row in rows:
             if len(set(row)) != len(row):
                 return sv.DuplicateLabel(f"duplicate qubit labels in {row}")
-        seen = set(chain.from_iterable(self._columns))
+        live, seen = set(chain.from_iterable(self._columns)), set()
         for label in flat:
+            if label in live:
+                return LabelCollision(f"label {label!r} already registered")
             if label in seen:
-                break
+                return LabelCollision(f"label {label!r} names two qubits of the family")
             seen.add(label)
-        return LabelCollision(f"label {label!r} already registered")
 
     def _register(self, columns: tuple, amps: np.ndarray) -> None:
         """Add the checked family, and index each of its label columns."""
         family = _Family(amps, columns)
-        every = np.arange(len(amps))
         for axis, column in enumerate(columns):
-            self._columns[column] = _Bucket(family, axis, slice(None), every)
-
-    def _unregister(self, sides) -> None:
-        """Drop the columns of each family that ``sides``, the two buckets of
-        a Bell call, touched, and register the rows that no pair touched as a
-        family of their own."""
-        families = dict.fromkeys(side.family for side in sides)
-        for family in families:
-            for column in family.columns:
-                del self._columns[column]
-        if type(sides[0].positions) is slice and type(sides[1].positions) is slice:
-            return  # two whole columns touch every row of their families: nothing to split
-        for family in families:
-            touched = np.concatenate([side.rows for side in sides if side.family is family])
-            rows = np.setdiff1d(np.arange(len(family.amps)), touched)
-            if rows.size:  # rows that were live, so checked and of live labels
-                self._register(_Bucket(family, 0, rows, rows).columns, family.amps[rows])
-
-    def _gather(self, labels: Sequence, read):
-        """Item i read off the group of ``labels[i]``, by one ``read(bucket, amps)``
-        per bucket; a bucket that holds every label returns ``read``'s result as is."""
-        buckets = self._resolve(labels)
-        if len(buckets) == 1:
-            bucket = buckets[0]
-            return read(bucket, bucket.family.amps[bucket.rows])
-        out: list = [None] * len(labels)
-        for bucket in buckets:
-            items = read(bucket, bucket.family.amps[bucket.rows])
-            for pos, item in zip(bucket.positions.tolist(), items):
-                out[pos] = item
-        return out
+            self._columns[column] = (family, axis)
 
     def state_of(self, label) -> PureState:
-        return self.sequence([label])[0]
+        """The state of ``label``'s group, found by a scan of the live columns."""
+        for column, (family, _) in self._columns.items():
+            if label in column:
+                row = column.index(label)
+                labels = tuple(axis[row] for axis in family.columns)
+                return sv.states_from_rows([labels], family.amps[row:row + 1])[0]
+        raise UnknownLabel(f"label {label!r} not in registry")
 
     def sequence(self, labels: Sequence) -> tuple[PureState, ...]:
-        """The state of each label's group, in label order."""
-        return tuple(self._gather(
-            labels, lambda b, amps: sv.states_from_rows(list(zip(*b.columns)), amps)))
+        """The state of each label's group, in label order, for one column."""
+        family, _ = self._column(labels)
+        return sv.states_from_rows(list(zip(*family.columns)), family.amps)
 
     def amps_of(self, labels: Sequence) -> np.ndarray:
-        """The amplitudes of each label's group, stacked in label order."""
-        rows = self._gather(labels, lambda _, amps: amps)
-        try:
-            amps = np.asarray(rows, dtype=np.complex128)
-        except ValueError:  # rows of different widths do not stack
-            raise sv.LabelMismatch(f"labels {list(labels)} sit in groups of different sizes") from None
-        return amps if len(labels) else np.empty((0, 2), dtype=np.complex128)
+        """A copy of the rows of the column ``labels``, in label order."""
+        return self._column(labels)[0].amps.copy()
 
     def render_states(self, labels: Sequence, heads=()) -> str:
         """The canonical texts of ``state_of(label).to_jsonable()`` for each
-        label, joined by commas; with ``heads`` (a ``CarrierStream``'s
-        ``columns``), of each carrier's ``{"id", "band",
-        "slot", "state"}``. One render per bucket; a stream that spans
-        buckets has each bucket's rows placed by their stream positions."""
-        def render(bucket, bucket_heads, sep=","):
-            return jsonutil.render_states(bucket.columns, bucket.family.amps[bucket.rows],
-                                          self.memo, bucket_heads, sep)
-
-        buckets = self._resolve(labels)
-        if len(buckets) == 1:
-            return render(buckets[0], heads)
-        rows: list = [None] * len(labels)
-        for bucket in buckets:
-            positions = bucket.positions.tolist()
-            # one row per line: no row's text holds a newline
-            text = render(bucket, [list(map(column.__getitem__, positions)) for column in heads],
-                          "\n")
-            for pos, row in zip(positions, text.split("\n")):
-                rows[pos] = row
-        return ",".join(rows)
+        label of one column, joined by commas; with ``heads`` (a stream's
+        ``columns``), of each carrier's ``{"id", "band", "slot", "state"}``."""
+        family, _ = self._column(labels)
+        return jsonutil.render_states(family.columns, family.amps, self.memo, heads)
 
     def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
-        """Qubit ``labels[i]`` gets sigma_x^x[i] sigma_z^z[i], sigma_z first;
-        ``inverse`` undoes that exactly (sigma_x first, then sigma_z). A
-        repeated label raises ``DuplicateLabel``, and a bit that is not 0 or 1
-        ``ValueError``, before anything is written."""
-        if len(set(labels)) != len(labels):
-            raise sv.DuplicateLabel("apply_paulis takes each label once")
+        """Qubit ``labels[i]`` of one column gets sigma_x^x[i] sigma_z^z[i],
+        sigma_z first; ``inverse`` undoes that exactly. Bits that do not align
+        with the labels, or are not 0 or 1, raise ``ValueError`` first."""
         x, z = np.asarray(x), np.asarray(z)
         if x.shape != (len(labels),) or z.shape != x.shape:
             raise ValueError("labels, x and z must align")
@@ -535,60 +443,33 @@ class QuantumRegistry:
         if x.size and (x.dtype.kind not in "biu" or z.dtype.kind not in "biu"
                        or (either := x | z).view(f"u{either.itemsize}").max() > 1):
             raise ValueError("Pauli bits must be 0/1")
-        self._apply_checked_paulis(labels, x, z, inverse)
-
-    def _apply_checked_paulis(self, labels: Sequence, x, z, inverse: bool) -> None:
-        """``apply_paulis`` with none of its checks, for distinct labels and
-        aligned arrays of 0/1 bits, such as a key's (``_mask_streams``)."""
-        for family, axis, positions, rows in self._resolve(labels):
-            family.amps[rows] = sv._pauli_rows(family.amps[rows], axis, x[positions],
-                                               z[positions], inverse)
-
-    def _merged(self, labels1: Sequence, labels2: Sequence) -> tuple:
-        """The merged group of each pair (labels1[i], labels2[i]), stacked:
-        (amps, axis1, axis2, label columns, the two sides' buckets). Raises
-        ``LabelMismatch`` unless each side sits at one (family, axis) and no
-        two pairs touch one group, and ``DuplicateLabel`` if a pair names
-        one label twice."""
-        first, second = self._resolve(labels1), self._resolve(labels2)
-        if len(first) != 1 or len(second) != 1:
-            raise sv.LabelMismatch("a side of a batched Bell call spans two families or axes")
-        (f1, x1, positions1, rows1), (f2, x2, positions2, rows2) = sides = first[0], second[0]
-        if f1 is f2 and x1 == x2 and (rows1 == rows2).any():
-            raise sv.DuplicateLabel("bell measurement needs two distinct labels")
-        columns = first[0].columns
-        one_group = f1 is f2 and np.array_equal(rows1, rows2)
-        # a whole column holds each row once, so two of them touch no group
-        # twice; any other side is checked
-        if type(positions1) is not slice or type(positions2) is not slice:
-            touched = [(f1, r) for r in rows1.tolist()]
-            if not one_group:
-                touched += [(f2, r) for r in rows2.tolist()]
-            if len(set(touched)) != len(touched):
-                raise sv.LabelMismatch("two pairs of a batched Bell call touch one group")
-        if one_group:
-            return f1.amps[rows1], x1, x2, columns, sides
-        return (sv.tensor_rows(f1.amps[rows1], f2.amps[rows2]), x1, len(columns) + x2,
-                columns + second[0].columns, sides)
+        family, axis = self._column(labels)
+        family.paulis(axis, x, z, inverse)
 
     def bell_measure_many(
         self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
     ) -> tuple[list[BellOutcome], np.ndarray]:
-        """Bell-measure each pair (labels1[i], labels2[i]): the outcomes, and
-        the (m, 4) branch probabilities (BELL_ORDER columns) they were drawn from.
-
-        The m pairs draw one uniform each, in pair order, from a single
-        ``rng.random(m)`` call: the same doubles as m ``statevector.bell_measure``
-        calls, one per pair.
+        """Bell-measure each pair (labels1[i], labels2[i]) of two columns: the
+        outcomes, and the (m, 4) branch probabilities (BELL_ORDER columns)
+        they were drawn from. One column twice raises ``DuplicateLabel``. The
+        pairs draw one uniform each, in pair order, from one ``rng.random(m)``
+        call: the doubles of m ``statevector.bell_measure`` calls.
         """
         if len(labels1) != len(labels2):
             raise ValueError("labels1 and labels2 must align")
         if not labels1:
             return [], np.empty((0, 4))
-        amps, axis1, axis2, columns, sides = self._merged(labels1, labels2)
-        rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2,
-                                                     rng.random(len(labels1)))
-        self._unregister(sides)
+        (f1, axis1), (f2, axis2) = self._column(labels1), self._column(labels2)
+        if f1 is not f2:  # row r of each family holds the pair of row r
+            amps, axis2, columns = (sv.tensor_rows(f1.amps, f2.amps), len(f1.columns) + axis2,
+                                    f1.columns + f2.columns)
+        elif axis1 != axis2:
+            amps, columns = f1.amps, f1.columns
+        else:
+            raise sv.DuplicateLabel("bell measurement needs two distinct labels")
+        rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2, rng.random(len(labels1)))
+        for column in columns:
+            del self._columns[column]
         keep = tuple(column for j, column in enumerate(columns) if j not in (axis1, axis2))
         if keep:  # bell_measure_rows checked the residual
             self._add_checked_columns(keep, residual)
@@ -858,21 +739,21 @@ def _mask_streams(
     inverse: bool,
 ) -> None:
     """Apply each slot's positional key Pauli to every carrier in the slot,
-    one carrier stream at a time: in an honest run each stream is the label
-    stream of one family axis, which the registry's column index holds,
-    where the streams joined would have to be walked.
-
-    Honest apparatus keys by time slot, which is exactly why an adversarial
-    carrier sharing a slot picks up the same keyed operation. The streams
-    are one transmission: a label in two of them raises ``DuplicateLabel``,
-    and a slot the key does not cover ``KeyTooShort``, before any is masked.
+    one part of a stream (``parts``, a registry column) at a time. Honest
+    apparatus keys by time slot, which is exactly why an adversarial carrier
+    sharing a slot picks up the same keyed operation. The streams are one
+    transmission: every part is resolved and keyed before the first write,
+    so a part that is no live column, a column in two parts
+    (``DuplicateLabel``) or a slot the key does not cover (``KeyTooShort``)
+    raises with nothing masked.
     """
-    labels = [stream.labels for stream in streams]
-    if len(set(chain.from_iterable(labels))) != sum(map(len, labels)):
-        raise sv.DuplicateLabel("apply_paulis takes each label once")
-    paulis = [qotp.key_paulis(key, stream.slots) for stream in streams]  # KeyTooShort first
-    for stream, (x, z) in zip(streams, paulis):  # a key's bits, one per label
-        registry._apply_checked_paulis(stream.labels, x, z, inverse)
+    parts = [part for stream in streams for part in stream.parts]
+    targets = [registry._column(part.labels) for part in parts]
+    if len(set(targets)) != len(targets):
+        raise sv.DuplicateLabel("a transmission keys each column once")
+    paulis = [qotp.key_paulis(key, part.slots) for part in parts]
+    for (family, axis), (x, z) in zip(targets, paulis):  # a key's bits, one per label
+        family.paulis(axis, x, z, inverse)
 
 
 def bob_forward(
@@ -943,7 +824,7 @@ def trent_verify(
 
     # The arbiter wrote no carrier but v, so the returned digest's text is the
     # received one with v's row added before the closing "]": hash on from there.
-    rows_hash.update((b"," if n else b"") + _digest_bytes((verification,), registry)[1:])
+    rows_hash.update(b"," + _digest_bytes((verification,), registry)[1:])
     return CipherPayload(payload.masked, payload.signature, verification), TrentRecord(
         received_digest=received_hash.hexdigest(),
         masked_snapshot=masked_snapshot,

@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from aqsim.protocol import (
     QuantumRegistry,
 )
 from aqsim.scenarios import run_scenario
-from aqsim.statevector import BellOutcome
+from aqsim.statevector import BellOutcome, LabelMismatch
 
 
 def scenario(token):
@@ -278,10 +279,10 @@ def test_intercept_removes_probes_only():
 
 
 @pytest.mark.parametrize("inject", [adv.ipe_inject, adv.delay_photon_inject])
-def test_a_probe_picks_up_its_slots_pauli_through_one_walk(inject, monkeypatch):
+def test_a_probe_picks_up_its_slots_pauli_through_its_own_part(inject, monkeypatch):
     # the probes sit in the decoy family, not in the message family whose
-    # slots they share; a walk of the masked stream made before the verifier
-    # keys it is not kept, and the signature stream is its family's column
+    # slots they share: the injected stream is made of the two columns, and
+    # the verifier keys each by its own slots, one lookup per column
     n = 3
     rng = np.random.default_rng(11)
     registry = QuantumRegistry()
@@ -290,16 +291,23 @@ def test_a_probe_picks_up_its_slots_pauli_through_one_walk(inject, monkeypatch):
     alice_labels, _ = proto.distribute_bell_pairs(n, registry)
     package, _, _ = proto.alice_sign(spec, keys.signer, rng, registry, alice_labels)
     decoys = adv.make_decoy_set(n, registry)
+    plan, masked = proto.slot_plan(n), package.masked
     package = inject(package, decoys)
-    registry.render_states(package.masked.labels)
-    walks = []
-    walk = QuantumRegistry._buckets
-    monkeypatch.setattr(QuantumRegistry, "_buckets",
-                        lambda self, labels: walks.append(labels) or walk(self, labels))
+    first, probes = package.masked.parts
+    assert first is masked and probes.labels == plan.probes
+    assert probes.slots.tolist() == masked.slots.tolist()
+    assert package.masked.labels == tuple(chain.from_iterable(zip(masked.labels, plan.probes)))
+    with pytest.raises(LabelMismatch):  # the joined stream is no column
+        registry.render_states(package.masked.labels)
+    looked_up = []
+    column = QuantumRegistry._column
+    monkeypatch.setattr(QuantumRegistry, "_column",
+                        lambda self, labels: looked_up.append(labels) or column(self, labels))
     payload = proto.bob_forward(package, keys.verifier, registry)
-    assert walks == [package.masked.labels]  # the masked stream, walked afresh
+    assert looked_up == [plan.masked.labels, plan.probes, plan.signature.labels]
     _, captured = adv.intercept_decoys(payload, decoys)
     assert adv.ipe_extract(captured, decoys, registry, rng) == keys.verifier.bits[:2 * n]
+
 
 @pytest.mark.parametrize("token", ["ipe", "delay-photon"])
 def test_extraction_soundness(token):

@@ -181,9 +181,9 @@ def test_the_column_renderer_matches_the_oracle(k, m, head, data):
 
 
 @given(singles=st.integers(1, 6), pairs=st.integers(1, 6), head=st.booleans(), data=st.data())
-def test_a_stream_over_buckets_of_two_widths_renders_like_the_oracle(singles, pairs, head, data):
-    # single qubits and one or both axes of Bell-pair-shaped groups, in a
-    # stream that interleaves the width-2 and width-4 buckets at random
+def test_columns_of_two_widths_render_like_the_oracle(singles, pairs, head, data):
+    # a column of single qubits and each axis of Bell-pair-shaped groups;
+    # a stream that joins columns is refused
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
 
     def rows(m, width):  # unit rows, some imaginary parts a signed zero
@@ -194,21 +194,22 @@ def test_a_stream_over_buckets_of_two_widths_renders_like_the_oracle(singles, pa
         return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
     registry = proto.QuantumRegistry()
-    single_labels = [f"s{i}|{data.draw(ODD_TEXT)}" for i in range(singles)]
-    pair_labels = [(f"a{i}|{data.draw(ODD_TEXT)}", f"b{i}|{data.draw(ODD_TEXT)}")
-                   for i in range(pairs)]
-    registry.add_rows(zip(single_labels), rows(singles, 2))
-    registry.add_rows(pair_labels, rows(pairs, 4))
-    pool = single_labels + [pair[0] for pair in pair_labels] + data.draw(
-        st.lists(st.sampled_from([pair[1] for pair in pair_labels]), unique=True))
-    stream = tuple(data.draw(st.permutations(pool)))
-    plain = [registry.state_of(label).to_jsonable() for label in stream]
-    heads = ()
-    if head:
-        carriers = tuple(data.draw(CARRIER_ROW) for _ in stream)
-        plain = carried(carriers, plain)
-        heads = jsonutil.carrier_columns(carriers)
-    assert listed(registry.render_states(stream, heads)) == canonical_oracle.canonical_json(plain)
+    single_labels = tuple(f"s{i}|{data.draw(ODD_TEXT)}" for i in range(singles))
+    pair_labels = [tuple(f"{tag}{i}|{data.draw(ODD_TEXT)}" for i in range(pairs))
+                   for tag in "ab"]
+    registry.add_columns([single_labels], rows(singles, 2))
+    registry.add_columns(pair_labels, rows(pairs, 4))
+    for stream in (single_labels, *pair_labels):
+        plain = [registry.state_of(label).to_jsonable() for label in stream]
+        heads = ()
+        if head:
+            carriers = tuple(data.draw(CARRIER_ROW) for _ in stream)
+            plain = carried(carriers, plain)
+            heads = jsonutil.carrier_columns(carriers)
+        text = registry.render_states(stream, heads)
+        assert listed(text) == canonical_oracle.canonical_json(plain)
+    with pytest.raises(sv.LabelMismatch):
+        registry.render_states(single_labels + pair_labels[1])
 
 
 @given(m=st.integers(0, 4), w=st.integers(0, 6), data=st.data())
@@ -343,9 +344,14 @@ def test_payload_digests_match_the_oracle(scenario, monkeypatch):
 
     def forward_and_digest(package, key, registry):
         # bob's outgoing payload still carries the Trojan probes, which sit
-        # in two-qubit decoy pairs; the attacker pulls them before trent
+        # in two-qubit decoy pairs; the attacker pulls them before trent.
+        # Each part of its masked stream is one column, and digests as one
         payload = forward(package, key, registry)
-        payload.digest(registry)
+        for part in payload.masked.parts:
+            proto.CipherPayload(part, payload.signature).digest(registry)
+        if len(payload.masked.parts) > 1:  # the joined stream is no column
+            with pytest.raises(sv.LabelMismatch):
+                digest(payload, registry)
         return payload
 
     monkeypatch.setattr(proto.CipherPayload, "digest", checked_digest)
@@ -384,7 +390,9 @@ ESCAPED = ['p"1', "p\\2", "pé3", 'v☃"\\']
 
 def test_digests_and_send_rows_escape_ids_and_labels_like_the_oracle():
     registry = proto.QuantumRegistry()
-    registry.add_rows(zip(ESCAPED), sv.qubit_rows([(0.6, 0.8j), (0.8, -0.6), (1, 0), (0, 1)]))
+    for column, amps in ((ESCAPED[:2], [(0.6, 0.8j), (0.8, -0.6)]), (ESCAPED[2:3], [(1, 0)]),
+                         (ESCAPED[3:], [(0, 1)])):
+        registry.add_columns([column], sv.qubit_rows(amps))
     masked = proto.carriers_of(ESCAPED[:2], 'band "é"', 0)
     signature = (proto.Carrier('s\\ig"☃', proto.BAND_SIGNAL, 2, ESCAPED[2]),)
     verdict = (proto.Carrier("vé", proto.BAND_SIGNAL, 3, ESCAPED[3]),)

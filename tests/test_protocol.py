@@ -683,31 +683,37 @@ def test_transcript_events_cover_flow():
         assert kind in kinds
 
 
+def plan_lookups(n, token, monkeypatch):
+    """Each stream that a trial of ``token`` at n hands the registry, in
+    order, asserting that each is one whole column of the slot plan."""
+    plan = proto.slot_plan(n)
+    columns = {plan.alice, plan.bob, plan.teleport, plan.probes, plan.keepers,
+               plan.masked.labels, plan.signature.labels, plan.verification.labels}
+    looked_up = []
+    column = QuantumRegistry._column
+    monkeypatch.setattr(QuantumRegistry, "_column",
+                        lambda self, labels: looked_up.append(tuple(labels)) or column(self, labels))
+    run_scenario(Scenario.from_token(token), n, 7, 0)
+    assert looked_up and set(looked_up) <= columns
+    return looked_up
+
+
 def test_each_label_stream_is_walked_at_most_once_per_trial(monkeypatch):
-    # the flow asks for the same carrier streams at every step; a stream that
-    # no family's axis holds (under ipe, the masked carriers with the probes
-    # among them) is walked into its buckets once and the walk is kept
-    walks = []
-    walk = QuantumRegistry._buckets
-    monkeypatch.setattr(QuantumRegistry, "_buckets",
-                        lambda self, labels: walks.append(tuple(labels)) or walk(self, labels))
+    # no stream is walked label by label: the Trojan masked stream, the one
+    # stream that spans two families, goes in as its two parts, the message
+    # and probe columns, each found by one lookup
+    plan = proto.slot_plan(64)
     for token in ("ipe", "delay-photon"):
-        walks.clear()
-        run_scenario(Scenario.from_token(token), 64, 7, 0)
-        assert walks
-        assert len(walks) == len(set(walks))
+        looked_up = plan_lookups(64, token, monkeypatch)
+        assert plan.probes in looked_up and plan.masked.labels in looked_up
 
 
 @pytest.mark.parametrize("n", [8, 256])
 def test_an_honest_trial_walks_no_stream(n, monkeypatch):
-    # every stream an honest trial reads is one family axis, resolved when
-    # its family was added, so no stream is walked label by label
-    walks = []
-    walk = QuantumRegistry._buckets
-    monkeypatch.setattr(QuantumRegistry, "_buckets",
-                        lambda self, labels: walks.append(tuple(labels)) or walk(self, labels))
-    run_scenario(Scenario.from_token("honest"), n, 7, 0)
-    assert walks == []
+    # every stream an honest trial hands the registry is one plan column,
+    # found by one lookup; the probe columns never come up
+    looked_up = plan_lookups(n, "honest", monkeypatch)
+    assert proto.slot_plan(n).probes not in looked_up
 
 
 @pytest.mark.parametrize("n", [8, 256])
@@ -738,13 +744,13 @@ def _signed(n, seed):
 def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
     registry, streams, package, kept, _ = _signed(4, 61)
     assert set(kept) == {streams.a, streams.b}  # indexed when the pairs were added
-    # the teleport and pair families were measured; p and sa stay as add_rows
+    # the teleport and pair families were measured; p and sa stay as alice_sign
     # indexed them, and the b halves were indexed again in the residual family
     assert set(registry._columns) == {streams.p, streams.sa, streams.b}
     assert package.masked.labels == streams.p
     assert package.signature.labels == streams.sa
-    bucket = registry._columns[streams.b]
-    assert bucket is not kept[streams.b] and bucket.family.columns == (streams.b,)
+    family, axis = registry._columns[streams.b]
+    assert family is not kept[streams.b][0] and (family.columns, axis) == ((streams.b,), 0)
 
 
 def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
@@ -752,11 +758,11 @@ def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
     # them as they are, with no per-trial copy
     registry, streams, package, _, _ = _signed(4, 64)
     plan = proto.slot_plan(4)
-    p, sa, b = (registry._columns[s] for s in (streams.p, streams.sa, streams.b))
-    assert p.family.columns == (plan.masked.labels,)
-    assert p.family.columns[0] is plan.masked.labels is package.masked.labels
-    assert sa.family.columns[0] is plan.signature.labels
-    assert b.family.columns[0] is plan.bob  # the residual of the pair family's b column
+    p, sa, b = (registry._columns[s][0] for s in (streams.p, streams.sa, streams.b))
+    assert p.columns == (plan.masked.labels,)
+    assert p.columns[0] is plan.masked.labels is package.masked.labels
+    assert sa.columns[0] is plan.signature.labels
+    assert b.columns[0] is plan.bob  # the residual of the pair family's b column
     for stream in (plan.alice, plan.bob, plan.teleport, plan.probes, plan.keepers,
                    plan.masked.labels, plan.signature.labels, plan.verification.labels):
         assert type(stream) is tuple
@@ -778,15 +784,30 @@ def test_a_stream_that_names_a_measured_label_raises():
 
 
 def test_bob_forward_refuses_a_label_in_both_streams():
-    # masked and signature are one transmission: a label in both is keyed
-    # twice, and it raises before either stream is masked
+    # masked and signature are one transmission: a column in both is keyed
+    # twice, and a stream that is no column cannot be keyed; each raises
+    # before either stream is masked
     registry, streams, package, _, verifier_key = _signed(3, 63)
-    both = proto.SignaturePackage(package.masked, package.masked[:1] + package.signature[1:],
-                                  package.bell_results)
-    before = registry.amps_of(streams.p + streams.sa)
-    with pytest.raises(sv.DuplicateLabel):
-        proto.bob_forward(both, verifier_key, registry)
-    assert registry.amps_of(streams.p + streams.sa).tobytes() == before.tobytes()
+    before = [registry.amps_of(stream).tobytes() for stream in (streams.p, streams.sa)]
+    for signature, error in ((package.masked, sv.DuplicateLabel),
+                             (package.masked[:1] + package.signature[1:], sv.LabelMismatch)):
+        both = proto.SignaturePackage(package.masked, signature, package.bell_results)
+        with pytest.raises(error):
+            proto.bob_forward(both, verifier_key, registry)
+        assert [registry.amps_of(stream).tobytes() for stream in (streams.p, streams.sa)] == before
+
+
+def test_mask_streams_resolves_every_part_before_it_masks_any():
+    # a carrier that names no live qubit, in a later stream of one
+    # transmission, raises before the p rows are masked
+    n = 2
+    registry, streams, _, _, verifier_key = _signed(n, 68)
+    assert any(verifier_key.bits[:2 * n])  # the key would change the p rows
+    ghost = proto.CarrierStream.of([proto.Carrier("ghost", proto.BAND_SIGNAL, 2, "ghost")])
+    before = registry.amps_of(streams.p).tobytes()
+    with pytest.raises(sv.UnknownLabel):
+        proto._mask_streams(registry, [proto.slot_plan(n).masked, ghost], verifier_key, False)
+    assert registry.amps_of(streams.p).tobytes() == before
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
