@@ -3,8 +3,10 @@
 Equal structures must serialize to equal bytes: transcript replay and
 arbiter-record comparisons are byte-level. The stdlib encoder uses the
 shortest round-trip float repr, which is fine for parsing but leaves the
-width unpinned, so floats are emitted here with 17 significant digits
-(lossless for IEEE doubles). Dict insertion order is preserved.
+width unpinned, so every float, alone or in a row, takes one rule here:
+``_float_stack`` collapses -0.0 and refuses a non-finite value, then
+``%.17g`` gives 17 significant digits (lossless for IEEE doubles). Dict
+insertion order is preserved.
 
 The documents are mostly long runs of same-shaped rows (state snapshots,
 carrier metadata, probability rows). They are rendered by columns, where
@@ -18,10 +20,10 @@ joined once, with no Python per row. What the renderers return is text
 only: a ``Rendered`` holds the canonical text and no copy of the value,
 and ``_emit`` appends that text verbatim. A trial renders the same floats
 and carrier streams many times over (a Pauli mask only permutes and
-negates floats), so the renderers take a ``RenderMemo`` that keeps float
-tokens; one memo lives as long as one trial's registry. The same carriers
-travel three legs, so a carrier stream (``protocol.CarrierStream``) keeps
-its own ``carrier_columns`` and ``render_carriers`` text.
+negates floats), so the float renderers take a memo, a plain dict of
+float tokens that lives as long as one trial (``QuantumRegistry.memo``).
+The same carriers travel three legs, so a carrier stream
+(``protocol.CarrierStream``) keeps its ``carrier_columns`` and their text.
 
 The emitter takes exactly the built-in types the documents are made of
 (dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
@@ -32,7 +34,6 @@ the independent emitter in ``tests/canonical_oracle.py``.
 from __future__ import annotations
 
 import functools
-import math
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import not_
@@ -55,14 +56,6 @@ class Rendered:
         self.text = text
 
 
-def _float_token(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(_NON_FINITE)
-    if x == 0.0:
-        x = 0.0  # collapse -0.0 so sign-flipped zero amplitudes don't leak into bytes
-    return format(x, ".17g")
-
-
 def _emit(obj, out: list[str]) -> None:
     """Append the canonical tokens of ``obj`` to ``out``, dispatching on
     ``type(obj)``: only the exact built-in types are accepted."""
@@ -70,7 +63,7 @@ def _emit(obj, out: list[str]) -> None:
     if kind is str:
         out.append(_encode_str(obj))
     elif kind is float:
-        out.append(_float_token(obj))
+        out.append("%.17g" % _float_stack(obj))
     elif kind is dict:
         out.append("{")
         sep = ""
@@ -108,41 +101,26 @@ def _emit(obj, out: list[str]) -> None:
 # --- the column renderer ----------------------------------------------------
 
 
-class RenderMemo:
-    """The float tokens rendered so far in one trial.
-
-    ``floats`` maps a float's exact value to its token. Each magnitude is
-    formatted once and stored under both signs (see ``_tokens``). The memo
-    belongs to one ``QuantumRegistry``, so it lives exactly as long as one
-    trial.
-    """
-
-    __slots__ = ("floats",)
-
-    def __init__(self):
-        self.floats: dict[float, str] = {}
-
-
 def _float_stack(values) -> np.ndarray:
-    """A float64 copy of ``values`` with -0.0 collapsed to 0.0, checked
-    finite once for the whole stack."""
+    """A float64 copy of ``values`` with -0.0 collapsed to 0.0 (a sign-flipped
+    zero leaves no trace in the bytes), checked finite once for the whole stack."""
     stack = np.asarray(values, dtype=np.float64) + 0.0
     if not np.isfinite(stack).all():
         raise ValueError(_NON_FINITE)
     return stack
 
 
-def _tokens(values: list, floats: dict) -> list[str]:
+def _tokens(values: list, memo: dict) -> list[str]:
     """The token of each of ``values`` (finite, no -0.0); the tokens that
-    ``floats`` does not hold yet are formatted and stored there.
+    ``memo`` does not hold yet are formatted and stored there.
 
     For finite x != 0 the token of -x is "-" followed by the token of x, so
     each token formatted is stored under both signs; a value missing from
-    ``floats`` therefore has a missing magnitude too. When most values are
+    ``memo`` therefore has a missing magnitude too. When most values are
     new and distinct, all of them are formatted straight, in order, in one
     format call; otherwise each new magnitude is formatted once.
     """
-    tokens = list(map(floats.get, values))
+    tokens = list(map(memo.get, values))
     if all(tokens):  # every value known (no token is empty)
         return tokens
     new = set(compress(values, map(not_, tokens)))
@@ -152,10 +130,10 @@ def _tokens(values: list, floats: dict) -> list[str]:
     texts = ("%.17g," * len(formatted) % tuple(formatted)).split(",")[:-1]
     # negations first: 0.0 is its own negation, so its "-0" is then
     # overwritten by "0"
-    floats.update(zip(map(float.__neg__, formatted),
-                      [t[1:] if t[0] == "-" else "-" + t for t in texts]))
-    floats.update(zip(formatted, texts))
-    return texts if straight else list(map(floats.__getitem__, values))
+    memo.update(zip(map(float.__neg__, formatted),
+                    [t[1:] if t[0] == "-" else "-" + t for t in texts]))
+    memo.update(zip(formatted, texts))
+    return texts if straight else list(map(memo.__getitem__, values))
 
 
 _COLUMN = "\0"  # marks a column in a row template; no fragment holds it
@@ -207,13 +185,14 @@ def _fill(layout: tuple, columns: list, m: int) -> str:
     return "".join(flat)
 
 
-def render_states(labels, amps, memo: RenderMemo | None = None, heads=()) -> str:
+def render_states(labels, amps, memo: dict, heads=()) -> str:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
     each row of an (m, 2**k) complex stack, joined by commas. ``labels``
     holds k columns of m strings: column j names each row's axis j. With
     ``heads``, a stream's three columns from ``carrier_columns``, row r is
     ``{"id", "band", "slot", "state"}`` with row r's state as its
-    ``"state"``. Floats already in ``memo`` are not formatted again."""
+    ``"state"``. Floats already in ``memo`` are not formatted again; the
+    others are formatted and stored there."""
     # the (m, 2w) float view of the (m, w) stack, -0.0 collapsed: (re, im) per amplitude
     stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
     m, width = stack.shape
@@ -221,19 +200,19 @@ def render_states(labels, amps, memo: RenderMemo | None = None, heads=()) -> str
     if 2 ** len(labels) * 2 != width or any(len(column) != m for column in labels):
         raise ValueError(f"{len(labels)} label columns of {[*map(len, labels)]} rows "
                          f"for {m} rows of {width // 2} amplitudes")
-    tokens = _tokens(stack.ravel().tolist(), (RenderMemo() if memo is None else memo).floats)
+    tokens = _tokens(stack.ravel().tolist(), memo)
     columns = [*heads, *labels, *(tokens[j::width] for j in range(width))]
     return _fill(_state_layout(len(labels), width // 2, bool(heads)), columns, m)
 
 
-def render_float_rows(rows, memo: RenderMemo | None = None) -> Rendered:
+def render_float_rows(rows, memo: dict) -> Rendered:
     """Rendered ``[[x, ...], ...]`` of equal-length rows of floats, formatting
     only the floats not yet in ``memo``."""
     stack = _float_stack(rows)
     if not stack.size:  # no rows, or rows of no floats
         return Rendered("[" + ",".join(["[]"] * len(stack)) + "]")
     m, width = stack.shape
-    tokens = _tokens(stack.ravel().tolist(), (RenderMemo() if memo is None else memo).floats)
+    tokens = _tokens(stack.ravel().tolist(), memo)
     columns = [tokens[j::width] for j in range(width)]
     return Rendered("[" + _fill(_float_layout(width), columns, m) + "]")
 
@@ -247,11 +226,10 @@ def carrier_columns(rows) -> tuple[tuple, tuple, tuple]:
             tuple(map("%d".__mod__, slots)))
 
 
-def render_carriers(rows, columns=None) -> Rendered:
-    """Rendered ``[{"id", "band", "slot"}, ...]`` from rows that start with
-    (id, band, slot), laid out from their ``carrier_columns`` when given."""
-    columns = carrier_columns(rows) if columns is None else columns
-    return Rendered("[" + _fill(_state_layout(0, 0, True), columns, len(rows)) + "]")
+def render_carriers(columns) -> Rendered:
+    """Rendered ``[{"id", "band", "slot"}, ...]`` of carrier rows, laid out
+    from their ``carrier_columns``."""
+    return Rendered("[" + _fill(_state_layout(0, 0, True), columns, len(columns[0])) + "]")
 
 
 def render_strings(strings) -> Rendered:

@@ -25,7 +25,7 @@ import hashlib
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -178,9 +178,6 @@ class Carrier(NamedTuple):
         return {"id": self.id, "band": self.band, "slot": self.time_slot}
 
 
-_new_carrier = partial(tuple.__new__, Carrier)  # from an (id, band, slot, payload) row
-
-
 class CarrierStream(tuple):
     """A stream of carriers, one transmission, that works out what the flow
     reads off it once and keeps it: its labels as a plain tuple, its slots,
@@ -191,26 +188,11 @@ class CarrierStream(tuple):
     The streams that n alone fixes come from ``slot_plan`` and serve every
     trial of that n; a stream built in a trial keeps its fields for as long
     as the trial holds it. ``tuple()`` and slices of a stream are plain
-    tuples, which keep nothing: ``of`` takes any sequence of carriers to a
-    stream.
+    tuples, which keep nothing, and the packages refuse them: a stream is
+    made with ``CarrierStream(carriers)``.
     """
 
     _parts = None  # set on an interleaved stream only: (self,) would be a cycle
-
-    @classmethod
-    def of(cls, carriers: Sequence[Carrier]) -> CarrierStream:
-        """``carriers`` as a stream: a stream as it is, any other sequence
-        of carriers copied into one. A bare ``Carrier`` (itself a tuple) or
-        an item that is not a ``Carrier`` raises ``TypeError``."""
-        if type(carriers) is cls:
-            return carriers
-        if isinstance(carriers, Carrier):
-            raise TypeError(f"expected a sequence of carriers, got the carrier {carriers.id!r}")
-        stream = cls(carriers)
-        for item in stream:
-            if not isinstance(item, Carrier):
-                raise TypeError(f"expected a sequence of carriers, got an item {item!r}")
-        return stream
 
     @classmethod
     def interleaved(cls, first: CarrierStream, second: CarrierStream) -> CarrierStream:
@@ -243,14 +225,14 @@ class CarrierStream(tuple):
     @cached_property
     def rendered(self) -> jsonutil.Rendered:
         """The canonical ``[{"id", "band", "slot"}, ...]`` that a send event logs."""
-        return jsonutil.render_carriers(self, self.columns)
+        return jsonutil.render_carriers(self.columns)
 
 
 def carriers_of(ids: Sequence[str], band: str, first_slot: int) -> CarrierStream:
     """One carrier per id, in consecutive slots from ``first_slot``, each
     holding the qubit labeled with its id."""
     slots = range(first_slot, first_slot + len(ids))
-    return CarrierStream(map(_new_carrier, zip(ids, repeat(band), slots, ids)))
+    return CarrierStream(map(Carrier._make, zip(ids, repeat(band), slots, ids)))
 
 
 class SlotPlan(NamedTuple):
@@ -328,12 +310,12 @@ class QuantumRegistry:
     of two columns merges their families, drops both and registers the
     residual; the registry compares no states. ``state_of`` finds one label
     by a scan of the live columns, off the flow. ``memo`` keeps this
-    trial's float tokens (``jsonutil.RenderMemo``).
+    trial's float tokens for the ``jsonutil`` renderers.
     """
 
     def __init__(self):
         self._columns: dict = {}  # each column of each live family -> (family, axis)
-        self.memo = jsonutil.RenderMemo()
+        self.memo: dict[float, str] = {}
 
     def _column(self, labels: Sequence) -> tuple[_Family, int]:
         """The (family, axis) of the live column ``labels``."""
@@ -476,6 +458,14 @@ class QuantumRegistry:
         return [sv.BELL_ORDER[r] for r in rows.tolist()], probs
 
 
+def _check_streams(package, names) -> None:
+    """Refuse any of a package's ``names`` fields that is not a ``CarrierStream``."""
+    for name in names:
+        value = getattr(package, name)
+        if type(value) is not CarrierStream:
+            raise TypeError(f"{name} must be a CarrierStream, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class SignaturePackage:
     """What the signer ships: masked message carriers, bound-signature
@@ -486,8 +476,7 @@ class SignaturePackage:
     bell_results: tuple[BellOutcome, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "masked", CarrierStream.of(self.masked))
-        object.__setattr__(self, "signature", CarrierStream.of(self.signature))
+        _check_streams(self, ("masked", "signature"))
         object.__setattr__(self, "bell_results", tuple(self.bell_results))
         if len(self.signature) != len(self.bell_results):
             raise ValueError("signature carriers and bell results must align")
@@ -509,8 +498,7 @@ class CipherPayload:
     verification: CarrierStream = CarrierStream()
 
     def __post_init__(self):
-        for name in ("masked", "signature", "verification"):
-            object.__setattr__(self, name, CarrierStream.of(getattr(self, name)))
+        _check_streams(self, ("masked", "signature", "verification"))
 
     @property
     def verdict_carrier(self) -> Carrier | None:
@@ -797,6 +785,8 @@ def trent_verify(
             f"expected {n} masked carriers to match {n} signature carriers, "
             f"got {len(payload.masked)}"
         )
+    if not n:
+        raise ProtocolError("empty payload")
     if payload.verification:
         raise ProtocolError("the arbiter's payload already carries a verification qubit")
     received = _digest_bytes(payload.streams(), registry)

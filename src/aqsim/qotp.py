@@ -9,7 +9,7 @@ are amplitude-exact, not merely phase-equal.
 from position i and its z bit from i's pair partner (positions swap within
 consecutive pairs: 0<->1, 2<->3, ...). It is provided for completeness and
 is not used by the signing flow; the index convention is documented in the
-README.
+README. All three run on the stacked rows, through ``statevector.pauli_rows``.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import statevector as sv
-from .statevector import PauliBits, PureState
+from .statevector import PureState
 
 ROLE_SIGNER = "signer-key"      # shared signer <-> arbiter
 ROLE_VERIFIER = "verifier-key"  # shared verifier <-> arbiter
@@ -107,11 +107,12 @@ def mask_rows(amps: np.ndarray, key: KeyBits, inverse: bool = False) -> np.ndarr
     return sv.pauli_rows(amps, 0, x, z, inverse=inverse)
 
 
-def _masked(seq: Sequence[PureState], key: KeyBits, inverse: bool) -> tuple[PureState, ...]:
+def _on_rows(seq: Sequence[PureState], transform) -> tuple[PureState, ...]:
+    """``transform`` over the (n, 2) stack of a product sequence's qubits."""
     _check_product_sequence(seq)
     if not seq:
         return ()
-    amps = mask_rows(np.array([state.amps for state in seq]), key, inverse=inverse)
+    amps = transform(np.array([state.amps for state in seq]))
     return sv.states_from_rows([state.labels for state in seq], amps)
 
 
@@ -124,23 +125,23 @@ def _check_product_sequence(seq: Sequence[PureState]) -> None:
 
 def encrypt(seq: Sequence[PureState], key: KeyBits) -> tuple[PureState, ...]:
     """Mask each qubit with its positional Pauli; consumes 2 bits per qubit."""
-    return _masked(seq, key, inverse=False)
+    return _on_rows(seq, lambda amps: mask_rows(amps, key))
 
 
 def decrypt(seq: Sequence[PureState], key: KeyBits) -> tuple[PureState, ...]:
     """Exact inverse of ``encrypt``: applies sigma_x then sigma_z per qubit."""
-    return _masked(seq, key, inverse=True)
+    return _on_rows(seq, lambda amps: mask_rows(amps, key, inverse=True))
 
 
 def pair_transform(seq: Sequence[PureState], key: KeyBits) -> tuple[PureState, ...]:
     """Keyed mask with pair-swapped z bits: qubit i uses (x=k[i], z=k[i^1])."""
-    _check_product_sequence(seq)
-    n = len(seq)
-    needed = n + 1 if n % 2 else n
-    if len(key.bits) < needed:
-        raise KeyTooShort(f"pair transform over {n} qubits needs {needed} key bits, "
-                          f"have {len(key.bits)}")
-    return tuple(
-        sv.apply_pauli(state, state.labels[0], PauliBits(key.bits[i], key.bits[i ^ 1]))
-        for i, state in enumerate(seq)
-    )
+    def transform(amps):
+        n = len(amps)
+        needed = n + 1 if n % 2 else n
+        if len(key.bits) < needed:
+            raise KeyTooShort(f"pair transform over {n} qubits needs {needed} key bits, "
+                              f"have {len(key.bits)}")
+        i = np.arange(n)
+        return sv.pauli_rows(amps, 0, key.array[i], key.array[i ^ 1])
+
+    return _on_rows(seq, transform)

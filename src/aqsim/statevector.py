@@ -470,7 +470,7 @@ def bell_measure_rows(amps: np.ndarray, axis1: int, axis2: int, u) -> tuple:
     return rows, probs, check_rows(comp[idx, rows] / np.sqrt(probs[idx, rows])[:, None])
 
 
-def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> list[bool]:
+def equal_up_to_phase_rows(a: np.ndarray, b: np.ndarray, tol: float) -> list[bool]:
     """``equal_up_to_phase`` row by row over two stacks in the same label order.
 
     The phase and every row's distance are computed stacked. The stacked

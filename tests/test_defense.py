@@ -5,7 +5,7 @@ from aqsim import adversary as adv
 from aqsim import defense
 from aqsim.adversary import MissingDecoy, Scenario
 from aqsim.defense import DefenseConfig
-from aqsim.protocol import BAND_OFF, BAND_SIGNAL, Carrier, QuantumRegistry
+from aqsim.protocol import BAND_OFF, BAND_SIGNAL, Carrier, CarrierStream, QuantumRegistry
 from aqsim.scenarios import run_scenario
 
 
@@ -56,11 +56,11 @@ def test_pns_also_catches_ipe_layout():
     # slot-count oracle on the injected layout: every slot holds 2 carriers,
     # so the splitter flags one per slot even though the probe is off-band
     registry = QuantumRegistry()
-    package_carriers = tuple(
+    package_carriers = CarrierStream(
         Carrier(id=f"p{i + 1}", band=BAND_SIGNAL, time_slot=i, payload=f"p{i + 1}")
         for i in range(3)
     )
-    sig = tuple(
+    sig = CarrierStream(
         Carrier(id=f"sa{i + 1}", band=BAND_SIGNAL, time_slot=3 + i, payload=f"sa{i + 1}")
         for i in range(3)
     )

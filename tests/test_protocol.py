@@ -384,7 +384,7 @@ def test_bob_forward_refuses_a_key_that_misses_a_slot_before_masking_any_stream(
     # a key for the masked stream alone; and a carrier in slot -1, which numpy
     # would key with the verifier key's last two bits, those of slot 2n
     short = KeyBits(verifier_key.bits[:2 * n + 2], qotp.ROLE_VERIFIER)
-    masked = [package.masked[0]._replace(time_slot=-1), *package.masked[1:]]
+    masked = proto.CarrierStream([package.masked[0]._replace(time_slot=-1), *package.masked[1:]])
     for forwarded, key, index in (
             (package, short, 2 * n - 1),
             (proto.SignaturePackage(masked, package.signature, package.bell_results),
@@ -423,7 +423,7 @@ def test_trent_verify_refuses_a_probe_and_leaves_the_registry_unchanged():
     decoys = adv.make_decoy_set(n, registry)
     probe = proto.Carrier(id="d1_1", band=proto.BAND_SIGNAL, time_slot=0,
                           payload=decoys.pairs[0][0])
-    swapped = proto.CipherPayload(masked=(probe,) + payload.masked[1:],
+    swapped = proto.CipherPayload(masked=proto.CarrierStream((probe,) + payload.masked[1:]),
                                   signature=payload.signature)
     carriers = payload.masked + payload.signature + (probe,)
     before = _carrier_bytes(registry, carriers)
@@ -437,24 +437,35 @@ def test_trent_verify_refuses_a_probe_and_leaves_the_registry_unchanged():
 def test_trent_verify_refuses_a_payload_that_carries_a_verification_qubit():
     run = _forwarded(2, 61)
     payload, registry = run.payload, run.registry
-    carrying = proto.CipherPayload(payload.masked, payload.signature,
-                                   (proto.Carrier("w", proto.BAND_SIGNAL, 4, "b1"),))
+    extra = proto.CarrierStream([proto.Carrier("w", proto.BAND_SIGNAL, 4, "b1")])
+    carrying = proto.CipherPayload(payload.masked, payload.signature, extra)
     with pytest.raises(proto.ProtocolError):
         proto.trent_verify(carrying, run.signer_key, run.verifier_key, registry)
     with pytest.raises(sv.UnknownLabel):
         registry.state_of("v")
 
 
+def test_trent_verify_refuses_an_empty_payload_before_it_reads_the_registry():
+    keys = proto.setup_keys(2, np.random.default_rng(5))
+    registry = proto.QuantumRegistry()
+    empty = proto.CipherPayload(proto.CarrierStream(), proto.CarrierStream())
+    with pytest.raises(proto.ProtocolError, match="empty payload"):
+        proto.trent_verify(empty, keys.signer, keys.verifier, registry)
+    assert registry._columns == {}
+
+
 def test_a_payload_refuses_a_bare_carrier_or_items_that_are_not_carriers():
     run = _forwarded(2, 61)
     masked, signature = run.payload.masked, run.payload.signature
     carrier = proto.Carrier("v", proto.BAND_SIGNAL, 4, "v")
-    for bad in (carrier, ("v",), (carrier, "v")):
+    # only a CarrierStream is a stream: a plain tuple or list of carriers is refused too
+    for bad in (carrier, ("v",), (carrier, "v"), (carrier,), [carrier]):
         with pytest.raises(TypeError):
             proto.CipherPayload(masked, signature, bad)
         with pytest.raises(TypeError):
             proto.SignaturePackage(bad, signature, (None, None))
-    assert proto.CipherPayload(masked, signature, [carrier]).verdict_carrier == carrier
+    stream = proto.CarrierStream([carrier])
+    assert proto.CipherPayload(masked, signature, stream).verdict_carrier == carrier
 
 
 def test_trent_record_is_blind():
@@ -790,7 +801,8 @@ def test_bob_forward_refuses_a_label_in_both_streams():
     registry, streams, package, _, verifier_key = _signed(3, 63)
     before = [registry.amps_of(stream).tobytes() for stream in (streams.p, streams.sa)]
     for signature, error in ((package.masked, sv.DuplicateLabel),
-                             (package.masked[:1] + package.signature[1:], sv.LabelMismatch)):
+                             (proto.CarrierStream(package.masked[:1] + package.signature[1:]),
+                              sv.LabelMismatch)):
         both = proto.SignaturePackage(package.masked, signature, package.bell_results)
         with pytest.raises(error):
             proto.bob_forward(both, verifier_key, registry)
@@ -803,7 +815,7 @@ def test_mask_streams_resolves_every_part_before_it_masks_any():
     n = 2
     registry, streams, _, _, verifier_key = _signed(n, 68)
     assert any(verifier_key.bits[:2 * n])  # the key would change the p rows
-    ghost = proto.CarrierStream.of([proto.Carrier("ghost", proto.BAND_SIGNAL, 2, "ghost")])
+    ghost = proto.CarrierStream([proto.Carrier("ghost", proto.BAND_SIGNAL, 2, "ghost")])
     before = registry.amps_of(streams.p).tobytes()
     with pytest.raises(sv.UnknownLabel):
         proto._mask_streams(registry, [proto.slot_plan(n).masked, ghost], verifier_key, False)
@@ -883,8 +895,8 @@ def test_the_plan_is_shared_and_read_only():
     # a package keeps the plan's streams, so they are not rebuilt per trial
     package = proto.SignaturePackage(plan.masked, plan.signature, (BellOutcome.PHI_PLUS,) * 4)
     assert package.masked is plan.masked and package.signature is plan.signature
-    package = proto.SignaturePackage(tuple(plan.masked), list(plan.signature), package.bell_results)
-    assert type(package.masked) is proto.CarrierStream and package.masked == plan.masked
+    with pytest.raises(TypeError):  # a copy of a stream is no stream
+        proto.SignaturePackage(tuple(plan.masked), list(plan.signature), package.bell_results)
 
 
 def test_the_plan_cache_stays_within_its_bound():

@@ -181,6 +181,25 @@ def test_pair_transform_odd_length_needs_extra_bit():
     qotp.pair_transform(seq, key([1, 0, 1, 1]))  # n+1 bits suffice
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pair_transform_rows_are_the_scalar_paulis_bit_for_bit(n):
+    # each row as the scalar apply_pauli with (x=k[i], z=k[i^1]) leaves it;
+    # an odd n needs n+1 key bits
+    rng = np.random.default_rng(400 + n)
+    seq = qubits(*(oracles.random_qubit(rng) for _ in range(n)))
+    for length in (n, n + 1):
+        k = key(rng.integers(0, 2, length).tolist())
+        if length < n + n % 2:
+            with pytest.raises(KeyTooShort):
+                qotp.pair_transform(seq, k)
+            continue
+        out = qotp.pair_transform(seq, k)
+        assert len(out) == n
+        for i, (state, got) in enumerate(zip(seq, out)):
+            want = sv.apply_pauli(state, state.labels[0], PauliBits(k.bits[i], k.bits[i ^ 1]))
+            assert got.labels == want.labels and got.amps.tobytes() == want.amps.tobytes()
+
+
 # --- pad generation ---------------------------------------------------------
 
 
