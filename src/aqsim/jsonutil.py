@@ -101,6 +101,28 @@ def _emit(obj, out: list[str]) -> None:
 # --- the column renderer ----------------------------------------------------
 
 
+class Labels(tuple):
+    """A column of labels that works out once what is read off it: the
+    canonical text of each label (``texts``), which ``render_states`` lays
+    in, and the set of its labels (``label_set``), None unless every label
+    is a ``str``, the only label type canonical text renders. The slot
+    plan's columns are ``Labels`` and serve every trial of their n; a
+    column of any other type is worked out afresh each time it is read."""
+
+    @classmethod
+    def of(cls, column) -> Labels:
+        """``column`` if it is a ``Labels``, else a ``Labels`` copy of it."""
+        return column if type(column) is cls else cls(column)
+
+    @functools.cached_property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(map(_encode_str, self))
+
+    @functools.cached_property
+    def label_set(self) -> frozenset | None:
+        return frozenset(self) if {*map(type, self)} <= {str} else None
+
+
 def _float_stack(values) -> np.ndarray:
     """A float64 copy of ``values`` with -0.0 collapsed to 0.0 (a sign-flipped
     zero leaves no trace in the bytes), checked finite once for the whole stack."""
@@ -116,24 +138,24 @@ def _tokens(values: list, memo: dict) -> list[str]:
 
     For finite x != 0 the token of -x is "-" followed by the token of x, so
     each token formatted is stored under both signs; a value missing from
-    ``memo`` therefore has a missing magnitude too. When most values are
-    new and distinct, all of them are formatted straight, in order, in one
-    format call; otherwise each new magnitude is formatted once.
+    ``memo`` therefore has a missing magnitude too. The new values are
+    formatted once each, in the order they first appear, in one format
+    call. When every value is new and distinct (the first render of a
+    stream's rows), those texts are the tokens; otherwise the tokens are
+    read back from ``memo``. The memo's entries follow the rows' order,
+    which keeps a later render's lookups close in memory.
     """
     tokens = list(map(memo.get, values))
     if all(tokens):  # every value known (no token is empty)
         return tokens
-    new = set(compress(values, map(not_, tokens)))
-    straight = 2 * len(new) > len(values)
-    formatted = values if straight else tuple(set(map(abs, new)))
+    new = dict.fromkeys(compress(values, map(not_, tokens)) if any(tokens) else values)
     # one format call; no token holds a comma, and the last text is empty
-    texts = ("%.17g," * len(formatted) % tuple(formatted)).split(",")[:-1]
+    texts = ("%.17g," * len(new) % tuple(new)).split(",")[:-1]
     # negations first: 0.0 is its own negation, so its "-0" is then
     # overwritten by "0"
-    memo.update(zip(map(float.__neg__, formatted),
-                    [t[1:] if t[0] == "-" else "-" + t for t in texts]))
-    memo.update(zip(formatted, texts))
-    return texts if straight else list(map(memo.__getitem__, values))
+    memo.update(zip(map(float.__neg__, new), [t[1:] if t[0] == "-" else "-" + t for t in texts]))
+    memo.update(zip(new, texts))
+    return texts if len(new) == len(values) else list(map(memo.__getitem__, values))
 
 
 _COLUMN = "\0"  # marks a column in a row template; no fragment holds it
@@ -188,15 +210,16 @@ def _fill(layout: tuple, columns: list, m: int) -> str:
 def render_states(labels, amps, memo: dict, heads=()) -> str:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
     each row of an (m, 2**k) complex stack, joined by commas. ``labels``
-    holds k columns of m strings: column j names each row's axis j. With
-    ``heads``, a stream's three columns from ``carrier_columns``, row r is
+    holds k columns of m strings: column j names each row's axis j, and a
+    ``Labels`` column lends the label texts it keeps. With ``heads``, a
+    stream's three columns from ``carrier_columns``, row r is
     ``{"id", "band", "slot", "state"}`` with row r's state as its
     ``"state"``. Floats already in ``memo`` are not formatted again; the
     others are formatted and stored there."""
     # the (m, 2w) float view of the (m, w) stack, -0.0 collapsed: (re, im) per amplitude
     stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
     m, width = stack.shape
-    labels = [list(map(_encode_str, column)) for column in labels]
+    labels = [Labels.of(column).texts for column in labels]
     if 2 ** len(labels) * 2 != width or any(len(column) != m for column in labels):
         raise ValueError(f"{len(labels)} label columns of {[*map(len, labels)]} rows "
                          f"for {m} rows of {width // 2} amplitudes")
@@ -207,12 +230,16 @@ def render_states(labels, amps, memo: dict, heads=()) -> str:
 
 def render_float_rows(rows, memo: dict) -> Rendered:
     """Rendered ``[[x, ...], ...]`` of equal-length rows of floats, formatting
-    only the floats not yet in ``memo``."""
+    only the floats not yet in ``memo``. Such rows (Bell branch
+    probabilities) hold a handful of distinct floats many times over, so
+    each distinct float's token is found once and laid in from a table."""
     stack = _float_stack(rows)
     if not stack.size:  # no rows, or rows of no floats
         return Rendered("[" + ",".join(["[]"] * len(stack)) + "]")
     m, width = stack.shape
-    tokens = _tokens(stack.ravel().tolist(), memo)
+    values = stack.ravel().tolist()
+    distinct = list(dict.fromkeys(values))
+    tokens = list(map(dict(zip(distinct, _tokens(distinct, memo))).__getitem__, values))
     columns = [tokens[j::width] for j in range(width)]
     return Rendered("[" + _fill(_float_layout(width), columns, m) + "]")
 

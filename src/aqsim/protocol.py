@@ -124,6 +124,11 @@ class MessageSpec:
         return sv.states_from_rows([(label,)], self.amps[i:i + 1])[0]
 
 
+# rows: a shorter block tests faster in Python (about 1.3 us a row) than in
+# numpy (about 25 us a block)
+_SHORT_BLOCK = 24
+
+
 def random_message_spec(
     n: int, rng: np.random.Generator, generic_margin: float = 0.0
 ) -> MessageSpec:
@@ -142,23 +147,47 @@ def random_message_spec(
         raise ValueError(f"no qubit passes a generic margin of {generic_margin}")
     limit = 1.0 - generic_margin
     half = limit / 2  # |<X>| = 2|Re(conj(a) b)| > limit exactly when |Re(conj(a) b)| > half
-    coeffs = []
-    # One block of draws for the qubits still needed, walked in order: the
-    # same doubles, and the same accepted qubits, as one normal(size=4) per try.
-    while len(coeffs) < n:
-        for a, b in rng.normal(size=(n - len(coeffs), 4)).view(np.complex128).tolist():
-            norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
-            if norm < 1e-6:
-                continue
-            a /= norm
-            b /= norm
-            if generic_margin > 0.0 and (
-                    abs(a.real * b.real + a.imag * b.imag) > half      # <X> / 2
-                    or abs(a.real * b.imag - a.imag * b.real) > half   # <Y> / 2
-                    or abs(abs(a) ** 2 - abs(b) ** 2) > limit):        # <Z>
-                continue
-            coeffs.append((a, b))
-    return MessageSpec(coeffs)
+    blocks = []
+    need = n
+    # One block of draws for the qubits still needed, tested as a whole and
+    # kept in order: the same doubles, and the same accepted qubits, as one
+    # normal(size=4) per try. A block of _SHORT_BLOCK rows or more is tested
+    # in numpy, each float the scalar expression's bit for bit: np.hypot and
+    # np.float_power run libm's hypot and pow per element, as abs(complex)
+    # and ** do, and a / norm divides each component. A shorter block (the
+    # few tries still needed, or a small n) walks the scalar expression.
+    while need:
+        draws = rng.normal(size=(need, 4))  # (re a, im a, re b, im b) per try
+        if need < _SHORT_BLOCK:
+            block = []
+            for a, b in draws.view(np.complex128).tolist():
+                norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+                if norm < 1e-6:
+                    continue
+                a /= norm
+                b /= norm
+                if generic_margin > 0.0 and (
+                        abs(a.real * b.real + a.imag * b.imag) > half      # <X> / 2
+                        or abs(a.real * b.imag - a.imag * b.real) > half   # <Y> / 2
+                        or abs(abs(a) ** 2 - abs(b) ** 2) > limit):        # <Z>
+                    continue
+                block.append((a, b))
+            block = np.array(block, dtype=np.complex128).reshape(-1, 2)
+        else:
+            squares = np.float_power(np.hypot(draws[:, 0::2], draws[:, 1::2]), 2)  # |a|**2, |b|**2
+            norm = np.float_power(squares[:, 0] + squares[:, 1], 0.5)
+            keep = norm >= 1e-6
+            rows = draws[keep] / norm[keep, None]
+            if generic_margin > 0.0:
+                ar, ai, br, bi = rows.T
+                squares = np.float_power(np.hypot(rows[:, 0::2], rows[:, 1::2]), 2)
+                rows = rows[~((abs(ar * br + ai * bi) > half)
+                              | (abs(ar * bi - ai * br) > half)
+                              | (abs(squares[:, 0] - squares[:, 1]) > limit))]
+            block = rows.view(np.complex128)
+        blocks.append(block)
+        need -= len(block)
+    return MessageSpec(np.concatenate(blocks))
 
 
 class Carrier(NamedTuple):
@@ -180,19 +209,28 @@ class Carrier(NamedTuple):
 
 class CarrierStream(tuple):
     """A stream of carriers, one transmission, that works out what the flow
-    reads off it once and keeps it: its labels as a plain tuple, its slots,
-    and the canonical id, band and slot columns and text of its carriers.
-    ``parts`` are the registry columns it is made of: ``(self,)``, or the
-    two streams of an ``interleaved`` one (the Trojan masked stream).
+    reads off it once and keeps it: its labels as one ``jsonutil.Labels``
+    column, its slots, and the canonical id, band and slot columns and text
+    of its carriers. ``parts`` are the registry columns it is made of:
+    ``(self,)``, or the two streams of an ``interleaved`` one (the Trojan
+    masked stream).
 
     The streams that n alone fixes come from ``slot_plan`` and serve every
     trial of that n; a stream built in a trial keeps its fields for as long
     as the trial holds it. ``tuple()`` and slices of a stream are plain
     tuples, which keep nothing, and the packages refuse them: a stream is
-    made with ``CarrierStream(carriers)``.
+    made with ``CarrierStream(carriers)``, which refuses an item that is not
+    a ``Carrier`` with ``TypeError``.
     """
 
     _parts = None  # set on an interleaved stream only: (self,) would be a cycle
+
+    def __new__(cls, *carriers):  # no argument, or one iterable of carriers, as for tuple
+        stream = super().__new__(cls, *carriers)
+        if {*map(type, stream)} - {Carrier}:
+            item = next(item for item in stream if type(item) is not Carrier)
+            raise TypeError(f"a CarrierStream holds Carriers, not {type(item).__name__}")
+        return stream
 
     @classmethod
     def interleaved(cls, first: CarrierStream, second: CarrierStream) -> CarrierStream:
@@ -206,9 +244,9 @@ class CarrierStream(tuple):
         return self._parts or (self,)
 
     @cached_property
-    def labels(self) -> tuple[str, ...]:
+    def labels(self) -> jsonutil.Labels:
         """Each carrier's payload label."""
-        return tuple(map(itemgetter(3), self))
+        return jsonutil.Labels(map(itemgetter(3), self))
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -239,11 +277,11 @@ class SlotPlan(NamedTuple):
     """The labels and carrier streams that n alone fixes: every trial of n
     shares them, and only the amplitudes and keys differ between trials."""
 
-    alice: tuple[str, ...]  # a_1..a_n, the signer's halves of the shared Bell pairs
-    bob: tuple[str, ...]  # b_1..b_n, the verifier's halves
-    teleport: tuple[str, ...]  # t_1..t_n, the copies the signer Bell-measures
-    probes: tuple[str, ...]  # d1_1..d1_n, the Trojan probes
-    keepers: tuple[str, ...]  # d2_1..d2_n, the halves the Trojan attacker keeps
+    alice: jsonutil.Labels  # a_1..a_n, the signer's halves of the shared Bell pairs
+    bob: jsonutil.Labels  # b_1..b_n, the verifier's halves
+    teleport: jsonutil.Labels  # t_1..t_n, the copies the signer Bell-measures
+    probes: jsonutil.Labels  # d1_1..d1_n, the Trojan probes
+    keepers: jsonutil.Labels  # d2_1..d2_n, the halves the Trojan attacker keeps
     halves: CarrierStream  # the b halves, slots 0..n-1
     masked: CarrierStream  # p_i, slots 0..n-1
     signature: CarrierStream  # sa_i, slots n..2n-1
@@ -256,13 +294,14 @@ def slot_plan(n: int) -> SlotPlan:
     every trial of n. Only the last size's plan is kept: an ``aqsim run``
     batch, ``scripts/run_matrix.py`` and each benchmark workload run one n
     per process, and a trial asks only for its own n's plan. A plan holds
-    about 1.6 KB per qubit once its streams have been read (6.4 MB at
-    n=4,096)."""
+    about 2.3 KB per qubit once its streams and label columns have been read
+    (9.3 MB at n=4,096)."""
     if n < 0:
         raise ValueError("need n >= 0")
     ids = range(1, n + 1)
     alice, bob, teleport, masked, signature, probes, keepers = (
-        tuple(f"{tag}{i}" for i in ids) for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
+        jsonutil.Labels(f"{tag}{i}" for i in ids)
+        for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
     return SlotPlan(
         alice=alice, bob=bob, teleport=teleport, probes=probes, keepers=keepers,
         halves=carriers_of(bob, BAND_SIGNAL, 0),
@@ -319,7 +358,7 @@ class QuantumRegistry:
 
     def _column(self, labels: Sequence) -> tuple[_Family, int]:
         """The (family, axis) of the live column ``labels``."""
-        key = labels if type(labels) is tuple else tuple(labels)
+        key = labels if isinstance(labels, tuple) else tuple(labels)
         found = self._columns.get(key)
         if found is None:
             live = set(chain.from_iterable(self._columns))
@@ -345,8 +384,10 @@ class QuantumRegistry:
         """The columns and rows of a new family, as (k label tuples, (m, 2**k)
         complex stack), once they pass every check: the shape, that every
         label is a ``str``, that the k*m labels are distinct, and that none
-        sits in a live column. A tuple column is kept as it is."""
-        columns = tuple(map(tuple, columns))
+        sits in a live column. The checks read each column's label set, which
+        a ``jsonutil.Labels`` column (a slot-plan column) works out once. A
+        tuple column is kept as it is."""
+        columns = tuple(c if isinstance(c, tuple) else tuple(c) for c in columns)
         m = len(columns[0]) if columns else len(amps)
         amps = np.array(amps, dtype=np.complex128).reshape(m, -1)
         k = len(columns)
@@ -355,10 +396,11 @@ class QuantumRegistry:
                                 f"match {m} rows of {amps.shape[1]} amplitudes")
         if k > sv.MAX_QUBITS:
             raise sv.TooManyQubits(f"{k} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
-        if {*map(type, chain.from_iterable(columns))} - {str}:
+        sets = [jsonutil.Labels.of(column).label_set for column in columns]
+        if None in sets or sum(map(len, sets)) != k * m:
             raise self._refusal(columns)
-        union = set().union(*columns)
-        if len(union) != k * m or not union.isdisjoint(chain.from_iterable(self._columns)):
+        live = [jsonutil.Labels.of(column).label_set for column in self._columns]
+        if not all(s.isdisjoint(t) for j, s in enumerate(sets) for t in sets[j + 1:] + live):
             raise self._refusal(columns)
         return columns, amps
 
@@ -432,10 +474,11 @@ class QuantumRegistry:
         self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
     ) -> tuple[list[BellOutcome], np.ndarray]:
         """Bell-measure each pair (labels1[i], labels2[i]) of two columns: the
-        outcomes, and the (m, 4) branch probabilities (BELL_ORDER columns)
-        they were drawn from. One column twice raises ``DuplicateLabel``. The
-        pairs draw one uniform each, in pair order, from one ``rng.random(m)``
-        call: the doubles of m ``statevector.bell_measure`` calls.
+        outcomes, and the read-only (m, 4) branch probabilities (BELL_ORDER
+        columns) they were drawn from. One column twice raises
+        ``DuplicateLabel``. The pairs draw one uniform each, in pair order,
+        from one ``rng.random(m)`` call: the doubles of m
+        ``statevector.bell_measure`` calls.
         """
         if len(labels1) != len(labels2):
             raise ValueError("labels1 and labels2 must align")
@@ -450,6 +493,7 @@ class QuantumRegistry:
         else:
             raise sv.DuplicateLabel("bell measurement needs two distinct labels")
         rows, probs, residual = sv.bell_measure_rows(amps, axis1, axis2, rng.random(len(labels1)))
+        probs.flags.writeable = False
         for column in columns:
             del self._columns[column]
         keep = tuple(column for j, column in enumerate(columns) if j not in (axis1, axis2))
@@ -575,12 +619,20 @@ class ProtocolKeys:
     peer: KeyBits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignerPrivate:
-    """What the signer keeps to herself after signing, besides the pad."""
+    """What the signer keeps to herself after signing, besides the pad:
+    ``probabilities``, the read-only (n, 4) array of Bell branch
+    probabilities her measurements drew from (BELL_ORDER columns), which
+    the transcript renders as it is."""
 
-    outcome_probabilities: tuple
+    probabilities: np.ndarray
     max_probability_deviation: float
+
+    @property
+    def outcome_probabilities(self) -> tuple[tuple[float, ...], ...]:
+        """``probabilities`` as one tuple of Python floats per qubit."""
+        return tuple(map(tuple, self.probabilities.tolist()))
 
 
 @dataclass(frozen=True)
@@ -713,10 +765,7 @@ def alice_sign(
     # One channel message, one slot sequence: masked slots 0..n-1, then
     # signature slots n..2n-1. Key bits are consumed positionally by slot.
     package = SignaturePackage(plan.masked, plan.signature, tuple(outcomes))
-    private = SignerPrivate(
-        outcome_probabilities=tuple(map(tuple, probs.tolist())),
-        max_probability_deviation=max_dev,
-    )
+    private = SignerPrivate(probabilities=probs, max_probability_deviation=max_dev)
     return package, pad, private
 
 

@@ -6,6 +6,7 @@ agree with the brute-force matrices of ``oracles``. A corrupted row must
 still trip the norm and finiteness invariant.
 """
 import math
+import re
 import warnings
 from itertools import chain
 
@@ -17,7 +18,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import oracles
 from aqsim import statevector as sv
-from aqsim.jsonutil import canonical_json
+from aqsim.jsonutil import Labels, canonical_json
 from aqsim.protocol import QuantumRegistry
 from aqsim.statevector import BELL_ORDER, BellOutcome, PauliBits, PureState
 
@@ -683,6 +684,55 @@ def test_registry_refuses_a_label_that_is_not_a_str(bad):
             registry.state_of(label)
     registry.add_columns([("a",), ("b",)], sv.BELL_PAIR_AMPS[None, :])
     assert registry.render_states(["b"]) == canonical_json(registry.state_of("b").to_jsonable())
+
+
+class Tag(str):
+    pass
+
+
+@pytest.mark.parametrize("columns,live,error,message", [
+    ((("a1", ["b"]),), (), TypeError, "label ['b'] is not a str"),  # unhashable
+    ((("a1", Tag("b")),), (), TypeError, "label 'b' is not a str"),
+    ((("x", "y"), ("z", "x")), (), sv.LabelCollision, "label 'x' names two qubits of the family"),
+    ((("x", "y"), ("m", "z")), (("m",),), sv.LabelCollision, "label 'm' already registered"),
+    ((("x", "x"),), (), sv.LabelCollision, "label 'x' names two qubits of the family"),
+    ((("x", "y"), ("x", "z")), (), sv.DuplicateLabel, "duplicate qubit labels in ('x', 'x')"),
+])
+def test_the_label_set_cache_keeps_each_refusals_class_and_message(columns, live, error,
+                                                                   message):
+    # each refusal reads the same whether the columns are plain tuples or
+    # ``Labels`` whose label sets are already worked out, as a plan's are
+    for kind in (tuple, Labels):
+        registry = QuantumRegistry()
+        for column in live:
+            registry.add_columns([column], sv.qubit_rows([(1, 0)] * len(column)))
+        cached = [kind(column) for column in columns]
+        for column in cached:
+            if kind is Labels:
+                column.label_set  # worked out before the refusal
+        amps = sv.qubit_rows([(1, 0)] * len(columns[0])) if len(columns) == 1 else pairs_of(
+            columns[0])
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            registry.add_columns(cached, amps)
+        assert set(registry._columns) == {*live}
+
+
+def test_a_column_a_bell_measurement_dropped_registers_again():
+    # a label set holds no liveness: once a Bell measurement has dropped a
+    # column, the same ``Labels`` column registers again, and one that is
+    # live again is refused
+    t, a, b = (Labels(f"{tag}{i}" for i in (1, 2)) for tag in "tab")
+    registry = QuantumRegistry()
+    registry.add_columns((a, b), pairs_of(a))
+    registry.add_columns((t,), sv.qubit_rows([(0.6, 0.8j), (1, 0)]))
+    registry.bell_measure_many(t, a, np.random.default_rng(3))
+    assert set(registry._columns) == {b}
+    registry.add_columns((t,), sv.qubit_rows([(1, 0)] * 2))
+    registry.add_columns((a,), sv.qubit_rows([(1, 0)] * 2))
+    assert set(registry._columns) == {a, b, t}
+    for column, label in ((t, "t1"), (b, "b1")):
+        with pytest.raises(sv.LabelCollision, match=f"^label '{label}' already registered$"):
+            registry.add_columns((column,), sv.qubit_rows([(1, 0)] * 2))
 
 
 # --- the column index -------------------------------------------------------------

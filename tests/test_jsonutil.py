@@ -3,7 +3,8 @@ import enum
 import hashlib
 import json
 from collections import OrderedDict
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 
 import numpy as np
 import pytest
@@ -324,6 +325,58 @@ def test_float_memo_formats_each_magnitude_once_for_both_signs():
     assert (jsonutil.render_float_rows([(-0.1, -2.5, 0.0)], memo).text
             == "[[-0.10000000000000001,-2.5,0]]")
     assert len(memo) == 5
+
+
+def reference_tokens(values: list, memo: dict) -> list[str]:
+    """``jsonutil._tokens`` as it was with a set of the new values and a
+    choice between formatting them straight and formatting each new
+    magnitude, kept as the reference for its tokens and for what it leaves
+    in the memo."""
+    tokens = list(map(memo.get, values))
+    if all(tokens):  # every value known (no token is empty)
+        return tokens
+    new = set(compress(values, map(not_, tokens)))
+    straight = 2 * len(new) > len(values)
+    formatted = values if straight else tuple(set(map(abs, new)))
+    # one format call; no token holds a comma, and the last text is empty
+    texts = ("%.17g," * len(formatted) % tuple(formatted)).split(",")[:-1]
+    # negations first: 0.0 is its own negation, so its "-0" is then
+    # overwritten by "0"
+    memo.update(zip(map(float.__neg__, formatted),
+                    [t[1:] if t[0] == "-" else "-" + t for t in texts]))
+    memo.update(zip(formatted, texts))
+    return texts if straight else list(map(memo.__getitem__, values))
+
+
+# magnitudes, each drawn with both signs: 0.0, subnormals, the least normal
+# and the largest double among them (-0.0 never reaches _tokens)
+MAGNITUDES = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, 5e-324, 2.5e-320, 2.2250738585072014e-308,
+                                        1.7976931348623157e308]))
+
+
+@given(pool=st.lists(MAGNITUDES, min_size=1, max_size=8),
+       calls=st.lists(st.tuples(st.sampled_from([0, 1, 5, 40, 300]),
+                                st.booleans(), st.integers(0, 2 ** 32 - 1)),
+                      min_size=1, max_size=5))
+def test_tokens_match_the_reference_over_calls_that_share_one_memo(pool, calls):
+    # each call picks its values at random, each with a random sign, from the
+    # drawn magnitudes, and for a fresh call also from as many random
+    # magnitudes of any exponent as it has values: values repeat, within a
+    # call and across calls, and come with both signs, and a call's new
+    # values are mostly repeated or mostly distinct. Both memos start empty
+    # and must hold the same tokens after every call
+    memo, reference_memo = {}, {}
+    for size, fresh, seed in calls:
+        rng = np.random.default_rng(seed)
+        magnitudes = pool + (np.abs(rng.standard_normal(size))
+                             * 2.0 ** rng.integers(-1074, 1000, size)).tolist() * fresh
+        values = [magnitudes[i] * (-1.0 if negative else 1.0) + 0.0
+                  for i, negative in zip(rng.integers(len(magnitudes), size=size).tolist(),
+                                         (rng.random(size) < 0.5).tolist())]
+        assert jsonutil._tokens(values, memo) == reference_tokens(values, reference_memo)
+        assert memo == reference_memo
+
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("column", [0, 1])

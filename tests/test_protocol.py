@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from aqsim import adversary as adv
 from aqsim import protocol as proto
-from aqsim import qotp, scenarios
+from aqsim import jsonutil, qotp, scenarios
 from aqsim import statevector as sv
 from aqsim.adversary import Scenario
 from aqsim.defense import DEFENSE_GRID
@@ -181,6 +185,36 @@ def test_random_message_spec_block_draws_match_one_draw_per_try(margin):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     check()
+
+
+SAMPLER_CHILD = """
+import sys
+import numpy as np
+sys.path[:0] = {paths!r}
+from aqsim import protocol as proto
+from test_protocol import float_bits, one_draw_per_try
+for n, margin, seeds in {cases!r}:
+    for seed in range(seeds):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        spec = proto.random_message_spec(n, rng, generic_margin=margin)
+        expected = one_draw_per_try(n, ref_rng, margin)
+        assert float_bits(spec.coefficients) == float_bits(expected), (n, margin, seed)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, margin, seed)
+print("ok")
+"""
+
+
+def test_the_sampler_matches_one_draw_per_try_without_numpys_wide_simd_loops():
+    # np.hypot and np.float_power must give the scalar expression's bits under
+    # every numpy dispatch target, so a child process runs the check with the
+    # AVX2-or-better loops off (the variable is set in its environment only).
+    # At a margin of 0.42 a qubit takes about 25,000 tries, so n=1 only there.
+    cases = [(n, margin, 3) for n in (1, 8, 256) for margin in (0.0, 0.05)] + [(1, 0.42, 1)]
+    paths = [str(Path(proto.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+    child = subprocess.run([sys.executable, "-c", SAMPLER_CHILD.format(paths=paths, cases=cases)],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "ok\n", "")
 
 
 # --- key setup --------------------------------------------------------------
@@ -466,6 +500,19 @@ def test_a_payload_refuses_a_bare_carrier_or_items_that_are_not_carriers():
             proto.SignaturePackage(bad, signature, (None, None))
     stream = proto.CarrierStream([carrier])
     assert proto.CipherPayload(masked, signature, stream).verdict_carrier == carrier
+
+
+@pytest.mark.parametrize("items,kind", [
+    (["v"], "str"),
+    ([("x",)], "tuple"),
+    ([proto.Carrier("v", proto.BAND_SIGNAL, 4, "v"), None], "NoneType"),
+    (iter([("v", proto.BAND_SIGNAL, 4, "v")]), "tuple"),  # a Carrier's fields, not a Carrier
+])
+def test_a_carrier_stream_refuses_items_that_are_not_carriers(items, kind):
+    # a stream of non-carriers would pass the packages' CarrierStream rule
+    with pytest.raises(TypeError, match=f"^a CarrierStream holds Carriers, not {kind}$"):
+        proto.CarrierStream(items)
+    assert proto.CarrierStream() == () and type(proto.CarrierStream()) is proto.CarrierStream
 
 
 def test_trent_record_is_blind():
@@ -765,8 +812,9 @@ def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
 
 
 def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
-    # the plan's label tuples are made once per process; a trial registers
-    # them as they are, with no per-trial copy
+    # the plan's label columns are made once per process, as ``Labels`` that
+    # keep their label texts and sets; a trial registers them as they are,
+    # with no per-trial copy
     registry, streams, package, _, _ = _signed(4, 64)
     plan = proto.slot_plan(4)
     p, sa, b = (registry._columns[s][0] for s in (streams.p, streams.sa, streams.b))
@@ -776,7 +824,7 @@ def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
     assert b.columns[0] is plan.bob  # the residual of the pair family's b column
     for stream in (plan.alice, plan.bob, plan.teleport, plan.probes, plan.keepers,
                    plan.masked.labels, plan.signature.labels, plan.verification.labels):
-        assert type(stream) is tuple
+        assert type(stream) is jsonutil.Labels
     decoys = adv.make_decoy_set(4, registry)
     assert decoys.probes is plan.probes and decoys.keepers is plan.keepers
     assert decoys.pairs == tuple(zip(plan.probes, plan.keepers))
