@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Per-trial time against n, for every scenario x defense cell.
 
-Usage: PYTHONPATH=src python scripts/curve.py [--n N,N,...] [--trials T] [--seed S] [--out PATH]
+Usage: PYTHONPATH=src python scripts/curve.py [--n N,N,...] [--trials T] [--seed S]
 
 For each n (by default 1, 8, 64, 256, 1024 and 4096) every scenario runs
 under every defense set of ``scripts/run_matrix.py``, T trials each
 (default 3). Each n runs in a process of its own, because the slot plan is
 built once per n and process; a process first runs one untimed ``honest``
-trial of its n. One JSON line per trial goes to stdout, or to PATH:
+trial of its n. One JSON line per trial goes to stdout:
 
     {"scenario", "defenses", "n", "seed", "trial", "ms", "calibration_ms"}
 
@@ -19,9 +19,8 @@ report, not a gate.
 
 Each cell's config is built by ``cli.parse_config``, so a bad value or an
 unknown option ends like it does for ``aqsim run``: exit 1 with one
-``aqsim: error:`` line, written by ``cli.fail``. An unwritable PATH ends in
-exit 1 with one ``aqsim: io error:`` line, and an interrupt in exit 1 with
-``aqsim: interrupted``.
+``aqsim: error:`` line, written by ``cli.fail``; an interrupt ends in exit 1
+with ``aqsim: interrupted``.
 """
 import argparse
 import json
@@ -53,7 +52,6 @@ def _curve(argv) -> int:
     parser.add_argument("--n", default=NS)
     parser.add_argument("--trials", default="3")
     parser.add_argument("--seed", default="2026")
-    parser.add_argument("--out", default=None)
     try:
         args = parser.parse_args(argv)
         ns = args.n.split(",")
@@ -77,14 +75,7 @@ def _curve(argv) -> int:
                 sys.stderr.write(child.stderr)
                 return child.returncode
             lines += child.stdout.splitlines()
-    text = "".join(line + "\n" for line in lines)
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
-    try:
-        Path(args.out).write_text(text)
-    except OSError as exc:
-        return fail(f"io error: {exc}", 1)
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

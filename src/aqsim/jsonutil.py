@@ -102,25 +102,13 @@ def _emit(obj, out: list[str]) -> None:
 
 
 class Labels(tuple):
-    """A column of labels that works out once what is read off it: the
-    canonical text of each label (``texts``), which ``render_states`` lays
-    in, and the set of its labels (``label_set``), None unless every label
-    is a ``str``, the only label type canonical text renders. The slot
-    plan's columns are ``Labels`` and serve every trial of their n; a
-    column of any other type is worked out afresh each time it is read."""
-
-    @classmethod
-    def of(cls, column) -> Labels:
-        """``column`` if it is a ``Labels``, else a ``Labels`` copy of it."""
-        return column if type(column) is cls else cls(column)
+    """A column of labels that keeps the canonical text of each label
+    (``texts``), worked out on first read, which ``render_states`` lays in.
+    The slot plan's columns are ``Labels`` and serve every trial of their n."""
 
     @functools.cached_property
     def texts(self) -> tuple[str, ...]:
         return tuple(map(_encode_str, self))
-
-    @functools.cached_property
-    def label_set(self) -> frozenset | None:
-        return frozenset(self) if {*map(type, self)} <= {str} else None
 
 
 def _float_stack(values) -> np.ndarray:
@@ -219,7 +207,8 @@ def render_states(labels, amps, memo: dict, heads=()) -> str:
     # the (m, 2w) float view of the (m, w) stack, -0.0 collapsed: (re, im) per amplitude
     stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
     m, width = stack.shape
-    labels = [Labels.of(column).texts for column in labels]
+    labels = [column.texts if isinstance(column, Labels) else [*map(_encode_str, column)]
+              for column in labels]
     if 2 ** len(labels) * 2 != width or any(len(column) != m for column in labels):
         raise ValueError(f"{len(labels)} label columns of {[*map(len, labels)]} rows "
                          f"for {m} rows of {width // 2} amplitudes")

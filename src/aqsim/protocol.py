@@ -209,11 +209,10 @@ class Carrier(NamedTuple):
 
 class CarrierStream(tuple):
     """A stream of carriers, one transmission, that works out what the flow
-    reads off it once and keeps it: its labels as one ``jsonutil.Labels``
-    column, its slots, and the canonical id, band and slot columns and text
-    of its carriers. ``parts`` are the registry columns it is made of:
-    ``(self,)``, or the two streams of an ``interleaved`` one (the Trojan
-    masked stream).
+    reads off it once and keeps it: its labels as one ``LabelColumn``, its
+    slots, and the canonical id, band and slot columns and text of its
+    carriers. ``parts`` are the registry columns it is made of: ``(self,)``,
+    or the two streams of an ``interleaved`` one (the Trojan masked stream).
 
     The streams that n alone fixes come from ``slot_plan`` and serve every
     trial of that n; a stream built in a trial keeps its fields for as long
@@ -244,9 +243,9 @@ class CarrierStream(tuple):
         return self._parts or (self,)
 
     @cached_property
-    def labels(self) -> jsonutil.Labels:
+    def labels(self) -> LabelColumn:
         """Each carrier's payload label."""
-        return jsonutil.Labels(map(itemgetter(3), self))
+        return LabelColumn(map(itemgetter(3), self))
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -277,11 +276,11 @@ class SlotPlan(NamedTuple):
     """The labels and carrier streams that n alone fixes: every trial of n
     shares them, and only the amplitudes and keys differ between trials."""
 
-    alice: jsonutil.Labels  # a_1..a_n, the signer's halves of the shared Bell pairs
-    bob: jsonutil.Labels  # b_1..b_n, the verifier's halves
-    teleport: jsonutil.Labels  # t_1..t_n, the copies the signer Bell-measures
-    probes: jsonutil.Labels  # d1_1..d1_n, the Trojan probes
-    keepers: jsonutil.Labels  # d2_1..d2_n, the halves the Trojan attacker keeps
+    alice: LabelColumn  # a_1..a_n, the signer's halves of the shared Bell pairs
+    bob: LabelColumn  # b_1..b_n, the verifier's halves
+    teleport: LabelColumn  # t_1..t_n, the copies the signer Bell-measures
+    probes: LabelColumn  # d1_1..d1_n, the Trojan probes
+    keepers: LabelColumn  # d2_1..d2_n, the halves the Trojan attacker keeps
     halves: CarrierStream  # the b halves, slots 0..n-1
     masked: CarrierStream  # p_i, slots 0..n-1
     signature: CarrierStream  # sa_i, slots n..2n-1
@@ -300,7 +299,7 @@ def slot_plan(n: int) -> SlotPlan:
         raise ValueError("need n >= 0")
     ids = range(1, n + 1)
     alice, bob, teleport, masked, signature, probes, keepers = (
-        jsonutil.Labels(f"{tag}{i}" for i in ids)
+        LabelColumn(f"{tag}{i}" for i in ids)
         for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
     return SlotPlan(
         alice=alice, bob=bob, teleport=teleport, probes=probes, keepers=keepers,
@@ -328,6 +327,19 @@ class _Family:
     def paulis(self, axis: int, x, z, inverse: bool) -> None:
         """``QuantumRegistry.apply_paulis`` on axis ``axis``, for 0/1 bits."""
         self.amps = sv._pauli_rows(self.amps, axis, x, z, inverse)
+
+
+class LabelColumn(jsonutil.Labels):
+    """A label column that a process registers trial after trial: a slot-plan
+    column, or the labels of a stream. Besides the label texts it keeps its
+    label set (``label_set``), worked out on first read: None unless every
+    label is a ``str``, the only label type canonical text renders. By these
+    sets ``QuantumRegistry._new_family`` checks a family when it and every
+    live column are ``LabelColumn``."""
+
+    @cached_property
+    def label_set(self) -> frozenset | None:
+        return frozenset(self) if {*map(type, self)} <= {str} else None
 
 
 class QuantumRegistry:
@@ -384,9 +396,9 @@ class QuantumRegistry:
         """The columns and rows of a new family, as (k label tuples, (m, 2**k)
         complex stack), once they pass every check: the shape, that every
         label is a ``str``, that the k*m labels are distinct, and that none
-        sits in a live column. The checks read each column's label set, which
-        a ``jsonutil.Labels`` column (a slot-plan column) works out once. A
-        tuple column is kept as it is."""
+        sits in a live column. When the new columns and every live one are
+        ``LabelColumn``, the checks read their label sets; otherwise they
+        run over the labels. A tuple column is kept as it is."""
         columns = tuple(c if isinstance(c, tuple) else tuple(c) for c in columns)
         m = len(columns[0]) if columns else len(amps)
         amps = np.array(amps, dtype=np.complex128).reshape(m, -1)
@@ -396,11 +408,17 @@ class QuantumRegistry:
                                 f"match {m} rows of {amps.shape[1]} amplitudes")
         if k > sv.MAX_QUBITS:
             raise sv.TooManyQubits(f"{k} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
-        sets = [jsonutil.Labels.of(column).label_set for column in columns]
-        if None in sets or sum(map(len, sets)) != k * m:
+        if all(type(column) is LabelColumn for column in chain(columns, self._columns)):
+            sets = [column.label_set for column in columns]
+            live = [column.label_set for column in self._columns]
+            if None in sets or sum(map(len, sets)) != k * m or not all(
+                    s.isdisjoint(t) for j, s in enumerate(sets) for t in sets[j + 1:] + live):
+                raise self._refusal(columns)
+            return columns, amps
+        if {*map(type, chain.from_iterable(columns))} - {str}:
             raise self._refusal(columns)
-        live = [jsonutil.Labels.of(column).label_set for column in self._columns]
-        if not all(s.isdisjoint(t) for j, s in enumerate(sets) for t in sets[j + 1:] + live):
+        union = set().union(*columns)
+        if len(union) != k * m or not union.isdisjoint(chain.from_iterable(self._columns)):
             raise self._refusal(columns)
         return columns, amps
 

@@ -38,12 +38,8 @@ class KeyBits:
 
     bits: tuple[int, ...]
     role: str
-    # read-only uint8 copy of ``bits``
+    # read-only uint8 copy of ``bits``, which ``key_paulis`` indexes
     array: np.ndarray = field(init=False, repr=False, compare=False)
-    # its x and z bit columns, k[2i] and k[2i+1] for each qubit index i it
-    # covers, which ``key_paulis`` gathers from
-    x: np.ndarray = field(init=False, repr=False, compare=False)
-    z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bits = tuple(self.bits)
@@ -52,15 +48,10 @@ class KeyBits:
         self._set_array(np.array(bits, dtype=np.uint8))
 
     def _set_array(self, array: np.ndarray) -> None:
-        """Hold ``array``, a uint8 array of 0/1, the bits it spells and its
-        x and z bit columns."""
+        """Hold ``array``, a uint8 array of 0/1, and the bits it spells."""
         array.flags.writeable = False
         object.__setattr__(self, "bits", tuple(array.tolist()))
         object.__setattr__(self, "array", array)
-        pairs = array[:len(array) - len(array) % 2].reshape(-1, 2)
-        for name, column in zip("xz", pairs.T.copy()):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
 
     @classmethod
     def _of_array(cls, array: np.ndarray, role: str) -> "KeyBits":
@@ -99,15 +90,16 @@ def random_pad(n: int, rng: np.random.Generator) -> KeyBits:
 
 def key_paulis(key: KeyBits, indices) -> tuple[np.ndarray, np.ndarray]:
     """The Pauli bits the key assigns to each qubit index i (0-based), as
-    (x, z) bit arrays: x = k[2i], z = k[2i+1], gathered from the key's
-    ``x`` and ``z`` columns. An index the key does not cover, past its end
-    or below 0, raises ``KeyTooShort``."""
+    (x, z) bit arrays: x = k[2i], z = k[2i+1], gathered from the strided
+    views of the key's even and odd bits. An index the key does not cover,
+    past its end or below 0, raises ``KeyTooShort``."""
     indices = np.asarray(indices, dtype=np.intp)
+    bits = key.array
     # viewed unsigned, an index below 0 lies past the end of any key
-    if indices.size and indices.view(np.uintp).max() >= len(key.x):
+    if indices.size and indices.view(np.uintp).max() >= len(bits) // 2:
         index = int(indices.min()) if indices.min() < 0 else int(indices.max())
-        raise KeyTooShort(f"key of {len(key.bits)} bits cannot cover qubit index {index}")
-    return key.x[indices], key.z[indices]
+        raise KeyTooShort(f"key of {len(bits)} bits cannot cover qubit index {index}")
+    return bits[0::2][indices], bits[1::2][indices]
 
 
 def mask_rows(amps: np.ndarray, key: KeyBits, inverse: bool = False) -> np.ndarray:

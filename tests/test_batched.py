@@ -18,8 +18,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import oracles
 from aqsim import statevector as sv
-from aqsim.jsonutil import Labels, canonical_json
-from aqsim.protocol import QuantumRegistry
+from aqsim.jsonutil import canonical_json
+from aqsim.protocol import LabelColumn, QuantumRegistry
 from aqsim.statevector import BELL_ORDER, BellOutcome, PauliBits, PureState
 
 UNIT = st.floats(-1, 1, allow_nan=False)
@@ -700,15 +700,17 @@ class Tag(str):
 ])
 def test_the_label_set_cache_keeps_each_refusals_class_and_message(columns, live, error,
                                                                    message):
-    # each refusal reads the same whether the columns are plain tuples or
-    # ``Labels`` whose label sets are already worked out, as a plan's are
-    for kind in (tuple, Labels):
+    # each refusal reads the same whether the columns are plain tuples, or
+    # ``LabelColumn`` whose label sets are already worked out, as a plan's
+    # are, beside live columns of either kind (the label sets are read only
+    # when every live column is a ``LabelColumn`` too)
+    for kind, live_kind in ((tuple, tuple), (LabelColumn, LabelColumn), (LabelColumn, tuple)):
         registry = QuantumRegistry()
         for column in live:
-            registry.add_columns([column], sv.qubit_rows([(1, 0)] * len(column)))
+            registry.add_columns([live_kind(column)], sv.qubit_rows([(1, 0)] * len(column)))
         cached = [kind(column) for column in columns]
         for column in cached:
-            if kind is Labels:
+            if kind is LabelColumn:
                 column.label_set  # worked out before the refusal
         amps = sv.qubit_rows([(1, 0)] * len(columns[0])) if len(columns) == 1 else pairs_of(
             columns[0])
@@ -719,9 +721,9 @@ def test_the_label_set_cache_keeps_each_refusals_class_and_message(columns, live
 
 def test_a_column_a_bell_measurement_dropped_registers_again():
     # a label set holds no liveness: once a Bell measurement has dropped a
-    # column, the same ``Labels`` column registers again, and one that is
+    # column, the same ``LabelColumn`` registers again, and one that is
     # live again is refused
-    t, a, b = (Labels(f"{tag}{i}" for i in (1, 2)) for tag in "tab")
+    t, a, b = (LabelColumn(f"{tag}{i}" for i in (1, 2)) for tag in "tab")
     registry = QuantumRegistry()
     registry.add_columns((a, b), pairs_of(a))
     registry.add_columns((t,), sv.qubit_rows([(0.6, 0.8j), (1, 0)]))

@@ -14,15 +14,14 @@ from aqsim.defense import DEFENSE_GRID
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_curve_writes_one_line_per_trial_of_every_cell_from_a_process_per_n(tmp_path):
-    out = tmp_path / "curve.jsonl"
+def test_curve_writes_one_line_per_trial_of_every_cell_from_a_process_per_n():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     child = subprocess.run([sys.executable, str(ROOT / "scripts" / "curve.py"), "--n", "1,2",
-                            "--trials", "2", "--seed", "3", "--out", str(out)],
+                            "--trials", "2", "--seed", "3"],
                            capture_output=True, text=True, env=env, timeout=120)
-    assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert (child.returncode, child.stderr) == (0, "")
+    rows = [json.loads(line) for line in child.stdout.splitlines()]
     cells = [(s, d.tokens()) for s in SCENARIO_TOKENS for d in DEFENSE_GRID]
     assert [(r["n"], r["scenario"], tuple(r["defenses"]), r["trial"]) for r in rows] == [
         (n, s, tuple(d), t) for n in (1, 2) for s, d in cells for t in (0, 1)]
@@ -39,20 +38,12 @@ def test_curve_writes_one_line_per_trial_of_every_cell_from_a_process_per_n(tmp_
     (["--trials", "0"], "error: --trials: must be >= 1"),
     (["--seed", "-1"], "error: --seed: must be a non-negative 64-bit integer"),
     (["--bogus"], "error: unrecognized arguments: --bogus"),
-    (["--out"], "error: argument --out: expected one argument"),
 ])
 def test_curve_bad_argument_exits_one_in_one_line(argv, message, capsys):
     assert curve.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"aqsim: {message}\n"
-
-
-def test_curve_unwritable_out_exits_one_in_one_line(tmp_path, capsys):
-    assert curve.main(["--n", "1", "--trials", "1", "--out", str(tmp_path / "no" / "x")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("aqsim: io error: ")
-    assert captured.err.count("\n") == 1
 
 
 def test_curve_help_returns_zero(capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from aqsim import adversary as adv
 from aqsim import protocol as proto
-from aqsim import jsonutil, qotp, scenarios
+from aqsim import qotp, scenarios
 from aqsim import statevector as sv
 from aqsim.adversary import Scenario
 from aqsim.defense import DEFENSE_GRID
@@ -812,8 +812,8 @@ def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
 
 
 def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
-    # the plan's label columns are made once per process, as ``Labels`` that
-    # keep their label texts and sets; a trial registers them as they are,
+    # the plan's label columns are made once per process, as ``LabelColumn``
+    # that keep their label texts and sets; a trial registers them as they are,
     # with no per-trial copy
     registry, streams, package, _, _ = _signed(4, 64)
     plan = proto.slot_plan(4)
@@ -824,7 +824,7 @@ def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
     assert b.columns[0] is plan.bob  # the residual of the pair family's b column
     for stream in (plan.alice, plan.bob, plan.teleport, plan.probes, plan.keepers,
                    plan.masked.labels, plan.signature.labels, plan.verification.labels):
-        assert type(stream) is jsonutil.Labels
+        assert type(stream) is proto.LabelColumn
     decoys = adv.make_decoy_set(4, registry)
     assert decoys.probes is plan.probes and decoys.keepers is plan.keepers
     assert decoys.pairs == tuple(zip(plan.probes, plan.keepers))
