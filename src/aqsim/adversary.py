@@ -13,8 +13,9 @@ the verifier's key bits off a Bell measurement against the retained half.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class ScenarioVariant(Enum):
 SCENARIO_TOKENS = tuple(v.value for v in ScenarioVariant)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A scenario selection. Its parameters come from its entry in
     ``scenarios.SCENARIOS`` and nowhere else."""
 
@@ -114,20 +114,19 @@ class Phase(Enum):
     COMPARED = "compared"
 
 
-@dataclass(frozen=True)
-class RunState:
+class RunState(namedtuple("RunState", ("phase", "genuine_compare"), defaults=(None,))):
     """Minimal view of a live run, for phase-gated attack moves. ``phase``
-    takes a ``Phase`` or its value, such as ``"compared"``."""
+    takes a ``Phase`` or its value, such as ``"compared"``, and holds the
+    ``Phase``; ``genuine_compare`` is a ``CompareResult`` or None. A tuple,
+    for its default."""
 
-    phase: Phase
-    genuine_compare: CompareResult | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "phase", Phase(self.phase))  # ValueError on an unknown phase
+    def __new__(cls, phase, *args, **kwargs):  # ValueError on an unknown phase
+        return super().__new__(cls, Phase(phase), *args, **kwargs)
 
 
-@dataclass(frozen=True)
-class DecoySet:
+class DecoySet(NamedTuple):
     """Fresh Bell pairs (probe, keeper); the attacker keeps every keeper.
     The probes and the keepers are the slot plan's two label columns."""
 
@@ -199,7 +198,7 @@ def alice_publish_false_pad(
     board: PublicBoard, true_pad: KeyBits, rng: np.random.Generator
 ) -> KeyBits:
     """Signer posts an arbitrary pad different from the one she used."""
-    n_bits = len(true_pad.bits)
+    n_bits = len(true_pad)
     while True:
         bits = tuple(int(b) for b in rng.integers(0, 2, size=n_bits))
         if bits != true_pad.bits:

@@ -16,14 +16,15 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .adversary import SCENARIO_TOKENS, AttackError, Scenario, ScenarioVariant
 from .defense import DefenseConfig
 from .jsonutil import canonical_json
 from .protocol import ProtocolError
 from .qotp import KeyTooShort
+from .record import Record
 from .scenarios import SCENARIOS, RunResult, run_scenario
 from .statevector import StateError
 
@@ -51,8 +52,7 @@ class Parser(argparse.ArgumentParser):
         raise HelpShown()
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     scenario: Scenario
     n: int
     trials: int
@@ -62,12 +62,15 @@ class RunConfig:
     format: str
 
 
-@dataclass
-class BatchSummary:
-    config: RunConfig
-    trial_rows: list[dict]
-    check_counts: dict[str, list[int]]  # name -> [passed, total]
-    all_ok: bool
+class BatchSummary(Record):
+    __slots__ = ("config", "trial_rows", "check_counts", "all_ok")
+
+    def __init__(self, config: RunConfig, trial_rows: list[dict],
+                 check_counts: dict[str, list[int]], all_ok: bool):
+        self.config = config
+        self.trial_rows = trial_rows
+        self.check_counts = check_counts  # name -> [passed, total]
+        self.all_ok = all_ok
 
 
 @functools.cache

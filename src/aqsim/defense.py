@@ -8,8 +8,7 @@ a flagged carrier is pulled from the channel and the run raises an alarm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .protocol import BAND_SIGNAL, Carrier
 
@@ -18,8 +17,7 @@ DEVICE_PNS = "pns"
 DEVICE_TOKENS = (DEVICE_FILTER, DEVICE_PNS)
 
 
-@dataclass(frozen=True)
-class DefenseConfig:
+class DefenseConfig(NamedTuple):
     wavelength_filter: bool = False
     pns: bool = False
 
@@ -69,8 +67,7 @@ def photon_number_splitter(carriers: Sequence[Carrier]) -> tuple[tuple[Carrier, 
     return tuple(passed), tuple(flagged)
 
 
-@dataclass(frozen=True)
-class ScreenReport:
+class ScreenReport(NamedTuple):
     flagged: tuple[tuple[str, Carrier], ...]  # (device token, carrier)
 
 

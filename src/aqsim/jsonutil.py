@@ -77,6 +77,10 @@ def _emit(obj, out: list[str]) -> None:
             sep = ","
         out.append("}")
     elif kind is list:
+        if obj and type(obj[0]) is str and [*map(type, obj)].count(str) == len(obj):
+            # a list of exact strs only, such as the signer's outcomes: one join
+            out.append("[" + ",".join(map(_encode_str, obj)) + "]")
+            return
         out.append("[")
         sep = ""
         for item in obj:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
@@ -36,6 +36,7 @@ from . import jsonutil, qotp
 from . import statevector as sv
 from .jsonutil import canonical_bytes
 from .qotp import KeyBits
+from .record import Frozen
 from .statevector import BellOutcome, LabelCollision, PureState, UnknownLabel
 
 BAND_SIGNAL = "signal"
@@ -69,13 +70,12 @@ CLAIM_PAD_MISMATCH = "pad-mismatch"
 _DISPUTE_STATEMENTS = (CLAIM_TELEPORT_MISMATCH, CLAIM_PAD_MISMATCH)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     party: str
     statement: str
 
 
-class MessageSpec:
+class MessageSpec(Frozen):
     """The signer's classical description of her n-qubit message.
 
     Holding the message classically is what lets her prepare the three
@@ -98,12 +98,6 @@ class MessageSpec:
     @cached_property  # writes the instance __dict__, past __setattr__
     def coefficients(self) -> tuple[tuple[complex, complex], ...]:
         return tuple(map(tuple, self._coefficients.tolist()))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"MessageSpec(coefficients={self.coefficients!r})"
@@ -310,7 +304,6 @@ def slot_plan(n: int) -> SlotPlan:
     )
 
 
-@dataclass(eq=False, slots=True)
 class _Family:
     """m groups of k qubits each, stored as one (m, 2**k) amplitude array,
     and k label columns of m ``str`` labels: axis j of row r is qubit
@@ -318,11 +311,14 @@ class _Family:
     the rows where they are made (``add_columns``, the kernel that made
     rows for ``_add_checked_columns``, ``tensor_rows`` for a Bell merge).
     After that only Paulis write them, and a Pauli keeps a row on the unit
-    sphere bit for bit. Families hash by identity.
+    sphere bit for bit. Families compare and hash by identity.
     """
 
-    amps: np.ndarray
-    columns: tuple  # k label tuples, one per axis
+    __slots__ = ("amps", "columns")
+
+    def __init__(self, amps: np.ndarray, columns: tuple):
+        self.amps = amps
+        self.columns = columns  # k label tuples, one per axis
 
     def paulis(self, axis: int, x, z, inverse: bool) -> None:
         """``QuantumRegistry.apply_paulis`` on axis ``axis``, for 0/1 bits."""
@@ -528,18 +524,17 @@ def _check_streams(package, names) -> None:
             raise TypeError(f"{name} must be a CarrierStream, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class SignaturePackage:
+class SignaturePackage(Frozen):
     """What the signer ships: masked message carriers, bound-signature
-    carriers, and her Bell results (one per message qubit)."""
+    carriers, and her Bell results (one per message qubit), a tuple."""
 
-    masked: CarrierStream
-    signature: CarrierStream
-    bell_results: tuple[BellOutcome, ...]
+    __slots__ = ("masked", "signature", "bell_results")
 
-    def __post_init__(self):
+    def __init__(self, masked: CarrierStream, signature: CarrierStream, bell_results):
+        object.__setattr__(self, "masked", masked)
+        object.__setattr__(self, "signature", signature)
         _check_streams(self, ("masked", "signature"))
-        object.__setattr__(self, "bell_results", tuple(self.bell_results))
+        object.__setattr__(self, "bell_results", tuple(bell_results))
         if len(self.signature) != len(self.bell_results):
             raise ValueError("signature carriers and bell results must align")
         if len(self.signature) == 0 or len(self.masked) == 0:
@@ -550,17 +545,18 @@ class SignaturePackage:
         return len(self.signature)
 
 
-@dataclass(frozen=True)
-class CipherPayload:
+class CipherPayload(namedtuple("CipherPayload", ("masked", "signature", "verification"),
+                               defaults=(CarrierStream(),))):
     """The carrier streams of one quantum ciphertext transmission: masked,
-    signature and, on the return leg, the one-carrier verification stream."""
+    signature and, on the return leg, the one-carrier verification stream
+    (empty when left out). A tuple, for its default stream."""
 
-    masked: CarrierStream
-    signature: CarrierStream
-    verification: CarrierStream = CarrierStream()
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_streams(self, ("masked", "signature", "verification"))
+    def __new__(cls, *args, **kwargs):
+        payload = super().__new__(cls, *args, **kwargs)
+        _check_streams(payload, payload._fields)
+        return payload
 
     @property
     def verdict_carrier(self) -> Carrier | None:
@@ -603,8 +599,7 @@ class PublicBoard:
         return [{"author": a, "value": v} for a, v in self._entries]
 
 
-@dataclass(frozen=True)
-class TrentRecord:
+class TrentRecord(NamedTuple):
     """Everything the arbiter observes in one run.
 
     Deliberately poor: no Bell results, no verifier-side qubits, no pad.
@@ -630,22 +625,25 @@ class TrentRecord:
         return canonical_bytes(self.to_jsonable())
 
 
-@dataclass(frozen=True)
-class ProtocolKeys:
+class ProtocolKeys(NamedTuple):
     signer: KeyBits
     verifier: KeyBits
     peer: KeyBits
 
 
-@dataclass(frozen=True, eq=False)
-class SignerPrivate:
+class SignerPrivate(Frozen):
     """What the signer keeps to herself after signing, besides the pad:
     ``probabilities``, the read-only (n, 4) array of Bell branch
     probabilities her measurements drew from (BELL_ORDER columns), which
-    the transcript renders as it is."""
+    the transcript renders as it is. Compared and hashed by identity."""
 
-    probabilities: np.ndarray
-    max_probability_deviation: float
+    __slots__ = ("probabilities", "max_probability_deviation")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, probabilities: np.ndarray, max_probability_deviation: float):
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "max_probability_deviation", max_probability_deviation)
 
     @property
     def outcome_probabilities(self) -> tuple[tuple[float, ...], ...]:
@@ -653,8 +651,7 @@ class SignerPrivate:
         return tuple(map(tuple, self.probabilities.tolist()))
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     result: CompareResult
     verify_bit: int
     per_qubit: tuple[bool, ...]

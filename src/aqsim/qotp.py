@@ -13,12 +13,13 @@ README. All three run on the stacked rows, through ``statevector.pauli_rows``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import statevector as sv
+from .record import Frozen
 from .statevector import PureState
 
 ROLE_SIGNER = "signer-key"      # shared signer <-> arbiter
@@ -32,37 +33,42 @@ class KeyTooShort(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class KeyBits:
-    """An ordered classical bit string with a protocol role tag."""
+class KeyBits(Frozen):
+    """An ordered classical bit string with a protocol role tag.
 
-    bits: tuple[int, ...]
-    role: str
-    # read-only uint8 copy of ``bits``, which ``key_paulis`` indexes
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    ``array`` holds the bits, a read-only uint8 array that ``key_paulis``
+    indexes; ``bits``, the same bits as a tuple of ints, is made when first
+    read. Length, equality, hashing and ``to_jsonable`` read the array.
+    """
 
-    def __post_init__(self):
-        bits = tuple(self.bits)
+    def __init__(self, bits, role: str):
+        bits = tuple(bits)
         if not {*bits} <= {0, 1}:
             raise ValueError("key bits must be 0/1")
-        self._set_array(np.array(bits, dtype=np.uint8))
+        self._set(np.array(bits, dtype=np.uint8), role)
 
-    def _set_array(self, array: np.ndarray) -> None:
-        """Hold ``array``, a uint8 array of 0/1, and the bits it spells."""
+    def _set(self, array: np.ndarray, role: str) -> None:
+        """Hold ``array``, a uint8 array of 0/1, and ``role``."""
         array.flags.writeable = False
-        object.__setattr__(self, "bits", tuple(array.tolist()))
         object.__setattr__(self, "array", array)
+        object.__setattr__(self, "role", role)
 
     @classmethod
     def _of_array(cls, array: np.ndarray, role: str) -> "KeyBits":
         """A key over an array of 0/1 integers, without a Python pass over the bits."""
         key = object.__new__(cls)
-        object.__setattr__(key, "role", role)
-        key._set_array(array.astype(np.uint8))
+        key._set(array.astype(np.uint8), role)
         return key
 
+    @cached_property  # writes the instance __dict__, past __setattr__
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    def _values(self) -> tuple:
+        return self.role, self.array.tobytes()
+
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.array)
 
     def to_hex(self) -> str:
         """Big-endian bit order: bit 0 is the MSB of the first hex digit.
@@ -70,10 +76,10 @@ class KeyBits:
         Lengths not divisible by 4 are zero-padded at the tail; the true
         length travels alongside in ``to_jsonable``.
         """
-        return np.packbits(self.array).tobytes().hex()[:(len(self.bits) + 3) // 4]
+        return np.packbits(self.array).tobytes().hex()[:(len(self.array) + 3) // 4]
 
     def to_jsonable(self) -> dict:
-        return {"role": self.role, "len": len(self.bits), "hex": self.to_hex()}
+        return {"role": self.role, "len": len(self.array), "hex": self.to_hex()}
 
 
 def random_bits(length: int, role: str, rng: np.random.Generator) -> KeyBits:
@@ -139,9 +145,9 @@ def pair_transform(seq: Sequence[PureState], key: KeyBits) -> tuple[PureState, .
     def transform(amps):
         n = len(amps)
         needed = n + 1 if n % 2 else n
-        if len(key.bits) < needed:
+        if len(key) < needed:
             raise KeyTooShort(f"pair transform over {n} qubits needs {needed} key bits, "
-                              f"have {len(key.bits)}")
+                              f"have {len(key)}")
         i = np.arange(n)
         return sv.pauli_rows(amps, 0, key.array[i], key.array[i ^ 1])
 

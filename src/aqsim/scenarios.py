@@ -15,9 +15,8 @@ steps at those points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .protocol import (
     Verdict, checks_jsonable,
 )
 from .qotp import ROLE_EXTRACTED, KeyBits
+from .record import Record
 
 GENERIC_MARGIN = 0.05  # keeps sampled qubits away from Pauli eigenstates
 STATUS_ATTACK_DETECTED = "attack-detected"
@@ -63,61 +63,83 @@ def rng_streams(seed: int, trial: int) -> RngStreams:
     return RngStreams(seed, trial)
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """Everything one trial produced, including harness-only private data."""
 
-    transcript: Transcript
-    checks: dict
-    verdict: str | None
-    alarms: tuple[str, ...]
-    record: TrentRecord | None
-    board: PublicBoard
-    genuine_compare: str | None
-    compare_report: CompareReport | None
-    extraction_bits: tuple[int, ...] | None
-    extraction_matches: bool | None
-    bell_prob_max_dev: float
-    claims: tuple[Claim, ...]
-    published_pad: KeyBits | None
-    recovered_fidelities: tuple[float, ...] | None
-    message: MessageSpec
-    keys: proto.ProtocolKeys
-    true_pad: KeyBits
+    __slots__ = ("transcript", "checks", "verdict", "alarms", "record", "board",
+                 "genuine_compare", "compare_report", "extraction_bits", "extraction_matches",
+                 "bell_prob_max_dev", "claims", "published_pad", "recovered_fidelities",
+                 "message", "keys", "true_pad")
+
+    def __init__(
+        self, transcript: Transcript, checks: dict, verdict: str | None, alarms: tuple[str, ...],
+        record: TrentRecord | None, board: PublicBoard, genuine_compare: str | None,
+        compare_report: CompareReport | None, extraction_bits: tuple[int, ...] | None,
+        extraction_matches: bool | None, bell_prob_max_dev: float, claims: tuple[Claim, ...],
+        published_pad: KeyBits | None, recovered_fidelities: tuple[float, ...] | None,
+        message: MessageSpec, keys: proto.ProtocolKeys, true_pad: KeyBits,
+    ):
+        self.transcript = transcript
+        self.checks = checks
+        self.verdict = verdict
+        self.alarms = alarms
+        self.record = record
+        self.board = board
+        self.genuine_compare = genuine_compare
+        self.compare_report = compare_report
+        self.extraction_bits = extraction_bits
+        self.extraction_matches = extraction_matches
+        self.bell_prob_max_dev = bell_prob_max_dev
+        self.claims = claims
+        self.published_pad = published_pad
+        self.recovered_fidelities = recovered_fidelities
+        self.message = message
+        self.keys = keys
+        self.true_pad = true_pad
 
     def transcript_bytes(self) -> bytes:
         return self.transcript.to_bytes()
 
 
-@dataclass
-class Trial:
+class Trial(Record):
     """The live state of one trial: what the flow has made so far.
 
     Attack steps read it and replace what they touch, the way an attacker
     takes a transmission off the channel and passes something else on.
     """
 
-    scenario: Scenario
-    streams: RngStreams
-    transcript: Transcript
-    registry: QuantumRegistry
-    keys: proto.ProtocolKeys
-    message: MessageSpec
-    bob_labels: tuple
-    pad: KeyBits
-    package: SignaturePackage
-    board: PublicBoard
-    payload: CipherPayload | None = None
-    record: TrentRecord | None = None
-    report: CompareReport | None = None
-    decoys: adv.DecoySet | None = None
-    extraction_bits: tuple[int, ...] | None = None
-    extraction_matches: bool | None = None
-    claims: tuple[Claim, ...] = ()
-    published: KeyBits | None = None
-    fidelities: tuple[float, ...] | None = None
-    signature_valid: bool | None = None
-    verdict: str | None = None
+    __slots__ = ("scenario", "streams", "transcript", "registry", "keys", "message",
+                 "bob_labels", "pad", "package", "board", "payload", "record", "report",
+                 "decoys", "extraction_bits", "extraction_matches", "claims", "published",
+                 "fidelities", "signature_valid", "verdict")
+
+    def __init__(
+        self, scenario: Scenario, streams: RngStreams, transcript: Transcript,
+        registry: QuantumRegistry, keys: proto.ProtocolKeys, message: MessageSpec,
+        bob_labels: tuple, pad: KeyBits, package: SignaturePackage, board: PublicBoard,
+    ):
+        self.scenario = scenario
+        self.streams = streams
+        self.transcript = transcript
+        self.registry = registry
+        self.keys = keys
+        self.message = message
+        self.bob_labels = bob_labels
+        self.pad = pad
+        self.package = package
+        self.board = board
+        # what the flow makes later
+        self.payload: CipherPayload | None = None
+        self.record: TrentRecord | None = None
+        self.report: CompareReport | None = None
+        self.decoys: adv.DecoySet | None = None
+        self.extraction_bits: tuple[int, ...] | None = None
+        self.extraction_matches: bool | None = None
+        self.claims: tuple[Claim, ...] = ()
+        self.published: KeyBits | None = None
+        self.fidelities: tuple[float, ...] | None = None
+        self.signature_valid: bool | None = None
+        self.verdict: str | None = None
 
 
 # --- attack steps -----------------------------------------------------------
@@ -214,8 +236,7 @@ _MISMATCH_DISPUTE = ("arbiter-verified", "teleport-compare-mismatch", "verdict-i
                      "board-empty", "no-alarms")
 
 
-@dataclass(frozen=True)
-class ScenarioEntry:
+class ScenarioEntry(NamedTuple):
     """One scenario: its steps at the flow's fixed points and its expected outcome.
 
     Each step defaults to the honest flow. ``expect`` names the ``CHECKS``

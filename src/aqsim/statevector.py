@@ -25,12 +25,12 @@ convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .jsonutil import canonical_bytes
+from .record import Frozen
 
 MAX_QUBITS = 4
 NORM_TOL = 1e-12       # state norm invariant, checked after every operation
@@ -75,16 +75,16 @@ class TooManyQubits(StateError):
     pass
 
 
-@dataclass(frozen=True)
-class PauliBits:
+class PauliBits(Frozen):
     """Exponents of sigma_x^x sigma_z^z (sigma_z acts first)."""
 
-    x: int
-    z: int
+    __slots__ = ("x", "z")
 
-    def __post_init__(self):
-        if self.x not in (0, 1) or self.z not in (0, 1):
-            raise ValueError(f"PauliBits components must be 0/1, got ({self.x}, {self.z})")
+    def __init__(self, x: int, z: int):
+        if x not in (0, 1) or z not in (0, 1):
+            raise ValueError(f"PauliBits components must be 0/1, got ({x}, {z})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
 
     @property
     def is_identity(self) -> bool:
@@ -138,25 +138,27 @@ _BELL_MATRIX = np.array(
 ) * _SQRT_HALF
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Frozen):
     """Normalized amplitude vector over an ordered group of labeled qubits.
 
     Amplitude index order follows label order: the first label is the most
-    significant bit of the basis index.
+    significant bit of the basis index. ``labels`` is a tuple and ``amps`` a
+    read-only complex128 vector. States compare and hash by identity; their
+    equality is ``equal_up_to_phase``.
     """
 
-    labels: tuple
-    amps: np.ndarray
+    __slots__ = ("labels", "amps")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
+    def __init__(self, labels, amps):
+        labels = tuple(labels)
         object.__setattr__(self, "labels", labels)
         if len(set(labels)) != len(labels):
             raise DuplicateLabel(f"duplicate qubit labels in {labels}")
         if len(labels) > MAX_QUBITS:
             raise TooManyQubits(f"{len(labels)} qubits exceeds the {MAX_QUBITS}-qubit cap")
-        amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
+        amps = np.array(amps, dtype=np.complex128).reshape(-1)
         if amps.shape[0] != 2 ** len(labels):
             raise StateError(
                 f"amplitude count {amps.shape[0]} does not match {len(labels)} qubit(s)"

@@ -41,6 +41,10 @@ ODD_DOCUMENTS = [
     Color.RED, Level.HIGH, Flag(5), OrderedDict([("b", 1), ("a", [Flag(2), Color.RED])]),
     {"nested": {"deep": [{"x": np.float64(2.0)}, [np.int32(1), True]]}},
     {"floats": [0.1, -0.0, 5e-324, 1.7976931348623157e308, 0.25], "rows": [[0.25, {"x": 0.1}]]},
+    # lists of exact strs take one join; any other item, a str subclass too, does not
+    ["phi-plus", "quote\" back\\slash \n", "café ☃ \U0001f600", ""], ["a", 1, None, ["b"]],
+    {"outcomes": ["psi-minus", "phi-plus"], "nested": [["x"], [], [[]]]},
+    ["a", Color.RED], [Color.RED], ["a", ["b", Color.RED]], ["a", b"b"],
 ]
 
 
@@ -261,6 +265,7 @@ def test_leaf_lists_match_the_oracle(values):
     strings = [v for v in values if type(v) is str]
     flags = [v for v in values if type(v) is bool]
     assert jsonutil.render_strings(strings).text == canonical_oracle.canonical_json(strings)
+    assert jsonutil.canonical_json(strings) == canonical_oracle.canonical_json(strings)
     assert jsonutil.render_bools(flags).text == canonical_oracle.canonical_json(flags)
 
 

@@ -895,9 +895,9 @@ def test_the_flow_builds_no_pure_state(monkeypatch):
     # every step of every scenario under every defense set works on registry
     # rows; PureState is the scalar reference and the replay's adapters only
     built = []
-    post_init, checked = sv.PureState.__post_init__, sv.PureState._checked.__func__
-    monkeypatch.setattr(sv.PureState, "__post_init__",
-                        lambda self: built.append(self.labels) or post_init(self))
+    init, checked = sv.PureState.__init__, sv.PureState._checked.__func__
+    monkeypatch.setattr(sv.PureState, "__init__", lambda self, labels, amps:
+                        built.append(labels) or init(self, labels, amps))
     monkeypatch.setattr(sv.PureState, "_checked", classmethod(
         lambda cls, labels, amps: built.append(labels) or checked(cls, labels, amps)))
     for variant in adv.ScenarioVariant:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import oracles
 from aqsim import qotp
 from aqsim import statevector as sv
+from aqsim.adversary import Scenario
 from aqsim.qotp import KeyBits, KeyTooShort
+from aqsim.scenarios import run_scenario
 from aqsim.statevector import BELL_ORDER, PauliBits
 
 SQRT_HALF = 1 / math.sqrt(2)
@@ -308,6 +310,25 @@ def test_key_bits_are_ints_beside_a_read_only_array():
     drawn = qotp.random_bits(9, qotp.ROLE_PAD, np.random.default_rng(3))
     assert all(type(b) is int for b in drawn.bits)
     assert drawn.array.tolist() == list(drawn.bits)
+
+
+def test_a_key_over_an_array_builds_no_bit_tuple_until_bits_is_read():
+    # length, equality, hashing, hex and the key's Paulis read the array
+    drawn = qotp.random_bits(1026, qotp.ROLE_VERIFIER, np.random.default_rng(4))
+    same = KeyBits._of_array(drawn.array, qotp.ROLE_VERIFIER)
+    listed = KeyBits(drawn.array.tolist(), qotp.ROLE_VERIFIER)
+    assert len(drawn) == 1026 and drawn == same == listed
+    assert drawn != KeyBits((), qotp.ROLE_VERIFIER) and drawn != KeyBits._of_array(
+        drawn.array, qotp.ROLE_SIGNER)
+    assert hash(drawn) == hash(same) == hash(listed)
+    assert drawn.to_jsonable() == listed.to_jsonable()
+    qotp.key_paulis(drawn, range(513))
+    assert "bits" not in vars(drawn) and "bits" not in vars(same)
+    assert drawn.bits == tuple(drawn.array.tolist()) and vars(drawn)["bits"] is drawn.bits
+    # nor does the flow read a key's bits, outside the Trojan extraction and a false pad
+    result = run_scenario(Scenario.from_token("honest"), 8, 7, 0)
+    assert [key for key in (*result.keys, result.true_pad) if "bits" in vars(key)] == []
+
 
 def test_key_paulis_positions():
     k = key([1, 0, 0, 1])
