@@ -108,7 +108,7 @@ def _emit(obj, out: list[str]) -> None:
 class Labels(tuple):
     """A column of labels that keeps the canonical text of each label
     (``texts``), worked out on first read, which ``render_states`` lays in.
-    The slot plan's columns are ``Labels`` and serve every trial of their n."""
+    The registry's columns (``protocol.LabelColumn``) are ``Labels``."""
 
     @functools.cached_property
     def texts(self) -> tuple[str, ...]:
@@ -202,8 +202,8 @@ def _fill(layout: tuple, columns: list, m: int) -> str:
 def render_states(labels, amps, memo: dict, heads=()) -> str:
     """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
     each row of an (m, 2**k) complex stack, joined by commas. ``labels``
-    holds k columns of m strings: column j names each row's axis j, and a
-    ``Labels`` column lends the label texts it keeps. With ``heads``, a
+    holds k ``Labels`` columns of m strings: column j names each row's axis
+    j, and lends the label texts it keeps. With ``heads``, a
     stream's three columns from ``carrier_columns``, row r is
     ``{"id", "band", "slot", "state"}`` with row r's state as its
     ``"state"``. Floats already in ``memo`` are not formatted again; the
@@ -211,8 +211,7 @@ def render_states(labels, amps, memo: dict, heads=()) -> str:
     # the (m, 2w) float view of the (m, w) stack, -0.0 collapsed: (re, im) per amplitude
     stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
     m, width = stack.shape
-    labels = [column.texts if isinstance(column, Labels) else [*map(_encode_str, column)]
-              for column in labels]
+    labels = [column.texts for column in labels]
     if 2 ** len(labels) * 2 != width or any(len(column) != m for column in labels):
         raise ValueError(f"{len(labels)} label columns of {[*map(len, labels)]} rows "
                          f"for {m} rows of {width // 2} amplitudes")

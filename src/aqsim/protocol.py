@@ -306,32 +306,28 @@ def slot_plan(n: int) -> SlotPlan:
 
 class _Family:
     """m groups of k qubits each, stored as one (m, 2**k) amplitude array,
-    and k label columns of m ``str`` labels: axis j of row r is qubit
+    and k ``LabelColumn``s of m ``str`` labels: axis j of row r is qubit
     ``columns[j][r]``. The labels are checked once, by ``_new_family``, and
     the rows where they are made (``add_columns``, the kernel that made
     rows for ``_add_checked_columns``, ``tensor_rows`` for a Bell merge).
-    After that only Paulis write them, and a Pauli keeps a row on the unit
-    sphere bit for bit. Families compare and hash by identity.
+    After that only ``sv._pauli_rows`` replaces them, keeping each row on
+    the unit sphere bit for bit. Families compare and hash by identity.
     """
 
     __slots__ = ("amps", "columns")
 
     def __init__(self, amps: np.ndarray, columns: tuple):
         self.amps = amps
-        self.columns = columns  # k label tuples, one per axis
-
-    def paulis(self, axis: int, x, z, inverse: bool) -> None:
-        """``QuantumRegistry.apply_paulis`` on axis ``axis``, for 0/1 bits."""
-        self.amps = sv._pauli_rows(self.amps, axis, x, z, inverse)
+        self.columns = columns  # k LabelColumns, one per axis
 
 
 class LabelColumn(jsonutil.Labels):
-    """A label column that a process registers trial after trial: a slot-plan
-    column, or the labels of a stream. Besides the label texts it keeps its
-    label set (``label_set``), worked out on first read: None unless every
-    label is a ``str``, the only label type canonical text renders. By these
-    sets ``QuantumRegistry._new_family`` checks a family when it and every
-    live column are ``LabelColumn``."""
+    """A label column, the only kind the registry holds: a slot-plan column,
+    a stream's labels, or a column ``_new_family`` copied into one. Besides
+    the label texts it keeps its label set (``label_set``), worked out on
+    first read: None unless every label is a ``str``, the only label type
+    canonical text renders. ``_new_family`` checks every family by these
+    sets."""
 
     @cached_property
     def label_set(self) -> frozenset | None:
@@ -389,13 +385,13 @@ class QuantumRegistry:
         self._register(*self._new_family(columns, amps))
 
     def _new_family(self, columns, amps) -> tuple[tuple, np.ndarray]:
-        """The columns and rows of a new family, as (k label tuples, (m, 2**k)
-        complex stack), once they pass every check: the shape, that every
-        label is a ``str``, that the k*m labels are distinct, and that none
-        sits in a live column. When the new columns and every live one are
-        ``LabelColumn``, the checks read their label sets; otherwise they
-        run over the labels. A tuple column is kept as it is."""
-        columns = tuple(c if isinstance(c, tuple) else tuple(c) for c in columns)
+        """The columns and rows of a new family, as (k ``LabelColumn``s,
+        (m, 2**k) complex stack), once they pass every check: the shape,
+        that every label is a ``str``, that the k*m labels are distinct, and
+        that none sits in a live column. A ``LabelColumn`` is kept as it is
+        and any other column is copied into one; the label checks read the
+        columns' label sets."""
+        columns = tuple(c if type(c) is LabelColumn else LabelColumn(c) for c in columns)
         m = len(columns[0]) if columns else len(amps)
         amps = np.array(amps, dtype=np.complex128).reshape(m, -1)
         k = len(columns)
@@ -404,17 +400,10 @@ class QuantumRegistry:
                                 f"match {m} rows of {amps.shape[1]} amplitudes")
         if k > sv.MAX_QUBITS:
             raise sv.TooManyQubits(f"{k} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
-        if all(type(column) is LabelColumn for column in chain(columns, self._columns)):
-            sets = [column.label_set for column in columns]
-            live = [column.label_set for column in self._columns]
-            if None in sets or sum(map(len, sets)) != k * m or not all(
-                    s.isdisjoint(t) for j, s in enumerate(sets) for t in sets[j + 1:] + live):
-                raise self._refusal(columns)
-            return columns, amps
-        if {*map(type, chain.from_iterable(columns))} - {str}:
-            raise self._refusal(columns)
-        union = set().union(*columns)
-        if len(union) != k * m or not union.isdisjoint(chain.from_iterable(self._columns)):
+        sets = [column.label_set for column in columns]
+        live = [column.label_set for column in self._columns]
+        if None in sets or sum(map(len, sets)) != k * m or not all(
+                s.isdisjoint(t) for j, s in enumerate(sets) for t in sets[j + 1:] + live):
             raise self._refusal(columns)
         return columns, amps
 
@@ -463,17 +452,17 @@ class QuantumRegistry:
         """A copy of the rows of the column ``labels``, in label order."""
         return self._column(labels)[0].amps.copy()
 
-    def render_states(self, labels: Sequence, heads=()) -> str:
+    def render_states(self, labels: Sequence, heads) -> str:
         """The canonical texts of ``state_of(label).to_jsonable()`` for each
         label of one column, joined by commas; with ``heads`` (a stream's
         ``columns``), of each carrier's ``{"id", "band", "slot", "state"}``."""
         family, _ = self._column(labels)
         return jsonutil.render_states(family.columns, family.amps, self.memo, heads)
 
-    def apply_paulis(self, labels: Sequence, x, z, inverse: bool = False) -> None:
+    def apply_paulis(self, labels: Sequence, x, z) -> None:
         """Qubit ``labels[i]`` of one column gets sigma_x^x[i] sigma_z^z[i],
-        sigma_z first; ``inverse`` undoes that exactly. Bits that do not align
-        with the labels, or are not 0 or 1, raise ``ValueError`` first."""
+        sigma_z first. Bits that do not align with the labels, or are not 0
+        or 1, raise ``ValueError`` first."""
         x, z = np.asarray(x), np.asarray(z)
         if x.shape != (len(labels),) or z.shape != x.shape:
             raise ValueError("labels, x and z must align")
@@ -482,7 +471,7 @@ class QuantumRegistry:
                        or (either := x | z).view(f"u{either.itemsize}").max() > 1):
             raise ValueError("Pauli bits must be 0/1")
         family, axis = self._column(labels)
-        family.paulis(axis, x, z, inverse)
+        family.amps = sv._pauli_rows(family.amps, axis, x, z, False)
 
     def bell_measure_many(
         self, labels1: Sequence, labels2: Sequence, rng: np.random.Generator
@@ -805,7 +794,7 @@ def _mask_streams(
         raise sv.DuplicateLabel("a transmission keys each column once")
     paulis = [qotp.key_paulis(key, part.slots) for part in parts]
     for (family, axis), (x, z) in zip(targets, paulis):  # a key's bits, one per label
-        family.paulis(axis, x, z, inverse)
+        family.amps = sv._pauli_rows(family.amps, axis, x, z, inverse)
 
 
 def bob_forward(

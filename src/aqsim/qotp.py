@@ -149,6 +149,6 @@ def pair_transform(seq: Sequence[PureState], key: KeyBits) -> tuple[PureState, .
             raise KeyTooShort(f"pair transform over {n} qubits needs {needed} key bits, "
                               f"have {len(key)}")
         i = np.arange(n)
-        return sv.pauli_rows(amps, 0, key.array[i], key.array[i ^ 1])
+        return sv.pauli_rows(amps, 0, key.array[i], key.array[i ^ 1], False)
 
     return _on_rows(seq, transform)

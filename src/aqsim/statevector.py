@@ -412,7 +412,7 @@ def _num_qubits(amps: np.ndarray) -> int:
     return amps.shape[1].bit_length() - 1
 
 
-def pauli_rows(amps: np.ndarray, axis: int, x, z, inverse: bool = False) -> np.ndarray:
+def pauli_rows(amps: np.ndarray, axis: int, x, z, inverse: bool) -> np.ndarray:
     """Row r gets sigma_x^x[r] sigma_z^z[r] on qubit ``axis`` (sigma_z first).
 
     ``inverse`` applies the exact inverse instead: sigma_x first, then
@@ -421,7 +421,7 @@ def pauli_rows(amps: np.ndarray, axis: int, x, z, inverse: bool = False) -> np.n
     return check_rows(_pauli_rows(amps, axis, x, z, inverse))
 
 
-def _pauli_rows(amps: np.ndarray, axis: int, x, z, inverse: bool = False) -> np.ndarray:
+def _pauli_rows(amps: np.ndarray, axis: int, x, z, inverse: bool) -> np.ndarray:
     """``pauli_rows`` without the closing check, for rows already checked."""
     m, dim = amps.shape
     t = amps.reshape(m, 1 << axis, 2, dim >> (axis + 1)).copy()

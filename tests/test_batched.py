@@ -8,6 +8,7 @@ still trip the norm and finiteness invariant.
 import math
 import re
 import warnings
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_pauli_rows_inverse_undoes_forward_exactly(amps):
     m = amps.shape[0]
     x = np.arange(m) % 2
     z = (np.arange(m) // 2) % 2
-    back = sv.pauli_rows(sv.pauli_rows(amps, 0, x, z), 0, x, z, inverse=True)
+    back = sv.pauli_rows(sv.pauli_rows(amps, 0, x, z, False), 0, x, z, True)
     assert same_bits(back, amps)
 
 
@@ -235,7 +236,7 @@ def test_scalar_bell_measure_top_draw_lands_on_a_possible_branch(outcome):
 @pytest.mark.parametrize("outcome", BELL_ORDER)
 def test_batched_bell_sample_top_draw_lands_on_a_possible_branch(outcome):
     pairs = np.tile(sv.BELL_PAIR_AMPS, (3, 1))
-    pairs = sv.pauli_rows(pairs, 0, [outcome.x] * 3, [outcome.z] * 3)
+    pairs = sv.pauli_rows(pairs, 0, [outcome.x] * 3, [outcome.z] * 3, False)
     rows, _, residual = sv.bell_measure_rows(pairs, 0, 1, np.full(3, TOP_DRAW))
     assert [BELL_ORDER[r] for r in rows] == [outcome] * 3
     assert residual.shape == (3, 1)  # and the kernel checked it finite and normalized
@@ -270,9 +271,9 @@ def test_batched_ops_raise_on_a_corrupted_row(how):
     pairs = corrupted(np.tile(sv.BELL_PAIR_AMPS, (4, 1)), 3, how)
     qubits = corrupted(sv.qubit_rows([(1, 0)] * 4), 1, how)
     with pytest.raises(sv.StateError):
-        sv.pauli_rows(pairs, 1, [0, 0, 0, 0], [0, 0, 0, 1])
+        sv.pauli_rows(pairs, 1, [0, 0, 0, 0], [0, 0, 0, 1], False)
     with pytest.raises(sv.StateError):
-        sv.pauli_rows(qubits, 0, [0] * 4, [0] * 4)
+        sv.pauli_rows(qubits, 0, [0] * 4, [0] * 4, False)
     with pytest.raises(sv.StateError):
         sv.tensor_rows(qubits, pairs)
     registry = QuantumRegistry()
@@ -430,16 +431,10 @@ def test_paulis_keep_registry_rows_as_the_scalar_reference_does(data):
     for _ in range(data.draw(st.integers(1, 5))):
         labels = data.draw(st.sampled_from(columns))
         x, z = bits(data.draw, len(labels)), bits(data.draw, len(labels))
-        inverse = data.draw(st.booleans())
-        registry.apply_paulis(labels, x, z, inverse=inverse)
+        registry.apply_paulis(labels, x, z)
         for label, xi, zi in zip(labels, x.tolist(), z.tolist()):
-            state = groups[group_of[label]]
-            if inverse:
-                state = sv.apply_pauli(sv.apply_pauli(state, label, PauliBits(xi, 0)), label,
-                                       PauliBits(0, zi))
-            else:
-                state = sv.apply_pauli(state, label, PauliBits(xi, zi))
-            groups[group_of[label]] = state
+            groups[group_of[label]] = sv.apply_pauli(groups[group_of[label]], label,
+                                                     PauliBits(xi, zi))
     for name, state in groups.items():
         assert same_bits(registry.state_of(name[0]).amps, state.amps)
     for family in {id(f): f for f, _ in registry._columns.values()}.values():
@@ -555,14 +550,15 @@ def test_registry_reads_of_a_column_equal_per_label_reads(data):
         assert [s.labels for s in states] == [s.labels for s in singles]
         assert all(same_bits(s.amps, one.amps) for s, one in zip(states, singles))
         assert same_bits(registry.amps_of(column), np.array([s.amps for s in singles]))
-        assert registry.render_states(column) == ",".join(
+        assert registry.render_states(column, ()) == ",".join(
             canonical_json(s.to_jsonable()) for s in singles)
 
     labels = data.draw(st.lists(st.sampled_from(sorted(group_of)), min_size=1, max_size=12))
     assume(tuple(labels) not in columns)
     bad = list(labels)
     bad.insert(data.draw(st.integers(0, len(labels))), "nowhere")
-    for read in (registry.sequence, registry.amps_of, registry.render_states):
+    for read in (registry.sequence, registry.amps_of,
+                 partial(registry.render_states, heads=())):
         with pytest.raises(sv.LabelMismatch):
             read(labels)
         with pytest.raises(sv.UnknownLabel):
@@ -683,7 +679,8 @@ def test_registry_refuses_a_label_that_is_not_a_str(bad):
         with pytest.raises(sv.UnknownLabel):
             registry.state_of(label)
     registry.add_columns([("a",), ("b",)], sv.BELL_PAIR_AMPS[None, :])
-    assert registry.render_states(["b"]) == canonical_json(registry.state_of("b").to_jsonable())
+    assert registry.render_states(["b"], ()) == canonical_json(
+        registry.state_of("b").to_jsonable())
 
 
 class Tag(str):
@@ -700,11 +697,12 @@ class Tag(str):
 ])
 def test_the_label_set_cache_keeps_each_refusals_class_and_message(columns, live, error,
                                                                    message):
-    # each refusal reads the same whether the columns are plain tuples, or
-    # ``LabelColumn`` whose label sets are already worked out, as a plan's
-    # are, beside live columns of either kind (the label sets are read only
-    # when every live column is a ``LabelColumn`` too)
-    for kind, live_kind in ((tuple, tuple), (LabelColumn, LabelColumn), (LabelColumn, tuple)):
+    # each refusal reads the same whether the columns are plain tuples, lists,
+    # or ``LabelColumn`` whose label sets are already worked out, as a plan's
+    # are, beside live columns of any kind (every column is registered as a
+    # ``LabelColumn``, and every family is checked by its label sets)
+    for kind, live_kind in ((tuple, tuple), (LabelColumn, LabelColumn), (LabelColumn, tuple),
+                            (list, list)):
         registry = QuantumRegistry()
         for column in live:
             registry.add_columns([live_kind(column)], sv.qubit_rows([(1, 0)] * len(column)))
@@ -780,11 +778,12 @@ def test_a_stream_resolved_before_a_bell_measurement_follows_its_labels():
     registry = uniform_streams()
     gone, moved = [("m", "n"), ("a1", "a2")], ("b1", "b2")
     for stream in (*gone, moved):
-        registry.render_states(stream)  # read before the measurement
+        registry.render_states(stream, ())  # read before the measurement
     assert registry.amps_of(moved).shape == (2, 4)
     registry.bell_measure_many(["a1", "a2"], ["m", "n"], np.random.default_rng(5))
     for stream in gone:
-        for read in (registry.sequence, registry.amps_of, registry.render_states):
+        for read in (registry.sequence, registry.amps_of,
+                     partial(registry.render_states, heads=())):
             with pytest.raises(sv.UnknownLabel):
                 read(stream)
         with pytest.raises(sv.UnknownLabel):
@@ -855,15 +854,31 @@ def test_a_registered_family_keeps_its_label_streams_as_its_columns():
     registry.add_columns((probes, keepers), pairs_of(probes))
     family, axis = registry._columns[probes]
     assert axis == 0 and registry._columns[keepers] == (family, 1)
-    assert family.columns[0] is probes and family.columns[1] is keepers
+    assert family.columns == (probes, keepers)
+    assert all(type(column) is LabelColumn for column in family.columns)
     assert registry.state_of("k2").labels == ("d2", "k2")
     assert [state.labels for state in registry.sequence(keepers)] == [("d1", "k1"), ("d2", "k2")]
     with pytest.raises(sv.LabelCollision):
         registry.add_columns((("k3", "k1"),), sv.qubit_rows([(1, 0)] * 2))
-    # a column that is not a tuple is copied into one
+    # a column that is not a ``LabelColumn`` is copied into one
     registry.add_columns((["s1", "s2"],), sv.qubit_rows([(1, 0)] * 2))
     family, _ = registry._columns["s1", "s2"]
-    assert type(family.columns[0]) is tuple and family.columns[0] == ("s1", "s2")
+    assert type(family.columns[0]) is LabelColumn and family.columns[0] == ("s1", "s2")
+
+
+def test_a_family_registers_every_kind_of_column_as_a_label_column():
+    # one label path: a tuple, a list and a ``LabelColumn`` all become
+    # ``LabelColumn``s equal to what went in, the ``LabelColumn`` as it is,
+    # and a plain tuple or list of the same labels still finds each column
+    given = (("x1", "x2"), ["y1", "y2"], LabelColumn(("z1", "z2")))
+    registry = QuantumRegistry()
+    registry.add_columns(given, np.eye(2, 8, dtype=complex))  # |000>, |001>
+    family, _ = registry._column(given[0])
+    assert family.columns[2] is given[2]
+    for axis, column in enumerate(given):
+        assert type(family.columns[axis]) is LabelColumn and family.columns[axis] == tuple(column)
+        assert registry._column(tuple(column)) == (family, axis)
+        assert registry._column(list(column)) == (family, axis)
 
 
 # --- the column index against a scalar model ----------------------------------------
@@ -915,18 +930,13 @@ class RegistryModel(RuleBasedStateMachine):
         assert self.registry._columns == before
 
     @precondition(lambda self: self.columns)
-    @rule(data=st.data(), seed=SEEDS, inverse=st.booleans())
-    def paulis_on_a_whole_column(self, data, seed, inverse):
+    @rule(data=st.data(), seed=SEEDS)
+    def paulis_on_a_whole_column(self, data, seed):
         stream = data.draw(st.sampled_from(list(self.columns)))
         x, z = np.random.default_rng(seed).integers(0, 2, (2, len(stream)))
-        self.registry.apply_paulis(stream, x, z, inverse=inverse)
+        self.registry.apply_paulis(stream, x, z)
         for label, xi, zi in zip(stream, x.tolist(), z.tolist()):
-            state = self.group[label]
-            if inverse:
-                state = sv.apply_pauli(sv.apply_pauli(state, label, PauliBits(xi, 0)), label,
-                                       PauliBits(0, zi))
-            else:
-                state = sv.apply_pauli(state, label, PauliBits(xi, zi))
+            state = sv.apply_pauli(self.group[label], label, PauliBits(xi, zi))
             self.group.update(dict.fromkeys(state.labels, state))
 
     @precondition(lambda self: self.columns)
@@ -981,7 +991,7 @@ class RegistryModel(RuleBasedStateMachine):
                      lambda: self.registry.bell_measure_many(stream, partner, rng),
                      lambda: self.registry.bell_measure_many(partner, stream, rng),
                      lambda: self.registry.amps_of(stream),
-                     lambda: self.registry.render_states(stream)):
+                     lambda: self.registry.render_states(stream, ())):
             with pytest.raises(error):
                 call()
         assert rng.bit_generator.state == state

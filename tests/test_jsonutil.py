@@ -132,9 +132,9 @@ def plain_state(labels, row) -> dict:
     return {"labels": list(labels), "amps": [[float(a.real), float(a.imag)] for a in row]}
 
 
-def columns_of(labels, k) -> list[tuple]:
+def columns_of(labels, k) -> list[jsonutil.Labels]:
     """The k label columns of rows of k labels (k empty columns for no rows)."""
-    return [tuple(row[j] for row in labels) for j in range(k)]
+    return [jsonutil.Labels(row[j] for row in labels) for j in range(k)]
 
 
 def listed(text: str) -> str:
@@ -165,7 +165,7 @@ def test_state_renderers_take_any_label():
     assert (listed(jsonutil.render_states(columns_of(labels, 1), amps, {}))
             == canonical_oracle.canonical_json(plain))
     with pytest.raises(TypeError):
-        jsonutil.render_states([(0, "q")], amps, {})
+        jsonutil.render_states([jsonutil.Labels((0, "q"))], amps, {})
 
 
 # labels and carrier metadata with quotes, backslashes, %, control and
@@ -234,7 +234,7 @@ def test_columns_of_two_widths_render_like_the_oracle(singles, pairs, head, data
         text = registry.render_states(stream, heads)
         assert listed(text) == canonical_oracle.canonical_json(plain)
     with pytest.raises(sv.LabelMismatch):
-        registry.render_states(single_labels + pair_labels[1])
+        registry.render_states(single_labels + pair_labels[1], ())
 
 
 @given(m=st.integers(0, 4), w=st.integers(0, 6), data=st.data())
@@ -255,7 +255,7 @@ def test_carrier_rows_match_the_oracle(rows):
     assert json.loads(rendered.text) == plain
     state = {"labels": ["q"], "amps": [[0.6, -0.0], [0.0, 0.8]]}
     amps = np.tile(np.array([0.6, -0.0, 0.0, 0.8]).view(np.complex128), (len(rows), 1))
-    text = jsonutil.render_states([("q",) * len(rows)], amps, {},
+    text = jsonutil.render_states([jsonutil.Labels(("q",) * len(rows))], amps, {},
                                   jsonutil.carrier_columns(rows))
     assert listed(text) == canonical_oracle.canonical_json(carried(rows, [state] * len(rows)))
 
@@ -392,7 +392,7 @@ def test_renderers_reject_non_finite_floats_like_the_oracle(bad, column):
     with pytest.raises(ValueError):
         canonical_oracle.canonical_json(plain_state(("q",), amps[0]))
     with pytest.raises(ValueError, match="non-finite"):
-        jsonutil.render_states([("q",)], amps, {})
+        jsonutil.render_states([jsonutil.Labels(("q",))], amps, {})
     with pytest.raises(ValueError):
         canonical_oracle.canonical_json([row])
     with pytest.raises(ValueError, match="non-finite"):

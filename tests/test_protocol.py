@@ -836,7 +836,7 @@ def test_a_stream_that_names_a_measured_label_raises():
         with pytest.raises(sv.UnknownLabel):
             registry.amps_of(stream)
         with pytest.raises(sv.UnknownLabel):
-            registry.render_states(stream)
+            registry.render_states(stream, ())
         with pytest.raises(sv.UnknownLabel):
             registry.apply_paulis(stream, [1] * len(stream), [1] * len(stream))
     assert registry.amps_of(streams.b).shape == (4, 2)

@@ -16,18 +16,14 @@ DEFAULTED = [
     ("cli.py", "main", "env"),
     ("jsonutil.py", "render_states", "heads"),
     ("protocol.py", "alice_sign", "forced_pad"),
-    ("protocol.py", "apply_paulis", "inverse"),
     ("protocol.py", "random_message_spec", "generic_margin"),
-    ("protocol.py", "render_states", "heads"),
     ("qotp.py", "mask_rows", "inverse"),
     ("scenarios.py", "run_scenario", "defenses"),
     ("scenarios.py", "run_scenario", "forced_pad"),
     ("scenarios.py", "run_scenario", "message"),
     ("scenarios.py", "run_scenario", "trial"),
-    ("statevector.py", "_pauli_rows", "inverse"),
     ("statevector.py", "bell_measure", "forced"),
     ("statevector.py", "equal_up_to_phase", "tol"),
-    ("statevector.py", "pauli_rows", "inverse"),
 ]
 
 
