@@ -10,6 +10,13 @@ carriers (signer -> verifier -> arbiter): the signer tucks one half of a
 fresh Bell pair next to each masked-message carrier, lets the verifier's
 keyed apparatus act on it, then intercepts it before the arbiter and reads
 the verifier's key bits off a Bell measurement against the retained half.
+
+Where the probes go depends only on n and their band, so the injected
+stream is made once and kept with the masked stream it interleaves
+(``CarrierStream.interleaved``): every trial of n sends the same stream,
+and its rendered text, and the interception hands back the masked stream
+itself. Past the first trial of n, a trial builds no ``Carrier`` and no
+``CarrierStream``.
 """
 from __future__ import annotations
 
@@ -19,12 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import statevector as sv
 from .protocol import (
     BAND_OFF,
     BAND_SIGNAL,
     CLAIM_TELEPORT_MISMATCH,
-    Carrier,
     CarrierStream,
     CipherPayload,
     Claim,
@@ -141,7 +146,7 @@ class DecoySet(NamedTuple):
 
 def make_decoy_set(n: int, registry: QuantumRegistry) -> DecoySet:
     plan = slot_plan(n)
-    registry.add_columns((plan.probes, plan.keepers), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    registry._add_checked_columns((plan.probes, plan.keepers), plan.bell_pairs)
     return DecoySet(plan.probes, plan.keepers)
 
 
@@ -210,12 +215,10 @@ def alice_publish_false_pad(
 
 def _inject(package: SignaturePackage, decoys: DecoySet, band: str) -> SignaturePackage:
     """Each probe after its masked carrier, in its slot: parts (masked, probes)."""
-    signal = [c for c in package.masked if c.band == BAND_SIGNAL]
-    if len(signal) != len(decoys.probes):
-        raise SizeMismatch(f"{len(decoys.probes)} decoys for {len(signal)} carriers")
-    probes = CarrierStream(Carrier(id=probe, band=band, time_slot=carrier.time_slot, payload=probe)
-                           for carrier, probe in zip(package.masked, decoys.probes))
-    return SignaturePackage(CarrierStream.interleaved(package.masked, probes), package.signature,
+    signal = len(package.masked) - int(np.count_nonzero(package.masked.off_band))
+    if signal != len(decoys.probes):
+        raise SizeMismatch(f"{len(decoys.probes)} decoys for {signal} carriers")
+    return SignaturePackage(package.masked.interleaved(decoys.probes, band), package.signature,
                             package.bell_results)
 
 
@@ -240,7 +243,12 @@ def delay_photon_inject(package: SignaturePackage, decoys: DecoySet) -> Signatur
 def intercept_decoys(
     payload: CipherPayload, decoys: DecoySet
 ) -> tuple[CipherPayload, tuple[str, ...]]:
-    """Pull the probe carriers out of the verifier->arbiter transmission."""
+    """Pull the probe carriers out of the verifier->arbiter transmission.
+    When the probes are the stream's second part, as ``_inject`` made it,
+    what is left is its first part, and no stream is built."""
+    first, *rest = payload.masked.parts
+    if rest and rest[0].labels == decoys.probes:
+        return CipherPayload(first, payload.signature, payload.verification), decoys.probes
     probe_labels = set(decoys.probes)
     captured = tuple(c.payload for c in payload.masked if c.payload in probe_labels)
     cleaned = CarrierStream(c for c in payload.masked if c.payload not in probe_labels)

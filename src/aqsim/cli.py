@@ -4,8 +4,9 @@ Each scenario/defense combination has a codified expected outcome (an
 attack that the enabled screening must catch is *supposed* to raise an
 alarm), so the exit code asserts success for attack scenarios too:
 0 = every trial matched the expected outcome (or ``--help`` printed the
-usage), 1 = usage or I/O error, or an interrupt (Ctrl-C, SIGINT) stopped
-the batch, 2 = some invariant check failed, or an internal error (a state,
+usage), 1 = usage or I/O error, or an interrupt (Ctrl-C, SIGINT) or the
+host running out of memory stopped the batch, 2 = some invariant check
+failed, or an internal error (a state,
 protocol, key-length or attack failure) stopped the batch. A failed check
 shows in the summary; every other failure prints one line on stderr that
 says why. The transcripts written before an interrupt stay whole.
@@ -256,6 +257,8 @@ def _main(argv, env) -> int:
         summary = run_batch(config)
     except OSError as exc:
         return fail(f"io error: {exc}", 1)
+    except MemoryError:
+        return fail(f"out of memory at --n {config.n}", 1)
     except (StateError, ProtocolError, KeyTooShort, AttackError) as exc:
         return fail(f"internal error: {type(exc).__name__}: {exc}", 2)
     try:

@@ -5,12 +5,20 @@ apparatus: a wavelength filter that rejects any carrier off the signal
 band, and a photon-number splitter (PNS) that rejects time slots occupied
 by more than one carrier. Detection is deterministic in this ideal model:
 a flagged carrier is pulled from the channel and the run raises an alarm.
+
+A screen runs on the columns that a ``CarrierStream`` keeps: the filter is
+a mask over the band column, and the splitter a repeated-slot test over
+the slot column of what the filter passed, in stream order. The alarm's
+rows are laid out from the streams' canonical id, band and slot texts.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .protocol import BAND_SIGNAL, Carrier
+import numpy as np
+
+from . import jsonutil
+from .protocol import Carrier, CarrierStream
 
 DEVICE_FILTER = "wavelength-filter"
 DEVICE_PNS = "pns"
@@ -46,25 +54,48 @@ DEFENSE_GRID = tuple(DefenseConfig(wavelength_filter=f, pns=p)
                      for p in (False, True) for f in (False, True))
 
 
-def wavelength_filter(carriers: Sequence[Carrier]) -> tuple[tuple[Carrier, ...], tuple[Carrier, ...]]:
-    """Partition by band: signal carriers pass, everything else is flagged."""
-    passed = tuple(c for c in carriers if c.band == BAND_SIGNAL)
-    flagged = tuple(c for c in carriers if c.band != BAND_SIGNAL)
-    return passed, flagged
-
-
-def photon_number_splitter(carriers: Sequence[Carrier]) -> tuple[tuple[Carrier, ...], tuple[Carrier, ...]]:
-    """Flag every carrier beyond the first in any occupied time slot."""
-    seen: set[int] = set()
-    passed = []
+def screen_streams(
+    streams: Sequence[CarrierStream], config: DefenseConfig
+) -> tuple[tuple[str, np.ndarray], ...]:
+    """Run the enabled devices in order, wavelength filter then PNS, over
+    ``streams`` taken as one transmission. Returns (device token, rows) for
+    each device that flagged a carrier: rows number the carriers of the
+    streams in order, ascending. The PNS flags every carrier that the
+    filter passed beyond the first in its slot."""
+    slots = np.concatenate([stream.slots for stream in streams])
+    passed = np.arange(len(slots))
     flagged = []
-    for c in carriers:
-        if c.time_slot in seen:
-            flagged.append(c)
-        else:
-            seen.add(c.time_slot)
-            passed.append(c)
-    return tuple(passed), tuple(flagged)
+    if config.wavelength_filter:
+        off = np.concatenate([stream.off_band for stream in streams])
+        if off.any():
+            flagged.append((DEVICE_FILTER, passed[off]))
+            passed = passed[~off]
+    if config.pns:
+        kept = slots[passed]
+        order = np.argsort(kept, kind="stable")  # a slot's carriers stay in stream order
+        ranked = kept[order]
+        repeat = np.zeros(len(kept), dtype=bool)
+        repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
+        if repeat.any():
+            flagged.append((DEVICE_PNS, passed[repeat]))
+    return tuple(flagged)
+
+
+_ALARM_KEYS = ("device", "id", "band", "slot")
+_DEVICE_TEXTS = {device: jsonutil.canonical_json(device) for device in DEVICE_TOKENS}
+
+
+def render_alarm(streams: Sequence[CarrierStream], flagged) -> jsonutil.Rendered:
+    """Rendered ``[{"device", "id", "band", "slot"}, ...]`` of what
+    ``screen_streams`` flagged, laid out from the streams' ``columns``."""
+    rows = np.concatenate([hits for _, hits in flagged]).tolist()
+    devices = []
+    for device, hits in flagged:
+        devices += [_DEVICE_TEXTS[device]] * len(hits)
+    # the id, band and slot columns of the streams, joined
+    heads = [sum(column, ()) for column in zip(*(stream.columns for stream in streams))]
+    return jsonutil.render_records(_ALARM_KEYS, [devices, *([head[row] for row in rows]
+                                                            for head in heads)])
 
 
 class ScreenReport(NamedTuple):
@@ -72,13 +103,8 @@ class ScreenReport(NamedTuple):
 
 
 def screen(carriers: Sequence[Carrier], config: DefenseConfig) -> ScreenReport:
-    """Run the enabled devices in order: wavelength filter, then PNS."""
-    passed = tuple(carriers)
-    flagged: list[tuple[str, Carrier]] = []
-    if config.wavelength_filter:
-        passed, hits = wavelength_filter(passed)
-        flagged.extend((DEVICE_FILTER, c) for c in hits)
-    if config.pns:
-        passed, hits = photon_number_splitter(passed)
-        flagged.extend((DEVICE_PNS, c) for c in hits)
-    return ScreenReport(flagged=tuple(flagged))
+    """``screen_streams`` over one stream of ``carriers``, each flagged
+    carrier paired with its device."""
+    stream = CarrierStream(carriers)
+    return ScreenReport(flagged=tuple((device, stream[row]) for device, rows in
+                                      screen_streams((stream,), config) for row in rows.tolist()))

@@ -9,10 +9,11 @@ width unpinned, so every float, alone or in a row, takes one rule here:
 insertion order is preserved.
 
 The documents are mostly long runs of same-shaped rows (state snapshots,
-carrier metadata, probability rows). They are rendered by columns, where
-the rows are made: a row's constant text depends only on its shape (labels
-per row, amplitudes per row, and whether it starts with a carrier's id,
-band and slot), so it is cut once per shape into a cached layout. Each
+carrier metadata, screening alarms, probability rows). They are rendered
+by columns, where the rows are made: a row's constant text depends only on
+its shape (labels per row, amplitudes per row, and whether it starts with
+a carrier's id, band and slot; or, for a flat record, its keys), so it is
+cut once per shape into a cached layout. Each
 row's data goes in as columns: quoted labels per axis, float tokens as
 strided slices of one token list, carrier ids, bands and slots. The
 layout and the columns are laid into one list by slice assignment and
@@ -77,10 +78,6 @@ def _emit(obj, out: list[str]) -> None:
             sep = ","
         out.append("}")
     elif kind is list:
-        if obj and type(obj[0]) is str and [*map(type, obj)].count(str) == len(obj):
-            # a list of exact strs only, such as the signer's outcomes: one join
-            out.append("[" + ",".join(map(_encode_str, obj)) + "]")
-            return
         out.append("[")
         sep = ""
         for item in obj:
@@ -165,17 +162,30 @@ def _layout(template: str) -> tuple[str, list, str]:
     return first, block + [None], last
 
 
+def _record(keys) -> str:
+    """The template of ``{key: column, ...}``, one column per key."""
+    return "{" + ",".join(_encode_str(key) + ":" + _COLUMN for key in keys) + "}"
+
+
+_CARRIER_KEYS = ("id", "band", "slot")
+
+
 @functools.cache
 def _state_layout(labels: int, amps: int, head: bool) -> tuple:
     """The layout of a row by its shape: with ``head``, the three carrier
-    columns (id, band, slot); then, if ``amps``, a state of ``labels`` label
-    columns and ``amps`` amplitudes of two float columns each (re, im)."""
+    columns (id, band, slot); then a state of ``labels`` label columns and
+    ``amps`` amplitudes of two float columns each (re, im)."""
     state = ('{"labels":[' + ",".join([_COLUMN] * labels) + '],"amps":['
              + ",".join(["[%s,%s]" % (_COLUMN, _COLUMN)] * amps) + "]}")
     if head:
-        carrier = '{"id":%s,"band":%s,"slot":%s' % ((_COLUMN,) * 3)
-        state = carrier + (',"state":' + state if amps else "") + "}"
+        state = _record(_CARRIER_KEYS)[:-1] + ',"state":' + state + "}"
     return _layout(state)
+
+
+@functools.cache
+def _record_layout(keys: tuple) -> tuple:
+    """The layout of a ``{key: column, ...}`` row."""
+    return _layout(_record(keys))
 
 
 @functools.cache
@@ -245,10 +255,16 @@ def carrier_columns(rows) -> tuple[tuple, tuple, tuple]:
             tuple(map("%d".__mod__, slots)))
 
 
+def render_records(keys: tuple, columns) -> Rendered:
+    """Rendered ``[{keys[0]: columns[0][r], ...}, ...]``: ``columns`` holds
+    one column of canonical texts per key."""
+    return Rendered("[" + _fill(_record_layout(keys), columns, len(columns[0])) + "]")
+
+
 def render_carriers(columns) -> Rendered:
     """Rendered ``[{"id", "band", "slot"}, ...]`` of carrier rows, laid out
     from their ``carrier_columns``."""
-    return Rendered("[" + _fill(_state_layout(0, 0, True), columns, len(columns[0])) + "]")
+    return render_records(_CARRIER_KEYS, columns)
 
 
 def render_strings(strings) -> Rendered:

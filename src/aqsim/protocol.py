@@ -204,19 +204,21 @@ class Carrier(NamedTuple):
 class CarrierStream(tuple):
     """A stream of carriers, one transmission, that works out what the flow
     reads off it once and keeps it: its labels as one ``LabelColumn``, its
-    slots, and the canonical id, band and slot columns and text of its
-    carriers. ``parts`` are the registry columns it is made of: ``(self,)``,
-    or the two streams of an ``interleaved`` one (the Trojan masked stream).
+    slots and off-band flags as arrays, the canonical id, band and slot
+    columns and text of its carriers, and its ``interleaved`` streams.
+    ``parts`` are the registry columns it is made of: ``(self,)``, or the
+    two streams of an ``interleaved`` one (the Trojan masked stream).
 
     The streams that n alone fixes come from ``slot_plan`` and serve every
-    trial of that n; a stream built in a trial keeps its fields for as long
-    as the trial holds it. ``tuple()`` and slices of a stream are plain
-    tuples, which keep nothing, and the packages refuse them: a stream is
-    made with ``CarrierStream(carriers)``, which refuses an item that is not
-    a ``Carrier`` with ``TypeError``.
+    trial of that n, and so do the streams interleaved with them; a stream
+    built in a trial keeps its fields for as long as the trial holds it.
+    ``tuple()`` and slices of a stream are plain tuples, which keep nothing,
+    and the packages refuse them: a stream is made with
+    ``CarrierStream(carriers)``, which refuses an item that is not a
+    ``Carrier`` with ``TypeError``.
     """
 
-    _parts = None  # set on an interleaved stream only: (self,) would be a cycle
+    _parts = None  # set on an interleaved stream only
 
     def __new__(cls, *carriers):  # no argument, or one iterable of carriers, as for tuple
         stream = super().__new__(cls, *carriers)
@@ -225,16 +227,30 @@ class CarrierStream(tuple):
             raise TypeError(f"a CarrierStream holds Carriers, not {type(item).__name__}")
         return stream
 
-    @classmethod
-    def interleaved(cls, first: CarrierStream, second: CarrierStream) -> CarrierStream:
-        """``first[0], second[0], first[1], ...``, whose ``parts`` are the two."""
-        stream = cls(chain.from_iterable(zip(first, second, strict=True)))
-        stream._parts = (first, second)
-        return stream
-
     @property
     def parts(self) -> tuple[CarrierStream, ...]:
         return self._parts or (self,)
+
+    @cached_property
+    def _interleavings(self) -> dict:
+        return {}
+
+    def interleaved(self, labels: LabelColumn, band: str) -> CarrierStream:
+        """This stream with one carrier after each of its own, in the same
+        slot: the i-th holds, and is named by, ``labels[i]`` and sits on
+        ``band``. Its ``parts`` are this stream and the stream of the new
+        carriers. It is made once per (labels, band) and kept with this
+        stream, like its other fields: a plan stream's serves every trial of
+        n and goes with the plan."""
+        key = (labels, band)
+        stream = self._interleavings.get(key)
+        if stream is None:
+            slots = self.slots.tolist()
+            second = CarrierStream(map(Carrier._make, zip(labels, repeat(band), slots, labels)))
+            stream = CarrierStream(chain.from_iterable(zip(self, second, strict=True)))
+            stream._parts = (self, second)
+            self._interleavings[key] = stream
+        return stream
 
     @cached_property
     def labels(self) -> LabelColumn:
@@ -247,6 +263,15 @@ class CarrierStream(tuple):
         slots = np.fromiter(map(itemgetter(2), self), dtype=np.intp, count=len(self))
         slots.flags.writeable = False
         return slots
+
+    @cached_property
+    def off_band(self) -> np.ndarray:
+        """Whether each carrier is off the signal band (read-only): the
+        stream's band column, as the wavelength filter reads it."""
+        off = np.fromiter(map(BAND_SIGNAL.__ne__, map(itemgetter(1), self)), dtype=bool,
+                          count=len(self))
+        off.flags.writeable = False
+        return off
 
     @cached_property
     def columns(self) -> tuple[tuple, tuple, tuple]:
@@ -267,8 +292,9 @@ def carriers_of(ids: Sequence[str], band: str, first_slot: int) -> CarrierStream
 
 
 class SlotPlan(NamedTuple):
-    """The labels and carrier streams that n alone fixes: every trial of n
-    shares them, and only the amplitudes and keys differ between trials."""
+    """The labels, carrier streams and Bell-pair rows that n alone fixes:
+    every trial of n shares them, and only the amplitudes and keys differ
+    between trials."""
 
     alice: LabelColumn  # a_1..a_n, the signer's halves of the shared Bell pairs
     bob: LabelColumn  # b_1..b_n, the verifier's halves
@@ -279,6 +305,7 @@ class SlotPlan(NamedTuple):
     masked: CarrierStream  # p_i, slots 0..n-1
     signature: CarrierStream  # sa_i, slots n..2n-1
     verification: CarrierStream  # v, slot 2n
+    bell_pairs: np.ndarray  # n checked |phi+> rows (read-only): shared pairs and decoys
 
 
 @lru_cache(maxsize=1)
@@ -292,6 +319,8 @@ def slot_plan(n: int) -> SlotPlan:
     if n < 0:
         raise ValueError("need n >= 0")
     ids = range(1, n + 1)
+    bell_pairs = sv.check_rows(np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    bell_pairs.flags.writeable = False
     alice, bob, teleport, masked, signature, probes, keepers = (
         LabelColumn(f"{tag}{i}" for i in ids)
         for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
@@ -301,6 +330,7 @@ def slot_plan(n: int) -> SlotPlan:
         masked=carriers_of(masked, BAND_SIGNAL, 0),
         signature=carriers_of(signature, BAND_SIGNAL, n),
         verification=carriers_of(("v",), BAND_SIGNAL, 2 * n),
+        bell_pairs=bell_pairs,
     )
 
 
@@ -363,11 +393,14 @@ class QuantumRegistry:
     def _column(self, labels: Sequence) -> tuple[_Family, int]:
         """The (family, axis) of the live column ``labels``."""
         key = labels if isinstance(labels, tuple) else tuple(labels)
-        found = self._columns.get(key)
+        try:
+            found = self._columns.get(key)
+        except TypeError:  # an unhashable label, which no column holds
+            found = None
         if found is None:
             live = set(chain.from_iterable(self._columns))
-            for label in key:
-                if label not in live:
+            for label in key:  # every live label is a str
+                if type(label) is not str or label not in live:
                     raise UnknownLabel(f"label {label!r} not in registry")
             raise sv.LabelMismatch(f"a stream of {len(key)} labels is not one registered column")
         return found
@@ -718,7 +751,7 @@ def distribute_bell_pairs(n: int, registry: QuantumRegistry) -> tuple[tuple, tup
     if n < 1:
         raise ValueError("need n >= 1")
     plan = slot_plan(n)
-    registry.add_columns((plan.alice, plan.bob), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    registry._add_checked_columns((plan.alice, plan.bob), plan.bell_pairs)
     return plan.alice, plan.bob
 
 

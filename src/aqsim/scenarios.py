@@ -25,7 +25,7 @@ from . import protocol as proto
 from . import qotp
 from . import statevector as sv
 from .adversary import Scenario, ScenarioVariant
-from .defense import DEVICE_FILTER, DEVICE_PNS, DefenseConfig, screen
+from .defense import DEVICE_FILTER, DEVICE_PNS, DefenseConfig, render_alarm, screen_streams
 from .jsonutil import render_bools, render_float_rows, render_strings
 from .protocol import (
     CLAIM_FOLLOWED, CLAIM_TELEPORT_MISMATCH, CipherPayload, Claim, CompareReport, CompareResult,
@@ -178,7 +178,7 @@ def _intercept_and_extract(trial: Trial) -> None:
     trial.extraction_bits = bits
     trial.extraction_matches = bits == trial.keys.verifier.bits[: 2 * trial.message.n]
     trial.transcript.log("alice", "attack", {
-        "action": "intercept-and-extract", "captured": list(captured),
+        "action": "intercept-and-extract", "captured": render_strings(captured),
         "extracted": KeyBits(bits, ROLE_EXTRACTED).to_jsonable(),
         "matches_verifier_bits": trial.extraction_matches,
     })
@@ -295,22 +295,20 @@ SCENARIOS: dict[ScenarioVariant, ScenarioEntry] = {
 
 
 def _screen_point(
-    transcript: Transcript, actor: str, point: str, carriers, config: DefenseConfig
+    transcript: Transcript, actor: str, point: str, streams, config: DefenseConfig
 ) -> tuple[str, ...]:
-    """Run enabled devices at a receive point. Returns fired device tokens."""
+    """Run enabled devices at a receive point over the carrier streams
+    received there. Returns fired device tokens."""
     if not config.any_enabled:
         return ()
-    report = screen(carriers, config)
-    transcript.log(actor, "defense-screen",
-                   {"point": point, "devices": config.tokens(), "flagged": len(report.flagged)})
-    if not report.flagged:
+    flagged = screen_streams(streams, config)
+    transcript.log(actor, "defense-screen", {"point": point, "devices": config.tokens(),
+                                             "flagged": sum(len(rows) for _, rows in flagged)})
+    if not flagged:
         return ()
-    transcript.log(actor, "defense-alarm", {
-        "point": point,
-        "flagged": [{"device": device, "id": c.id, "band": c.band, "slot": c.time_slot}
-                    for device, c in report.flagged],
-    })
-    return tuple(dict.fromkeys(device for device, _ in report.flagged))
+    transcript.log(actor, "defense-alarm",
+                   {"point": point, "flagged": render_alarm(streams, flagged)})
+    return tuple(device for device, _ in flagged)
 
 
 def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tuple[str, ...]:
@@ -328,7 +326,7 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     })
     entry.in_flight(trial)
     fired = _screen_point(transcript, "bob", "bob-receive",
-                          trial.package.masked + trial.package.signature, defenses)
+                          (trial.package.masked, trial.package.signature), defenses)
     if fired:
         return fired
 
@@ -339,7 +337,7 @@ def _deliver(trial: Trial, entry: ScenarioEntry, defenses: DefenseConfig) -> tup
     })
     entry.after_forward(trial)
     fired = _screen_point(transcript, "trent", "trent-receive",
-                          trial.payload.masked + trial.payload.signature, defenses)
+                          (trial.payload.masked, trial.payload.signature), defenses)
     if fired:
         return fired
 

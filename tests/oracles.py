@@ -83,3 +83,22 @@ def generic_qubit(rng, margin: float = 0.05) -> tuple[complex, complex]:
         axis_max = max(abs(2 * cross.real), abs(2 * cross.imag), abs(abs(a) ** 2 - abs(b) ** 2))
         if axis_max <= 1.0 - margin:
             return a, b
+
+
+def screen_carriers(carriers, wavelength_filter: bool, pns: bool) -> list:
+    """The two screening devices carrier by carrier: the wavelength filter
+    flags each carrier off the signal band, then the photon-number splitter
+    flags each carrier that the filter passed after the first in its time
+    slot. Returns (device, carrier) pairs, the filter's first, each device's
+    in stream order."""
+    passed, flagged = list(carriers), []
+    if wavelength_filter:
+        flagged += [("wavelength-filter", c) for c in passed if c.band != "signal"]
+        passed = [c for c in passed if c.band == "signal"]
+    if pns:
+        seen = set()
+        for c in passed:
+            if c.time_slot in seen:
+                flagged.append(("pns", c))
+            seen.add(c.time_slot)
+    return flagged

@@ -276,6 +276,13 @@ def test_intercept_removes_probes_only():
     cleaned, captured = adv.intercept_decoys(payload, decoys)
     assert captured == ("d1_1", "d1_2")
     assert [c.id for c in cleaned.masked] == ["p1", "p2"]
+    assert cleaned.masked is package.masked  # the first part, handed back
+    # a stream that does not keep the probes as its second part is searched
+    rebuilt = proto.CipherPayload(masked=proto.CarrierStream(reversed(injected.masked)),
+                                  signature=injected.signature)
+    cleaned, captured = adv.intercept_decoys(rebuilt, decoys)
+    assert captured == ("d1_2", "d1_1")
+    assert [c.id for c in cleaned.masked] == ["p2", "p1"]
 
 
 @pytest.mark.parametrize("inject", [adv.ipe_inject, adv.delay_photon_inject])

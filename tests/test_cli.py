@@ -297,6 +297,17 @@ def test_main_exit_two_on_failed_expectation(monkeypatch, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+def test_main_exit_one_on_out_of_memory(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    assert cli.main(BASE, env={}) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("aqsim: out of memory") and captured.err.count("\n") == 1
+
+
 def test_main_uses_env_seed(capsys):
     code = cli.main(["run", "--scenario", "honest", "--n", "2", "--trials", "1"],
                     env={"AQS_SEED": "5"})

@@ -1,12 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import canonical_oracle
+import oracles
 from aqsim import adversary as adv
 from aqsim import defense
 from aqsim.adversary import MissingDecoy, Scenario
-from aqsim.defense import DefenseConfig
+from aqsim.defense import DEFENSE_GRID, DefenseConfig
 from aqsim.protocol import BAND_OFF, BAND_SIGNAL, Carrier, CarrierStream, QuantumRegistry
 from aqsim.scenarios import run_scenario
+
+FILTER = DefenseConfig(wavelength_filter=True)
+PNS = DefenseConfig(pns=True)
 
 
 def signal(i, slot=None):
@@ -18,14 +27,15 @@ def off_band(i, slot):
     return Carrier(id=f"d{i}", band=BAND_OFF, time_slot=slot, payload=f"d{i}")
 
 
+def flagged_by(carriers, config):
+    return [c for _, c in defense.screen(carriers, config).flagged]
+
+
 # --- devices ----------------------------------------------------------------
 
 
 def test_filter_passes_honest_stream():
-    carriers = [signal(i) for i in range(4)]
-    passed, flagged = defense.wavelength_filter(carriers)
-    assert passed == tuple(carriers)
-    assert flagged == ()
+    assert defense.screen([signal(i) for i in range(4)], FILTER).flagged == ()
 
 
 def test_filter_flags_every_off_band_carrier():
@@ -33,23 +43,23 @@ def test_filter_flags_every_off_band_carrier():
     for i in range(3):
         carriers.append(signal(i))
         carriers.append(off_band(i, slot=i))
-    passed, flagged = defense.wavelength_filter(carriers)
-    assert len(flagged) == 3
-    assert all(c.band == BAND_OFF for c in flagged)
-    assert all(c.band == BAND_SIGNAL for c in passed)
+    report = defense.screen(carriers, FILTER)
+    assert len(report.flagged) == 3
+    assert all(device == "wavelength-filter" for device, _ in report.flagged)
+    assert all(c.band == BAND_OFF for _, c in report.flagged)
+    assert [c for c in carriers if c not in flagged_by(carriers, FILTER)] == carriers[::2]
 
 
 def test_pns_passes_one_per_slot():
-    passed, flagged = defense.photon_number_splitter([signal(i) for i in range(5)])
-    assert len(passed) == 5 and flagged == ()
+    assert defense.screen([signal(i) for i in range(5)], PNS).flagged == ()
 
 
 def test_pns_flags_all_but_first_in_shared_slots():
     carriers = [signal(0, slot=0), signal(1, slot=0), signal(2, slot=1),
                 signal(3, slot=1), signal(4, slot=2)]
-    passed, flagged = defense.photon_number_splitter(carriers)
+    flagged = flagged_by(carriers, PNS)
     assert [c.id for c in flagged] == ["c1", "c3"]
-    assert [c.id for c in passed] == ["c0", "c2", "c4"]
+    assert [c.id for c in carriers if c not in flagged] == ["c0", "c2", "c4"]
 
 
 def test_pns_also_catches_ipe_layout():
@@ -72,8 +82,7 @@ def test_pns_also_catches_ipe_layout():
     for c in injected.masked:
         slot_counts[c.time_slot] = slot_counts.get(c.time_slot, 0) + 1
     assert all(count == 2 for count in slot_counts.values())
-    _, flagged = defense.photon_number_splitter(injected.masked)
-    assert len(flagged) == 3
+    assert len(flagged_by(injected.masked, PNS)) == 3
 
 
 def test_screen_runs_filter_then_pns():
@@ -103,9 +112,12 @@ def test_detected_run_aborts_with_alarm_event():
     assert result.alarms == ("wavelength-filter",)
     assert result.checks == {"V": None, "v5": None, "recover_fidelity_min": None,
                              "signature_valid": None}
-    alarm_events = [e for e in result.transcript.events if e["kind"] == "defense-alarm"]
+    events = json.loads(result.transcript_bytes())["events"]
+    alarm_events = [e for e in events if e["kind"] == "defense-alarm"]
     assert len(alarm_events) == 1
-    assert len(alarm_events[0]["payload"]["flagged"]) == 3
+    assert alarm_events[0]["payload"]["flagged"] == [
+        {"device": "wavelength-filter", "id": f"d1_{i}", "band": BAND_OFF, "slot": i - 1}
+        for i in range(1, 4)]
     assert result.record is None  # the arbiter never saw the run
 
 
@@ -152,3 +164,27 @@ def test_detection_completeness_sample():
         delay = run_scenario(Scenario.from_token("delay-photon"), 4, 83, trial,
                              defenses=pns_only)
         assert delay.alarms == ("pns",)
+
+
+carrier_rows = st.lists(st.tuples(st.text(max_size=3),
+                                  st.sampled_from([BAND_SIGNAL, BAND_OFF, "uv"]),
+                                  st.integers(-2, 5)), max_size=14)
+
+
+@given(carrier_rows, st.sampled_from(DEFENSE_GRID), st.lists(st.integers(0, 14), max_size=3))
+def test_the_column_screen_matches_the_per_carrier_oracle(rows, config, cuts):
+    # random bands and repeated, out-of-order slots, under each device set;
+    # the carriers go in as one stream, and cut into streams of one transmission
+    carriers = [Carrier(name, band, slot, name) for name, band, slot in rows]
+    expected = oracles.screen_carriers(carriers, config.wavelength_filter, config.pns)
+    assert defense.screen(carriers, config).flagged == tuple(expected)
+    bounds = [0, *sorted(min(cut, len(carriers)) for cut in cuts), len(carriers)]
+    streams = [CarrierStream(carriers[a:b]) for a, b in zip(bounds, bounds[1:])]
+    flagged = defense.screen_streams(streams, config)
+    assert [(device, carriers[row]) for device, hits in flagged
+            for row in hits.tolist()] == expected
+    assert all(len(hits) for _, hits in flagged)
+    if flagged:
+        assert defense.render_alarm(streams, flagged).text == canonical_oracle.canonical_json(
+            [{"device": device, "id": c.id, "band": c.band, "slot": c.time_slot}
+             for device, c in expected])

@@ -778,12 +778,16 @@ def test_an_honest_trial_walks_no_stream(n, monkeypatch):
 def test_an_honest_trial_checks_rows_11_times(n, monkeypatch):
     # rows are checked where they are made: the p, sa and t rows by
     # qotp.mask_rows and the Bell residual by bell_measure_rows, so the
-    # registry takes them without checking them again
+    # registry takes them without checking them again. The n Bell pairs are
+    # checked once, when the plan is built, so a later trial of n checks 10
     checks = []
     check_rows = sv.check_rows
     monkeypatch.setattr(sv, "check_rows", lambda amps: checks.append(len(amps)) or check_rows(amps))
+    proto.slot_plan.cache_clear()
     run_scenario(Scenario.from_token("honest"), n, 7, 0)
     assert len(checks) == 11
+    run_scenario(Scenario.from_token("honest"), n, 7, 1)
+    assert len(checks) == 11 + 10
 
 
 def _signed(n, seed):
@@ -840,6 +844,19 @@ def test_a_stream_that_names_a_measured_label_raises():
         with pytest.raises(sv.UnknownLabel):
             registry.apply_paulis(stream, [1] * len(stream), [1] * len(stream))
     assert registry.amps_of(streams.b).shape == (4, 2)
+
+
+def test_a_stream_that_names_an_unhashable_label_raises_unknown_label():
+    # no live column holds a label that is not a str: the lookup says so,
+    # before any row is written
+    registry, streams, _, _, _ = _signed(2, 64)
+    before = registry.amps_of(streams.b).tobytes()
+    for stream in ([["x"], "b"], [streams.b[0], ["x"]]):
+        with pytest.raises(sv.UnknownLabel):
+            registry.amps_of(stream)
+        with pytest.raises(sv.UnknownLabel):
+            registry.apply_paulis(stream, [1, 1], [1, 1])
+    assert registry.amps_of(streams.b).tobytes() == before
 
 
 def test_bob_forward_refuses_a_label_in_both_streams():
@@ -956,31 +973,64 @@ def test_the_plan_cache_stays_within_its_bound():
         proto.slot_plan(-1)
 
 
-@pytest.mark.parametrize("scenario", ["ipe", "delay-photon"])
-def test_a_trojan_trials_own_streams_die_with_its_result(scenario, monkeypatch):
-    # the injected and the cleaned stream are built in the trial: once its
-    # RunResult is gone, nothing in the process holds them. A tuple takes no
-    # weak reference, so each is followed by the slots array it keeps.
+def test_a_trojan_stream_is_shared_by_trials_and_dies_with_its_plan(monkeypatch):
+    # the injected stream is made once per band and kept with the plan's
+    # masked stream: every trial of n sends it, the interception hands back
+    # the masked stream itself, and evicting the plan frees it. A tuple takes
+    # no weak reference, so the stream is followed by the slots array it keeps.
     import gc
     import weakref
 
-    refs = []
+    n, sent, returned = 4, [], []
     inject, intercept = adv._inject, adv.intercept_decoys
 
     def kept_inject(*args):
         package = inject(*args)
-        refs.append(weakref.ref(package.masked.slots))
+        sent.append(package.masked)
         return package
 
     def kept_intercept(*args):
         payload, captured = intercept(*args)
-        refs.append(weakref.ref(payload.masked.slots))
+        returned.append(payload.masked)
         return payload, captured
 
     monkeypatch.setattr(adv, "_inject", kept_inject)
     monkeypatch.setattr(adv, "intercept_decoys", kept_intercept)
-    result = run_scenario(Scenario.from_token(scenario), 4, 5)
-    assert result.extraction_matches and len(refs) == 2
-    del result
+    proto.slot_plan.cache_clear()
+    for scenario in ("ipe", "delay-photon", "ipe", "delay-photon"):
+        assert run_scenario(Scenario.from_token(scenario), n, 5, len(sent)).extraction_matches
+    plan = proto.slot_plan(n)
+    assert sent[0] is sent[2] is plan.masked.interleaved(plan.probes, proto.BAND_OFF)
+    assert sent[1] is sent[3] is plan.masked.interleaved(plan.probes, proto.BAND_SIGNAL)
+    assert sent[0] is not sent[1]
+    assert all(masked is plan.masked for masked in returned)
+    refs = [weakref.ref(stream.slots) for stream in sent[:2]]
+    del plan, sent, returned
+    gc.collect()
+    assert all(ref() is not None for ref in refs)  # the plan still holds them
+    proto.slot_plan(n + 1)  # evicts n's plan
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_warm_trojan_trial_builds_no_carrier_and_no_stream(monkeypatch):
+    # past the first trial of n, every stream a Trojan trial sends or screens
+    # is one the plan keeps, under every defense set
+    trials = [(variant, defenses) for variant in ("ipe", "delay-photon")
+              for defenses in DEFENSE_GRID]
+    for variant, defenses in trials:
+        run_scenario(Scenario.from_token(variant), 8, 7, 0, defenses)
+    built = []
+    new, make, stream_new = proto.Carrier.__new__, proto.Carrier._make, proto.CarrierStream.__new__
+    monkeypatch.setattr(proto.Carrier, "__new__",
+                        lambda cls, *args: built.append(cls) or new(cls, *args))
+    monkeypatch.setattr(proto.Carrier, "_make",
+                        classmethod(lambda cls, items: built.append(cls) or make(items)))
+    monkeypatch.setattr(proto.CarrierStream, "__new__",
+                        lambda cls, *args: built.append(cls) or stream_new(cls, *args))
+    proto.carriers_of(("x",), proto.BAND_SIGNAL, 0)
+    assert {*built} == {proto.Carrier, proto.CarrierStream}  # the hooks see what is built
+    built.clear()
+    for variant, defenses in trials:
+        run_scenario(Scenario.from_token(variant), 8, 7, 1, defenses)
+    assert built == []
