@@ -973,15 +973,19 @@ def test_the_plan_cache_stays_within_its_bound():
         proto.slot_plan(-1)
 
 
-def test_a_trojan_stream_is_shared_by_trials_and_dies_with_its_plan(monkeypatch):
+@pytest.mark.parametrize("scenario", ["ipe", "delay-photon"])
+def test_a_trojan_trials_own_streams_die_with_its_result(scenario, monkeypatch):
     # the injected stream is made once per band and kept with the plan's
-    # masked stream: every trial of n sends it, the interception hands back
-    # the masked stream itself, and evicting the plan frees it. A tuple takes
-    # no weak reference, so the stream is followed by the slots array it keeps.
+    # masked stream, not with the trial's result: every trial of n sends the
+    # same one, the interception hands back the masked stream itself, and
+    # evicting the plan frees it. A tuple takes no weak reference, so the
+    # stream is followed by the slots array it keeps.
     import gc
     import weakref
 
     n, sent, returned = 4, [], []
+    band, other = {"ipe": (proto.BAND_OFF, proto.BAND_SIGNAL),
+                   "delay-photon": (proto.BAND_SIGNAL, proto.BAND_OFF)}[scenario]
     inject, intercept = adv._inject, adv.intercept_decoys
 
     def kept_inject(*args):
@@ -997,20 +1001,19 @@ def test_a_trojan_stream_is_shared_by_trials_and_dies_with_its_plan(monkeypatch)
     monkeypatch.setattr(adv, "_inject", kept_inject)
     monkeypatch.setattr(adv, "intercept_decoys", kept_intercept)
     proto.slot_plan.cache_clear()
-    for scenario in ("ipe", "delay-photon", "ipe", "delay-photon"):
-        assert run_scenario(Scenario.from_token(scenario), n, 5, len(sent)).extraction_matches
+    results = [run_scenario(Scenario.from_token(scenario), n, 5, trial) for trial in range(2)]
+    assert all(result.extraction_matches for result in results) and len(sent) == 2
     plan = proto.slot_plan(n)
-    assert sent[0] is sent[2] is plan.masked.interleaved(plan.probes, proto.BAND_OFF)
-    assert sent[1] is sent[3] is plan.masked.interleaved(plan.probes, proto.BAND_SIGNAL)
-    assert sent[0] is not sent[1]
+    assert sent[0] is sent[1] is plan.masked.interleaved(plan.probes, band)
+    assert sent[0] is not plan.masked.interleaved(plan.probes, other)
     assert all(masked is plan.masked for masked in returned)
-    refs = [weakref.ref(stream.slots) for stream in sent[:2]]
-    del plan, sent, returned
+    ref = weakref.ref(sent[0].slots)
+    del results, plan, sent, returned
     gc.collect()
-    assert all(ref() is not None for ref in refs)  # the plan still holds them
+    assert ref() is not None  # the results are gone, but the plan still holds it
     proto.slot_plan(n + 1)  # evicts n's plan
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert ref() is None
 
 
 def test_a_warm_trojan_trial_builds_no_carrier_and_no_stream(monkeypatch):
