@@ -26,11 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import statevector as sv
 from .protocol import (
     BAND_OFF,
     BAND_SIGNAL,
     CLAIM_TELEPORT_MISMATCH,
-    CarrierStream,
     CipherPayload,
     Claim,
     CompareResult,
@@ -146,7 +146,7 @@ class DecoySet(NamedTuple):
 
 def make_decoy_set(n: int, registry: QuantumRegistry) -> DecoySet:
     plan = slot_plan(n)
-    registry._add_checked_columns((plan.probes, plan.keepers), plan.bell_pairs)
+    registry.add_columns((plan.probes, plan.keepers), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
     return DecoySet(plan.probes, plan.keepers)
 
 
@@ -244,15 +244,13 @@ def intercept_decoys(
     payload: CipherPayload, decoys: DecoySet
 ) -> tuple[CipherPayload, tuple[str, ...]]:
     """Pull the probe carriers out of the verifier->arbiter transmission.
-    When the probes are the stream's second part, as ``_inject`` made it,
-    what is left is its first part, and no stream is built."""
+    The probes are the masked stream's second part, as ``_inject`` made it,
+    so what is left is its first part, and no stream is built. A stream
+    whose second part is not the probes raises ``MissingDecoy``."""
     first, *rest = payload.masked.parts
-    if rest and rest[0].labels == decoys.probes:
-        return CipherPayload(first, payload.signature, payload.verification), decoys.probes
-    probe_labels = set(decoys.probes)
-    captured = tuple(c.payload for c in payload.masked if c.payload in probe_labels)
-    cleaned = CarrierStream(c for c in payload.masked if c.payload not in probe_labels)
-    return CipherPayload(cleaned, payload.signature, payload.verification), captured
+    if not rest or rest[0].labels != decoys.probes:
+        raise MissingDecoy("the probes are not the masked stream's second part")
+    return CipherPayload(first, payload.signature, payload.verification), decoys.probes
 
 
 def ipe_extract(

@@ -13,6 +13,7 @@ rows are laid out from the streams' canonical id, band and slot texts.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -88,14 +89,18 @@ _DEVICE_TEXTS = {device: jsonutil.canonical_json(device) for device in DEVICE_TO
 def render_alarm(streams: Sequence[CarrierStream], flagged) -> jsonutil.Rendered:
     """Rendered ``[{"device", "id", "band", "slot"}, ...]`` of what
     ``screen_streams`` flagged, laid out from the streams' ``columns``."""
-    rows = np.concatenate([hits for _, hits in flagged]).tolist()
-    devices = []
-    for device, hits in flagged:
-        devices += [_DEVICE_TEXTS[device]] * len(hits)
-    # the id, band and slot columns of the streams, joined
-    heads = [sum(column, ()) for column in zip(*(stream.columns for stream in streams))]
-    return jsonutil.render_records(_ALARM_KEYS, [devices, *([head[row] for row in rows]
-                                                            for head in heads)])
+    devices, ids, bands, slots = [], [], [], []
+    for device, rows in flagged:
+        rows = rows.tolist()
+        devices += [_DEVICE_TEXTS[device]] * len(rows)
+        start = 0
+        for stream in streams:  # the rows ascend: each stream's are one run
+            index = [row - start for row in
+                     rows[bisect_left(rows, start):bisect_left(rows, start + len(stream))]]
+            for texts, column in zip((ids, bands, slots), stream.columns):
+                texts += [column[i] for i in index]
+            start += len(stream)
+    return jsonutil.render_records(_ALARM_KEYS, [devices, ids, bands, slots])
 
 
 class ScreenReport(NamedTuple):

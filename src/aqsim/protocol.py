@@ -292,9 +292,8 @@ def carriers_of(ids: Sequence[str], band: str, first_slot: int) -> CarrierStream
 
 
 class SlotPlan(NamedTuple):
-    """The labels, carrier streams and Bell-pair rows that n alone fixes:
-    every trial of n shares them, and only the amplitudes and keys differ
-    between trials."""
+    """The labels and carrier streams that n alone fixes: every trial of n
+    shares them, and only the amplitudes and keys differ between trials."""
 
     alice: LabelColumn  # a_1..a_n, the signer's halves of the shared Bell pairs
     bob: LabelColumn  # b_1..b_n, the verifier's halves
@@ -305,7 +304,6 @@ class SlotPlan(NamedTuple):
     masked: CarrierStream  # p_i, slots 0..n-1
     signature: CarrierStream  # sa_i, slots n..2n-1
     verification: CarrierStream  # v, slot 2n
-    bell_pairs: np.ndarray  # n checked |phi+> rows (read-only): shared pairs and decoys
 
 
 @lru_cache(maxsize=1)
@@ -319,8 +317,6 @@ def slot_plan(n: int) -> SlotPlan:
     if n < 0:
         raise ValueError("need n >= 0")
     ids = range(1, n + 1)
-    bell_pairs = sv.check_rows(np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
-    bell_pairs.flags.writeable = False
     alice, bob, teleport, masked, signature, probes, keepers = (
         LabelColumn(f"{tag}{i}" for i in ids)
         for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
@@ -330,7 +326,6 @@ def slot_plan(n: int) -> SlotPlan:
         masked=carriers_of(masked, BAND_SIGNAL, 0),
         signature=carriers_of(signature, BAND_SIGNAL, n),
         verification=carriers_of(("v",), BAND_SIGNAL, 2 * n),
-        bell_pairs=bell_pairs,
     )
 
 
@@ -751,7 +746,7 @@ def distribute_bell_pairs(n: int, registry: QuantumRegistry) -> tuple[tuple, tup
     if n < 1:
         raise ValueError("need n >= 1")
     plan = slot_plan(n)
-    registry._add_checked_columns((plan.alice, plan.bob), plan.bell_pairs)
+    registry.add_columns((plan.alice, plan.bob), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
     return plan.alice, plan.bob
 
 

@@ -277,12 +277,13 @@ def test_intercept_removes_probes_only():
     assert captured == ("d1_1", "d1_2")
     assert [c.id for c in cleaned.masked] == ["p1", "p2"]
     assert cleaned.masked is package.masked  # the first part, handed back
-    # a stream that does not keep the probes as its second part is searched
-    rebuilt = proto.CipherPayload(masked=proto.CarrierStream(reversed(injected.masked)),
-                                  signature=injected.signature)
-    cleaned, captured = adv.intercept_decoys(rebuilt, decoys)
-    assert captured == ("d1_2", "d1_1")
-    assert [c.id for c in cleaned.masked] == ["p2", "p1"]
+    # a stream that does not keep the probes as its second part has none
+    # to hand over: a rebuilt one, or one that never carried them
+    rebuilt = proto.CarrierStream(reversed(injected.masked))
+    for masked in (rebuilt, package.masked):
+        with pytest.raises(MissingDecoy):
+            adv.intercept_decoys(
+                proto.CipherPayload(masked=masked, signature=injected.signature), decoys)
 
 
 @pytest.mark.parametrize("inject", [adv.ipe_inject, adv.delay_photon_inject])

@@ -305,7 +305,7 @@ def test_main_exit_one_on_out_of_memory(monkeypatch, capsys):
     assert cli.main(BASE, env={}) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("aqsim: out of memory") and captured.err.count("\n") == 1
+    assert captured.err == "aqsim: out of memory at --n 4\n"  # BASE's --n
 
 
 def test_main_uses_env_seed(capsys):
