@@ -31,7 +31,7 @@ from .statevector import StateError
 
 SEED_ENV_VAR = "AQS_SEED"
 SEED_MAX = 2 ** 64 - 1
-N_MAX = 2 ** 16  # a trial holds about 5 KB per qubit: about 330 MB at the bound
+N_MAX = 2 ** 16  # a trial holds about 4 KB per qubit: about 270 MB at the bound
 
 
 class UsageError(Exception):

@@ -14,17 +14,17 @@ by columns, where the rows are made: a row's constant text depends only on
 its shape (labels per row, amplitudes per row, and whether it starts with
 a carrier's id, band and slot; or, for a flat record, its keys), so it is
 cut once per shape into a cached layout. Each
-row's data goes in as columns: quoted labels per axis, float tokens as
-strided slices of one token list, carrier ids, bands and slots. The
+row's data goes in as columns: quoted labels per axis, float token
+columns read from one token table, carrier ids, bands and slots. The
 layout and the columns are laid into one list by slice assignment and
 joined once, with no Python per row. What the renderers return is text
 only: a ``Rendered`` holds the canonical text and no copy of the value,
-and ``_emit`` appends that text verbatim. A trial renders the same floats
-and carrier streams many times over (a Pauli mask only permutes and
-negates floats), so the float renderers take a memo, a plain dict of
-float tokens that lives as long as one trial (``QuantumRegistry.memo``).
-The same carriers travel three legs, so a carrier stream
-(``protocol.CarrierStream``) keeps its ``carrier_columns`` and their text.
+and ``_emit`` appends that text verbatim. A trial renders the same
+magnitudes many times over (a Pauli mask only permutes and negates floats),
+so ``render_states`` renders several stacks in one call, whose one token
+pass (``_token_columns``) formats each distinct magnitude once; nothing is
+kept between calls. The same carriers travel three legs, so a carrier
+stream (``protocol.CarrierStream``) keeps its ``carrier_columns`` and text.
 
 The emitter takes exactly the built-in types the documents are made of
 (dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
@@ -35,9 +35,8 @@ the independent emitter in ``tests/canonical_oracle.py``.
 from __future__ import annotations
 
 import functools
-from itertools import compress
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import not_
 
 import numpy as np
 
@@ -121,30 +120,31 @@ def _float_stack(values) -> np.ndarray:
     return stack
 
 
-def _tokens(values: list, memo: dict) -> list[str]:
-    """The token of each of ``values`` (finite, no -0.0); the tokens that
-    ``memo`` does not hold yet are formatted and stored there.
+def _token_columns(stacks: list) -> list[list[list[str]]]:
+    """The float token columns of each (m, w) float stack of ``stacks``, in
+    one pass: column j of a stack holds the tokens of its rows' floats j.
 
-    For finite x != 0 the token of -x is "-" followed by the token of x, so
-    each token formatted is stored under both signs; a value missing from
-    ``memo`` therefore has a missing magnitude too. The new values are
-    formatted once each, in the order they first appear, in one format
-    call. When every value is new and distinct (the first render of a
-    stream's rows), those texts are the tokens; otherwise the tokens are
-    read back from ``memo``. The memo's entries follow the rows' order,
-    which keeps a later render's lookups close in memory.
-    """
-    tokens = list(map(memo.get, values))
-    if all(tokens):  # every value known (no token is empty)
-        return tokens
-    new = dict.fromkeys(compress(values, map(not_, tokens)) if any(tokens) else values)
+    ``_float_stack`` collapses -0.0 and checks finiteness once for all the
+    floats. For finite x != 0 the token of -x is "-" followed by the token of
+    x, so each distinct magnitude, found by one sort, is formatted once, in
+    one format call. A float's token is read from a table of those tokens and
+    then their negations: at its magnitude's rank, in the second half when
+    its sign bit is set."""
+    flat = _float_stack(np.concatenate([np.empty(0), *(stack.ravel() for stack in stacks)]))
+    magnitudes = np.abs(flat)
+    order = np.argsort(magnitudes)
+    ordered = magnitudes[order]
+    # where each distinct magnitude starts (-1.0 is no magnitude)
+    first = ordered != np.concatenate(([-1.0], ordered[:-1]))
+    distinct = ordered[first].tolist()
     # one format call; no token holds a comma, and the last text is empty
-    texts = ("%.17g," * len(new) % tuple(new)).split(",")[:-1]
-    # negations first: 0.0 is its own negation, so its "-0" is then
-    # overwritten by "0"
-    memo.update(zip(map(float.__neg__, new), [t[1:] if t[0] == "-" else "-" + t for t in texts]))
-    memo.update(zip(new, texts))
-    return texts if len(new) == len(values) else list(map(memo.__getitem__, values))
+    texts = ("%.17g," * len(distinct) % tuple(distinct)).split(",")[:-1]
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    index = np.empty(len(flat), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    index += np.signbit(flat) * len(texts)
+    return [table[index[end - stack.size:end].reshape(stack.shape).T].tolist()
+            for stack, end in zip(stacks, accumulate(stack.size for stack in stacks))]
 
 
 _COLUMN = "\0"  # marks a column in a row template; no fragment holds it
@@ -209,41 +209,40 @@ def _fill(layout: tuple, columns: list, m: int) -> str:
     return "".join(flat)
 
 
-def render_states(labels, amps, memo: dict, heads=()) -> str:
-    """Canonical text of ``{"labels": [...], "amps": [[re, im], ...]}`` for
-    each row of an (m, 2**k) complex stack, joined by commas. ``labels``
-    holds k ``Labels`` columns of m strings: column j names each row's axis
-    j, and lends the label texts it keeps. With ``heads``, a
-    stream's three columns from ``carrier_columns``, row r is
-    ``{"id", "band", "slot", "state"}`` with row r's state as its
-    ``"state"``. Floats already in ``memo`` are not formatted again; the
-    others are formatted and stored there."""
-    # the (m, 2w) float view of the (m, w) stack, -0.0 collapsed: (re, im) per amplitude
-    stack = _float_stack(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
-    m, width = stack.shape
-    labels = [column.texts for column in labels]
-    if 2 ** len(labels) * 2 != width or any(len(column) != m for column in labels):
-        raise ValueError(f"{len(labels)} label columns of {[*map(len, labels)]} rows "
-                         f"for {m} rows of {width // 2} amplitudes")
-    tokens = _tokens(stack.ravel().tolist(), memo)
-    columns = [*heads, *labels, *(tokens[j::width] for j in range(width))]
-    return _fill(_state_layout(len(labels), width // 2, bool(heads)), columns, m)
+def render_states(stacks) -> list[str]:
+    """The canonical text of each stack of ``stacks``, their floats formatted
+    in one token pass. A stack is (labels, amps, heads), and its text is the
+    ``{"labels": [...], "amps": [[re, im], ...]}`` of each row of the (m, 2**k)
+    complex stack ``amps``, joined by commas. ``labels`` holds k ``Labels``
+    columns of m strings: column j names each row's axis j, and lends the
+    label texts it keeps. ``heads`` is empty, or a stream's three columns from
+    ``carrier_columns``: then row r is ``{"id", "band", "slot", "state"}``
+    with row r's state as its ``"state"``."""
+    shaped = []
+    for labels, amps, heads in stacks:
+        # the (m, 2w) float view of the (m, w) stack: (re, im) per amplitude
+        floats = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+        m, width = floats.shape
+        labels = [column.texts for column in labels]
+        if 2 ** len(labels) * 2 != width or any(len(column) != m for column in labels):
+            raise ValueError(f"{len(labels)} label columns of {[*map(len, labels)]} rows "
+                             f"for {m} rows of {width // 2} amplitudes")
+        shaped.append((floats, [*heads, *labels],
+                       _state_layout(len(labels), width // 2, bool(heads))))
+    tokens = _token_columns([floats for floats, _, _ in shaped])
+    return [_fill(layout, columns + float_columns, len(floats))
+            for (floats, columns, layout), float_columns in zip(shaped, tokens)]
 
 
-def render_float_rows(rows, memo: dict) -> Rendered:
-    """Rendered ``[[x, ...], ...]`` of equal-length rows of floats, formatting
-    only the floats not yet in ``memo``. Such rows (Bell branch
-    probabilities) hold a handful of distinct floats many times over, so
-    each distinct float's token is found once and laid in from a table."""
-    stack = _float_stack(rows)
+def render_float_rows(rows) -> Rendered:
+    """Rendered ``[[x, ...], ...]`` of equal-length rows of floats, through
+    the token pass. Such rows (Bell branch probabilities) hold a handful of
+    distinct floats many times over, and the pass formats each once."""
+    stack = np.asarray(rows, dtype=np.float64)
     if not stack.size:  # no rows, or rows of no floats
         return Rendered("[" + ",".join(["[]"] * len(stack)) + "]")
-    m, width = stack.shape
-    values = stack.ravel().tolist()
-    distinct = list(dict.fromkeys(values))
-    tokens = list(map(dict(zip(distinct, _tokens(distinct, memo))).__getitem__, values))
-    columns = [tokens[j::width] for j in range(width)]
-    return Rendered("[" + _fill(_float_layout(width), columns, m) + "]")
+    columns, = _token_columns([stack])
+    return Rendered("[" + _fill(_float_layout(stack.shape[1]), columns, len(stack)) + "]")
 
 
 def carrier_columns(rows) -> tuple[tuple, tuple, tuple]:

@@ -374,16 +374,15 @@ class QuantumRegistry:
     ``LabelMismatch``. A transmission of several columns goes in one part
     at a time (``CarrierStream.parts``).
 
-    Writes replace a family's rows and reads copy them. A Bell measurement
-    of two columns merges their families, drops both and registers the
-    residual; the registry compares no states. ``state_of`` finds one label
-    by a scan of the live columns, off the flow. ``memo`` keeps this
-    trial's float tokens for the ``jsonutil`` renderers.
+    Writes replace a family's rows, and reads copy them (``stack`` hands
+    the renderer a read-only view). A Bell measurement of two columns
+    merges their families, drops both and registers the residual; the
+    registry compares no states. ``state_of`` finds one label by a scan of
+    the live columns, off the flow.
     """
 
     def __init__(self):
         self._columns: dict = {}  # each column of each live family -> (family, axis)
-        self.memo: dict[float, str] = {}
 
     def _column(self, labels: Sequence) -> tuple[_Family, int]:
         """The (family, axis) of the live column ``labels``."""
@@ -480,12 +479,14 @@ class QuantumRegistry:
         """A copy of the rows of the column ``labels``, in label order."""
         return self._column(labels)[0].amps.copy()
 
-    def render_states(self, labels: Sequence, heads) -> str:
-        """The canonical texts of ``state_of(label).to_jsonable()`` for each
-        label of one column, joined by commas; with ``heads`` (a stream's
-        ``columns``), of each carrier's ``{"id", "band", "slot", "state"}``."""
+    def stack(self, labels: Sequence) -> tuple[tuple, np.ndarray]:
+        """The label columns and a read-only view of the rows of the column
+        ``labels``' family, a stack as ``jsonutil.render_states`` reads it.
+        Writes replace rows, so the view keeps the rows as they were read."""
         family, _ = self._column(labels)
-        return jsonutil.render_states(family.columns, family.amps, self.memo, heads)
+        rows = family.amps.view()
+        rows.flags.writeable = False
+        return family.columns, rows
 
     def apply_paulis(self, labels: Sequence, x, z) -> None:
         """Qubit ``labels[i]`` of one column gets sigma_x^x[i] sigma_z^z[i],
@@ -593,9 +594,10 @@ class CipherPayload(namedtuple("CipherPayload", ("masked", "signature", "verific
 
 def _digest_bytes(streams, registry: QuantumRegistry) -> bytes:
     """The canonical list of {"id", "band", "slot", "state"} of ``streams``
-    that a payload digest hashes, rendered one stream at a time, each
+    that a payload digest hashes, its streams rendered in one call, each
     stream's carrier columns read off the stream (``CarrierStream``)."""
-    texts = [registry.render_states(s.labels, s.columns) for s in streams if s]
+    texts = jsonutil.render_states(
+        [(*registry.stack(s.labels), s.columns) for s in streams if s])
     return ("[" + ",".join(texts) + "]").encode("ascii")
 
 
@@ -870,20 +872,12 @@ def trent_verify(
         raise ProtocolError("empty payload")
     if payload.verification:
         raise ProtocolError("the arbiter's payload already carries a verification qubit")
-    received = _digest_bytes(payload.streams(), registry)
-    rows_hash = hashlib.sha256(received[:-1])
-    received_hash = rows_hash.copy()
-    received_hash.update(b"]")
 
     def decrypted(carriers):  # unmasked by slot, as _mask_streams keys the channel
         x, z = qotp.key_paulis(verifier_key, carriers.slots)
-        labels = carriers.labels
-        amps = sv._pauli_rows(_qubit_rows(registry, labels), 0, x, z, inverse=True)
-        return amps, jsonutil.Rendered(
-            "[" + jsonutil.render_states((labels,), amps, registry.memo) + "]")
+        return sv._pauli_rows(_qubit_rows(registry, carriers.labels), 0, x, z, inverse=True)
 
-    (masked, masked_snapshot), (signature, signature_snapshot) = (
-        decrypted(payload.masked), decrypted(payload.signature))
+    masked, signature = decrypted(payload.masked), decrypted(payload.signature)
 
     # Bind the received masked copy under the signer key and compare per qubit.
     verified = int(all(sv.equal_up_to_phase_rows(qotp.mask_rows(masked, signer_key), signature,
@@ -893,13 +887,20 @@ def trent_verify(
     registry.add_columns((verification.labels,), [[1 - verified, verified]])
     _mask_streams(registry, [verification], verifier_key, inverse=False)
 
-    # The arbiter wrote no carrier but v, so the returned digest's text is the
-    # received one with v's row added before the closing "]": hash on from there.
-    rows_hash.update(b"," + _digest_bytes((verification,), registry)[1:])
+    # The record in one render: the arbiter wrote no carrier but v, so the
+    # received streams' rows read as they arrived, and the returned digest's
+    # text is the received one with v's row added before the closing "]".
+    *received, returned_v, masked_text, signature_text = jsonutil.render_states(
+        [(*registry.stack(s.labels), s.columns) for s in payload.streams() + (verification,)]
+        + [((payload.masked.labels,), masked, ()), ((payload.signature.labels,), signature, ())])
+    rows_hash = hashlib.sha256(("[" + ",".join(received)).encode("ascii"))
+    received_hash = rows_hash.copy()
+    received_hash.update(b"]")
+    rows_hash.update(("," + returned_v + "]").encode("ascii"))
     return CipherPayload(payload.masked, payload.signature, verification), TrentRecord(
         received_digest=received_hash.hexdigest(),
-        masked_snapshot=masked_snapshot,
-        signature_snapshot=signature_snapshot,
+        masked_snapshot=jsonutil.Rendered("[" + masked_text + "]"),
+        signature_snapshot=jsonutil.Rendered("[" + signature_text + "]"),
         verified=verified,
         returned_digest=rows_hash.hexdigest(),
     )

@@ -410,7 +410,7 @@ def run_scenario(
         spec, keys.signer, streams.sign, registry, alice_labels, forced_pad=forced_pad)
     transcript.log("alice", "measurement", {
         "what": "bell-projection",
-        "probabilities": render_float_rows(signer_private.probabilities, registry.memo),
+        "probabilities": render_float_rows(signer_private.probabilities),
         "outcomes": [o.token for o in package.bell_results],
     })
 

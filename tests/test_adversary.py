@@ -306,7 +306,7 @@ def test_a_probe_picks_up_its_slots_pauli_through_its_own_part(inject, monkeypat
     assert probes.slots.tolist() == masked.slots.tolist()
     assert package.masked.labels == tuple(chain.from_iterable(zip(masked.labels, plan.probes)))
     with pytest.raises(LabelMismatch):  # the joined stream is no column
-        registry.render_states(package.masked.labels, ())
+        registry.stack(package.masked.labels)
     looked_up = []
     column = QuantumRegistry._column
     monkeypatch.setattr(QuantumRegistry, "_column",

@@ -8,7 +8,6 @@ still trip the norm and finiteness invariant.
 import math
 import re
 import warnings
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -19,7 +18,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import oracles
 from aqsim import statevector as sv
-from aqsim.jsonutil import canonical_json
+from aqsim.jsonutil import canonical_json, render_states
 from aqsim.protocol import LabelColumn, QuantumRegistry
 from aqsim.statevector import BELL_ORDER, BellOutcome, PauliBits, PureState
 
@@ -52,6 +51,12 @@ def state_of_row(amps, r, tag="q"):
 
 def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.float64), np.asarray(b).view(np.float64))
+
+
+def render_column(registry, labels) -> str:
+    """The canonical text of the states of one registry column."""
+    text, = render_states([(*registry.stack(labels), ())])
+    return text
 
 
 class StubRng:
@@ -550,7 +555,7 @@ def test_registry_reads_of_a_column_equal_per_label_reads(data):
         assert [s.labels for s in states] == [s.labels for s in singles]
         assert all(same_bits(s.amps, one.amps) for s, one in zip(states, singles))
         assert same_bits(registry.amps_of(column), np.array([s.amps for s in singles]))
-        assert registry.render_states(column, ()) == ",".join(
+        assert render_column(registry, column) == ",".join(
             canonical_json(s.to_jsonable()) for s in singles)
 
     labels = data.draw(st.lists(st.sampled_from(sorted(group_of)), min_size=1, max_size=12))
@@ -558,7 +563,7 @@ def test_registry_reads_of_a_column_equal_per_label_reads(data):
     bad = list(labels)
     bad.insert(data.draw(st.integers(0, len(labels))), "nowhere")
     for read in (registry.sequence, registry.amps_of,
-                 partial(registry.render_states, heads=())):
+                 registry.stack):
         with pytest.raises(sv.LabelMismatch):
             read(labels)
         with pytest.raises(sv.UnknownLabel):
@@ -679,7 +684,7 @@ def test_registry_refuses_a_label_that_is_not_a_str(bad):
         with pytest.raises(sv.UnknownLabel):
             registry.state_of(label)
     registry.add_columns([("a",), ("b",)], sv.BELL_PAIR_AMPS[None, :])
-    assert registry.render_states(["b"], ()) == canonical_json(
+    assert render_column(registry, ["b"]) == canonical_json(
         registry.state_of("b").to_jsonable())
 
 
@@ -778,12 +783,12 @@ def test_a_stream_resolved_before_a_bell_measurement_follows_its_labels():
     registry = uniform_streams()
     gone, moved = [("m", "n"), ("a1", "a2")], ("b1", "b2")
     for stream in (*gone, moved):
-        registry.render_states(stream, ())  # read before the measurement
+        registry.stack(stream)  # read before the measurement
     assert registry.amps_of(moved).shape == (2, 4)
     registry.bell_measure_many(["a1", "a2"], ["m", "n"], np.random.default_rng(5))
     for stream in gone:
         for read in (registry.sequence, registry.amps_of,
-                     partial(registry.render_states, heads=())):
+                     registry.stack):
             with pytest.raises(sv.UnknownLabel):
                 read(stream)
         with pytest.raises(sv.UnknownLabel):
@@ -991,7 +996,7 @@ class RegistryModel(RuleBasedStateMachine):
                      lambda: self.registry.bell_measure_many(stream, partner, rng),
                      lambda: self.registry.bell_measure_many(partner, stream, rng),
                      lambda: self.registry.amps_of(stream),
-                     lambda: self.registry.render_states(stream, ())):
+                     lambda: self.registry.stack(stream)):
             with pytest.raises(error):
                 call()
         assert rng.bit_generator.state == state

@@ -3,8 +3,7 @@ import enum
 import hashlib
 import json
 from collections import OrderedDict
-from itertools import chain, compress
-from operator import not_
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -72,12 +71,10 @@ def floats_in(doc) -> list[float]:
 def test_odd_documents_match_the_oracle(doc):
     if built_in(doc):
         assert jsonutil.canonical_json(doc) == canonical_oracle.canonical_json(doc)
-        # one float rule: a float emitted alone reads as the row renderer's token,
-        # formatted or read back from the memo
-        floats, memo = floats_in(doc), {}
-        for _ in range(2):
-            assert (jsonutil.render_float_rows([floats], memo).text
-                    == "[[" + ",".join(map(jsonutil.canonical_json, floats)) + "]]")
+        # one float rule: a float emitted alone reads as the row renderer's token
+        floats = floats_in(doc)
+        assert (jsonutil.render_float_rows([floats]).text
+                == "[[" + ",".join(map(jsonutil.canonical_json, floats)) + "]]")
     else:  # tuples, numpy scalars and subclasses of built-in types are refused
         with pytest.raises(TypeError):
             jsonutil.canonical_json(doc)
@@ -95,7 +92,7 @@ def test_rejections_match_the_oracle(doc, error):
         jsonutil.canonical_json(doc)
     if error is ValueError:  # a non-finite float, refused by the row renderer too
         with pytest.raises(ValueError):
-            jsonutil.render_float_rows([floats_in(doc)], {})
+            jsonutil.render_float_rows([floats_in(doc)])
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_TOKENS)
@@ -142,6 +139,12 @@ def listed(text: str) -> str:
     return "[" + text + "]"
 
 
+def render_one(labels, amps, heads=()) -> str:
+    """The text of one stack, rendered alone."""
+    text, = jsonutil.render_states([(labels, amps, heads)])
+    return text
+
+
 @given(k=st.sampled_from([1, 2, 3]), m=st.integers(1, 4), data=st.data())
 def test_state_renderers_match_the_oracle(k, m, data):
     # widths 2, 4 and 8: every group shape the registry holds
@@ -149,7 +152,7 @@ def test_state_renderers_match_the_oracle(k, m, data):
     amps = np.array(values).view(np.complex128).reshape(m, 2 ** k)
     labels = [tuple(f"q{r}_{j}" for j in range(k)) for r in range(m)]
     plain = [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)]
-    text = jsonutil.render_states(columns_of(labels, k), amps, {})
+    text = render_one(columns_of(labels, k), amps)
     assert text == ",".join(canonical_oracle.canonical_json(doc) for doc in plain)
     rendered = jsonutil.Rendered(listed(text))
     assert jsonutil.canonical_json(rendered) == canonical_oracle.canonical_json(plain)
@@ -162,10 +165,9 @@ def test_state_renderers_take_any_label():
     amps = np.array([[0.6, 0.8j], [1.0, 0.0]])
     labels = [("q",), ("café \"☃\"",)]
     plain = [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)]
-    assert (listed(jsonutil.render_states(columns_of(labels, 1), amps, {}))
-            == canonical_oracle.canonical_json(plain))
+    assert listed(render_one(columns_of(labels, 1), amps)) == canonical_oracle.canonical_json(plain)
     with pytest.raises(TypeError):
-        jsonutil.render_states([jsonutil.Labels((0, "q"))], amps, {})
+        render_one([jsonutil.Labels((0, "q"))], amps)
 
 
 # labels and carrier metadata with quotes, backslashes, %, control and
@@ -199,16 +201,14 @@ def test_the_column_renderer_matches_the_oracle(k, m, head, data):
         rows = [carriers[i] for i in rng.integers(len(carriers), size=m)]
         plain = carried(rows, plain)
         heads = jsonutil.carrier_columns(rows)
-    memo = {}
-    for _ in range(2):  # the second render reads its float tokens from the memo
-        text = jsonutil.render_states(columns_of(labels, k), amps, memo, heads)
-        assert listed(text) == canonical_oracle.canonical_json(plain)
+    text = render_one(columns_of(labels, k), amps, heads)
+    assert listed(text) == canonical_oracle.canonical_json(plain)
 
 
 @given(singles=st.integers(1, 6), pairs=st.integers(1, 6), head=st.booleans(), data=st.data())
 def test_columns_of_two_widths_render_like_the_oracle(singles, pairs, head, data):
-    # a column of single qubits and each axis of Bell-pair-shaped groups;
-    # a stream that joins columns is refused
+    # a column of single qubits and each axis of Bell-pair-shaped groups,
+    # rendered in one call; a stream that joins columns is refused
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
 
     def rows(m, width):  # unit rows, some imaginary parts a signed zero
@@ -224,6 +224,7 @@ def test_columns_of_two_widths_render_like_the_oracle(singles, pairs, head, data
                    for tag in "ab"]
     registry.add_columns([single_labels], rows(singles, 2))
     registry.add_columns(pair_labels, rows(pairs, 4))
+    stacks, expected = [], []
     for stream in (single_labels, *pair_labels):
         plain = [registry.state_of(label).to_jsonable() for label in stream]
         heads = ()
@@ -231,17 +232,18 @@ def test_columns_of_two_widths_render_like_the_oracle(singles, pairs, head, data
             carriers = tuple(data.draw(CARRIER_ROW) for _ in stream)
             plain = carried(carriers, plain)
             heads = jsonutil.carrier_columns(carriers)
-        text = registry.render_states(stream, heads)
-        assert listed(text) == canonical_oracle.canonical_json(plain)
+        stacks.append((*registry.stack(stream), heads))
+        expected.append(canonical_oracle.canonical_json(plain))
+    assert [*map(listed, jsonutil.render_states(stacks))] == expected
     with pytest.raises(sv.LabelMismatch):
-        registry.render_states(single_labels + pair_labels[1], ())
+        registry.stack(single_labels + pair_labels[1])
 
 
 @given(m=st.integers(0, 4), w=st.integers(0, 6), data=st.data())
 def test_float_rows_match_the_oracle(m, w, data):
     rows = tuple(tuple(data.draw(st.lists(FLOATS, min_size=w, max_size=w))) for _ in range(m))
     plain = [list(row) for row in rows]
-    rendered = jsonutil.render_float_rows(rows, {})
+    rendered = jsonutil.render_float_rows(rows)
     assert rendered.text == canonical_oracle.canonical_json(plain)
     assert jsonutil.canonical_json({"p": rendered}) == canonical_oracle.canonical_json({"p": plain})
     assert json.loads(rendered.text) == json.loads(json.dumps(plain))
@@ -255,8 +257,7 @@ def test_carrier_rows_match_the_oracle(rows):
     assert json.loads(rendered.text) == plain
     state = {"labels": ["q"], "amps": [[0.6, -0.0], [0.0, 0.8]]}
     amps = np.tile(np.array([0.6, -0.0, 0.0, 0.8]).view(np.complex128), (len(rows), 1))
-    text = jsonutil.render_states([jsonutil.Labels(("q",) * len(rows))], amps, {},
-                                  jsonutil.carrier_columns(rows))
+    text = render_one([jsonutil.Labels(("q",) * len(rows))], amps, jsonutil.carrier_columns(rows))
     assert listed(text) == canonical_oracle.canonical_json(carried(rows, [state] * len(rows)))
 
 
@@ -269,48 +270,54 @@ def test_leaf_lists_match_the_oracle(values):
     assert jsonutil.render_bools(flags).text == canonical_oracle.canonical_json(flags)
 
 
-# --- one memo per trial --------------------------------------------------------
+# --- one token pass --------------------------------------------------------------
 
-CALLS = st.lists(st.tuples(st.sampled_from(["states", "floats"]), st.integers(1, 3),
-                           st.integers(0, 4)), min_size=1, max_size=5)
+# magnitudes, each drawn with both signs: 0.0, subnormals, the least normal
+# and the largest double among them
+MAGNITUDES = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, 5e-324, 2.5e-320, 2.2250738585072014e-308,
+                                        1.7976931348623157e308]))
 
 
-@given(pool=st.lists(FLOATS, min_size=1, max_size=4), calls=CALLS, data=st.data())
-def test_renderers_sharing_one_memo_match_the_oracle(pool, calls, data):
-    # a few values, each also negated, repeated over calls that all fill and
-    # read one memo; with row labels from two tags, equal rows recur both
-    # under the same labels and under different ones
-    memo = {}
-    values = st.sampled_from(pool + [-x for x in pool])
-    for kind, k, m in calls:
-        if kind == "states":
-            flat = data.draw(st.lists(values, min_size=m * 2 ** (k + 1), max_size=m * 2 ** (k + 1)))
-            amps = np.array(flat, dtype=np.float64).view(np.complex128).reshape(m, 2 ** k)
-            labels = [tuple(f"{data.draw(st.sampled_from('pq'))}{j}" for j in range(k))
-                      for _ in range(m)]
-            assert listed(jsonutil.render_states(columns_of(labels, k), amps, memo)) == (
-                canonical_oracle.canonical_json([plain_state(row_labels, row)
-                                                 for row_labels, row in zip(labels, amps)]))
-        else:
-            rows = tuple(tuple(data.draw(st.lists(values, min_size=k, max_size=k)))
-                         for _ in range(m))
-            assert (jsonutil.render_float_rows(rows, memo).text
-                    == canonical_oracle.canonical_json([list(row) for row in rows]))
+@given(pool=st.lists(MAGNITUDES, min_size=1, max_size=8),
+       shapes=st.lists(st.tuples(st.sampled_from([2, 4, 8]), st.integers(0, 6)),
+                       min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_token_pass_matches_the_oracle_stack_by_stack(pool, shapes, seed):
+    # stacks of 2, 4 and 8 floats per row, some with no rows, in one call;
+    # each float takes a magnitude from the drawn pool and a random sign, so
+    # magnitudes repeat within and across stacks, with both signs, and 0.0
+    # comes as -0.0 too
+    rng = np.random.default_rng(seed)
+    magnitudes = np.array(pool)
+    stacks = [magnitudes[rng.integers(len(pool), size=(m, w))] * rng.choice([1.0, -1.0], (m, w))
+              for w, m in shapes]
+    for stack, columns in zip(stacks, jsonutil._token_columns(stacks)):
+        assert columns == [["%.17g" % (x + 0.0) for x in column] for column in stack.T.tolist()]
+    # the same stacks as states of 1, 2 and 4 amplitudes: each stack's text
+    # in the one call is its text alone, and the oracle's
+    states = []
+    for stack in stacks:
+        m, k = len(stack), stack.shape[1].bit_length() - 2
+        labels = [tuple(f"q{r}_{j}" for j in range(k)) for r in range(m)]
+        states.append((columns_of(labels, k), stack.view(np.complex128), ()))
+        expected = [plain_state(row_labels, row) for row_labels, row in zip(labels, states[-1][1])]
+        assert listed(render_one(*states[-1])) == canonical_oracle.canonical_json(expected)
+    assert jsonutil.render_states(states) == [render_one(*state) for state in states]
 
 
 def test_state_texts_tell_labels_apart_and_collapse_signed_zeros():
-    memo = {}
     flat = [[0.6, 0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8], [0.6, -0.0, -0.0, 0.8]]
     amps = np.array(flat).view(np.complex128)
     labels = [("p1",), ("q1",), ("p1",)]
     expected = [canonical_oracle.canonical_json(plain_state(row_labels, row))
                 for row_labels, row in zip(labels, amps)]
     swapped = [("q1",), ("p1",), ("q1",)]
-    for _ in range(2):  # the second pass reads its float tokens from the memo
-        assert jsonutil.render_states(columns_of(labels, 1), amps, memo) == ",".join(expected)
-        assert jsonutil.render_states(columns_of(swapped, 1), amps, memo) == ",".join(
-            canonical_oracle.canonical_json(plain_state(row_labels, row))
-            for row_labels, row in zip(swapped, amps))
+    texts = jsonutil.render_states([(columns_of(labels, 1), amps, ()),
+                                    (columns_of(swapped, 1), amps, ())])
+    assert texts == [",".join(expected), ",".join(
+        canonical_oracle.canonical_json(plain_state(row_labels, row))
+        for row_labels, row in zip(swapped, amps))]
     assert expected[0] != expected[1] and expected[0] == expected[2]
 
 
@@ -318,69 +325,7 @@ def test_state_texts_tell_labels_apart_and_collapse_signed_zeros():
 def test_state_texts_refuse_label_and_amplitude_rows_of_different_counts(labels):
     amps = np.array([[0.6, 0.8j], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        jsonutil.render_states(columns_of(labels, len(labels[0]) if labels else 0), amps, {})
-
-
-def test_float_memo_formats_each_magnitude_once_for_both_signs():
-    memo = {}
-    assert (jsonutil.render_float_rows([(0.1, 2.5, -0.0)], memo).text
-            == "[[0.10000000000000001,2.5,0]]")
-    assert memo == {0.1: "0.10000000000000001", -0.1: "-0.10000000000000001",
-                           2.5: "2.5", -2.5: "-2.5", 0.0: "0"}
-    assert (jsonutil.render_float_rows([(-0.1, -2.5, 0.0)], memo).text
-            == "[[-0.10000000000000001,-2.5,0]]")
-    assert len(memo) == 5
-
-
-def reference_tokens(values: list, memo: dict) -> list[str]:
-    """``jsonutil._tokens`` as it was with a set of the new values and a
-    choice between formatting them straight and formatting each new
-    magnitude, kept as the reference for its tokens and for what it leaves
-    in the memo."""
-    tokens = list(map(memo.get, values))
-    if all(tokens):  # every value known (no token is empty)
-        return tokens
-    new = set(compress(values, map(not_, tokens)))
-    straight = 2 * len(new) > len(values)
-    formatted = values if straight else tuple(set(map(abs, new)))
-    # one format call; no token holds a comma, and the last text is empty
-    texts = ("%.17g," * len(formatted) % tuple(formatted)).split(",")[:-1]
-    # negations first: 0.0 is its own negation, so its "-0" is then
-    # overwritten by "0"
-    memo.update(zip(map(float.__neg__, formatted),
-                    [t[1:] if t[0] == "-" else "-" + t for t in texts]))
-    memo.update(zip(formatted, texts))
-    return texts if straight else list(map(memo.__getitem__, values))
-
-
-# magnitudes, each drawn with both signs: 0.0, subnormals, the least normal
-# and the largest double among them (-0.0 never reaches _tokens)
-MAGNITUDES = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
-                       st.sampled_from([0.0, 5e-324, 2.5e-320, 2.2250738585072014e-308,
-                                        1.7976931348623157e308]))
-
-
-@given(pool=st.lists(MAGNITUDES, min_size=1, max_size=8),
-       calls=st.lists(st.tuples(st.sampled_from([0, 1, 5, 40, 300]),
-                                st.booleans(), st.integers(0, 2 ** 32 - 1)),
-                      min_size=1, max_size=5))
-def test_tokens_match_the_reference_over_calls_that_share_one_memo(pool, calls):
-    # each call picks its values at random, each with a random sign, from the
-    # drawn magnitudes, and for a fresh call also from as many random
-    # magnitudes of any exponent as it has values: values repeat, within a
-    # call and across calls, and come with both signs, and a call's new
-    # values are mostly repeated or mostly distinct. Both memos start empty
-    # and must hold the same tokens after every call
-    memo, reference_memo = {}, {}
-    for size, fresh, seed in calls:
-        rng = np.random.default_rng(seed)
-        magnitudes = pool + (np.abs(rng.standard_normal(size))
-                             * 2.0 ** rng.integers(-1074, 1000, size)).tolist() * fresh
-        values = [magnitudes[i] * (-1.0 if negative else 1.0) + 0.0
-                  for i, negative in zip(rng.integers(len(magnitudes), size=size).tolist(),
-                                         (rng.random(size) < 0.5).tolist())]
-        assert jsonutil._tokens(values, memo) == reference_tokens(values, reference_memo)
-        assert memo == reference_memo
+        render_one(columns_of(labels, len(labels[0]) if labels else 0), amps)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -392,11 +337,11 @@ def test_renderers_reject_non_finite_floats_like_the_oracle(bad, column):
     with pytest.raises(ValueError):
         canonical_oracle.canonical_json(plain_state(("q",), amps[0]))
     with pytest.raises(ValueError, match="non-finite"):
-        jsonutil.render_states([jsonutil.Labels(("q",))], amps, {})
+        render_one([jsonutil.Labels(("q",))], amps)
     with pytest.raises(ValueError):
         canonical_oracle.canonical_json([row])
     with pytest.raises(ValueError, match="non-finite"):
-        jsonutil.render_float_rows([tuple(row)], {})
+        jsonutil.render_float_rows([tuple(row)])
 
 
 def _oracle_digest(payload, registry) -> str:

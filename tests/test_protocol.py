@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canonical_oracle
 import oracles
 from aqsim import adversary as adv
 from aqsim import protocol as proto
@@ -488,6 +490,47 @@ def test_trent_verify_refuses_an_empty_payload_before_it_reads_the_registry():
     assert registry._columns == {}
 
 
+def test_the_arbiters_record_matches_the_oracle_for_unrelated_signature_rows():
+    # the signature rows are independent random rows, not Pauli images of the
+    # masked rows, so the two streams share no magnitudes: the record's one
+    # render must still give each stream the oracle's bytes
+    n, rng = 5, np.random.default_rng(73)
+    plan, registry = proto.slot_plan(n), QuantumRegistry()
+    keys = proto.setup_keys(n, rng)
+    held = {}
+    for stream in (plan.masked, plan.signature):
+        held[stream] = [np.array(oracles.random_qubit(rng)) for _ in stream]
+        registry.add_columns([stream.labels], held[stream])
+    payload = proto.CipherPayload(plan.masked, plan.signature)
+    returned, record = proto.trent_verify(payload, keys.signer, keys.verifier, registry)
+    assert record.verified == 0
+
+    def pauli(carrier):  # the verifier key's Pauli for the carrier's slot
+        bits = keys.verifier.bits
+        return oracles.pauli_matrix(bits[2 * carrier.time_slot], bits[2 * carrier.time_slot + 1])
+
+    def plain(label, amps) -> dict:
+        return {"labels": [label], "amps": [[float(a.real), float(a.imag)] for a in amps]}
+
+    def rows(stream, states) -> list:
+        return [{"id": c.id, "band": c.band, "slot": c.time_slot, "state": plain(c.payload, s)}
+                for c, s in zip(stream, states)]
+
+    for stream, snapshot in ((plan.masked, record.masked_snapshot),
+                             (plan.signature, record.signature_snapshot)):
+        decrypted = [pauli(c).conj().T @ amps for c, amps in zip(stream, held[stream])]
+        assert snapshot.text == canonical_oracle.canonical_json(
+            [plain(c.payload, amps) for c, amps in zip(stream, decrypted)])
+    v = plan.verification[0]
+    received = rows(plan.masked, held[plan.masked]) + rows(plan.signature, held[plan.signature])
+    for digest, doc in ((record.received_digest, received),
+                        (record.returned_digest, received + rows([v], [pauli(v) @ [1, 0]]))):
+        text = canonical_oracle.canonical_json(doc).encode("ascii")
+        assert digest == hashlib.sha256(text).hexdigest()
+    assert returned.verification is plan.verification
+    assert record.returned_digest == returned.digest(registry)
+
+
 def test_a_payload_refuses_a_bare_carrier_or_items_that_are_not_carriers():
     run = _forwarded(2, 61)
     masked, signature = run.payload.masked, run.payload.signature
@@ -836,7 +879,7 @@ def test_a_stream_that_names_a_measured_label_raises():
         with pytest.raises(sv.UnknownLabel):
             registry.amps_of(stream)
         with pytest.raises(sv.UnknownLabel):
-            registry.render_states(stream, ())
+            registry.stack(stream)
         with pytest.raises(sv.UnknownLabel):
             registry.apply_paulis(stream, [1] * len(stream), [1] * len(stream))
     assert registry.amps_of(streams.b).shape == (4, 2)

@@ -14,7 +14,6 @@ DEFAULTED = [
     ("cli.py", "exit", "status"),
     ("cli.py", "main", "argv"),
     ("cli.py", "main", "env"),
-    ("jsonutil.py", "render_states", "heads"),
     ("protocol.py", "alice_sign", "forced_pad"),
     ("protocol.py", "random_message_spec", "generic_margin"),
     ("qotp.py", "mask_rows", "inverse"),
