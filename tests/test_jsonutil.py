@@ -306,6 +306,78 @@ def test_one_token_pass_matches_the_oracle_stack_by_stack(pool, shapes, seed):
     assert jsonutil.render_states(states) == [render_one(*state) for state in states]
 
 
+# The tests below are named for the per-trial memo the pass replaced; the
+# pass's token table now does what they check of it.
+
+def test_float_memo_formats_each_magnitude_once_for_both_signs():
+    assert (jsonutil.render_float_rows([(0.1, 2.5, -0.0), (-0.1, -2.5, 0.0)]).text
+            == "[[0.10000000000000001,2.5,0],[-0.10000000000000001,-2.5,0]]")
+    # each magnitude is formatted once per call and each sign read from the
+    # one table, so equal floats, in one stack or two, share one token object
+    stack = np.array([[0.1, 2.5, -0.0, -0.1], [-0.1, -2.5, 0.0, 0.1]])
+    tokens = [token for columns in jsonutil._token_columns([stack, -stack])
+              for column in columns for token in column]
+    assert tokens == ["0.10000000000000001", "-0.10000000000000001", "2.5", "-2.5", "0", "0",
+                      "-0.10000000000000001", "0.10000000000000001",
+                      "-0.10000000000000001", "0.10000000000000001", "-2.5", "2.5", "0", "0",
+                      "0.10000000000000001", "-0.10000000000000001"]
+    assert len({*map(id, tokens)}) == 5
+
+
+@given(pool=st.lists(MAGNITUDES, min_size=1, max_size=8),
+       calls=st.lists(st.tuples(st.sampled_from([0, 1, 5, 40, 300]),
+                                st.booleans(), st.integers(0, 2 ** 32 - 1)),
+                      min_size=1, max_size=5))
+def test_tokens_match_the_reference_over_calls_that_share_one_memo(pool, calls):
+    # each call picks its values at random, each with a random sign, from the
+    # drawn magnitudes, and for a fresh call also from as many random
+    # magnitudes of any exponent as it has values: values repeat, within a
+    # call and across calls, and come with both signs, and a call's values
+    # are mostly repeated or mostly distinct. The reference is one memo of
+    # "%.17g" tokens that every call fills and reads, so a value's token must
+    # be the one it took in the first call that held it
+    reference_memo = {}
+    for size, fresh, seed in calls:
+        rng = np.random.default_rng(seed)
+        magnitudes = pool + (np.abs(rng.standard_normal(size))
+                             * 2.0 ** rng.integers(-1074, 1000, size)).tolist() * fresh
+        values = [magnitudes[i] * (-1.0 if negative else 1.0) + 0.0
+                  for i, negative in zip(rng.integers(len(magnitudes), size=size).tolist(),
+                                         (rng.random(size) < 0.5).tolist())]
+        column, = jsonutil._token_columns([np.array(values).reshape(size, 1)])[0]
+        assert column == [reference_memo.setdefault(x, "%.17g" % x) for x in values]
+
+
+CALLS = st.lists(st.tuples(st.sampled_from(["states", "floats"]), st.integers(1, 3),
+                           st.integers(0, 4)), min_size=1, max_size=5)
+
+
+@given(pool=st.lists(FLOATS, min_size=1, max_size=4), calls=CALLS, data=st.data())
+def test_renderers_sharing_one_memo_match_the_oracle(pool, calls, data):
+    # a few values, each also negated, repeated over calls; with row labels
+    # from two tags, equal rows recur both under the same labels and under
+    # different ones. The state stacks of all calls, rendered again in one
+    # call, read as each did alone
+    values = st.sampled_from(pool + [-x for x in pool])
+    states, texts = [], []
+    for kind, k, m in calls:
+        if kind == "states":
+            flat = data.draw(st.lists(values, min_size=m * 2 ** (k + 1), max_size=m * 2 ** (k + 1)))
+            amps = np.array(flat, dtype=np.float64).view(np.complex128).reshape(m, 2 ** k)
+            labels = [tuple(f"{data.draw(st.sampled_from('pq'))}{j}" for j in range(k))
+                      for _ in range(m)]
+            states.append((columns_of(labels, k), amps, ()))
+            texts.append(render_one(*states[-1]))
+            assert listed(texts[-1]) == canonical_oracle.canonical_json(
+                [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)])
+        else:
+            rows = tuple(tuple(data.draw(st.lists(values, min_size=k, max_size=k)))
+                         for _ in range(m))
+            assert (jsonutil.render_float_rows(rows).text
+                    == canonical_oracle.canonical_json([list(row) for row in rows]))
+    assert jsonutil.render_states(states) == texts
+
+
 def test_state_texts_tell_labels_apart_and_collapse_signed_zeros():
     flat = [[0.6, 0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8], [0.6, -0.0, -0.0, 0.8]]
     amps = np.array(flat).view(np.complex128)
