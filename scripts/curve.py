@@ -9,13 +9,15 @@ under every defense set of ``scripts/run_matrix.py``, T trials each
 built once per n and process; a process first runs one untimed ``honest``
 trial of its n. One JSON line per trial goes to stdout:
 
-    {"scenario", "defenses", "n", "seed", "trial", "ms", "calibration_ms"}
+    {"scenario", "defenses", "n", "seed", "trial", "ms", "calibration_ms", "peak_rss_MB"}
 
 ``ms`` is the trial's ``run_scenario`` plus its transcript bytes, scaled by
 the calibration kernel of ``perfbench/run.py`` (``calibration_ms``) timed
 right before and right after the cell's trials: a ms at the speed where the
-kernel takes ``CAL_REF_MS``, as the benchmark reports it. The curve is a
-report, not a gate.
+kernel takes ``CAL_REF_MS``, as the benchmark reports it. ``peak_rss_MB``
+is the process's peak resident set (``ru_maxrss``) when the line is
+written, in MB as the benchmark reports it: it grows with n, as the slot
+plan does. The curve is a report, not a gate.
 
 Each cell's config is built by ``cli.parse_config``, so a bad value or an
 unknown option ends like it does for ``aqsim run``: exit 1 with one
@@ -24,6 +26,7 @@ with ``aqsim: interrupted``.
 """
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -96,6 +99,7 @@ def _lines(configs):
                 "scenario": config.scenario.token, "defenses": config.defenses.tokens(),
                 "n": config.n, "seed": config.seed, "trial": trial,
                 "ms": ms * CAL_REF_MS / calibration, "calibration_ms": calibration,
+                "peak_rss_MB": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             })
 
 

@@ -24,7 +24,9 @@ magnitudes many times over (a Pauli mask only permutes and negates floats),
 so ``render_states`` renders several stacks in one call, whose one token
 pass (``_token_columns``) formats each distinct magnitude once; nothing is
 kept between calls. The same carriers travel three legs, so a carrier
-stream (``protocol.CarrierStream``) keeps its ``carrier_columns`` and text.
+stream (``protocol.CarrierStream``) keeps its id, band and slot texts and
+its text; a carrier's id is its qubit's label, so the id texts are the
+stream's label texts.
 
 The emitter takes exactly the built-in types the documents are made of
 (dict with str keys, list, str, float, int, bool, None) plus ``Rendered``;
@@ -99,16 +101,6 @@ def _emit(obj, out: list[str]) -> None:
 
 
 # --- the column renderer ----------------------------------------------------
-
-
-class Labels(tuple):
-    """A column of labels that keeps the canonical text of each label
-    (``texts``), worked out on first read, which ``render_states`` lays in.
-    The registry's columns (``protocol.LabelColumn``) are ``Labels``."""
-
-    @functools.cached_property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(map(_encode_str, self))
 
 
 def _float_stack(values) -> np.ndarray:
@@ -213,11 +205,12 @@ def render_states(stacks) -> list[str]:
     """The canonical text of each stack of ``stacks``, their floats formatted
     in one token pass. A stack is (labels, amps, heads), and its text is the
     ``{"labels": [...], "amps": [[re, im], ...]}`` of each row of the (m, 2**k)
-    complex stack ``amps``, joined by commas. ``labels`` holds k ``Labels``
-    columns of m strings: column j names each row's axis j, and lends the
-    label texts it keeps. ``heads`` is empty, or a stream's three columns from
-    ``carrier_columns``: then row r is ``{"id", "band", "slot", "state"}``
-    with row r's state as its ``"state"``."""
+    complex stack ``amps``, joined by commas. ``labels`` holds k label
+    columns (``protocol.LabelColumn``) of m strings: column j names each
+    row's axis j, and lends the label texts it keeps. ``heads`` is empty, or
+    a stream's three columns (``protocol.CarrierStream.columns``): then row r
+    is ``{"id", "band", "slot", "state"}`` with row r's state as its
+    ``"state"``."""
     shaped = []
     for labels, amps, heads in stacks:
         # the (m, 2w) float view of the (m, w) stack: (re, im) per amplitude
@@ -245,15 +238,6 @@ def render_float_rows(rows) -> Rendered:
     return Rendered("[" + _fill(_float_layout(stack.shape[1]), columns, len(stack)) + "]")
 
 
-def carrier_columns(rows) -> tuple[tuple, tuple, tuple]:
-    """The id, band and slot columns, as canonical texts, of rows whose
-    first three items are (id, band, slot): string ids and bands, integer
-    slots."""
-    ids, bands, slots, *_ = zip(*rows) if len(rows) else ((), (), ())
-    return (tuple(map(_encode_str, ids)), tuple(map(_encode_str, bands)),
-            tuple(map("%d".__mod__, slots)))
-
-
 def render_records(keys: tuple, columns) -> Rendered:
     """Rendered ``[{keys[0]: columns[0][r], ...}, ...]``: ``columns`` holds
     one column of canonical texts per key."""
@@ -262,7 +246,7 @@ def render_records(keys: tuple, columns) -> Rendered:
 
 def render_carriers(columns) -> Rendered:
     """Rendered ``[{"id", "band", "slot"}, ...]`` of carrier rows, laid out
-    from their ``carrier_columns``."""
+    from a stream's id, band and slot texts (``protocol.CarrierStream.columns``)."""
     return render_records(_CARRIER_KEYS, columns)
 
 

@@ -26,9 +26,9 @@ import math
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,9 +123,7 @@ class MessageSpec(Frozen):
 _SHORT_BLOCK = 24
 
 
-def random_message_spec(
-    n: int, rng: np.random.Generator, generic_margin: float = 0.0
-) -> MessageSpec:
+def random_message_spec(n: int, rng: np.random.Generator, generic_margin: float) -> MessageSpec:
     """Sample n random qubit descriptions.
 
     With ``generic_margin`` > 0, resample any qubit whose Bloch vector comes
@@ -185,17 +183,21 @@ def random_message_spec(
 
 
 class Carrier(NamedTuple):
-    """Channel-level handle for one photon: band, slot, and the qubit it holds.
-
-    A plain immutable tuple, so a stream of them costs a tuple per carrier;
-    its first three items are the (id, band, slot) that ``jsonutil``
-    renders.
+    """Channel-level handle for one photon: the label of the qubit it holds
+    (its ``id``), its band and its time slot, the (id, band, slot) that
+    ``jsonutil`` renders. A plain immutable tuple, so a stream of them costs
+    a tuple per carrier.
     """
 
     id: str
     band: str
     time_slot: int
-    payload: str
+
+    @property
+    def payload(self) -> str:
+        """The label of the qubit the carrier holds, which is its ``id``;
+        kept for ``perfbench/replay.py``, which reads it."""
+        return self.id
 
     def meta(self) -> dict:
         return {"id": self.id, "band": self.band, "slot": self.time_slot}
@@ -237,7 +239,7 @@ class CarrierStream(tuple):
 
     def interleaved(self, labels: LabelColumn, band: str) -> CarrierStream:
         """This stream with one carrier after each of its own, in the same
-        slot: the i-th holds, and is named by, ``labels[i]`` and sits on
+        slot: the i-th holds the qubit ``labels[i]`` and sits on
         ``band``. Its ``parts`` are this stream and the stream of the new
         carriers. It is made once per (labels, band) and kept with this
         stream, like its other fields: a plan stream's serves every trial of
@@ -246,7 +248,7 @@ class CarrierStream(tuple):
         stream = self._interleavings.get(key)
         if stream is None:
             slots = self.slots.tolist()
-            second = CarrierStream(map(Carrier._make, zip(labels, repeat(band), slots, labels)))
+            second = CarrierStream(map(Carrier._make, zip(labels, repeat(band), slots)))
             stream = CarrierStream(chain.from_iterable(zip(self, second, strict=True)))
             stream._parts = (self, second)
             self._interleavings[key] = stream
@@ -254,8 +256,8 @@ class CarrierStream(tuple):
 
     @cached_property
     def labels(self) -> LabelColumn:
-        """Each carrier's payload label."""
-        return LabelColumn(map(itemgetter(3), self))
+        """Each carrier's id, the label of the qubit it holds."""
+        return LabelColumn(map(itemgetter(0), self))
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -275,8 +277,12 @@ class CarrierStream(tuple):
 
     @cached_property
     def columns(self) -> tuple[tuple, tuple, tuple]:
-        """The canonical id, band and slot columns that a payload digest reads."""
-        return jsonutil.carrier_columns(self)
+        """The canonical id, band and slot texts that a payload digest reads:
+        the ids are the label texts, and each distinct band is quoted once."""
+        bands = list(map(itemgetter(1), self))
+        quoted = {band: jsonutil._encode_str(band) for band in set(bands)}
+        return (self.labels.texts, tuple(map(quoted.__getitem__, bands)),
+                tuple(map("%d".__mod__, map(itemgetter(2), self))))
 
     @cached_property
     def rendered(self) -> jsonutil.Rendered:
@@ -284,23 +290,23 @@ class CarrierStream(tuple):
         return jsonutil.render_carriers(self.columns)
 
 
-def carriers_of(ids: Sequence[str], band: str, first_slot: int) -> CarrierStream:
+def carriers_of(ids: Iterable[str], band: str, first_slot: int) -> CarrierStream:
     """One carrier per id, in consecutive slots from ``first_slot``, each
     holding the qubit labeled with its id."""
-    slots = range(first_slot, first_slot + len(ids))
-    return CarrierStream(map(Carrier._make, zip(ids, repeat(band), slots, ids)))
+    return CarrierStream(map(Carrier._make, zip(ids, repeat(band), count(first_slot))))
 
 
 class SlotPlan(NamedTuple):
     """The labels and carrier streams that n alone fixes: every trial of n
-    shares them, and only the amplitudes and keys differ between trials."""
+    shares them, and only the amplitudes and keys differ between trials. A
+    stream's labels are its ``labels`` column: the b halves' are
+    ``halves.labels``."""
 
     alice: LabelColumn  # a_1..a_n, the signer's halves of the shared Bell pairs
-    bob: LabelColumn  # b_1..b_n, the verifier's halves
     teleport: LabelColumn  # t_1..t_n, the copies the signer Bell-measures
     probes: LabelColumn  # d1_1..d1_n, the Trojan probes
     keepers: LabelColumn  # d2_1..d2_n, the halves the Trojan attacker keeps
-    halves: CarrierStream  # the b halves, slots 0..n-1
+    halves: CarrierStream  # b_1..b_n, the verifier's halves, slots 0..n-1
     masked: CarrierStream  # p_i, slots 0..n-1
     signature: CarrierStream  # sa_i, slots n..2n-1
     verification: CarrierStream  # v, slot 2n
@@ -312,19 +318,19 @@ def slot_plan(n: int) -> SlotPlan:
     every trial of n. Only the last size's plan is kept: an ``aqsim run``
     batch, ``scripts/run_matrix.py`` and each benchmark workload run one n
     per process, and a trial asks only for its own n's plan. A plan holds
-    about 2.3 KB per qubit once its streams and label columns have been read
-    (9.3 MB at n=4,096)."""
+    about 1.8 KB per qubit once its streams and label columns have been read
+    (7.4 MB at n=4,096)."""
     if n < 0:
         raise ValueError("need n >= 0")
     ids = range(1, n + 1)
-    alice, bob, teleport, masked, signature, probes, keepers = (
-        LabelColumn(f"{tag}{i}" for i in ids)
-        for tag in ("a", "b", "t", "p", "sa", "d1_", "d2_"))
+    alice, teleport, probes, keepers = (
+        LabelColumn(f"{tag}{i}" for i in ids) for tag in ("a", "t", "d1_", "d2_"))
+    halves, masked, signature = (
+        carriers_of((f"{tag}{i}" for i in ids), BAND_SIGNAL, first)
+        for tag, first in (("b", 0), ("p", 0), ("sa", n)))
     return SlotPlan(
-        alice=alice, bob=bob, teleport=teleport, probes=probes, keepers=keepers,
-        halves=carriers_of(bob, BAND_SIGNAL, 0),
-        masked=carriers_of(masked, BAND_SIGNAL, 0),
-        signature=carriers_of(signature, BAND_SIGNAL, n),
+        alice=alice, teleport=teleport, probes=probes, keepers=keepers,
+        halves=halves, masked=masked, signature=signature,
         verification=carriers_of(("v",), BAND_SIGNAL, 2 * n),
     )
 
@@ -346,13 +352,18 @@ class _Family:
         self.columns = columns  # k LabelColumns, one per axis
 
 
-class LabelColumn(jsonutil.Labels):
+class LabelColumn(tuple):
     """A label column, the only kind the registry holds: a slot-plan column,
-    a stream's labels, or a column ``_new_family`` copied into one. Besides
-    the label texts it keeps its label set (``label_set``), worked out on
-    first read: None unless every label is a ``str``, the only label type
-    canonical text renders. ``_new_family`` checks every family by these
-    sets."""
+    a stream's labels, or a column ``_new_family`` copied into one. It keeps
+    the canonical text of each label (``texts``), which
+    ``jsonutil.render_states`` lays in, and its label set (``label_set``),
+    each worked out on first read. The set is None unless every label is a
+    ``str``, the only label type canonical text renders; ``_new_family``
+    checks every family by these sets."""
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(map(jsonutil._encode_str, self))
 
     @cached_property
     def label_set(self) -> frozenset | None:
@@ -748,8 +759,8 @@ def distribute_bell_pairs(n: int, registry: QuantumRegistry) -> tuple[tuple, tup
     if n < 1:
         raise ValueError("need n >= 1")
     plan = slot_plan(n)
-    registry.add_columns((plan.alice, plan.bob), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
-    return plan.alice, plan.bob
+    registry.add_columns((plan.alice, plan.halves.labels), np.tile(sv.BELL_PAIR_AMPS, (n, 1)))
+    return plan.alice, plan.halves.labels
 
 
 def alice_sign(

@@ -88,11 +88,11 @@ def test_bob_lies_run_is_inconclusive_with_clean_record():
 
 def _tiny_package():
     carriers = proto.CarrierStream(
-        proto.Carrier(id=f"p{i + 1}", band=BAND_SIGNAL, time_slot=i, payload=f"p{i + 1}")
+        proto.Carrier(id=f"p{i + 1}", band=BAND_SIGNAL, time_slot=i)
         for i in range(2)
     )
     sig = proto.CarrierStream(
-        proto.Carrier(id=f"sa{i + 1}", band=BAND_SIGNAL, time_slot=2 + i, payload=f"sa{i + 1}")
+        proto.Carrier(id=f"sa{i + 1}", band=BAND_SIGNAL, time_slot=2 + i)
         for i in range(2)
     )
     return proto.SignaturePackage(carriers, sig, (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS))

@@ -26,8 +26,10 @@ def test_curve_writes_one_line_per_trial_of_every_cell_from_a_process_per_n():
     assert [(r["n"], r["scenario"], tuple(r["defenses"]), r["trial"]) for r in rows] == [
         (n, s, tuple(d), t) for n in (1, 2) for s, d in cells for t in (0, 1)]
     for row in rows:
-        assert list(row) == ["scenario", "defenses", "n", "seed", "trial", "ms", "calibration_ms"]
+        assert list(row) == ["scenario", "defenses", "n", "seed", "trial", "ms", "calibration_ms",
+                             "peak_rss_MB"]
         assert row["seed"] == 3 and row["ms"] > 0 and row["calibration_ms"] > 0
+        assert row["peak_rss_MB"] > 0
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -19,12 +19,11 @@ PNS = DefenseConfig(pns=True)
 
 
 def signal(i, slot=None):
-    return Carrier(id=f"c{i}", band=BAND_SIGNAL, time_slot=slot if slot is not None else i,
-                   payload=f"c{i}")
+    return Carrier(id=f"c{i}", band=BAND_SIGNAL, time_slot=slot if slot is not None else i)
 
 
 def off_band(i, slot):
-    return Carrier(id=f"d{i}", band=BAND_OFF, time_slot=slot, payload=f"d{i}")
+    return Carrier(id=f"d{i}", band=BAND_OFF, time_slot=slot)
 
 
 def flagged_by(carriers, config):
@@ -67,11 +66,11 @@ def test_pns_also_catches_ipe_layout():
     # so the splitter flags one per slot even though the probe is off-band
     registry = QuantumRegistry()
     package_carriers = CarrierStream(
-        Carrier(id=f"p{i + 1}", band=BAND_SIGNAL, time_slot=i, payload=f"p{i + 1}")
+        Carrier(id=f"p{i + 1}", band=BAND_SIGNAL, time_slot=i)
         for i in range(3)
     )
     sig = CarrierStream(
-        Carrier(id=f"sa{i + 1}", band=BAND_SIGNAL, time_slot=3 + i, payload=f"sa{i + 1}")
+        Carrier(id=f"sa{i + 1}", band=BAND_SIGNAL, time_slot=3 + i)
         for i in range(3)
     )
     from aqsim.protocol import SignaturePackage
@@ -175,7 +174,7 @@ carrier_rows = st.lists(st.tuples(st.text(max_size=3),
 def test_the_column_screen_matches_the_per_carrier_oracle(rows, config, cuts):
     # random bands and repeated, out-of-order slots, under each device set;
     # the carriers go in as one stream, and cut into streams of one transmission
-    carriers = [Carrier(name, band, slot, name) for name, band, slot in rows]
+    carriers = [Carrier(name, band, slot) for name, band, slot in rows]
     expected = oracles.screen_carriers(carriers, config.wavelength_filter, config.pns)
     assert defense.screen(carriers, config).flagged == tuple(expected)
     bounds = [0, *sorted(min(cut, len(carriers)) for cut in cuts), len(carriers)]

@@ -129,9 +129,9 @@ def plain_state(labels, row) -> dict:
     return {"labels": list(labels), "amps": [[float(a.real), float(a.imag)] for a in row]}
 
 
-def columns_of(labels, k) -> list[jsonutil.Labels]:
+def columns_of(labels, k) -> list[proto.LabelColumn]:
     """The k label columns of rows of k labels (k empty columns for no rows)."""
-    return [jsonutil.Labels(row[j] for row in labels) for j in range(k)]
+    return [proto.LabelColumn(row[j] for row in labels) for j in range(k)]
 
 
 def listed(text: str) -> str:
@@ -167,7 +167,7 @@ def test_state_renderers_take_any_label():
     plain = [plain_state(row_labels, row) for row_labels, row in zip(labels, amps)]
     assert listed(render_one(columns_of(labels, 1), amps)) == canonical_oracle.canonical_json(plain)
     with pytest.raises(TypeError):
-        render_one([jsonutil.Labels((0, "q"))], amps)
+        render_one([proto.LabelColumn((0, "q"))], amps)
 
 
 # labels and carrier metadata with quotes, backslashes, %, control and
@@ -175,6 +175,12 @@ def test_state_renderers_take_any_label():
 ODD_TEXT = st.text(alphabet=st.sampled_from('"\\%é☃\U0001f600\n\tq0'), max_size=4)
 CARRIER_ROW = st.tuples(ODD_TEXT, ODD_TEXT, st.integers(-2 ** 40, 2 ** 40))
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+def stream_columns(rows) -> tuple:
+    """The id, band and slot texts of carrier rows (id, band, slot), as a
+    stream of them keeps them."""
+    return proto.CarrierStream(map(proto.Carrier._make, rows)).columns
 
 
 def carried(rows, states) -> list[dict]:
@@ -200,7 +206,7 @@ def test_the_column_renderer_matches_the_oracle(k, m, head, data):
         carriers = data.draw(st.lists(CARRIER_ROW, min_size=1, max_size=4))
         rows = [carriers[i] for i in rng.integers(len(carriers), size=m)]
         plain = carried(rows, plain)
-        heads = jsonutil.carrier_columns(rows)
+        heads = stream_columns(rows)
     text = render_one(columns_of(labels, k), amps, heads)
     assert listed(text) == canonical_oracle.canonical_json(plain)
 
@@ -231,7 +237,7 @@ def test_columns_of_two_widths_render_like_the_oracle(singles, pairs, head, data
         if head:
             carriers = tuple(data.draw(CARRIER_ROW) for _ in stream)
             plain = carried(carriers, plain)
-            heads = jsonutil.carrier_columns(carriers)
+            heads = stream_columns(carriers)
         stacks.append((*registry.stack(stream), heads))
         expected.append(canonical_oracle.canonical_json(plain))
     assert [*map(listed, jsonutil.render_states(stacks))] == expected
@@ -252,12 +258,12 @@ def test_float_rows_match_the_oracle(m, w, data):
 @given(st.lists(st.tuples(st.text(), st.text(), st.integers(-2 ** 40, 2 ** 40)), max_size=5))
 def test_carrier_rows_match_the_oracle(rows):
     plain = [{"id": i, "band": b, "slot": slot} for i, b, slot in rows]
-    rendered = jsonutil.render_carriers(jsonutil.carrier_columns(rows))
+    rendered = jsonutil.render_carriers(stream_columns(rows))
     assert rendered.text == canonical_oracle.canonical_json(plain)
     assert json.loads(rendered.text) == plain
     state = {"labels": ["q"], "amps": [[0.6, -0.0], [0.0, 0.8]]}
     amps = np.tile(np.array([0.6, -0.0, 0.0, 0.8]).view(np.complex128), (len(rows), 1))
-    text = render_one([jsonutil.Labels(("q",) * len(rows))], amps, jsonutil.carrier_columns(rows))
+    text = render_one([proto.LabelColumn(("q",) * len(rows))], amps, stream_columns(rows))
     assert listed(text) == canonical_oracle.canonical_json(carried(rows, [state] * len(rows)))
 
 
@@ -409,7 +415,7 @@ def test_renderers_reject_non_finite_floats_like_the_oracle(bad, column):
     with pytest.raises(ValueError):
         canonical_oracle.canonical_json(plain_state(("q",), amps[0]))
     with pytest.raises(ValueError, match="non-finite"):
-        render_one([jsonutil.Labels(("q",))], amps)
+        render_one([proto.LabelColumn(("q",))], amps)
     with pytest.raises(ValueError):
         canonical_oracle.canonical_json([row])
     with pytest.raises(ValueError, match="non-finite"):
@@ -489,8 +495,8 @@ def test_digests_and_send_rows_escape_ids_and_labels_like_the_oracle():
                          (ESCAPED[3:], [(0, 1)])):
         registry.add_columns([column], sv.qubit_rows(amps))
     masked = proto.carriers_of(ESCAPED[:2], 'band "é"', 0)
-    signature = proto.CarrierStream([proto.Carrier('s\\ig"☃', proto.BAND_SIGNAL, 2, ESCAPED[2])])
-    verdict = proto.CarrierStream([proto.Carrier("vé", proto.BAND_SIGNAL, 3, ESCAPED[3])])
+    signature = proto.CarrierStream([proto.Carrier(ESCAPED[2], proto.BAND_SIGNAL, 2)])
+    verdict = proto.CarrierStream([proto.Carrier(ESCAPED[3], proto.BAND_SIGNAL, 3)])
     for payload in (proto.CipherPayload(masked, signature),
                     proto.CipherPayload(masked, signature, verdict)):
         for _ in range(2):  # rendered, then read back from each stream
@@ -498,4 +504,4 @@ def test_digests_and_send_rows_escape_ids_and_labels_like_the_oracle():
             for stream in payload.streams():
                 expected = canonical_oracle.canonical_json([c.meta() for c in stream])
                 assert stream.rendered.text == expected
-                assert jsonutil.render_carriers(jsonutil.carrier_columns(stream)).text == expected
+                assert jsonutil.render_carriers(proto.CarrierStream(stream).columns).text == expected

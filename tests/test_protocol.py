@@ -457,8 +457,7 @@ def test_trent_verify_refuses_a_probe_and_leaves_the_registry_unchanged():
     run = _forwarded(n, 59)
     registry, payload = run.registry, run.payload
     decoys = adv.make_decoy_set(n, registry)
-    probe = proto.Carrier(id="d1_1", band=proto.BAND_SIGNAL, time_slot=0,
-                          payload=decoys.pairs[0][0])
+    probe = proto.Carrier(id=decoys.pairs[0][0], band=proto.BAND_SIGNAL, time_slot=0)
     swapped = proto.CipherPayload(masked=proto.CarrierStream((probe,) + payload.masked[1:]),
                                   signature=payload.signature)
     carriers = payload.masked + payload.signature + (probe,)
@@ -473,7 +472,7 @@ def test_trent_verify_refuses_a_probe_and_leaves_the_registry_unchanged():
 def test_trent_verify_refuses_a_payload_that_carries_a_verification_qubit():
     run = _forwarded(2, 61)
     payload, registry = run.payload, run.registry
-    extra = proto.CarrierStream([proto.Carrier("w", proto.BAND_SIGNAL, 4, "b1")])
+    extra = proto.CarrierStream([proto.Carrier("b1", proto.BAND_SIGNAL, 4)])
     carrying = proto.CipherPayload(payload.masked, payload.signature, extra)
     with pytest.raises(proto.ProtocolError):
         proto.trent_verify(carrying, run.signer_key, run.verifier_key, registry)
@@ -534,7 +533,7 @@ def test_the_arbiters_record_matches_the_oracle_for_unrelated_signature_rows():
 def test_a_payload_refuses_a_bare_carrier_or_items_that_are_not_carriers():
     run = _forwarded(2, 61)
     masked, signature = run.payload.masked, run.payload.signature
-    carrier = proto.Carrier("v", proto.BAND_SIGNAL, 4, "v")
+    carrier = proto.Carrier("v", proto.BAND_SIGNAL, 4)
     # only a CarrierStream is a stream: a plain tuple or list of carriers is refused too
     for bad in (carrier, ("v",), (carrier, "v"), (carrier,), [carrier]):
         with pytest.raises(TypeError):
@@ -548,8 +547,8 @@ def test_a_payload_refuses_a_bare_carrier_or_items_that_are_not_carriers():
 @pytest.mark.parametrize("items,kind", [
     (["v"], "str"),
     ([("x",)], "tuple"),
-    ([proto.Carrier("v", proto.BAND_SIGNAL, 4, "v"), None], "NoneType"),
-    (iter([("v", proto.BAND_SIGNAL, 4, "v")]), "tuple"),  # a Carrier's fields, not a Carrier
+    ([proto.Carrier("v", proto.BAND_SIGNAL, 4), None], "NoneType"),
+    (iter([("v", proto.BAND_SIGNAL, 4)]), "tuple"),  # a Carrier's fields, not a Carrier
 ])
 def test_a_carrier_stream_refuses_items_that_are_not_carriers(items, kind):
     # a stream of non-carriers would pass the packages' CarrierStream rule
@@ -788,7 +787,7 @@ def plan_lookups(n, token, monkeypatch):
     """Each stream that a trial of ``token`` at n hands the registry, in
     order, asserting that each is one whole column of the slot plan."""
     plan = proto.slot_plan(n)
-    columns = {plan.alice, plan.bob, plan.teleport, plan.probes, plan.keepers,
+    columns = {plan.alice, plan.halves.labels, plan.teleport, plan.probes, plan.keepers,
                plan.masked.labels, plan.signature.labels, plan.verification.labels}
     looked_up = []
     column = QuantumRegistry._column
@@ -864,8 +863,8 @@ def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
     assert p.columns == (plan.masked.labels,)
     assert p.columns[0] is plan.masked.labels is package.masked.labels
     assert sa.columns[0] is plan.signature.labels
-    assert b.columns[0] is plan.bob  # the residual of the pair family's b column
-    for stream in (plan.alice, plan.bob, plan.teleport, plan.probes, plan.keepers,
+    assert b.columns[0] is plan.halves.labels  # the residual of the pair family's b column
+    for stream in (plan.alice, plan.halves.labels, plan.teleport, plan.probes, plan.keepers,
                    plan.masked.labels, plan.signature.labels, plan.verification.labels):
         assert type(stream) is proto.LabelColumn
     decoys = adv.make_decoy_set(4, registry)
@@ -919,7 +918,7 @@ def test_mask_streams_resolves_every_part_before_it_masks_any():
     n = 2
     registry, streams, _, _, verifier_key = _signed(n, 68)
     assert any(verifier_key.bits[:2 * n])  # the key would change the p rows
-    ghost = proto.CarrierStream([proto.Carrier("ghost", proto.BAND_SIGNAL, 2, "ghost")])
+    ghost = proto.CarrierStream([proto.Carrier("ghost", proto.BAND_SIGNAL, 2)])
     before = registry.amps_of(streams.p).tobytes()
     with pytest.raises(sv.UnknownLabel):
         proto._mask_streams(registry, [proto.slot_plan(n).masked, ghost], verifier_key, False)
@@ -991,7 +990,7 @@ def test_the_plan_is_shared_and_read_only():
     assert proto.slot_plan(4) is plan
     assert plan.masked.labels == ("p1", "p2", "p3", "p4") and plan.teleport[-1] == "t4"
     assert plan.signature.slots.tolist() == [4, 5, 6, 7]
-    assert plan.verification == (proto.Carrier("v", proto.BAND_SIGNAL, 8, "v"),)
+    assert plan.verification == (proto.Carrier("v", proto.BAND_SIGNAL, 8),)
     for stream in (plan.halves, plan.masked, plan.signature, plan.verification):
         with pytest.raises(ValueError):
             stream.slots[0] = 9
@@ -1001,6 +1000,56 @@ def test_the_plan_is_shared_and_read_only():
     assert package.masked is plan.masked and package.signature is plan.signature
     with pytest.raises(TypeError):  # a copy of a stream is no stream
         proto.SignaturePackage(tuple(plan.masked), list(plan.signature), package.bell_results)
+
+
+def test_a_carrier_is_its_qubits_label_a_band_and_a_slot():
+    carrier = proto.Carrier("p1", proto.BAND_SIGNAL, 0)
+    assert proto.Carrier._fields == ("id", "band", "time_slot")
+    assert carrier.payload is carrier.id == "p1"
+    assert "bob" not in proto.SlotPlan._fields
+
+
+def test_every_stream_carriers_of_builds_quotes_each_label_and_band_once(monkeypatch):
+    # a stream's id texts are its label texts, and each band is one text
+    built, make = [], proto.carriers_of
+    monkeypatch.setattr(proto, "carriers_of", lambda *args: built.append(make(*args)) or built[-1])
+    proto.slot_plan.cache_clear()
+    for token in adv.SCENARIO_TOKENS:
+        for defenses in DEFENSE_GRID:
+            run_scenario(Scenario.from_token(token), 4, 7, 0, defenses)
+    plan = proto.slot_plan(4)
+    assert [*map(id, built)] == [*map(id, (plan.halves, plan.masked, plan.signature,
+                                           plan.verification))]
+    for stream in built + [plan.masked.interleaved(plan.probes, proto.BAND_OFF)]:
+        ids, bands, _ = stream.columns
+        assert ids is stream.labels.texts
+        assert stream.labels == tuple(carrier.id for carrier in stream)
+        assert len({*map(id, bands)}) == len({carrier.band for carrier in stream})
+
+
+@given(st.lists(st.tuples(st.text(), st.text(max_size=2), st.integers(-2 ** 40, 2 ** 40)),
+                max_size=12))
+def test_a_stream_holds_one_band_text_per_distinct_band(rows):
+    stream = proto.CarrierStream(map(proto.Carrier._make, rows))
+    ids, bands, slots = stream.columns
+    assert ids is stream.labels.texts
+    assert [ids, bands, slots] == ([tuple(map(canonical_json, column))
+                                    for column in zip(*rows)] or [(), (), ()])
+    texts = {}
+    for carrier, text in zip(stream, bands):
+        assert texts.setdefault(carrier.band, text) is text
+
+
+def test_the_verifiers_halves_are_one_column():
+    # the b column that distribute_bell_pairs registers, and that the Bell
+    # residual keeps, is the halves stream's label column
+    plan = proto.slot_plan(4)
+    registry, streams, _, kept, _ = _signed(4, 65)
+    assert streams.b is plan.halves.labels
+    pairs, axis = kept[plan.halves.labels]
+    assert pairs.columns[axis] is plan.halves.labels and pairs.columns[1 - axis] is plan.alice
+    residual, axis = registry._columns[plan.halves.labels]
+    assert residual.columns == (plan.halves.labels,) and residual.columns[axis] is streams.b
 
 
 def test_the_plan_cache_stays_within_its_bound():

@@ -49,7 +49,7 @@ def run_result(v):  # the keywords of scenarios.run_scenario and perfbench/repla
 
 def trial(v):  # run_scenario's positional form; the flow fills in the rest
     return scenarios.Trial(SCENARIO, STREAMS, TRANSCRIPT, REGISTRY, KEYS, SPEC,
-                           PLAN.bob[v:], KEYS.signer, proto.SignaturePackage(
+                           PLAN.halves.labels[v:], KEYS.signer, proto.SignaturePackage(
                                PLAN.masked, PLAN.signature, OUTCOMES), BOARD)
 
 

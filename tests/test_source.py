@@ -15,7 +15,6 @@ DEFAULTED = [
     ("cli.py", "main", "argv"),
     ("cli.py", "main", "env"),
     ("protocol.py", "alice_sign", "forced_pad"),
-    ("protocol.py", "random_message_spec", "generic_margin"),
     ("qotp.py", "mask_rows", "inverse"),
     ("scenarios.py", "run_scenario", "defenses"),
     ("scenarios.py", "run_scenario", "forced_pad"),
