@@ -340,7 +340,8 @@ class _Family:
     and k ``LabelColumn``s of m ``str`` labels: axis j of row r is qubit
     ``columns[j][r]``. The labels are checked once, by ``_new_family``, and
     the rows where they are made (``add_columns``, the kernel that made
-    rows for ``_add_checked_columns``, ``tensor_rows`` for a Bell merge).
+    rows for ``_add_checked_columns``, ``tensor_rows`` for a Bell merge,
+    ``bell_measure_rows`` for the residual of live columns).
     After that only ``sv._pauli_rows`` replaces them, keeping each row on
     the unit sphere bit for bit. Families compare and hash by identity.
     """
@@ -467,7 +468,9 @@ class QuantumRegistry:
             seen.add(label)
 
     def _register(self, columns: tuple, amps: np.ndarray) -> None:
-        """Add the checked family, and index each of its label columns."""
+        """Add the checked family, and index each of its label columns. A Bell
+        residual enters here directly: its columns were live until the
+        measurement dropped them."""
         family = _Family(amps, columns)
         for axis, column in enumerate(columns):
             self._columns[column] = (family, axis)
@@ -540,8 +543,8 @@ class QuantumRegistry:
         for column in columns:
             del self._columns[column]
         keep = tuple(column for j, column in enumerate(columns) if j not in (axis1, axis2))
-        if keep:  # bell_measure_rows checked the residual
-            self._add_checked_columns(keep, residual)
+        if keep:  # live until the del above, and bell_measure_rows checked the residual
+            self._register(keep, residual)
         return [sv.BELL_ORDER[r] for r in rows.tolist()], probs
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import store_layout
 from aqsim import adversary as adv
 from aqsim import protocol as proto
 from aqsim import qotp
@@ -307,10 +308,7 @@ def test_a_probe_picks_up_its_slots_pauli_through_its_own_part(inject, monkeypat
     assert package.masked.labels == tuple(chain.from_iterable(zip(masked.labels, plan.probes)))
     with pytest.raises(LabelMismatch):  # the joined stream is no column
         registry.stack(package.masked.labels)
-    looked_up = []
-    column = QuantumRegistry._column
-    monkeypatch.setattr(QuantumRegistry, "_column",
-                        lambda self, labels: looked_up.append(labels) or column(self, labels))
+    looked_up = store_layout.record_lookups(monkeypatch)
     payload = proto.bob_forward(package, keys.verifier, registry)
     assert looked_up == [plan.masked.labels, plan.probes, plan.signature.labels]
     _, captured = adv.intercept_decoys(payload, decoys)

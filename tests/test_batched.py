@@ -4,6 +4,18 @@ Each kernel must give, row for row, exactly the amplitudes (bit for bit)
 that the scalar ``statevector`` function gives on that row alone, and
 agree with the brute-force matrices of ``oracles``. A corrupted row must
 still trip the norm and finiteness invariant.
+
+The state store, ``QuantumRegistry``, is tested through its public calls
+(``add_columns``, ``amps_of``, ``stack``, ``apply_paulis``, ``bell_measure_many``,
+``state_of``, ``sequence``), against its contract:
+- a stream is one whole live column, or the call raises its named error
+  (``UnknownLabel`` if a label is not live, else ``LabelMismatch``) before
+  any row is written or any draw is made;
+- a Bell measurement drops the two columns it measured and keeps the rest;
+- each refusal has its class and exact message, and leaves the registry as
+  it was: each live family reads as before, and no refused label is live;
+- the renders' bytes do not change.
+Only ``store_layout`` reads the store's layout, for what no public call does.
 """
 import math
 import re
@@ -17,6 +29,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import oracles
+import store_layout
 from aqsim import statevector as sv
 from aqsim.jsonutil import canonical_json, render_states
 from aqsim.protocol import LabelColumn, QuantumRegistry
@@ -368,37 +381,27 @@ def test_check_rows_gives_stacks_outside_the_fused_pass_the_exact_check():
 # --- each row is checked where it enters the registry ----------------------------
 
 
-def family_row(registry, label):
-    """The family that holds ``label``, and the label's row in it."""
-    for column, (family, _) in registry._columns.items():
-        if label in column:
-            return family, column.index(label)
-    raise KeyError(label)
-
-
-def corrupt_in_place(registry, label, how):
-    """Corrupt the row that holds ``label``, as a fault in the store would,
-    after the registry checked it."""
-    family, row = family_row(registry, label)
-    if how == "huge":
-        family.amps[row] *= 1e200
-    else:
-        family.amps[row:row + 1] = corrupted(family.amps[row:row + 1], 0, how)
+def family_reads(registry, streams) -> list:
+    """Each stream's family as ``stack`` hands it to the renderer: its label
+    columns and its rows' bytes. Equal reads before and after a call show
+    that the call left those families as they were."""
+    return [(columns, rows.tobytes()) for columns, rows in map(registry.stack, streams)]
 
 
 @pytest.mark.parametrize("how", ["nan", "scaled"])
 def test_a_corrupted_row_cannot_enter_the_registry(how):
-    registry = uniform_streams()
-    before = kept_state(registry)
+    registry, streams = uniform_streams(), [("m", "n"), ("a1", "a2")]
+    before = family_reads(registry, streams)
     with pytest.raises(sv.StateError):
         registry.add_columns([("x1", "x2")], corrupted(sv.qubit_rows([(1, 0)] * 2), 1, how))
-    assert kept_state(registry) == before
+    assert family_reads(registry, streams) == before
     # a Bell measurement across two families tensors their rows; the merged
     # rows are checked before anything is measured or removed
-    corrupt_in_place(registry, "n", how)
+    store_layout.corrupt_row(registry, "n", how)
+    before = family_reads(registry, streams)
     with pytest.raises(sv.StateError):
         registry.bell_measure_many(["m", "n"], ["a1", "a2"], np.random.default_rng(5))
-    assert kept_state(registry) == before
+    assert family_reads(registry, streams) == before
 
 
 @pytest.mark.parametrize("how,error", [("nan", sv.DegenerateState), ("huge", sv.NotNormalized),
@@ -407,8 +410,8 @@ def test_a_bell_residual_enters_the_registry_checked(how, error):
     registry = QuantumRegistry()
     groups = np.kron(sv.qubit_rows([(0.6, 0.8j), (0.8, -0.6)]), sv.BELL_PAIR_AMPS[None, :])
     registry.add_columns([("t1", "t2"), ("a1", "a2"), ("b1", "b2")], groups)
-    corrupt_in_place(registry, "t2", how)
-    before = kept_state(registry)
+    store_layout.corrupt_row(registry, "t2", how)
+    before = family_reads(registry, [("t1", "t2")])
     with np.errstate(over="ignore", invalid="ignore"):
         if error is None:
             # a scaled row's residual is renormalized by its branch probability
@@ -417,7 +420,7 @@ def test_a_bell_residual_enters_the_registry_checked(how, error):
         else:
             with pytest.raises(error):
                 registry.bell_measure_many(["t1", "t2"], ["a1", "a2"], np.random.default_rng(5))
-            assert kept_state(registry) == before
+            assert family_reads(registry, [("t1", "t2")]) == before
 
 
 @given(st.data())
@@ -442,8 +445,8 @@ def test_paulis_keep_registry_rows_as_the_scalar_reference_does(data):
                                                      PauliBits(xi, zi))
     for name, state in groups.items():
         assert same_bits(registry.state_of(name[0]).amps, state.amps)
-    for family in {id(f): f for f, _ in registry._columns.values()}.values():
-        sv.check_rows(family.amps)
+    for column in columns:
+        sv.check_rows(registry.amps_of(column))
 
 
 # --- a batched registry call is its one-pair calls in turn --------------------
@@ -702,24 +705,25 @@ class Tag(str):
 ])
 def test_the_label_set_cache_keeps_each_refusals_class_and_message(columns, live, error,
                                                                    message):
-    # each refusal reads the same whether the columns are plain tuples, lists,
-    # or ``LabelColumn`` whose label sets are already worked out, as a plan's
-    # are, beside live columns of any kind (every column is registered as a
-    # ``LabelColumn``, and every family is checked by its label sets)
+    # each refusal reads the same whether the columns are plain tuples, lists
+    # or ``LabelColumn``s, beside live columns of any kind, and reads the same
+    # again when the same columns come a second time, with whatever the first
+    # refusal worked out of them kept, as a plan's columns keep it
     for kind, live_kind in ((tuple, tuple), (LabelColumn, LabelColumn), (LabelColumn, tuple),
                             (list, list)):
         registry = QuantumRegistry()
         for column in live:
             registry.add_columns([live_kind(column)], sv.qubit_rows([(1, 0)] * len(column)))
+        before = family_reads(registry, live)
         cached = [kind(column) for column in columns]
-        for column in cached:
-            if kind is LabelColumn:
-                column.label_set  # worked out before the refusal
         amps = sv.qubit_rows([(1, 0)] * len(columns[0])) if len(columns) == 1 else pairs_of(
             columns[0])
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            registry.add_columns(cached, amps)
-        assert set(registry._columns) == {*live}
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                registry.add_columns(cached, amps)
+        assert family_reads(registry, live) == before
+        with pytest.raises(sv.UnknownLabel):
+            registry.state_of(columns[0][0])
 
 
 def test_a_column_a_bell_measurement_dropped_registers_again():
@@ -731,31 +735,19 @@ def test_a_column_a_bell_measurement_dropped_registers_again():
     registry.add_columns((a, b), pairs_of(a))
     registry.add_columns((t,), sv.qubit_rows([(0.6, 0.8j), (1, 0)]))
     registry.bell_measure_many(t, a, np.random.default_rng(3))
-    assert set(registry._columns) == {b}
+    for column in (t, a):
+        with pytest.raises(sv.UnknownLabel):
+            registry.stack(column)
+    assert registry.stack(b)[0] == (b,)
     registry.add_columns((t,), sv.qubit_rows([(1, 0)] * 2))
     registry.add_columns((a,), sv.qubit_rows([(1, 0)] * 2))
-    assert set(registry._columns) == {a, b, t}
+    assert [registry.stack(column)[0] for column in (a, b, t)] == [(a,), (b,), (t,)]
     for column, label in ((t, "t1"), (b, "b1")):
         with pytest.raises(sv.LabelCollision, match=f"^label '{label}' already registered$"):
             registry.add_columns((column,), sv.qubit_rows([(1, 0)] * 2))
 
 
 # --- the column index -------------------------------------------------------------
-
-
-def live_labels(registry):
-    """The live labels: those of the indexed columns."""
-    return set().union(*registry._columns)
-
-
-def kept_state(registry):
-    """Each indexed column, its family (by identity) and its axis."""
-    return {column: (id(family), axis) for column, (family, axis) in registry._columns.items()}
-
-
-def snapshot(registry):
-    """Every live family's rows, as bytes, by the family's identity."""
-    return {id(family): family.amps.tobytes() for family, _ in registry._columns.values()}
 
 
 @pytest.mark.parametrize("columns,amps,error", [
@@ -767,14 +759,11 @@ def test_a_failed_add_columns_leaves_the_registry_as_it_was(columns, amps, error
     # a collision in the last row, a label that is not a str, columns of two lengths
     registry = uniform_streams()
     streams = [("m", "n"), ("a1", "a2"), ("b1", "b2")]
-    reads = [registry.amps_of(stream) for stream in streams]
-    before = kept_state(registry)
-    assert set(before) == set(streams)  # each family's columns, indexed when it was added
+    before = family_reads(registry, streams)
+    assert [read[0] for read in before] == [(streams[0],), tuple(streams[1:]), tuple(streams[1:])]
     with pytest.raises(error):
         registry.add_columns(columns, amps)
-    assert kept_state(registry) == before
-    for stream, read in zip(streams, reads):
-        assert same_bits(registry.amps_of(stream), read)
+    assert family_reads(registry, streams) == before
     with pytest.raises(sv.UnknownLabel):
         registry.state_of("x1")
 
@@ -813,7 +802,8 @@ def test_a_label_stream_refuses_a_label_that_is_not_a_str_or_repeats(labels, err
     amps = sv.qubit_rows([(1, 0)] * len(labels))
     with pytest.raises(error):
         registry.add_columns((labels,), amps)
-    assert registry._columns == {}
+    with pytest.raises(sv.UnknownLabel):
+        registry.state_of("a")
 
 
 def pairs_of(rows):
@@ -831,12 +821,14 @@ def pairs_of(rows):
 @pytest.mark.parametrize("kind", ["columns", "checked"])
 def test_a_repeated_or_live_label_is_refused_by_rows_and_columns_alike(rows, error, kind):
     # the public call and the one the flow uses for rows a kernel has checked
-    registry = uniform_streams()
-    before = kept_state(registry)
-    add = registry.add_columns if kind == "columns" else registry._add_checked_columns
+    registry, streams = uniform_streams(), [("m", "n"), ("a1", "a2")]
+    before = family_reads(registry, streams)
+    add = QuantumRegistry.add_columns if kind == "columns" else store_layout.add_checked
     with pytest.raises(error):
-        add(list(zip(*rows)), pairs_of(rows))
-    assert kept_state(registry) == before
+        add(registry, list(zip(*rows)), pairs_of(rows))
+    assert family_reads(registry, streams) == before
+    with pytest.raises(sv.UnknownLabel):
+        registry.state_of("x")
 
 
 @pytest.mark.parametrize("fresh,columns,match", [
@@ -857,18 +849,16 @@ def test_a_registered_family_keeps_its_label_streams_as_its_columns():
     registry = QuantumRegistry()
     probes, keepers = ("d1", "d2"), ("k1", "k2")
     registry.add_columns((probes, keepers), pairs_of(probes))
-    family, axis = registry._columns[probes]
-    assert axis == 0 and registry._columns[keepers] == (family, 1)
-    assert family.columns == (probes, keepers)
-    assert all(type(column) is LabelColumn for column in family.columns)
+    # one family, the probes on axis 0 and the keepers on axis 1
+    assert registry.stack(probes)[0] == registry.stack(keepers)[0] == (probes, keepers)
     assert registry.state_of("k2").labels == ("d2", "k2")
     assert [state.labels for state in registry.sequence(keepers)] == [("d1", "k1"), ("d2", "k2")]
     with pytest.raises(sv.LabelCollision):
         registry.add_columns((("k3", "k1"),), sv.qubit_rows([(1, 0)] * 2))
     # a column that is not a ``LabelColumn`` is copied into one
     registry.add_columns((["s1", "s2"],), sv.qubit_rows([(1, 0)] * 2))
-    family, _ = registry._columns["s1", "s2"]
-    assert type(family.columns[0]) is LabelColumn and family.columns[0] == ("s1", "s2")
+    (column,), _ = registry.stack(("s1", "s2"))
+    assert type(column) is LabelColumn and column == ("s1", "s2")
 
 
 def test_a_family_registers_every_kind_of_column_as_a_label_column():
@@ -878,12 +868,13 @@ def test_a_family_registers_every_kind_of_column_as_a_label_column():
     given = (("x1", "x2"), ["y1", "y2"], LabelColumn(("z1", "z2")))
     registry = QuantumRegistry()
     registry.add_columns(given, np.eye(2, 8, dtype=complex))  # |000>, |001>
-    family, _ = registry._column(given[0])
-    assert family.columns[2] is given[2]
+    columns, rows = registry.stack(given[0])
+    assert columns[2] is given[2]
     for axis, column in enumerate(given):
-        assert type(family.columns[axis]) is LabelColumn and family.columns[axis] == tuple(column)
-        assert registry._column(tuple(column)) == (family, axis)
-        assert registry._column(list(column)) == (family, axis)
+        assert type(columns[axis]) is LabelColumn and columns[axis] == tuple(column)
+        for stream in (tuple(column), list(column)):
+            assert registry.stack(stream)[0] == columns
+            assert registry.amps_of(stream).tobytes() == rows.tobytes()
 
 
 # --- the column index against a scalar model ----------------------------------------
@@ -907,6 +898,7 @@ class RegistryModel(RuleBasedStateMachine):
         self.group = {}  # live label -> the model state of its group
         self.columns = {}  # each live column, in the order it was added
         self.measured = set()  # the labels measured since the last check
+        self.dropped = set()  # the columns measured since the last check
         self.families = 0
 
     def _add(self, columns, states):
@@ -929,10 +921,12 @@ class RegistryModel(RuleBasedStateMachine):
     @rule(data=st.data())
     def add_a_live_label_again(self, data):
         column = ("fresh", data.draw(st.sampled_from(sorted(self.group))))
-        before = dict(self.registry._columns)
+        before = family_reads(self.registry, self.columns)
         with pytest.raises(sv.LabelCollision):
             self.registry.add_columns((column,), sv.qubit_rows([(1, 0)] * 2))
-        assert self.registry._columns == before
+        assert family_reads(self.registry, self.columns) == before
+        with pytest.raises(sv.UnknownLabel):
+            self.registry.state_of("fresh")
 
     @precondition(lambda self: self.columns)
     @rule(data=st.data(), seed=SEEDS)
@@ -966,6 +960,7 @@ class RegistryModel(RuleBasedStateMachine):
                 del self.group[label]
             self.measured.update((label1, label2))
         assert outcomes == expected
+        self.dropped.update((labels1, labels2))
         self.columns = {c: None for c in self.columns if c[0] in self.group}
         if residuals[0].labels:
             self._add(list(zip(*(residual.labels for residual in residuals))), residuals)
@@ -989,7 +984,7 @@ class RegistryModel(RuleBasedStateMachine):
         error = sv.UnknownLabel if {*stream} - self.group.keys() else sv.LabelMismatch
         x, z = np.random.default_rng(seed).integers(0, 2, (2, len(stream)))
         partner = next((c for c in columns if len(c) == len(stream)), stream)
-        rows = snapshot(self.registry)
+        rows = family_reads(self.registry, self.columns)
         rng = np.random.default_rng(seed)
         state = rng.bit_generator.state
         for call in (lambda: self.registry.apply_paulis(stream, x, z),
@@ -1000,7 +995,7 @@ class RegistryModel(RuleBasedStateMachine):
             with pytest.raises(error):
                 call()
         assert rng.bit_generator.state == state
-        assert snapshot(self.registry) == rows
+        assert family_reads(self.registry, self.columns) == rows
 
     @precondition(lambda self: self.columns)
     @rule(data=st.data())
@@ -1014,10 +1009,15 @@ class RegistryModel(RuleBasedStateMachine):
 
     @invariant()
     def the_columns_index_each_live_label_once(self):
-        columns = list(self.registry._columns)
-        assert set(columns) == set(self.columns)
-        assert live_labels(self.registry) == self.group.keys()
-        assert sum(map(len, columns)) == len(self.group)
+        # each live column sits in a family of live columns only, and each
+        # column a Bell measurement dropped reads no more
+        for column in self.columns:
+            family = self.registry.stack(column)[0]
+            assert column in family and self.columns.keys() >= set(family)
+        for column in self.dropped:
+            with pytest.raises(sv.UnknownLabel):
+                self.registry.stack(column)
+        self.dropped.clear()
 
     @invariant()
     def reads_match_the_model(self):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import canonical_oracle
 import oracles
+import store_layout
 from aqsim import adversary as adv
 from aqsim import protocol as proto
 from aqsim import qotp, scenarios
@@ -59,14 +60,7 @@ class BranchRng:
         return np.full(size, self.u)
 
 
-def manual_run(
-    spec,
-    signer_bits,
-    verifier_bits,
-    rng=None,
-    forced_pad=None,
-    tamper_results=None,
-):
+def manual_run(spec, signer_bits, verifier_bits, rng=None, forced_pad=None, tamper_results=None):
     """Drive the raw protocol steps with explicit keys, no scenario layer."""
     n = spec.n
     registry = QuantumRegistry()
@@ -84,19 +78,9 @@ def manual_run(
     report = proto.bob_verify_and_compare(
         returned, package.bell_results, bob_labels, verifier_key, registry
     )
-    return SimpleNamespace(
-        registry=registry,
-        package=package,
-        payload=payload,
-        returned=returned,
-        record=record,
-        report=report,
-        pad=pad,
-        private=private,
-        signer_key=signer_key,
-        verifier_key=verifier_key,
-        bob_labels=bob_labels,
-    )
+    return SimpleNamespace(registry=registry, package=package, payload=payload, returned=returned,
+                           record=record, report=report, pad=pad, private=private,
+                           signer_key=signer_key, verifier_key=verifier_key, bob_labels=bob_labels)
 
 
 def honest_keys(n, seed=0):
@@ -397,16 +381,11 @@ def test_trent_verify_flags_wrong_signer_binding():
 
 
 def _forwarded(n, seed):
-    """A signed and forwarded run, stopped before the arbiter."""
-    signer_bits, verifier_bits = honest_keys(n, seed=seed)
-    run = SimpleNamespace(registry=QuantumRegistry(),
-                          signer_key=KeyBits(signer_bits, qotp.ROLE_SIGNER),
-                          verifier_key=KeyBits(verifier_bits, qotp.ROLE_VERIFIER))
-    alice_labels, _ = proto.distribute_bell_pairs(n, run.registry)
-    package, _, _ = proto.alice_sign(generic_spec(n, seed), run.signer_key,
-                                     np.random.default_rng(seed), run.registry, alice_labels)
-    run.payload = proto.bob_forward(package, run.verifier_key, run.registry)
-    return run
+    """A signed (``_signed``) and forwarded run, stopped before the arbiter."""
+    registry, _, package, _, verifier_key = _signed(n, seed)
+    return SimpleNamespace(registry=registry, verifier_key=verifier_key,
+                           signer_key=KeyBits(honest_keys(n, seed=seed)[0], qotp.ROLE_SIGNER),
+                           payload=proto.bob_forward(package, verifier_key, registry))
 
 
 def _stream_rows(registry, package):
@@ -435,15 +414,21 @@ def _carrier_bytes(registry, carriers):
 
 
 def test_trent_verify_writes_only_the_verification_qubit():
+    # p, sa and b read as they arrived, each a family of its own, as is v,
+    # the one new column; t and a stay measured
     n = 3
-    run = _forwarded(n, 53)
+    run, plan = _forwarded(n, 53), proto.slot_plan(n)
     registry, verifier_key = run.registry, run.verifier_key
-    carriers = run.payload.masked + run.payload.signature
-    before, labels = _carrier_bytes(registry, carriers), set().union(*registry._columns)
+    carriers = run.payload.masked + run.payload.signature + plan.halves
+    before = _carrier_bytes(registry, carriers)
     returned, record = proto.trent_verify(run.payload, run.signer_key, verifier_key, registry)
     assert record.verified == 1
     assert _carrier_bytes(registry, carriers) == before
-    assert "v" not in labels and set().union(*registry._columns) == labels | {"v"}
+    streams = (plan.masked, plan.signature, plan.halves, plan.verification)
+    assert [registry.stack(s.labels)[0] for s in streams] == [(s.labels,) for s in streams]
+    for gone in ("t1", "a1"):
+        with pytest.raises(sv.UnknownLabel):
+            registry.state_of(gone)
     assert returned.verdict_carrier.time_slot == 2 * n
     x, z = verifier_key.bits[4 * n], verifier_key.bits[4 * n + 1]
     expected = sv.apply_pauli(sv.make_qubit(0, 1, "v"), "v", PauliBits(x, z))
@@ -486,7 +471,8 @@ def test_trent_verify_refuses_an_empty_payload_before_it_reads_the_registry():
     empty = proto.CipherPayload(proto.CarrierStream(), proto.CarrierStream())
     with pytest.raises(proto.ProtocolError, match="empty payload"):
         proto.trent_verify(empty, keys.signer, keys.verifier, registry)
-    assert registry._columns == {}
+    with pytest.raises(sv.UnknownLabel):  # v, the one qubit the arbiter registers
+        registry.state_of("v")
 
 
 def test_the_arbiters_record_matches_the_oracle_for_unrelated_signature_rows():
@@ -789,10 +775,7 @@ def plan_lookups(n, token, monkeypatch):
     plan = proto.slot_plan(n)
     columns = {plan.alice, plan.halves.labels, plan.teleport, plan.probes, plan.keepers,
                plan.masked.labels, plan.signature.labels, plan.verification.labels}
-    looked_up = []
-    column = QuantumRegistry._column
-    monkeypatch.setattr(QuantumRegistry, "_column",
-                        lambda self, labels: looked_up.append(tuple(labels)) or column(self, labels))
+    looked_up = store_layout.record_lookups(monkeypatch)
     run_scenario(Scenario.from_token(token), n, 7, 0)
     assert looked_up and set(looked_up) <= columns
     return looked_up
@@ -829,11 +812,13 @@ def test_an_honest_trial_checks_rows_11_times(n, monkeypatch):
 
 
 def _signed(n, seed):
-    """A signed run: the registry, the carrier label streams and the package."""
+    """A signed run: the registry, the carrier label streams, the package,
+    the label columns of the pair family as read before signing, and the
+    verifier key."""
     signer_bits, verifier_bits = honest_keys(n, seed=seed)
     registry = QuantumRegistry()
     alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
-    kept = dict(registry._columns)
+    kept, _ = registry.stack(bob_labels)
     package, _, _ = proto.alice_sign(generic_spec(n, seed), KeyBits(signer_bits, qotp.ROLE_SIGNER),
                                      np.random.default_rng(seed), registry, alice_labels)
     streams = SimpleNamespace(a=alice_labels, b=bob_labels, **{
@@ -843,14 +828,16 @@ def _signed(n, seed):
 
 def test_bell_measure_many_drops_only_the_streams_of_the_families_it_measured():
     registry, streams, package, kept, _ = _signed(4, 61)
-    assert set(kept) == {streams.a, streams.b}  # indexed when the pairs were added
+    assert kept == (streams.a, streams.b)  # one family when the pairs were added
     # the teleport and pair families were measured; p and sa stay as alice_sign
-    # indexed them, and the b halves were indexed again in the residual family
-    assert set(registry._columns) == {streams.p, streams.sa, streams.b}
+    # registered them, and the b halves stay alone in the residual family
+    for gone in (streams.t, streams.a):
+        with pytest.raises(sv.UnknownLabel):
+            registry.stack(gone)
+    for stream in (streams.p, streams.sa, streams.b):
+        assert registry.stack(stream)[0] == (stream,)
     assert package.masked.labels == streams.p
     assert package.signature.labels == streams.sa
-    family, axis = registry._columns[streams.b]
-    assert family is not kept[streams.b][0] and (family.columns, axis) == ((streams.b,), 0)
 
 
 def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
@@ -859,14 +846,11 @@ def test_the_registry_keeps_the_plans_label_streams_as_its_columns():
     # with no per-trial copy
     registry, streams, package, _, _ = _signed(4, 64)
     plan = proto.slot_plan(4)
-    p, sa, b = (registry._columns[s][0] for s in (streams.p, streams.sa, streams.b))
-    assert p.columns == (plan.masked.labels,)
-    assert p.columns[0] is plan.masked.labels is package.masked.labels
-    assert sa.columns[0] is plan.signature.labels
-    assert b.columns[0] is plan.halves.labels  # the residual of the pair family's b column
-    for stream in (plan.alice, plan.halves.labels, plan.teleport, plan.probes, plan.keepers,
-                   plan.masked.labels, plan.signature.labels, plan.verification.labels):
-        assert type(stream) is proto.LabelColumn
+    p, sa, b = (registry.stack(s)[0] for s in (streams.p, streams.sa, streams.b))
+    assert p == (plan.masked.labels,)
+    assert p[0] is plan.masked.labels is package.masked.labels
+    assert sa[0] is plan.signature.labels
+    assert b[0] is plan.halves.labels  # the residual of the pair family's b column
     decoys = adv.make_decoy_set(4, registry)
     assert decoys.probes is plan.probes and decoys.keepers is plan.keepers
     assert decoys.pairs == tuple(zip(plan.probes, plan.keepers))
@@ -916,12 +900,13 @@ def test_mask_streams_resolves_every_part_before_it_masks_any():
     # a carrier that names no live qubit, in a later stream of one
     # transmission, raises before the p rows are masked
     n = 2
-    registry, streams, _, _, verifier_key = _signed(n, 68)
+    registry, streams, package, _, verifier_key = _signed(n, 68)
     assert any(verifier_key.bits[:2 * n])  # the key would change the p rows
     ghost = proto.CarrierStream([proto.Carrier("ghost", proto.BAND_SIGNAL, 2)])
     before = registry.amps_of(streams.p).tobytes()
     with pytest.raises(sv.UnknownLabel):
-        proto._mask_streams(registry, [proto.slot_plan(n).masked, ghost], verifier_key, False)
+        proto.bob_forward(proto.SignaturePackage(package.masked, ghost, package.bell_results[:1]),
+                          verifier_key, registry)
     assert registry.amps_of(streams.p).tobytes() == before
 
 
@@ -1040,16 +1025,30 @@ def test_a_stream_holds_one_band_text_per_distinct_band(rows):
         assert texts.setdefault(carrier.band, text) is text
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_the_plans_columns_are_disjoint(n):
+    # no two of the plan's eight label columns share a label, and no column
+    # repeats one, so no stream of the flow meets a label refusal of the
+    # store; the Trojan masked stream's second part is the probe column
+    plan = proto.slot_plan(n)
+    columns = (plan.alice, plan.teleport, plan.probes, plan.keepers, plan.halves.labels,
+               plan.masked.labels, plan.signature.labels, plan.verification.labels)
+    assert all(type(column) is proto.LabelColumn for column in columns)
+    labels = [label for column in columns for label in column]
+    assert {*map(type, labels)} == {str} and len(set(labels)) == len(labels) == 7 * n + 1
+    for band in (proto.BAND_SIGNAL, proto.BAND_OFF):
+        assert plan.masked.interleaved(plan.probes, band).parts[1].labels == plan.probes
+
+
 def test_the_verifiers_halves_are_one_column():
     # the b column that distribute_bell_pairs registers, and that the Bell
     # residual keeps, is the halves stream's label column
     plan = proto.slot_plan(4)
     registry, streams, _, kept, _ = _signed(4, 65)
     assert streams.b is plan.halves.labels
-    pairs, axis = kept[plan.halves.labels]
-    assert pairs.columns[axis] is plan.halves.labels and pairs.columns[1 - axis] is plan.alice
-    residual, axis = registry._columns[plan.halves.labels]
-    assert residual.columns == (plan.halves.labels,) and residual.columns[axis] is streams.b
+    assert kept[0] is plan.alice and kept[1] is plan.halves.labels
+    residual, _ = registry.stack(plan.halves.labels)
+    assert residual == (plan.halves.labels,) and residual[0] is streams.b
 
 
 def test_the_plan_cache_stays_within_its_bound():

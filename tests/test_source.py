@@ -1,10 +1,12 @@
-"""Source-level checks on ``src/aqsim``: which parameters take a default."""
+"""Source-level checks: which parameters in ``src/aqsim`` take a default,
+and which modules in ``tests/`` name the state store's layout."""
 import ast
 from pathlib import Path
 
 import aqsim
 
 SRC = Path(aqsim.__file__).parent
+TESTS = Path(__file__).parent
 
 # (module, function, parameter) of every parameter in src/aqsim with a
 # default, sorted. A default is one more way to call the code, so a new one
@@ -43,3 +45,35 @@ def defaulted_parameters() -> list[tuple[str, str, str]]:
 
 def test_src_has_only_the_listed_defaults():
     assert defaulted_parameters() == DEFAULTED
+
+
+# The private members of ``protocol.QuantumRegistry``'s layout. Only
+# ``store_layout.py`` names them, so a change of the store's shape edits
+# ``protocol.py`` and that module alone. The record-class inventory of
+# ``test_records.py`` names ``_Family``, the one record class of the layout,
+# and this module names them all, here.
+STORE_LAYOUT = frozenset({"_columns", "_column", "_Family", "_add_checked_columns",
+                          "_new_family", "_refusal", "_register", "_mask_streams"})
+LAYOUT_READERS = {"store_layout.py": STORE_LAYOUT, "test_records.py": {"_Family"},
+                  "test_source.py": STORE_LAYOUT}
+
+
+def layout_names(tests: Path) -> list[tuple[str, int, str]]:
+    """Each (module, line, name) in ``tests`` where a module names a member
+    of ``STORE_LAYOUT`` that ``LAYOUT_READERS`` does not give it: as an
+    attribute, a name, an import or a string (``monkeypatch.setattr``'s)."""
+    found = []
+    for path in sorted(tests.glob("*.py")):
+        allowed = LAYOUT_READERS.get(path.name, frozenset())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if name in STORE_LAYOUT - allowed:
+                found.append((path.name, node.lineno, name))
+    return sorted(found)
+
+
+def test_only_the_layout_module_names_the_stores_private_members():
+    assert layout_names(TESTS) == []
