@@ -19,10 +19,9 @@ is the process's peak resident set (``ru_maxrss``) when the line is
 written, in MB as the benchmark reports it: it grows with n, as the slot
 plan does. The curve is a report, not a gate.
 
-Each cell's config is built by ``cli.parse_config``, so a bad value or an
-unknown option ends like it does for ``aqsim run``: exit 1 with one
-``aqsim: error:`` line, written by ``cli.fail``; an interrupt ends in exit 1
-with ``aqsim: interrupted``.
+Each cell's config is built by ``cli.parse_config`` and the curve runs
+through ``cli.run_entry``, so it ends in the exit codes and one-line
+failures of README's "Exit codes" paragraph.
 """
 import argparse
 import json
@@ -33,7 +32,7 @@ import time
 from pathlib import Path
 
 from aqsim.adversary import SCENARIO_TOKENS, Scenario
-from aqsim.cli import HelpShown, Parser, UsageError, fail, parse_config
+from aqsim.cli import Parser, batch_of, parse_config, run_entry
 from aqsim.defense import DEFENSE_GRID
 from aqsim.scenarios import run_scenario
 
@@ -44,10 +43,7 @@ NS = "1,8,64,256,1024,4096"
 
 
 def main(argv=None) -> int:
-    try:
-        return _curve(sys.argv[1:] if argv is None else argv)
-    except KeyboardInterrupt:
-        return fail("interrupted", 1)
+    return run_entry(_curve, argv)
 
 
 def _curve(argv) -> int:
@@ -55,19 +51,15 @@ def _curve(argv) -> int:
     parser.add_argument("--n", default=NS)
     parser.add_argument("--trials", default="3")
     parser.add_argument("--seed", default="2026")
-    try:
-        args = parser.parse_args(argv)
-        ns = args.n.split(",")
-        configs = {n: [parse_config(["run", "--scenario", token, "--n", n, "--trials", args.trials,
-                                     "--seed", args.seed, "--defenses", ",".join(d.tokens())], {})
-                       for token in SCENARIO_TOKENS for d in DEFENSE_GRID] for n in ns}
-    except UsageError as exc:
-        return fail(f"error: {exc}", 1)
-    except HelpShown:
-        return 0
+    args = parser.parse_args(argv)
+    ns = args.n.split(",")
+    configs = {n: [parse_config(["run", "--scenario", token, "--n", n, "--trials", args.trials,
+                                 "--seed", args.seed, "--defenses", ",".join(d.tokens())], {})
+                   for token in SCENARIO_TOKENS for d in DEFENSE_GRID] for n in ns}
 
     if len(ns) == 1:
-        lines = list(_lines(configs[ns[0]]))
+        with batch_of(configs[ns[0]][0].n):
+            lines = list(_lines(configs[ns[0]]))
     else:  # one child per n, run in turn
         lines = []
         for n in ns:

@@ -6,9 +6,10 @@ Usage: PYTHONPATH=src python scripts/regen_golden.py [--check]
 With ``--check`` it recomputes both corpora and writes nothing: it prints
 the first mismatching key of each corpus that differs from its file and
 exits 1 on any mismatch, 0 when both match; it reads both stored corpora
-first. As for ``aqsim run``, a bad option or a stored corpus that is not a
-readable JSON object exits 1 with one ``aqsim: error:`` line, and
-``--help`` exits 0. A corpus is written whole or not at all.
+first; a stored corpus that is not a readable JSON object exits 1 with one
+``aqsim: error:`` line. A corpus is written whole or not at all. The script
+runs through ``cli.run_entry``, so every other failure ends as README's
+"Exit codes" paragraph says.
 
 transcripts.json maps one key per run of the grid below to the sha256 of
 that run's transcript bytes. summaries.json maps one key per CLI batch of
@@ -68,29 +69,30 @@ def cell_hashes(scenario: str, defenses) -> dict[str, str]:
 
 def summary_hashes(scenario: str, defenses) -> dict[str, str]:
     """sha256 of what ``aqsim run`` prints for each batch of one scenario x defense
-    cell: seed 42, 3 trials, every size in SUMMARY_NS and format in SUMMARY_FORMATS."""
+    cell: seed 42, 3 trials, every size in SUMMARY_NS and format in SUMMARY_FORMATS.
+    Each batch runs ``cli.main``'s body, so a failure in it, an interrupt too,
+    ends the script rather than being hashed as the batch's output."""
     tokens = ",".join(defenses.tokens())
     hashes = {}
     for n, fmt in itertools.product(SUMMARY_NS, SUMMARY_FORMATS):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli.main(["run", "--scenario", scenario, "--n", str(n), "--trials", "3", "--seed",
-                      "42", "--defenses", tokens, "--format", fmt], {})
+            cli._main(["run", "--scenario", scenario, "--n", str(n), "--trials", "3", "--seed",
+                       "42", "--defenses", tokens, "--format", fmt], {})
         key = f"{scenario}/{tokens or '-'}/n{n}/{fmt}"
         hashes[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return hashes
 
 
 def main(argv=None) -> int:
+    return cli.run_entry(_regen, argv)
+
+
+def _regen(argv) -> int:
     parser = cli.Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check", action="store_true",
                         help="recompute both corpora, write nothing, exit 1 on any mismatch")
-    try:
-        check = parser.parse_args(argv).check
-    except cli.UsageError as exc:
-        return cli.fail(f"error: {exc}", 1)
-    except cli.HelpShown:
-        return 0
+    check = parser.parse_args(argv).check
     corpora = ((GOLDEN_PATH, cell_hashes), (SUMMARIES_PATH, summary_hashes))
     stored = {}  # path -> the corpus it holds, read before anything is computed
     if check:

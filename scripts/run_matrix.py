@@ -5,24 +5,19 @@ Usage: PYTHONPATH=src python scripts/run_matrix.py [--n N] [--trials T] [--seed 
 
 Each line is one ``aqsim run`` batch of the cell, run through ``cli.run_batch``.
 The options are parsed by ``cli.Parser`` and each cell's config is built by
-``cli.parse_config``, so a bad value or an unknown option ends like it does
-for ``aqsim run``: exit 1 with one ``aqsim: error:`` line. An
-interrupt (Ctrl-C) ends it as it ends ``aqsim run``: exit 1 with one
-``aqsim: interrupted`` line. Both lines are written by ``cli.fail``.
+``cli.parse_config``; the sweep runs through ``cli.run_entry``, so it ends
+in the exit codes and one-line failures of README's "Exit codes" paragraph.
 """
 import argparse
 from collections import Counter
 
 from aqsim.adversary import SCENARIO_TOKENS
-from aqsim.cli import HelpShown, Parser, UsageError, fail, parse_config, run_batch
+from aqsim.cli import Parser, parse_config, run_batch, run_entry
 from aqsim.defense import DEFENSE_GRID
 
 
 def main(argv=None) -> int:
-    try:
-        return _sweep(argv)
-    except KeyboardInterrupt:
-        return fail("interrupted", 1)
+    return run_entry(_sweep, argv)
 
 
 def _sweep(argv) -> int:
@@ -30,17 +25,12 @@ def _sweep(argv) -> int:
     parser.add_argument("--n", default="4")
     parser.add_argument("--trials", default="20")
     parser.add_argument("--seed", default="2026")
-    try:
-        args = parser.parse_args(argv)
-        configs = [
-            parse_config(["run", "--scenario", token, "--n", args.n, "--trials", args.trials,
-                          "--seed", args.seed, "--defenses", ",".join(defenses.tokens())], {})
-            for token in SCENARIO_TOKENS for defenses in DEFENSE_GRID
-        ]
-    except UsageError as exc:
-        return fail(f"error: {exc}", 1)
-    except HelpShown:
-        return 0
+    args = parser.parse_args(argv)
+    configs = [
+        parse_config(["run", "--scenario", token, "--n", args.n, "--trials", args.trials,
+                      "--seed", args.seed, "--defenses", ",".join(defenses.tokens())], {})
+        for token in SCENARIO_TOKENS for defenses in DEFENSE_GRID
+    ]
 
     print(f"{'scenario':<16} {'defenses':<24} {'verdicts':<28} expected")
     all_ok = True

@@ -24,8 +24,10 @@ interpreters:
 The phases add up to one ``setup_s`` sample. Python compiles the sources
 anew in each interpreter unless it finds their bytecode cached, so where
 ``PYTHONDONTWRITEBYTECODE`` is set, ``aqsim.cli`` includes compiling
-``src/aqsim``.
+``src/aqsim``. The script takes no option; it runs through
+``cli.run_entry``, so it ends as README's "Exit codes" paragraph says.
 """
+import argparse
 import json
 import statistics
 import subprocess
@@ -34,7 +36,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+from aqsim.cli import Parser, run_entry  # noqa: E402
 from run import CAL_REF_MS, argv_of, round_cells  # noqa: E402  (perfbench/run.py)
 
 SAMPLES = 15
@@ -83,7 +86,13 @@ def measure(samples: int) -> list[dict]:
             for phase, ms in times.items()]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    return run_entry(_startup, argv)
+
+
+def _startup(argv) -> int:
+    parser = Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.parse_args(argv)  # no option: --help, or a usage error
     for row in measure(SAMPLES):
         print(json.dumps(row), flush=True)
     return 0

@@ -9,11 +9,14 @@ host running out of memory stopped the batch, 2 = some invariant check
 failed, or an internal error (a state,
 protocol, key-length or attack failure) stopped the batch. A failed check
 shows in the summary; every other failure prints one line on stderr that
-says why. The transcripts written before an interrupt stay whole.
+says why. The transcripts written before an interrupt stay whole. The
+contract holds for every entry point: ``main`` and the scripts each run
+their body through ``run_entry``.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -40,6 +43,10 @@ class UsageError(Exception):
 
 class HelpShown(Exception):
     """argparse printed the help that ``--help`` asked for: exit 0."""
+
+
+class OutOfMemory(MemoryError):
+    """The host ran out of memory in a batch whose n the message names."""
 
 
 class Parser(argparse.ArgumentParser):
@@ -158,32 +165,43 @@ def run_batch(config: RunConfig) -> BatchSummary:
     rows = []
     counts: dict[str, list[int]] = {}
     all_ok = True
-    for trial in range(config.trials):
-        result = run_scenario(
-            config.scenario, config.n, config.seed, trial, defenses=config.defenses
-        )
-        expectations = evaluate_expectations(result, config.scenario.variant, config.defenses)
-        ok = all(expectations.values())
-        all_ok = all_ok and ok
-        for name, passed in expectations.items():
-            bucket = counts.setdefault(name, [0, 0])
-            bucket[0] += int(passed)
-            bucket[1] += 1
-        rows.append(
-            {
-                "trial": trial,
-                "checks": result.checks,
-                "verdict": result.verdict,
-                "alarms": list(result.alarms),
-                "extraction_match": result.extraction_matches,
-                "ok": ok,
-            }
-        )
-        if config.out is not None:
-            _write_atomic(config.out / _transcript_filename(config, trial),
-                          result.transcript_bytes() + b"\n")
+    with batch_of(config.n):
+        for trial in range(config.trials):
+            result = run_scenario(
+                config.scenario, config.n, config.seed, trial, defenses=config.defenses
+            )
+            expectations = evaluate_expectations(result, config.scenario.variant, config.defenses)
+            ok = all(expectations.values())
+            all_ok = all_ok and ok
+            for name, passed in expectations.items():
+                bucket = counts.setdefault(name, [0, 0])
+                bucket[0] += int(passed)
+                bucket[1] += 1
+            rows.append(
+                {
+                    "trial": trial,
+                    "checks": result.checks,
+                    "verdict": result.verdict,
+                    "alarms": list(result.alarms),
+                    "extraction_match": result.extraction_matches,
+                    "ok": ok,
+                }
+            )
+            if config.out is not None:
+                _write_atomic(config.out / _transcript_filename(config, trial),
+                              result.transcript_bytes() + b"\n")
 
     return BatchSummary(config=config, trial_rows=rows, check_counts=counts, all_ok=all_ok)
+
+
+@contextlib.contextmanager
+def batch_of(n: int):
+    """Run the trials of one n: a ``MemoryError`` inside ends the entry point
+    in ``aqsim: out of memory at --n <n>``."""
+    try:
+        yield
+    except MemoryError:
+        raise OutOfMemory(f"out of memory at --n {n}") from None
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -239,38 +257,43 @@ def fail(message: str, code: int) -> int:
     return code
 
 
-def main(argv=None, env=None) -> int:
+def run_entry(body, argv, *args) -> int:
+    """Run an entry point's ``body`` on its argv (``sys.argv[1:]`` for None)
+    and ``args``, and end each way it can fail in the stderr line and exit
+    code of the contract above. What the body printed is flushed here, so a
+    stdout closed by its reader fails inside the contract too."""
     try:
-        return _main(sys.argv[1:] if argv is None else argv, os.environ if env is None else env)
-    except KeyboardInterrupt:
-        return fail("interrupted", 1)
-
-
-def _main(argv, env) -> int:
-    try:
-        config = parse_config(argv, env)
+        code = body(sys.argv[1:] if argv is None else argv, *args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         return fail(f"error: {exc}", 1)
     except HelpShown:
         return 0
-    try:
-        summary = run_batch(config)
+    except KeyboardInterrupt:
+        return fail("interrupted", 1)
+    except MemoryError as exc:
+        return fail(str(exc) if type(exc) is OutOfMemory else "out of memory", 1)
     except OSError as exc:
+        if sys.stdout is sys.__stdout__:
+            try:
+                sys.stdout.flush()
+            except OSError:  # the reader is gone, as after `| head -c 10`: point stdout
+                # at devnull, so that the shutdown flush does not fail again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         return fail(f"io error: {exc}", 1)
-    except MemoryError:
-        return fail(f"out of memory at --n {config.n}", 1)
     except (StateError, ProtocolError, KeyTooShort, AttackError) as exc:
         return fail(f"internal error: {type(exc).__name__}: {exc}", 2)
-    try:
-        print(render_summary(summary, config.format), flush=True)
-    except OSError as exc:  # stdout closed before the summary, as by `| head -c 10`
-        # point stdout at devnull, so that the shutdown flush does not fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return fail(f"io error: {exc}", 1)
+
+
+def main(argv=None, env=None) -> int:
+    return run_entry(_main, argv, os.environ if env is None else env)
+
+
+def _main(argv, env) -> int:
+    config = parse_config(argv, env)
+    summary = run_batch(config)
+    print(render_summary(summary, config.format))
     return 0 if summary.all_ok else 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

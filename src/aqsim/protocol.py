@@ -603,16 +603,9 @@ class CipherPayload(namedtuple("CipherPayload", ("masked", "signature", "verific
     def digest(self, registry: QuantumRegistry) -> str:
         """Receive-time digest: carrier metadata plus the exact states held,
         the sha256 of the canonical list of {"id", "band", "slot", "state"}."""
-        return hashlib.sha256(_digest_bytes(self.streams(), registry)).hexdigest()
-
-
-def _digest_bytes(streams, registry: QuantumRegistry) -> bytes:
-    """The canonical list of {"id", "band", "slot", "state"} of ``streams``
-    that a payload digest hashes, its streams rendered in one call, each
-    stream's carrier columns read off the stream (``CarrierStream``)."""
-    texts = jsonutil.render_states(
-        [(*registry.stack(s.labels), s.columns) for s in streams if s])
-    return ("[" + ",".join(texts) + "]").encode("ascii")
+        texts = jsonutil.render_states(  # the streams in one call, columns off each stream
+            [(*registry.stack(s.labels), s.columns) for s in self.streams() if s])
+        return hashlib.sha256(("[" + ",".join(texts) + "]").encode("ascii")).hexdigest()
 
 
 class PublicBoard:
@@ -772,7 +765,6 @@ def alice_sign(
     rng: np.random.Generator,
     registry: QuantumRegistry,
     alice_labels: Sequence,
-    forced_pad: KeyBits | None = None,
 ) -> tuple[SignaturePackage, KeyBits, SignerPrivate]:
     """Produce the signature package.
 
@@ -786,11 +778,7 @@ def alice_sign(
     n = spec.n
     if len(alice_labels) != n:
         raise ProtocolError(f"have {len(alice_labels)} shared pairs for {n} qubits")
-    pad = qotp.random_pad(n, rng)  # always drawn, to keep the stream aligned
-    if forced_pad is not None:
-        if len(forced_pad.bits) != 2 * n:
-            raise ProtocolError("forced pad has the wrong length")
-        pad = forced_pad
+    pad = qotp.random_pad(n, rng)
 
     masked = qotp.mask_rows(spec.amps, pad)
     signature = qotp.mask_rows(masked, signer_key)

@@ -386,16 +386,13 @@ def run_scenario(
     seed: int,
     trial: int = 0,
     defenses: DefenseConfig = DefenseConfig(),
-    message: MessageSpec | None = None,
-    forced_pad: KeyBits | None = None,
 ) -> RunResult:
     """Execute one seeded trial of the chosen scenario."""
     streams = rng_streams(seed, trial)
     transcript = Transcript(scenario.token, n, seed, defenses.tokens())
     registry = QuantumRegistry()
 
-    spec = message if message is not None else proto.random_message_spec(
-        n, streams.message, generic_margin=GENERIC_MARGIN)
+    spec = proto.random_message_spec(n, streams.message, generic_margin=GENERIC_MARGIN)
     keys = proto.setup_keys(n, streams.keys)
     transcript.log("trent", "setup", {
         "n": n, "signer_key_bits": len(keys.signer),
@@ -407,7 +404,7 @@ def run_scenario(
         "carriers": proto.slot_plan(n).halves.rendered,
     })
     package, pad, signer_private = proto.alice_sign(
-        spec, keys.signer, streams.sign, registry, alice_labels, forced_pad=forced_pad)
+        spec, keys.signer, streams.sign, registry, alice_labels)
     transcript.log("alice", "measurement", {
         "what": "bell-projection",
         "probabilities": render_float_rows(signer_private.probabilities),

@@ -108,10 +108,6 @@ class BellOutcome(Enum):
     def from_bits(cls, x: int, z: int) -> "BellOutcome":
         return _OUTCOME_BY_BITS[(x, z)]
 
-    @classmethod
-    def from_token(cls, token: str) -> "BellOutcome":
-        return _OUTCOME_BY_TOKEN[token]
-
 
 # Fixed sampling / probability-vector order.
 BELL_ORDER = (
@@ -122,7 +118,6 @@ BELL_ORDER = (
 )
 
 _OUTCOME_BY_BITS = {(o.x, o.z): o for o in BELL_ORDER}
-_OUTCOME_BY_TOKEN = {o.token: o for o in BELL_ORDER}
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 

@@ -175,10 +175,11 @@ def test_false_pad_run_breaks_signature_checks():
     assert len(result.board.entries) == 1
 
 
-def test_false_pad_run_indistinguishable_from_honest_twin():
+def test_false_pad_run_indistinguishable_from_honest_twin(monkeypatch):
     # an honest run whose message is the (wrongly) recovered one and whose
     # pad is the published value produces a byte-identical transcript except
     # for the two checks that need the signer's private message description
+    draw_pad = qotp.random_pad
     for trial in range(5):
         fr = run_scenario(scenario("alice-false-pad"), 3, 41, trial)
         published = fr.published_pad
@@ -186,9 +187,15 @@ def test_false_pad_run_indistinguishable_from_honest_twin():
         masked = qotp.encrypt(message, fr.true_pad)
         twin_states = qotp.decrypt(masked, published)
         twin_spec = MessageSpec(tuple((s.amps[0], s.amps[1]) for s in twin_states))
-        twin = run_scenario(
-            scenario("honest"), 3, 41, trial, message=twin_spec, forced_pad=published
-        )
+
+        def published_pad(n, rng):  # drawn, so that the signing stream keeps its draws
+            draw_pad(n, rng)
+            return published
+
+        with monkeypatch.context() as patch:
+            patch.setattr(proto, "random_message_spec", lambda *args, **kwargs: twin_spec)
+            patch.setattr(qotp, "random_pad", published_pad)
+            twin = run_scenario(scenario("honest"), 3, 41, trial)
 
         assert twin.checks["signature_valid"] is True
         assert fr.checks["signature_valid"] is False

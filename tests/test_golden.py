@@ -127,7 +127,7 @@ def test_regen_check_refuses_an_unreadable_corpus_before_computing_anything(
     assert str(paths[bad]) in err
 
 
-def test_regen_an_interrupted_write_leaves_the_stored_corpus_whole(tmp_path, monkeypatch):
+def test_regen_an_interrupted_write_leaves_the_stored_corpus_whole(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(regen_golden, "cell_hashes",
                         lambda scenario, defenses: {f"{scenario}/{defenses.tokens()}": "new"})
     monkeypatch.setattr(regen_golden, "summary_hashes", lambda scenario, defenses: {})
@@ -141,7 +141,22 @@ def test_regen_an_interrupted_write_leaves_the_stored_corpus_whole(tmp_path, mon
 
     monkeypatch.setattr(Path, "write_bytes", interrupted)
     monkeypatch.setattr(Path, "write_text", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        regen_golden.main([])
+    assert regen_golden.main([]) == 1
+    assert capsys.readouterr().err == "aqsim: interrupted\n"
     assert transcripts.read_text() == '{"k": "old"}\n'
     assert [path.name for path in tmp_path.iterdir()] == ["transcripts.json"]
+
+
+def test_regen_an_interrupt_in_a_summary_batch_ends_the_run_and_writes_no_summaries(
+        tmp_path, monkeypatch, capsys):
+    # the batch is interrupted inside aqsim run's body: the script stops there,
+    # rather than hashing the batch's empty output into the corpus
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(regen_golden, "cell_hashes", lambda scenario, defenses: {scenario: "h"})
+    monkeypatch.setattr(regen_golden.cli, "run_scenario", interrupted)
+    transcripts, summaries = use_corpus_paths(tmp_path, monkeypatch)
+    assert regen_golden.main([]) == 1
+    assert capsys.readouterr().err == "aqsim: interrupted\n"
+    assert transcripts.exists() and not summaries.exists()

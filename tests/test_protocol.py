@@ -60,7 +60,7 @@ class BranchRng:
         return np.full(size, self.u)
 
 
-def manual_run(spec, signer_bits, verifier_bits, rng=None, forced_pad=None, tamper_results=None):
+def manual_run(spec, signer_bits, verifier_bits, rng=None, tamper_results=None):
     """Drive the raw protocol steps with explicit keys, no scenario layer."""
     n = spec.n
     registry = QuantumRegistry()
@@ -68,9 +68,7 @@ def manual_run(spec, signer_bits, verifier_bits, rng=None, forced_pad=None, tamp
     verifier_key = KeyBits(tuple(verifier_bits), qotp.ROLE_VERIFIER)
     rng = rng if rng is not None else np.random.default_rng(0)
     alice_labels, bob_labels = proto.distribute_bell_pairs(n, registry)
-    package, pad, private = proto.alice_sign(
-        spec, signer_key, rng, registry, alice_labels, forced_pad=forced_pad,
-    )
+    package, pad, private = proto.alice_sign(spec, signer_key, rng, registry, alice_labels)
     if tamper_results is not None:
         package = proto.SignaturePackage(package.masked, package.signature, tamper_results(package))
     payload = proto.bob_forward(package, verifier_key, registry)
@@ -267,12 +265,16 @@ def test_distribute_bell_pairs_rejects_zero():
 # --- signing ----------------------------------------------------------------
 
 
-def test_alice_sign_trivial_message():
+def test_alice_sign_trivial_message(monkeypatch):
+    draw_pad = qotp.random_pad
+
+    def zero_pad(n, rng):  # drawn, so that the signing stream keeps its draws
+        draw_pad(n, rng)
+        return KeyBits((0, 0), qotp.ROLE_PAD)
+
+    monkeypatch.setattr(qotp, "random_pad", zero_pad)
     spec = MessageSpec(((1, 0),))
-    run = manual_run(
-        spec, signer_bits=(0, 0), verifier_bits=(0,) * 6,
-        forced_pad=KeyBits((0, 0), qotp.ROLE_PAD),
-    )
+    run = manual_run(spec, signer_bits=(0, 0), verifier_bits=(0,) * 6)
     np.testing.assert_allclose(run.registry.state_of("p1").amps, [1, 0])
     np.testing.assert_allclose(run.registry.state_of("sa1").amps, [1, 0])
     assert run.private.outcome_probabilities[0] == pytest.approx((0.25,) * 4, abs=1e-12)

@@ -1,5 +1,6 @@
 """Source-level checks: which parameters in ``src/aqsim`` take a default,
-and which modules in ``tests/`` name the state store's layout."""
+which modules in ``tests/`` name the state store's layout, and which
+modules handle the exit contract's failures themselves."""
 import ast
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import aqsim
 
 SRC = Path(aqsim.__file__).parent
 TESTS = Path(__file__).parent
+SCRIPTS = TESTS.parent / "scripts"
 
 # (module, function, parameter) of every parameter in src/aqsim with a
 # default, sorted. A default is one more way to call the code, so a new one
@@ -16,11 +18,8 @@ DEFAULTED = [
     ("cli.py", "exit", "status"),
     ("cli.py", "main", "argv"),
     ("cli.py", "main", "env"),
-    ("protocol.py", "alice_sign", "forced_pad"),
     ("qotp.py", "mask_rows", "inverse"),
     ("scenarios.py", "run_scenario", "defenses"),
-    ("scenarios.py", "run_scenario", "forced_pad"),
-    ("scenarios.py", "run_scenario", "message"),
     ("scenarios.py", "run_scenario", "trial"),
     ("statevector.py", "bell_measure", "forced"),
     ("statevector.py", "equal_up_to_phase", "tol"),
@@ -77,3 +76,27 @@ def layout_names(tests: Path) -> list[tuple[str, int, str]]:
 
 def test_only_the_layout_module_names_the_stores_private_members():
     assert layout_names(TESTS) == []
+
+
+# The failures that ``cli.run_entry`` maps to the exit contract's lines and
+# codes. Only ``cli.py`` handles them, so every entry point ends them alike.
+CONTRACT = frozenset({"KeyboardInterrupt", "MemoryError", "UsageError", "HelpShown"})
+
+
+def contract_handlers(paths) -> list[tuple[str, int, str]]:
+    """Each (module, line, name) where an ``except`` clause in ``paths``
+    names a member of ``CONTRACT``, bare or as an attribute."""
+    found = []
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                found += [(path.name, node.lineno, name) for part in ast.walk(node.type)
+                          for name in [getattr(part, "attr", getattr(part, "id", None))]
+                          if name in CONTRACT]
+    return found
+
+
+def test_only_cli_handles_the_exit_contracts_failures():
+    paths = [*SRC.glob("*.py"), *SCRIPTS.glob("*.py")]
+    assert contract_handlers(path for path in paths if path != SRC / "cli.py") == []
+    assert {name for _, _, name in contract_handlers([SRC / "cli.py"])} == CONTRACT
